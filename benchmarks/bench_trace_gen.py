@@ -20,7 +20,7 @@ import numpy as np
 from conftest import pedantic_once
 
 from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+from repro.sim.trace import Access, AccessKind
 from repro.workloads.generators import random_updates, spawn_thread_generator
 
 THREADS = 4
@@ -45,14 +45,17 @@ def _legacy_random_updates(count, line_bytes, rng, *, gap_cycles=2.0,
     return out
 
 
-def _legacy_digest(trace):
-    """The old cache key: canonical JSON over every access, then SHA-256."""
+def _legacy_digest(threads, *, routine, line_bytes):
+    """The old cache key: canonical JSON over every access, then SHA-256.
+
+    ``threads`` holds one tuple of ``Access`` records per thread, ids 0..n-1.
+    """
     payload = {
-        "routine": trace.routine,
-        "line_bytes": trace.line_bytes,
+        "routine": routine,
+        "line_bytes": line_bytes,
         "threads": [
-            [t.thread_id, [[a.addr, a.kind.value, a.gap_cycles] for a in t.accesses]]
-            for t in trace.threads
+            [tid, [[a.addr, a.kind.value, a.gap_cycles] for a in accesses]]
+            for tid, accesses in enumerate(threads)
         ],
     }
     doc = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -64,11 +67,8 @@ def _legacy_generate_and_digest(seed=12345):
     threads = []
     for t in range(THREADS):
         child = random.Random(rng.randrange(2**31))
-        threads.append(
-            ThreadTrace(t, tuple(_legacy_random_updates(ACCESSES, LINE, child)))
-        )
-    trace = Trace(tuple(threads), routine="bench", line_bytes=LINE)
-    return _legacy_digest(trace)
+        threads.append(tuple(_legacy_random_updates(ACCESSES, LINE, child)))
+    return _legacy_digest(threads, routine="bench", line_bytes=LINE)
 
 
 # -- columnar path (the live implementation) ------------------------------------

@@ -14,10 +14,9 @@ entries (two different simulations, one stored result).  Two checks:
   someone rewrites it with manual enumeration.
 * **KEY002** (behavioral) — the trace side of the key is
   :func:`repro.sim.coltrace.trace_digest`, a manual enumeration (it
-  hashes raw array bytes for speed), so structure is not enough: for
-  tiny fixture traces — one per representation, object ``Trace`` and
-  ``ColumnarTrace`` — mutate each dataclass field in turn and assert
-  the digest changes.  A field whose mutation leaves the digest
+  hashes raw array bytes for speed), so structure is not enough: for a
+  tiny fixture ``ColumnarTrace``, mutate each dataclass field in turn and
+  assert the digest changes.  A field whose mutation leaves the digest
   unchanged is unreachable from the digest; a field the checker cannot
   mutate is reported as a warning so its author extends the mutation
   table rather than shipping an unverifiable key.  Numpy array fields
@@ -288,9 +287,8 @@ class CacheKeyRule(Rule):
             from ...machines.registry import get_machine
             from ...perf import cache as cache_mod
             from ...sim import coltrace as coltrace_mod
-            from ...sim.coltrace import ColumnarTrace
+            from ...sim.coltrace import trace_from_addresses
             from ...sim.hierarchy import SimConfig
-            from ...sim.trace import Access, AccessKind, ThreadTrace, Trace
         except Exception as exc:  # pragma: no cover - import breakage
             return [
                 Violation(
@@ -311,38 +309,13 @@ class CacheKeyRule(Rule):
             )
         )
 
-        trace = Trace(
-            threads=(
-                ThreadTrace(
-                    thread_id=0,
-                    accesses=(
-                        Access(0, AccessKind.LOAD, 1.0),
-                        Access(64, AccessKind.STORE, 2.0),
-                    ),
-                ),
-                ThreadTrace(
-                    thread_id=1,
-                    accesses=(Access(128, AccessKind.SWPF_L2, 0.5),),
-                ),
-            ),
-            routine="lint-audit",
-            line_bytes=64,
+        trace = trace_from_addresses(
+            [[0, 64], [128]], routine="lint-audit", line_bytes=64, gap_cycles=1.0
         )
         path, line = _source_location(coltrace_mod.trace_digest)
-        # Both representations are digested by the same function; audit
-        # each so every field of the object *and* columnar trace classes
-        # provably reaches the perf-cache key.
         out.extend(
             check_digest_sensitivity(
                 trace,
-                coltrace_mod.trace_digest,
-                report_path=path,
-                report_line=line,
-            )
-        )
-        out.extend(
-            check_digest_sensitivity(
-                ColumnarTrace.from_trace(trace),
                 coltrace_mod.trace_digest,
                 report_path=path,
                 report_line=line,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -118,7 +118,7 @@ class ComdApp:
         machine: MachineSpec,
         *,
         vectorized: bool = False,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Real neighbour-loop stream: cached position loads, heavy math.
 
         The force arithmetic dominates (tens of cycles per pair), so

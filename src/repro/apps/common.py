@@ -14,23 +14,34 @@ Two pieces are shared:
   address space (region-aligned so different arrays never share cache
   lines), and turns ``(array, element_index)`` into byte addresses;
 * :class:`TraceRecorder` — collects the kernel's loads/stores/prefetch
-  hints in order and packages them as a simulator
-  :class:`~repro.sim.trace.Trace`, partitioning work across threads
-  the way the real apps partition their iteration spaces.
+  hints in order as plain address/kind/gap columns, which
+  :func:`build_trace` packages as a simulator
+  :class:`~repro.sim.coltrace.ColumnarTrace`, one thread per recorder
+  (the apps partition their iteration spaces the way the real ones do).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.trace import Access, AccessKind, ThreadTrace, Trace
+from ..sim.coltrace import (
+    GAP_DTYPE,
+    KIND_CODES,
+    KIND_DTYPE,
+    ColumnarThreadTrace,
+    ColumnarTrace,
+)
+from ..sim.trace import AccessKind
 
 #: Array regions are aligned to this boundary (keeps sets disjoint).
 REGION_ALIGN = 16 * 1024 * 1024
+
+_LOAD = KIND_CODES[AccessKind.LOAD]
+_STORE = KIND_CODES[AccessKind.STORE]
+_SWPF_L2 = KIND_CODES[AccessKind.SWPF_L2]
 
 
 class AddressSpace:
@@ -71,44 +82,46 @@ class TraceRecorder:
     def __init__(self, space: AddressSpace, *, default_gap: float = 2.0) -> None:
         self.space = space
         self.default_gap = default_gap
-        self._accesses: List[Access] = []
+        self._addrs: List[int] = []
+        self._kinds: List[int] = []
+        self._gaps: List[float] = []
+
+    def _record(self, addr: int, kind: int, gap: float) -> None:
+        self._addrs.append(addr)
+        self._kinds.append(kind)
+        self._gaps.append(gap)
 
     def load(self, array: str, index: int, *, gap: Optional[float] = None) -> None:
         """Record a demand load of ``array[index]``."""
-        self._accesses.append(
-            Access(
-                self.space.addr(array, index),
-                AccessKind.LOAD,
-                self.default_gap if gap is None else gap,
-            )
+        self._record(
+            self.space.addr(array, index),
+            _LOAD,
+            self.default_gap if gap is None else gap,
         )
 
     def store(self, array: str, index: int, *, gap: Optional[float] = None) -> None:
         """Record a demand store to ``array[index]``."""
-        self._accesses.append(
-            Access(
-                self.space.addr(array, index),
-                AccessKind.STORE,
-                self.default_gap if gap is None else gap,
-            )
+        self._record(
+            self.space.addr(array, index),
+            _STORE,
+            self.default_gap if gap is None else gap,
         )
 
     def prefetch_l2(self, array: str, index: int) -> None:
         """Record an L2-targeted software prefetch of ``array[index]``."""
-        self._accesses.append(
-            Access(self.space.addr(array, index), AccessKind.SWPF_L2, 0.5)
+        self._record(self.space.addr(array, index), _SWPF_L2, 0.5)
+
+    def to_thread(self, thread_id: int) -> ColumnarThreadTrace:
+        """Package the recorded stream as one thread's trace."""
+        return ColumnarThreadTrace(
+            thread_id,
+            np.array(self._addrs, dtype=np.int64),
+            np.array(self._kinds, dtype=KIND_DTYPE),
+            np.array(self._gaps, dtype=GAP_DTYPE),
         )
 
-    def compute(self, cycles: float) -> None:
-        """Attribute ``cycles`` of work to the *next* recorded access."""
-        self._pending_gap = cycles  # consumed by the next load/store
-
-    def to_thread(self, thread_id: int) -> ThreadTrace:
-        """Package the recorded stream as one thread's trace."""
-        return ThreadTrace(thread_id=thread_id, accesses=tuple(self._accesses))
-
     def __len__(self) -> int:
-        return len(self._accesses)
+        return len(self._addrs)
 
 
 def build_trace(
@@ -116,11 +129,11 @@ def build_trace(
     *,
     routine: str,
     line_bytes: int,
-) -> Trace:
+) -> ColumnarTrace:
     """Assemble per-thread recorders into a simulator trace."""
     if not recorders:
         raise ConfigurationError("need at least one recorder")
-    return Trace(
+    return ColumnarTrace(
         threads=tuple(rec.to_thread(i) for i, rec in enumerate(recorders)),
         routine=routine,
         line_bytes=line_bytes,

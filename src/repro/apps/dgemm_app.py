@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -72,7 +72,7 @@ class DgemmApp:
         *,
         max_tiles: Optional[int] = 8,
         fma_gap_cycles: float = 190.0,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Tile-level access stream: line-granular tile touches with
         heavy FMA gaps — the low-occupancy signature of blocked GEMM.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -97,7 +97,7 @@ class HpcgApp:
         *,
         max_rows: Optional[int] = None,
         fma_gap_cycles: float = 2.0,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Real per-row access stream: value/index streams + x gathers."""
         rows = self.rows if max_rows is None else min(self.rows, max_rows)
         space = AddressSpace()

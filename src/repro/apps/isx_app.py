@@ -12,13 +12,12 @@ as the paper's optimized code does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -78,7 +77,7 @@ class IsxApp:
         l2_prefetch: bool = False,
         prefetch_distance: int = 64,
         update_gap_cycles: float = 12.0,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """The kernel's access stream, per thread, from the actual keys.
 
         Per key: one 8-byte sequential load from ``keys`` plus a

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -85,7 +85,7 @@ class MinighostApp:
         *,
         max_cells: Optional[int] = None,
         flop_gap_cycles: float = 1.5,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Real loop-nest access stream, z-planes partitioned by thread."""
         space = AddressSpace()
         cells = self.nx * self.ny * self.nz

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -85,7 +85,7 @@ class PennantApp:
         *,
         vectorized: bool = False,
         max_corners: Optional[int] = None,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Real per-corner stream: index loads + two gathers + a scatter.
 
         The scalar version carries the long dependence gap the compiler

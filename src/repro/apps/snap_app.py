@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.trace import Trace
+from ..sim.coltrace import ColumnarTrace
 from .common import AddressSpace, TraceRecorder, build_trace, partition
 
 
@@ -88,7 +88,7 @@ class SnapApp:
         *,
         sw_prefetch: bool = False,
         max_cells: Optional[int] = None,
-    ) -> Trace:
+    ) -> ColumnarTrace:
         """Real sweep stream: per cell, a short nang-element burst.
 
         Loads the upstream flux vectors and stores the cell's — each a

@@ -38,13 +38,7 @@ from typing import Any, Dict, Tuple, Union
 import numpy as np
 
 from ..errors import TraceError
-from ..sim.coltrace import (
-    AnyTrace,
-    ColumnarThreadTrace,
-    ColumnarTrace,
-    as_columnar,
-    trace_digest,
-)
+from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
 
 #: Format tag stored in the meta member.
 TRACE_FILE_FORMAT = "repro-trace-npz"
@@ -62,15 +56,14 @@ def _member_names(index: int) -> Tuple[str, str, str]:
 
 def save_trace(
     path: Union[str, Path],
-    trace: AnyTrace,
+    trace: ColumnarTrace,
     *,
     compress: bool = False,
 ) -> Dict[str, Any]:
     """Write ``trace`` to ``path`` as a trace file; returns its metadata.
 
     ``compress`` trades the mmap fast path on load for a smaller file
-    (loads still work — through the ``np.load`` fallback).  Either
-    representation can be saved; the file always stores columnar form.
+    (loads still work — through the ``np.load`` fallback).
 
     The write is atomic (temp file + rename via
     :func:`repro.io.atomic.atomic_writer`): a crash mid-save leaves the
@@ -81,22 +74,21 @@ def save_trace(
     """
     from .atomic import atomic_writer
 
-    col = as_columnar(trace)
     path = Path(path)
     meta = {
         "format": TRACE_FILE_FORMAT,
         "version": TRACE_FILE_VERSION,
-        "routine": col.routine,
-        "line_bytes": col.line_bytes,
-        "thread_ids": [t.thread_id for t in col.threads],
-        "sha256": trace_digest(col),
+        "routine": trace.routine,
+        "line_bytes": trace.line_bytes,
+        "thread_ids": [t.thread_id for t in trace.threads],
+        "sha256": trace_digest(trace),
     }
     members: Dict[str, np.ndarray] = {
         "meta": np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
     }
-    for i, thread in enumerate(col.threads):
+    for i, thread in enumerate(trace.threads):
         addr_name, kind_name, gap_name = _member_names(i)
         members[addr_name] = thread.addr
         members[kind_name] = thread.kind

@@ -57,7 +57,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from .. import __version__
 from ..analysis.sanitizer import sanitize_enabled
 from ..errors import CacheKeyError
-from ..sim.coltrace import AnyTrace, trace_digest
+from ..sim.coltrace import ColumnarTrace, trace_digest
 from ..sim.hierarchy import SimConfig, run_trace
 from ..sim.stats import SimStats
 
@@ -130,7 +130,7 @@ def stable_digest(payload: Any) -> str:
 
 
 def digest_for(
-    trace: AnyTrace,
+    trace: ColumnarTrace,
     config: SimConfig,
     *,
     latency_model: Any = None,
@@ -140,8 +140,7 @@ def digest_for(
 
     The trace contributes via :func:`repro.sim.coltrace.trace_digest`
     — a zero-copy SHA-256 over its canonical array bytes — so digesting
-    no longer walks the trace in Python, and object and columnar traces
-    with the same content produce the same key.
+    never walks the trace in Python.
 
     Raises :class:`~repro.errors.CacheKeyError` when an input (e.g. a
     hand-written latency-model object) cannot be canonicalized; callers
@@ -447,7 +446,7 @@ def configure_cache(
 
 
 def cached_run_trace(
-    trace: AnyTrace,
+    trace: ColumnarTrace,
     config: SimConfig,
     *,
     latency_model: Any = None,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError, ProfileError
@@ -52,6 +52,9 @@ from ..memory.latency_model import model_for_machine
 from ..memory.profile import LatencyProfile
 from ..units import GIGA, NANO
 from .solver import SolvedPoint, solve_operating_point
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.coltrace import ColumnarTrace
 
 #: Bump when the calibrated-parameter representation changes; enters the
 #: content-address so stale calibrations can never be replayed.
@@ -530,7 +533,7 @@ def state_eligibility(state: Any) -> FastPathDecision:
     return FastPathDecision(True)
 
 
-def trace_eligibility(trace: Any) -> FastPathDecision:
+def trace_eligibility(trace: ColumnarTrace) -> FastPathDecision:
     """Can a trace-driven query be answered analytically?
 
     Rejects pathological traces: no demand accesses at all, or a
@@ -538,19 +541,13 @@ def trace_eligibility(trace: Any) -> FastPathDecision:
     :data:`PATHOLOGICAL_GAP_CV` — burstiness far beyond what the
     steady-arrival queueing assumption tolerates.
     """
-    import numpy as np
-
-    if getattr(trace, "total_demand", 1) == 0:
+    if trace.total_demand == 0:
         return FastPathDecision(
             False, "pathological trace: no demand accesses to model"
         )
     worst_cv = 0.0
-    for thread in getattr(trace, "threads", ()):
-        if hasattr(thread, "gap_cycles"):
-            raw = thread.gap_cycles  # columnar: the gap array itself
-        else:
-            raw = [access.gap_cycles for access in thread.accesses]
-        gaps = np.asarray(raw, dtype=np.float64)
+    for thread in trace.threads:
+        gaps = thread.gap_cycles
         if gaps.size < 2:
             continue
         mean = float(gaps.mean())

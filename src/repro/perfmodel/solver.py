@@ -7,15 +7,20 @@ Little's law closes a feedback loop between three quantities:
 * the bandwidth that MLP drives, ``BW = cores * n * cls / lat``;
 * the loaded latency that bandwidth causes, ``lat = curve(BW)``.
 
-The solver finds the consistent operating point by damped fixed-point
-iteration, capping bandwidth at the machine's achievable-streams
-ceiling (when capped, latency is *backed out* of Little's law — the
-queueing regime where extra demand just inflates latency, which is why
-ISx-optimized on KNL reads 238 ns at 86 % utilization).
+The consistent operating point is the root of
+``g(bw) = bw - min(cap, BW(n, curve(bw)))``, where ``cap`` is the
+machine's achievable-streams ceiling.  The curve is monotone
+non-decreasing, so ``g`` is non-decreasing in ``bw`` and the solver
+bisects ``[0, cap]`` until the bracket is within a relative 1e-9
+(at most 500 steps) — robust even across the steep knee segments of
+tabulated curves.
 
-The curve is monotone non-decreasing, so the iteration map is monotone
-non-increasing in bandwidth and 0.5-damping converges geometrically;
-a residual check guards the claim.
+If ``g(cap) <= 0`` the demand saturates the ceiling even at the top of
+the curve: bandwidth is capped and latency is *backed out* of Little's
+law (never below what the curve says) — the queueing regime where extra
+demand just inflates latency, which is why ISx-optimized on KNL reads
+238 ns at 86 % utilization.  The returned ``residual`` reports how far
+the point sits from the fixed point, as a health check.
 """
 
 from __future__ import annotations

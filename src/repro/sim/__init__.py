@@ -8,15 +8,13 @@ simulator" the paper uses for validation (see DESIGN.md §2).
 from .cache import CacheArray
 from .coltrace import (
     AccessColumns,
-    AnyTrace,
     ColumnarThreadTrace,
     ColumnarTrace,
-    as_columnar,
-    as_object_trace,
     columnar_trace,
     concat_columns,
     interleave_columns,
     trace_digest,
+    trace_from_addresses,
 )
 from .engine import Engine
 from .hierarchy import Hierarchy, SimConfig, run_trace
@@ -31,13 +29,12 @@ from .stats import (
     SimStats,
 )
 from .tlb import Tlb, TlbStats
-from .trace import Access, AccessKind, ThreadTrace, Trace, trace_from_addresses
+from .trace import Access, AccessKind
 
 __all__ = [
     "Access",
     "AccessColumns",
     "AccessKind",
-    "AnyTrace",
     "CacheArray",
     "ColumnarThreadTrace",
     "ColumnarTrace",
@@ -53,12 +50,8 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "StreamPrefetcher",
-    "ThreadTrace",
     "Tlb",
     "TlbStats",
-    "Trace",
-    "as_columnar",
-    "as_object_trace",
     "columnar_trace",
     "concat_columns",
     "interleave_columns",

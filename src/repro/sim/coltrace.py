@@ -1,12 +1,9 @@
-"""Columnar (structure-of-arrays) trace representation.
+"""Columnar (structure-of-arrays) traces: the simulator's workload format.
 
-The object layer in :mod:`repro.sim.trace` models a trace as a tuple of
-frozen :class:`~repro.sim.trace.Access` dataclasses — convenient for
-small fixtures, but every generated access pays CPython object overhead
-three times over: once at generation, once when the perf-cache digests
-the trace, and once per issued operation in the simulator.  This module
-is the production-scale representation: per thread, three parallel
-numpy arrays
+Every producer — the workload generators, the mini-app recorders, the
+X-Mem kernels and :func:`trace_from_addresses` — emits this one
+representation, and the simulator, the perf cache and the trace files
+consume it.  Per thread a trace is three parallel numpy arrays
 
 * ``addr`` — byte addresses, little-endian ``uint64``;
 * ``kind`` — :class:`~repro.sim.trace.AccessKind` codes, ``uint8``
@@ -14,15 +11,12 @@ numpy arrays
 * ``gap_cycles`` — independent-work cycles before each access,
   little-endian ``float64``.
 
-Conversion to and from the object API is lossless
-(:meth:`ColumnarTrace.from_trace` / :meth:`ColumnarTrace.to_trace`),
-and :attr:`ColumnarThreadTrace.accesses` is a lazy compatibility view
-that materializes ``Access`` tuples only when something actually asks
-for them.  :func:`trace_digest` hashes the canonical array bytes
-directly (zero-copy via the buffer protocol), so cache keying no longer
-walks the trace in Python; the same function digests object traces by
-converting them first, which keeps the two representations
-digest-compatible by construction.
+so no access ever pays CPython object overhead on the hot paths.
+:attr:`ColumnarThreadTrace.accesses` is a lazy read-only view that
+materializes :class:`~repro.sim.trace.Access` records only when
+something asks for them.  :func:`trace_digest` hashes the canonical
+array bytes directly (zero-copy via the buffer protocol), so cache
+keying never walks the trace in Python.
 
 Array dtypes are pinned to explicit little-endian forms so digests and
 on-disk trace files (:mod:`repro.io.tracefile`) are identical across
@@ -39,7 +33,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import TraceError
-from .trace import Access, AccessKind, ThreadTrace, Trace
+from .trace import Access, AccessKind
 
 #: Canonical on-wire dtypes (explicit little-endian: digest/file stable).
 ADDR_DTYPE = np.dtype("<u8")
@@ -115,9 +109,9 @@ class AccessColumns:
     This is the mutable building block the workload generators emit and
     combine (:func:`concat_columns` / :func:`interleave_columns`); a
     finished per-thread run becomes an immutable
-    :class:`ColumnarThreadTrace`.  Iteration and indexing materialize
-    :class:`~repro.sim.trace.Access` objects for compatibility and
-    tests — never use them on a hot path.
+    :class:`ColumnarThreadTrace`.  Iteration and indexing produce
+    read-only :class:`~repro.sim.trace.Access` views for tests —
+    never use them on a hot path.
     """
 
     addr: np.ndarray
@@ -142,19 +136,6 @@ class AccessColumns:
             np.empty(0, ADDR_DTYPE), np.empty(0, KIND_DTYPE), np.empty(0, GAP_DTYPE)
         )
 
-    @classmethod
-    def from_accesses(cls, accesses: Sequence[Access]) -> "AccessColumns":
-        """Columnarize a sequence of ``Access`` records (lossless)."""
-        n = len(accesses)
-        try:
-            addr = np.fromiter((a.addr for a in accesses), ADDR_DTYPE, count=n)
-        except OverflowError as exc:
-            raise TraceError(f"address does not fit uint64: {exc}") from None
-        codes = KIND_CODES
-        kind = np.fromiter((codes[a.kind] for a in accesses), KIND_DTYPE, count=n)
-        gap = np.fromiter((a.gap_cycles for a in accesses), GAP_DTYPE, count=n)
-        return cls(addr, kind, gap)
-
     def __len__(self) -> int:
         return len(self.addr)
 
@@ -177,10 +158,6 @@ class AccessColumns:
             self.addr.tolist(), self.kind.tolist(), self.gap_cycles.tolist()
         ):
             yield Access(a, kinds[k], g)
-
-    def to_accesses(self) -> Tuple[Access, ...]:
-        """Materialize the whole run as ``Access`` objects."""
-        return tuple(self)
 
 
 def concat_columns(runs: Sequence[AccessColumns]) -> AccessColumns:
@@ -230,12 +207,9 @@ def interleave_columns(
 class ColumnarThreadTrace:
     """One hardware thread's trace as structure-of-arrays.
 
-    API-compatible with :class:`~repro.sim.trace.ThreadTrace`
-    (``thread_id``, ``len()``, ``demand_count``, ``accesses``) so
-    downstream consumers duck-type across representations; the arrays
-    themselves are the fast path.  Arrays are coerced to the canonical
-    dtypes and marked read-only at construction — a trace is content,
-    and the perf-cache digest depends on it never changing.
+    Arrays are coerced to the canonical dtypes and marked read-only at
+    construction — a trace is content, and the perf-cache digest
+    depends on it never changing.
     """
 
     thread_id: int
@@ -270,16 +244,6 @@ class ColumnarThreadTrace:
         """Freeze a generator run into a thread trace."""
         return cls(thread_id, columns.addr, columns.kind, columns.gap_cycles)
 
-    @classmethod
-    def from_thread_trace(cls, thread: ThreadTrace) -> "ColumnarThreadTrace":
-        """Lossless conversion from the object representation."""
-        columns = AccessColumns.from_accesses(thread.accesses)
-        return cls.from_columns(thread.thread_id, columns)
-
-    def to_thread_trace(self) -> ThreadTrace:
-        """Lossless conversion to the object representation."""
-        return ThreadTrace(thread_id=self.thread_id, accesses=self.accesses)
-
     def __len__(self) -> int:
         return len(self.addr)
 
@@ -300,7 +264,7 @@ class ColumnarThreadTrace:
 
     @property
     def accesses(self) -> Tuple[Access, ...]:
-        """Lazy object-API view; built on first use, then cached."""
+        """Lazy read-only ``Access`` view; built on first use, then cached."""
         cached = self.__dict__.get("_accesses")
         if cached is None:
             kinds = KINDS_BY_CODE
@@ -334,7 +298,19 @@ class ColumnarThreadTrace:
 
 @dataclass(frozen=True, eq=False)
 class ColumnarTrace:
-    """A multi-threaded columnar trace (SoA sibling of :class:`Trace`)."""
+    """A multi-threaded trace plus bookkeeping.
+
+    Attributes
+    ----------
+    threads:
+        One :class:`ColumnarThreadTrace` per hardware thread.
+    routine:
+        Name of the routine this trace models (per-routine analysis is
+        central to the paper's method).
+    line_bytes:
+        Cache-line granularity the addresses were generated for; the
+        hierarchy validates this against the machine.
+    """
 
     threads: Tuple[ColumnarThreadTrace, ...]
     routine: str = "kernel"
@@ -353,25 +329,6 @@ class ColumnarTrace:
         )
         object.__setattr__(
             self, "_total_demand", sum(t.demand_count for t in self.threads)
-        )
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Lossless conversion from the object representation."""
-        return cls(
-            threads=tuple(
-                ColumnarThreadTrace.from_thread_trace(t) for t in trace.threads
-            ),
-            routine=trace.routine,
-            line_bytes=trace.line_bytes,
-        )
-
-    def to_trace(self) -> Trace:
-        """Lossless conversion to the object representation."""
-        return Trace(
-            threads=tuple(t.to_thread_trace() for t in self.threads),
-            routine=self.routine,
-            line_bytes=self.line_bytes,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -394,24 +351,6 @@ class ColumnarTrace:
         return self._total_demand  # type: ignore[attr-defined, no-any-return]
 
 
-#: Either trace representation; the simulator and perf cache accept both.
-AnyTrace = Union[Trace, ColumnarTrace]
-
-
-def as_columnar(trace: AnyTrace) -> ColumnarTrace:
-    """The columnar form of either representation (no-op when already so)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_trace(trace)
-
-
-def as_object_trace(trace: AnyTrace) -> Trace:
-    """The object form of either representation (no-op when already so)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.to_trace()
-    return trace
-
-
 def columnar_trace(
     columns_per_thread: Sequence[AccessColumns],
     *,
@@ -429,7 +368,29 @@ def columnar_trace(
     )
 
 
-def trace_digest(trace: AnyTrace) -> str:
+def trace_from_addresses(
+    addresses_per_thread: Sequence[Sequence[int]],
+    *,
+    routine: str = "kernel",
+    line_bytes: int = 64,
+    gap_cycles: float = 0.0,
+    kind: AccessKind = AccessKind.LOAD,
+) -> ColumnarTrace:
+    """Convenience: one single-kind, fixed-gap trace from raw address lists."""
+    runs = []
+    for addrs in addresses_per_thread:
+        addr = np.asarray(addrs) if len(addrs) else np.empty(0, ADDR_DTYPE)
+        runs.append(
+            AccessColumns(
+                addr,
+                np.full(len(addr), KIND_CODES[kind], KIND_DTYPE),
+                np.full(len(addr), gap_cycles, GAP_DTYPE),
+            )
+        )
+    return columnar_trace(runs, routine=routine, line_bytes=line_bytes)
+
+
+def trace_digest(trace: ColumnarTrace) -> str:
     """SHA-256 of a trace's complete physical content, zero-copy.
 
     The digest covers a canonical JSON header (schema tag, routine,
@@ -439,24 +400,18 @@ def trace_digest(trace: AnyTrace) -> str:
     digest, while the bytes themselves are hashed straight out of the
     arrays via the buffer protocol (works unchanged on mmap-backed
     arrays from :mod:`repro.io.tracefile`).
-
-    Both representations digest identically: object traces are
-    converted to columnar form first, so
-    ``trace_digest(t) == trace_digest(ColumnarTrace.from_trace(t))``
-    holds by construction.
     """
-    col = as_columnar(trace)
     hasher = hashlib.sha256()
     header = {
         "schema": TRACE_DIGEST_SCHEMA,
-        "routine": col.routine,
-        "line_bytes": col.line_bytes,
-        "threads": [[t.thread_id, len(t)] for t in col.threads],
+        "routine": trace.routine,
+        "line_bytes": trace.line_bytes,
+        "threads": [[t.thread_id, len(t)] for t in trace.threads],
     }
     hasher.update(
         json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
-    for thread in col.threads:
+    for thread in trace.threads:
         for arr in (thread.addr, thread.kind, thread.gap_cycles):
             hasher.update(f"|{arr.dtype.str}:{arr.size}|".encode("ascii"))
             hasher.update(memoryview(np.ascontiguousarray(arr)))

@@ -15,18 +15,16 @@ the same :class:`CoreState` (sharing its caches and MSHRs), exactly the
 resource-sharing the paper describes.
 
 The issue loop never touches :class:`~repro.sim.trace.Access` objects:
-:class:`ThreadDriver` unpacks whichever trace representation it is
-given into parallel plain-Python lists once at construction (columnar
-traces provide them directly via ``issue_columns()``), so the per-event
-work is list indexing only.  Event ordering is bit-identical between
-the object and columnar paths because both feed the engine the exact
-same float values.
+:class:`ThreadDriver` takes a columnar thread trace's parallel
+plain-Python lists once at construction (``issue_columns()``), so the
+per-event work is list indexing only, while the batch planners read the
+numpy columns directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -44,14 +42,9 @@ from .batch import (
     window_admissible,
     window_admissible_mixed,
 )
-from .coltrace import (
-    _FIRST_PREFETCH_CODE,
-    KIND_CODES,
-    AccessColumns,
-    ColumnarThreadTrace,
-)
+from .coltrace import _FIRST_PREFETCH_CODE, KIND_CODES, ColumnarThreadTrace
 from .stats import CoreStats
-from .trace import AccessKind, ThreadTrace
+from .trace import AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .cache import CacheArray
@@ -62,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class ThreadContext:
     """Issue state of one hardware thread."""
 
-    trace: Union[ThreadTrace, ColumnarThreadTrace]
+    trace: ColumnarThreadTrace
     core_id: int
     window: int
     next_idx: int = 0
@@ -117,20 +110,8 @@ class ThreadDriver:
         self.core_stats = core_stats
         freq_ghz = hierarchy.machine.frequency_ghz
         trace = context.trace
-        if isinstance(trace, ColumnarThreadTrace):
-            self._addrs, self._kinds, self._gaps = trace.issue_columns()
-            addr_arr, kind_arr, gap_arr = trace.addr, trace.kind, trace.gap_cycles
-        else:
-            accesses = trace.accesses
-            self._addrs = [a.addr for a in accesses]
-            self._kinds = [a.kind for a in accesses]
-            self._gaps = [a.gap_cycles for a in accesses]
-            columns = AccessColumns.from_accesses(accesses)
-            addr_arr, kind_arr, gap_arr = (
-                columns.addr,
-                columns.kind,
-                columns.gap_cycles,
-            )
+        self._addrs, self._kinds, self._gaps = trace.issue_columns()
+        addr_arr, kind_arr, gap_arr = trace.addr, trace.kind, trace.gap_cycles
         # One vectorized compare / divide per column; the per-element
         # float values are IEEE-identical to scalar division, and
         # tolist() keeps plain Python floats on the engine's hot path.

@@ -1,24 +1,25 @@
-"""Memory-access traces: the simulator's workload representation.
+"""Access records: the vocabulary of the simulator's traces.
 
-A trace is a sequence of :class:`Access` records per thread.  Each record
-carries an address, a read/write flag, a *kind* (demand load/store or a
-software prefetch targeting L1 or L2 — the paper's ISx optimization), and
-the number of core cycles of independent work preceding it (which models
+An access carries an address, a *kind* (demand load/store or a software
+prefetch targeting L1 or L2 — the paper's ISx optimization), and the
+number of core cycles of independent work preceding it (which models
 arithmetic intensity and instruction-level work between memory
 operations).
 
-Traces are deliberately compact: the workload generators in
-:mod:`repro.workloads` emit a few tens of thousands of accesses that are
-*statistically* faithful to each paper routine (random for ISx, many
-unit-stride streams for MiniGhost/HPCG, gathers for PENNANT, sparse for
-CoMD, short bursts for SNAP) rather than full program traces.
+Traces themselves are columnar (:mod:`repro.sim.coltrace`): per thread,
+parallel arrays of addresses, :class:`AccessKind` codes and gaps.
+:class:`Access` is the read-only per-access view those arrays produce
+on request.  The workload generators in :mod:`repro.workloads` emit a
+few tens of thousands of accesses that are *statistically* faithful to
+each paper routine (random for ISx, many unit-stride streams for
+MiniGhost/HPCG, gathers for PENNANT, sparse for CoMD, short bursts for
+SNAP) rather than full program traces.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
 
 from ..errors import TraceError
 
@@ -47,7 +48,7 @@ class AccessKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Access:
-    """One memory operation in a thread's trace.
+    """One memory operation: a read-only view of one row of a trace.
 
     Attributes
     ----------
@@ -69,111 +70,3 @@ class Access:
             raise TraceError(f"negative address {self.addr}")
         if self.gap_cycles < 0:
             raise TraceError(f"negative gap {self.gap_cycles}")
-
-
-@dataclass(frozen=True)
-class ThreadTrace:
-    """The ordered accesses of one hardware thread."""
-
-    thread_id: int
-    accesses: Tuple[Access, ...]
-
-    def __post_init__(self) -> None:
-        if self.thread_id < 0:
-            raise TraceError("thread_id must be >= 0")
-        # Count once here: demand_count used to be O(n) per *call*, and
-        # analysis code calls it in ratios and per-thread loops.  The
-        # class is frozen, so the cache goes through object.__setattr__.
-        object.__setattr__(
-            self,
-            "_demand_count",
-            sum(1 for a in self.accesses if a.kind.is_demand),
-        )
-
-    def __len__(self) -> int:
-        return len(self.accesses)
-
-    @property
-    def demand_count(self) -> int:
-        """Demand (non-prefetch) accesses (counted once at construction)."""
-        return self._demand_count  # type: ignore[attr-defined, no-any-return]
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A multi-threaded access trace plus bookkeeping.
-
-    Attributes
-    ----------
-    threads:
-        One :class:`ThreadTrace` per hardware thread.
-    routine:
-        Name of the routine this trace models (per-routine analysis is
-        central to the paper's method).
-    line_bytes:
-        Cache-line granularity the addresses were generated for; the
-        hierarchy validates this against the machine.
-    """
-
-    threads: Tuple[ThreadTrace, ...]
-    routine: str = "kernel"
-    line_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if not self.threads:
-            raise TraceError("trace must contain at least one thread")
-        ids = [t.thread_id for t in self.threads]
-        if len(set(ids)) != len(ids):
-            raise TraceError("duplicate thread ids in trace")
-        if self.line_bytes <= 0:
-            raise TraceError("line_bytes must be positive")
-        object.__setattr__(
-            self, "_total_accesses", sum(len(t) for t in self.threads)
-        )
-        object.__setattr__(
-            self, "_total_demand", sum(t.demand_count for t in self.threads)
-        )
-
-    @property
-    def total_accesses(self) -> int:
-        """All accesses across threads (counted once at construction)."""
-        return self._total_accesses  # type: ignore[attr-defined, no-any-return]
-
-    @property
-    def total_demand(self) -> int:
-        """All demand accesses across threads (counted once at construction)."""
-        return self._total_demand  # type: ignore[attr-defined, no-any-return]
-
-
-def trace_from_addresses(
-    addresses_per_thread: Sequence[Sequence[int]],
-    *,
-    routine: str = "kernel",
-    line_bytes: int = 64,
-    gap_cycles: float = 0.0,
-    kind: AccessKind = AccessKind.LOAD,
-) -> Trace:
-    """Convenience: build a read-only trace from raw address lists."""
-    threads = tuple(
-        ThreadTrace(
-            thread_id=i,
-            accesses=tuple(Access(int(a), kind, gap_cycles) for a in addrs),
-        )
-        for i, addrs in enumerate(addresses_per_thread)
-    )
-    return Trace(threads=threads, routine=routine, line_bytes=line_bytes)
-
-
-def interleave_kinds(
-    addresses: Iterable[int],
-    pattern: Sequence[AccessKind],
-    *,
-    gap_cycles: float = 0.0,
-) -> List[Access]:
-    """Cycle ``pattern`` of kinds over ``addresses`` (e.g. load,load,store)."""
-    if not pattern:
-        raise TraceError("pattern must be non-empty")
-    out: List[Access] = []
-    for i, addr in enumerate(addresses):
-        out.append(Access(int(addr), pattern[i % len(pattern)], gap_cycles))
-    return out

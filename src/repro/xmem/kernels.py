@@ -32,7 +32,7 @@ from ..sim.coltrace import (
     ColumnarThreadTrace,
     ColumnarTrace,
 )
-from ..sim.trace import Access, AccessKind, ThreadTrace
+from ..sim.trace import AccessKind
 
 #: Region size per stream; large enough that streams never wrap into cache.
 _REGION_BYTES = 64 * 1024 * 1024
@@ -55,17 +55,16 @@ def pointer_chase_trace(
     *,
     thread_id: int = 0,
     seed: int = 7,
-) -> ThreadTrace:
+) -> ColumnarThreadTrace:
     """A single dependent-chain thread trace (gap 1 cycle, window 1 intent).
 
     The simulator enforces dependence by running this thread with a
     window of 1 (see :class:`repro.xmem.runner.XMemRunner`).
     """
-    addrs = pointer_chase_addresses(count, line_bytes, seed=seed)
-    return ThreadTrace(
-        thread_id=thread_id,
-        accesses=tuple(Access(a, AccessKind.LOAD, gap_cycles=1.0) for a in addrs),
-    )
+    addr = np.array(pointer_chase_addresses(count, line_bytes, seed=seed), ADDR_DTYPE)
+    kind = np.full(count, KIND_CODES[AccessKind.LOAD], dtype=KIND_DTYPE)
+    gap = np.full(count, 1.0, dtype=GAP_DTYPE)
+    return ColumnarThreadTrace(thread_id, addr, kind, gap)
 
 
 def throughput_thread(

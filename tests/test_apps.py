@@ -14,12 +14,33 @@ from repro.apps import (
     partition,
 )
 from repro.errors import ConfigurationError
-from repro.sim import SimConfig, run_trace
+from repro.sim import ColumnarTrace, SimConfig, run_trace, trace_digest
+from repro.xmem import pointer_chase_trace
 
 
 def _simulate(trace, machine, **kwargs):
     cfg = SimConfig(machine=machine, sim_cores=2, window_per_core=14, **kwargs)
     return run_trace(trace, cfg)
+
+
+#: ``trace_digest`` of each mini-app's skl trace at default ``extract_trace``
+#: arguments, and of a pointer chase.  The digest keys every cached
+#: ``SimStats``, so a change here means trace content moved.
+PINNED_DIGESTS = {
+    "isx": (lambda m: IsxApp(keys_per_thread=200).extract_trace(m), "cbd579780d4f9756a89cb4bd2a941491aa5df9dd9b015722b68a9908bca8b645"),
+    "hpcg": (lambda m: HpcgApp(n=4).extract_trace(m), "016d7df7adaecaf2371d2add2001a4eecd265e3605f41244b4fa1bbbd0baea91"),
+    "pennant": (lambda m: PennantApp(zones=2000).extract_trace(m), "c44fe3acac833266d54bc4ed124bfd0bc5a17b4496f9c17b04a93a1e6bb9217b"),
+    "comd": (lambda m: ComdApp(particles=60).extract_trace(m), "9c3829182ea4c97751d2d2912cc8032980b96aa9e250591c1fd1471fdd159ed4"),
+    "minighost": (lambda m: MinighostApp(nx=8, ny=4, nz=4).extract_trace(m), "8dece017d547719e51d9a5ba8566d158bc9f6a6600328f7d32daf22f32c9cab2"),
+    "snap": (lambda m: SnapApp(nx=6, ny=4, nang=8).extract_trace(m), "6dd9c9ebcdce05f2b10a2b75e97e6d15f7ddac6bc29874cd09aa719770585257"),
+    "chase": (lambda m: ColumnarTrace((pointer_chase_trace(1500, 64),)), "f47279c49aeb0f19514740fa9bf17ca4fb18c9e36e33057505b49ba885d0ebb3"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_trace_digest_pinned(name, skl):
+    build, expected = PINNED_DIGESTS[name]
+    assert trace_digest(build(skl)) == expected
 
 
 class TestCommon:

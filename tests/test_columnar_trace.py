@@ -1,10 +1,8 @@
-"""Columnar (structure-of-arrays) trace layer: losslessness and identity.
+"""Columnar (structure-of-arrays) trace layer: views, combinators, checks.
 
-The tentpole contract of :mod:`repro.sim.coltrace`: the columnar
-representation is a pure change of layout.  Hypothesis drives random
-traces through (a) the object<->columnar round trip, (b) the shared
-content digest, and (c) full simulations on both representations —
-which must agree bit for bit (`SimStats.fingerprint`).
+Hypothesis drives random access lists through the columns and back out
+of the read-only :class:`~repro.sim.trace.Access` view, and checks the
+combinators against the reference merge loops they replaced.
 """
 
 import numpy as np
@@ -13,85 +11,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.machines import get_machine
-from repro.sim import SimConfig, run_trace
 from repro.sim.coltrace import (
+    KIND_CODES,
     AccessColumns,
     ColumnarThreadTrace,
     ColumnarTrace,
-    as_columnar,
-    as_object_trace,
+    columnar_trace,
     concat_columns,
     interleave_columns,
-    trace_digest,
 )
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+from repro.sim.trace import Access, AccessKind
 
 KINDS = list(AccessKind)
 
 
+def _columns(accesses):
+    """Columns holding exactly ``accesses``, in order."""
+    return AccessColumns(
+        np.array([a.addr for a in accesses], dtype=np.uint64),
+        np.array([KIND_CODES[a.kind] for a in accesses], dtype=np.uint8),
+        np.array([a.gap_cycles for a in accesses], dtype=np.float64),
+    )
+
+
 @st.composite
-def object_traces(draw, max_threads=3, max_accesses=40):
+def access_lists(draw, max_threads=3, max_accesses=40):
     n_threads = draw(st.integers(1, max_threads))
-    threads = []
-    for t in range(n_threads):
-        n = draw(st.integers(1, max_accesses))
-        accesses = tuple(
+    return [
+        [
             Access(
                 draw(st.integers(0, 2**40)) * 64,
                 draw(st.sampled_from(KINDS)),
-                draw(
-                    st.floats(
-                        0.0, 500.0, allow_nan=False, allow_infinity=False
-                    )
-                ),
+                draw(st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False)),
             )
-            for _ in range(n)
-        )
-        threads.append(ThreadTrace(t, accesses))
-    return Trace(tuple(threads), routine="prop", line_bytes=64)
+            for _ in range(draw(st.integers(1, max_accesses)))
+        ]
+        for _ in range(n_threads)
+    ]
 
 
 class TestRoundTrip:
-    @given(trace=object_traces())
-    @settings(max_examples=50, deadline=None)
-    def test_object_columnar_object_is_lossless(self, trace):
-        assert ColumnarTrace.from_trace(trace).to_trace() == trace
-
-    @given(trace=object_traces())
-    @settings(max_examples=50, deadline=None)
-    def test_digest_agrees_across_representations(self, trace):
-        assert trace_digest(trace) == trace_digest(ColumnarTrace.from_trace(trace))
-
-    @given(trace=object_traces())
+    @given(per_thread=access_lists())
     @settings(max_examples=25, deadline=None)
-    def test_lazy_access_view_matches_source(self, trace):
-        col = ColumnarTrace.from_trace(trace)
-        for obj_t, col_t in zip(trace.threads, col.threads):
-            assert col_t.accesses == obj_t.accesses
-            assert col_t.demand_count == obj_t.demand_count
-            assert len(col_t) == len(obj_t)
-
-    def test_as_helpers_are_idempotent(self):
-        trace = Trace(
-            (ThreadTrace(0, (Access(0, AccessKind.LOAD, 1.0),)),),
-            routine="r",
-        )
-        col = as_columnar(trace)
-        assert as_columnar(col) is col
-        obj = as_object_trace(col)
-        assert as_object_trace(obj) is obj
-        assert obj == trace
-
-
-class TestFingerprintIdentity:
-    @given(trace=object_traces(max_threads=2, max_accesses=60))
-    @settings(max_examples=8, deadline=None)
-    def test_simulation_identical_on_both_paths(self, trace):
-        config = SimConfig(machine=get_machine("skl"), sim_cores=len(trace.threads))
-        obj_stats = run_trace(trace, config)
-        col_stats = run_trace(ColumnarTrace.from_trace(trace), config)
-        assert obj_stats.fingerprint() == col_stats.fingerprint()
+    def test_lazy_access_view_matches_source(self, per_thread):
+        trace = columnar_trace([_columns(a) for a in per_thread], routine="prop")
+        for source, thread in zip(per_thread, trace.threads):
+            assert thread.accesses == tuple(source)
+            assert thread.demand_count == sum(a.kind.is_demand for a in source)
+            assert len(thread) == len(source)
 
 
 class TestCombinators:
@@ -128,15 +95,13 @@ class TestCombinators:
             interleave_columns(AccessColumns.empty(), AccessColumns.empty(), period=0)
 
     def test_concat_preserves_order(self):
-        a = AccessColumns.from_accesses([Access(0, AccessKind.LOAD, 1.0)])
-        b = AccessColumns.from_accesses([Access(64, AccessKind.STORE, 2.0)])
+        a = _columns([Access(0, AccessKind.LOAD, 1.0)])
+        b = _columns([Access(64, AccessKind.STORE, 2.0)])
         assert list(concat_columns([a, b])) == list(a) + list(b)
         assert len(concat_columns([])) == 0
 
     def test_slicing_returns_columns(self):
-        run = AccessColumns.from_accesses(
-            [Access(i * 64, AccessKind.LOAD, 1.0) for i in range(10)]
-        )
+        run = _columns([Access(i * 64, AccessKind.LOAD, 1.0) for i in range(10)])
         head = run[:3]
         assert isinstance(head, AccessColumns)
         assert list(head) == list(run)[:3]
@@ -183,23 +148,20 @@ class TestValidation:
 
 class TestCachedCounts:
     def test_counts_match_recomputation(self):
-        trace = Trace(
-            (
-                ThreadTrace(
-                    0,
-                    (
+        trace = columnar_trace(
+            [
+                _columns(
+                    [
                         Access(0, AccessKind.LOAD, 1.0),
                         Access(64, AccessKind.SWPF_L1, 0.5),
                         Access(128, AccessKind.STORE, 1.0),
-                    ),
+                    ]
                 ),
-                ThreadTrace(1, (Access(192, AccessKind.SWPF_L2, 0.5),)),
-            ),
+                _columns([Access(192, AccessKind.SWPF_L2, 0.5)]),
+            ],
             routine="r",
         )
-        col = ColumnarTrace.from_trace(trace)
-        for t in (trace, col):
-            assert t.total_accesses == 4
-            assert t.total_demand == 2
+        assert trace.total_accesses == 4
+        assert trace.total_demand == 2
         assert trace.threads[0].demand_count == 2
-        assert col.threads[1].demand_count == 0
+        assert trace.threads[1].demand_count == 0

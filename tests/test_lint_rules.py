@@ -302,22 +302,20 @@ class TestCacheKeyChecks:
         assert result.errors == []
 
     def test_columnar_trace_fields_all_reach_digest(self):
-        from repro.sim.coltrace import ColumnarTrace, trace_digest
-        from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+        import numpy as np
 
-        trace = ColumnarTrace.from_trace(
-            Trace(
-                (
-                    ThreadTrace(
-                        0,
-                        (
-                            Access(0, AccessKind.LOAD, 1.0),
-                            Access(64, AccessKind.STORE, 2.0),
-                        ),
-                    ),
-                ),
-                routine="audit",
-            )
+        from repro.sim.coltrace import (
+            KIND_CODES,
+            AccessColumns,
+            columnar_trace,
+            trace_digest,
+        )
+        from repro.sim.trace import AccessKind
+
+        kinds = [KIND_CODES[AccessKind.LOAD], KIND_CODES[AccessKind.STORE]]
+        trace = columnar_trace(
+            [AccessColumns(np.array([0, 64]), np.array(kinds), np.array([1.0, 2.0]))],
+            routine="audit",
         )
         found = list(
             check_digest_sensitivity(
@@ -329,15 +327,9 @@ class TestCacheKeyChecks:
     def test_columnar_digest_blind_spot_flagged(self):
         import dataclasses as dc
 
-        from repro.sim.coltrace import ColumnarTrace, trace_digest
-        from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+        from repro.sim.coltrace import trace_digest, trace_from_addresses
 
-        trace = ColumnarTrace.from_trace(
-            Trace(
-                (ThreadTrace(0, (Access(0, AccessKind.LOAD, 1.0),)),),
-                routine="audit",
-            )
-        )
+        trace = trace_from_addresses([[0]], gap_cycles=1.0, routine="audit")
 
         def blind_to_line_bytes(t):
             return trace_digest(dc.replace(t, line_bytes=64))

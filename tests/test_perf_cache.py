@@ -14,8 +14,7 @@ from repro.perf.cache import (
     digest_for,
     stable_digest,
 )
-from repro.sim import SimConfig, run_trace
-from repro.sim.trace import trace_from_addresses
+from repro.sim import SimConfig, run_trace, trace_from_addresses
 from repro.xmem.kernels import throughput_trace
 
 

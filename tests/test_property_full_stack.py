@@ -10,25 +10,27 @@ law holds at the memory controller.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines import get_machine
 from repro.sim import (
-    Access,
+    AccessColumns,
     AccessKind,
+    ColumnarTrace,
     SimConfig,
-    ThreadTrace,
-    Trace,
+    columnar_trace,
     run_trace,
 )
+from repro.sim.coltrace import KIND_CODES
 
 SKL = get_machine("skl")
 
 
-def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> Trace:
+def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> ColumnarTrace:
     rng = random.Random(seed)
-    thread_traces = []
+    runs = []
     for t in range(threads):
         accesses = []
         stream_base = (t + 1) << 28
@@ -38,16 +40,18 @@ def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> Trace:
             if roll < swpf_share:
                 kind = AccessKind.SWPF_L2 if rng.random() < 0.5 else AccessKind.SWPF_L1
                 addr = rng.randrange(1 << 22) * 64
-                accesses.append(Access(addr, kind, 1.0))
+                accesses.append((addr, kind, 1.0))
             elif roll < 0.55:
                 addr = rng.randrange(1 << 22) * 64
                 kind = AccessKind.STORE if rng.random() < 0.3 else AccessKind.LOAD
-                accesses.append(Access(addr, kind, rng.choice([1.0, 2.0, 8.0])))
+                accesses.append((addr, kind, rng.choice([1.0, 2.0, 8.0])))
             else:
-                accesses.append(Access(stream_base + stream_off, AccessKind.LOAD, 2.0))
+                accesses.append((stream_base + stream_off, AccessKind.LOAD, 2.0))
                 stream_off += 8
-        thread_traces.append(ThreadTrace(t, tuple(accesses)))
-    return Trace(tuple(thread_traces), routine="stress", line_bytes=64)
+        addrs, kinds, gaps = zip(*accesses)
+        codes = [KIND_CODES[k] for k in kinds]
+        runs.append(AccessColumns(np.array(addrs), np.array(codes), np.array(gaps)))
+    return columnar_trace(runs, routine="stress", line_bytes=64)
 
 
 @settings(max_examples=12, deadline=None)

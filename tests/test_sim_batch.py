@@ -22,11 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines import get_machine
-from repro.sim import SimConfig, run_trace
+from repro.sim import (
+    AccessColumns,
+    AccessKind,
+    ColumnarTrace,
+    SimConfig,
+    columnar_trace,
+    run_trace,
+)
 from repro.sim.cache import CacheArray
+from repro.sim.coltrace import KIND_CODES
 from repro.sim.prefetcher import StreamPrefetcher
 from repro.sim.tlb import Tlb
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec
 
@@ -43,13 +50,13 @@ def _mixed_trace(
     miss_rate: float = 0.05,
     store_rate: float = 0.2,
     prefetch_rate: float = 0.0,
-) -> Trace:
+) -> ColumnarTrace:
     """Hot-footprint trace with tunable cold misses, stores, prefetches."""
     rng = random.Random(seed)
     kinds = [AccessKind.LOAD, AccessKind.STORE, AccessKind.SWPF_L2]
-    thread_traces = []
+    runs = []
     for t in range(threads):
-        accesses = []
+        addrs, codes, gaps = [], [], []
         for _ in range(n):
             if rng.random() < miss_rate:
                 addr = rng.randrange(1 << 22) * line_bytes
@@ -63,11 +70,11 @@ def _mixed_trace(
                 kind = kinds[1]
             else:
                 kind = kinds[0]
-            accesses.append(Access(addr, kind, float(rng.randrange(0, 14))))
-        thread_traces.append(ThreadTrace(thread_id=t, accesses=tuple(accesses)))
-    return Trace(
-        threads=tuple(thread_traces), routine="batch-prop", line_bytes=line_bytes
-    )
+            addrs.append(addr)
+            codes.append(KIND_CODES[kind])
+            gaps.append(float(rng.randrange(0, 14)))
+        runs.append(AccessColumns(np.array(addrs), np.array(codes), np.array(gaps)))
+    return columnar_trace(runs, routine="batch-prop", line_bytes=line_bytes)
 
 
 def _fingerprints(trace, **config_kwargs):

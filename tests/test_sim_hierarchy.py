@@ -2,19 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceError
 from repro.sim import (
-    Access,
+    AccessColumns,
     AccessKind,
     Hierarchy,
     SimConfig,
-    ThreadTrace,
-    Trace,
+    columnar_trace,
     run_trace,
     trace_from_addresses,
 )
+from repro.sim.coltrace import KIND_CODES
 
 
 def _random_trace(n=800, threads=2, line=64, seed=1, gap=2.0, region=256 << 20):
@@ -140,10 +141,12 @@ class TestPrefetcherToggle:
 class TestSoftwarePrefetch:
     def test_swpf_l2_bypasses_l1_mshrs(self, skl):
         """The ISx optimization mechanism: L2 prefetch never holds L1."""
-        accesses = tuple(
-            Access(i * 64, AccessKind.SWPF_L2, 1.0) for i in range(64, 464)
+        trace = trace_from_addresses(
+            [[i * 64 for i in range(64, 464)]],
+            line_bytes=64,
+            gap_cycles=1.0,
+            kind=AccessKind.SWPF_L2,
         )
-        trace = Trace((ThreadTrace(0, accesses),), line_bytes=64)
         cfg = SimConfig(machine=skl, sim_cores=1, window_per_core=16)
         stats = run_trace(trace, cfg)
         assert stats.avg_occupancy(1) == pytest.approx(0.0, abs=1e-9)
@@ -153,13 +156,17 @@ class TestSoftwarePrefetch:
     def test_demand_after_swpf_hits_l2(self, skl):
         """Prefetch a block, then demand it: L2 hits, short L1 holds."""
         lines = [i * 64 for i in range(256, 356)]
-        # Pace prefetches below the slice's admission rate so none are
-        # dropped on a full L2 MSHR file (16 entries on SKL).
-        accesses = [Access(a, AccessKind.SWPF_L2, 40.0) for a in lines]
-        # Wait out the memory latency with a spacer access far away.
-        accesses += [Access(1 << 30, AccessKind.LOAD, 3000.0)]
-        accesses += [Access(a, AccessKind.LOAD, 1.0) for a in lines]
-        trace = Trace((ThreadTrace(0, tuple(accesses)),), line_bytes=64)
+        n = len(lines)
+        swpf, load = KIND_CODES[AccessKind.SWPF_L2], KIND_CODES[AccessKind.LOAD]
+        # Prefetch each line (paced below the slice's admission rate, so a
+        # full 16-entry SKL L2 MSHR file drops none), wait out the memory
+        # latency with a far spacer access, then demand each line.
+        run = AccessColumns(
+            np.array(lines + [1 << 30] + lines),
+            np.array([swpf] * n + [load] * (n + 1)),
+            np.array([40.0] * n + [3000.0] + [1.0] * n),
+        )
+        trace = columnar_trace([run], line_bytes=64)
         stats = run_trace(trace, SimConfig(machine=skl, sim_cores=1, window_per_core=8))
         assert stats.l2.hits >= 90  # demands land on prefetched lines
 
@@ -191,10 +198,9 @@ class TestStoresAndWritebacks:
     def test_store_traffic_produces_writebacks(self, skl):
         rng = random.Random(7)
         addrs = [rng.randrange(1 << 22) * 64 for _ in range(1200)]
-        threads = (
-            ThreadTrace(0, tuple(Access(a, AccessKind.STORE, 1.0) for a in addrs)),
+        trace = trace_from_addresses(
+            [addrs], line_bytes=64, gap_cycles=1.0, kind=AccessKind.STORE
         )
-        trace = Trace(threads, line_bytes=64)
         stats = run_trace(trace, SimConfig(machine=skl, sim_cores=1, window_per_core=8))
         assert stats.memory.demand_write_bytes > 0
 

@@ -31,14 +31,13 @@ from repro.memory.latency_model import (
     QueueingLatencyModel,
     TabulatedLatencyModel,
 )
-from repro.sim import SimConfig, run_trace
+from repro.sim import ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
 from repro.sim.engine import Engine
 from repro.sim.memctrl import MemoryController
 from repro.sim.mshr import MshrFile
 from repro.sim.stats import MemoryStats
 from repro.xmem.kernels import pointer_chase_trace, scatter_trace
-from repro.sim.trace import Trace
 
 
 # -- MshrFile batch surface ------------------------------------------------------
@@ -329,7 +328,7 @@ class TestMissBatchEndToEnd:
     def test_non_drainable_gap_falls_back_with_reason(self):
         """Continuous high-MLP streams replay through the event engine."""
         machine = get_machine("skl")
-        trace = Trace(
+        trace = ColumnarTrace(
             threads=(pointer_chase_trace(1500, machine.line_bytes),),
             routine="chase",
             line_bytes=machine.line_bytes,

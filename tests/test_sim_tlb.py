@@ -88,12 +88,14 @@ class TestTlbInHierarchy:
 
     def test_prefetches_skip_translation_modeling(self, skl):
         """SW prefetches don't block on the modeled TLB (they are hints)."""
-        from repro.sim import Access, AccessKind, ThreadTrace, Trace
+        from repro.sim import AccessKind
 
-        accesses = tuple(
-            Access(i * 4096, AccessKind.SWPF_L2, 2.0) for i in range(1, 200)
+        trace = trace_from_addresses(
+            [[i * 4096 for i in range(1, 200)]],
+            line_bytes=64,
+            gap_cycles=2.0,
+            kind=AccessKind.SWPF_L2,
         )
-        trace = Trace((ThreadTrace(0, accesses),), line_bytes=64)
         stats = run_trace(
             trace,
             SimConfig(machine=skl, sim_cores=1, window_per_core=8, tlb_entries=16),

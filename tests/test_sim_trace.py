@@ -1,10 +1,27 @@
-"""Trace records and builders."""
+"""Trace records, containers and builders."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.sim import Access, AccessKind, ThreadTrace, Trace, trace_from_addresses
-from repro.sim.trace import interleave_kinds
+from repro.sim import (
+    Access,
+    AccessKind,
+    ColumnarThreadTrace,
+    ColumnarTrace,
+    trace_from_addresses,
+)
+from repro.sim.coltrace import KIND_CODES
+
+
+def _thread(thread_id, kinds):
+    n = len(kinds)
+    return ColumnarThreadTrace(
+        thread_id,
+        np.arange(n, dtype=np.uint64) * 64,
+        np.array([KIND_CODES[k] for k in kinds], dtype=np.uint8),
+        np.ones(n),
+    )
 
 
 class TestAccessKind:
@@ -27,20 +44,13 @@ class TestAccess:
 
 class TestThreadTrace:
     def test_demand_count_excludes_prefetch(self):
-        trace = ThreadTrace(
-            0,
-            (
-                Access(0, AccessKind.LOAD),
-                Access(64, AccessKind.SWPF_L2),
-                Access(128, AccessKind.STORE),
-            ),
-        )
+        trace = _thread(0, [AccessKind.LOAD, AccessKind.SWPF_L2, AccessKind.STORE])
         assert len(trace) == 3
         assert trace.demand_count == 2
 
     def test_rejects_negative_thread_id(self):
         with pytest.raises(TraceError):
-            ThreadTrace(-1, ())
+            _thread(-1, [])
 
 
 class TestTrace:
@@ -52,17 +62,16 @@ class TestTrace:
 
     def test_rejects_empty(self):
         with pytest.raises(TraceError):
-            Trace(threads=())
+            ColumnarTrace(threads=())
 
     def test_rejects_duplicate_thread_ids(self):
-        t = ThreadTrace(0, (Access(0),))
+        t = _thread(0, [AccessKind.LOAD])
         with pytest.raises(TraceError):
-            Trace(threads=(t, t))
+            ColumnarTrace(threads=(t, t))
 
     def test_rejects_bad_line_bytes(self):
-        t = ThreadTrace(0, (Access(0),))
         with pytest.raises(TraceError):
-            Trace(threads=(t,), line_bytes=0)
+            ColumnarTrace(threads=(_thread(0, [AccessKind.LOAD]),), line_bytes=0)
 
 
 class TestBuilders:
@@ -74,17 +83,7 @@ class TestBuilders:
         assert acc.kind == AccessKind.STORE
         assert acc.gap_cycles == 3.0
 
-    def test_interleave_kinds_cycles_pattern(self):
-        out = interleave_kinds(
-            [0, 64, 128, 192], [AccessKind.LOAD, AccessKind.STORE]
-        )
-        assert [a.kind for a in out] == [
-            AccessKind.LOAD,
-            AccessKind.STORE,
-            AccessKind.LOAD,
-            AccessKind.STORE,
-        ]
-
-    def test_interleave_rejects_empty_pattern(self):
+    def test_trace_from_addresses_checks_addresses(self):
+        assert [len(t) for t in trace_from_addresses([[], [0]]).threads] == [0, 1]
         with pytest.raises(TraceError):
-            interleave_kinds([0], [])
+            trace_from_addresses([[0, -64]])

@@ -6,22 +6,29 @@ import pytest
 from repro.errors import TraceError
 from repro.io import TRACE_FILE_FORMAT, load_trace, save_trace
 from repro.io.tracefile import _mmap_members
-from repro.sim.coltrace import ColumnarTrace, trace_digest
-from repro.sim.trace import Access, AccessKind, ThreadTrace, Trace
+from repro.sim.coltrace import (
+    KIND_CODES,
+    AccessColumns,
+    ColumnarTrace,
+    columnar_trace,
+    trace_digest,
+)
+from repro.sim.trace import AccessKind
+
+LOAD, STORE, SWPF_L2 = (
+    KIND_CODES[k] for k in (AccessKind.LOAD, AccessKind.STORE, AccessKind.SWPF_L2)
+)
 
 
 def _fixture_trace():
-    return Trace(
+    return columnar_trace(
         (
-            ThreadTrace(
-                0,
-                (
-                    Access(0, AccessKind.LOAD, 1.0),
-                    Access(64, AccessKind.SWPF_L2, 0.5),
-                    Access(128, AccessKind.STORE, 2.0),
-                ),
+            AccessColumns(
+                np.array([0, 64, 128]),
+                np.array([LOAD, SWPF_L2, STORE]),
+                np.array([1.0, 0.5, 2.0]),
             ),
-            ThreadTrace(1, (Access(4096, AccessKind.LOAD, 3.0),)),
+            AccessColumns(np.array([4096]), np.array([LOAD]), np.array([3.0])),
         ),
         routine="filetest",
         line_bytes=64,
@@ -36,14 +43,15 @@ class TestRoundTrip:
         assert meta["format"] == TRACE_FILE_FORMAT
         loaded = load_trace(path)
         assert isinstance(loaded, ColumnarTrace)
-        assert loaded.to_trace() == trace
+        assert loaded == trace
         assert trace_digest(loaded) == meta["sha256"] == trace_digest(trace)
 
     def test_columnar_input_round_trips(self, tmp_path):
-        col = ColumnarTrace.from_trace(_fixture_trace())
-        path = tmp_path / "t.trace"
-        save_trace(path, col)
-        assert load_trace(path) == col
+        """A memory-mapped trace saves again exactly like its source."""
+        col = _fixture_trace()
+        save_trace(tmp_path / "a.trace", col)
+        save_trace(tmp_path / "b.trace", load_trace(tmp_path / "a.trace"))
+        assert load_trace(tmp_path / "b.trace") == col
 
     def test_compressed_round_trips_via_fallback(self, tmp_path):
         trace = _fixture_trace()
@@ -51,7 +59,7 @@ class TestRoundTrip:
         save_trace(path, trace, compress=True)
         with pytest.raises(TraceError):
             _mmap_members(path)  # compressed members defeat the fast path
-        assert load_trace(path).to_trace() == trace
+        assert load_trace(path) == trace
 
 
 class TestMmapFastPath:

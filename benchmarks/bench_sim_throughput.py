@@ -103,10 +103,10 @@ def test_sim_batch_speedup(benchmark, printed):
 def test_sim_miss_batch_speedup(benchmark, printed):
     """Batched miss retirement: >= 3x on the cold scatter workload.
 
-    The scatter trace is the regime today's all-hit batch path
-    degenerates to ~0% batched fraction on: nearly every access misses
-    to memory.  With gaps above the loaded latency every fill drains
-    before the next issue, so the miss fast path retires the whole
+    On the scatter trace batching hit runs alone (``batch_miss=False``)
+    retires ~0% of accesses: nearly every access misses to memory.
+    With gaps above the loaded latency every fill drains before the
+    next issue, so batched runs that hold misses retire the whole
     trace closed-form and the event engine fires a constant handful of
     handoff events instead of ~5 per access.
     """

@@ -666,24 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the content-addressed simulation result cache",
     )
     perf_flags.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batch-stepping fast path: retire provable L1-hit runs "
-        "vectorized, falling back to the event engine for the miss "
-        "stream (results are bit-identical; --no-batch forces the "
-        "pure event engine)",
-    )
-    perf_flags.add_argument(
-        "--batch-miss",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batched miss retirement: also retire runs containing "
-        "misses closed-form when the replay is provably exact "
-        "(requires --batch; results are bit-identical; "
-        "--no-batch-miss restricts batching to all-hit runs)",
-    )
-    perf_flags.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -707,12 +689,26 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical but the run bypasses the sim cache)",
     )
 
+    # The batch fast-path switch, for the commands that read it.
+    batch_flag = argparse.ArgumentParser(add_help=False)
+    batch_flag.add_argument(
+        "--batch",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="batch-stepping fast path: retire provably interaction-free "
+        "runs of accesses in vectorized steps and replay everything else "
+        "through the event engine (--no-batch forces the pure event "
+        "engine; docs/PERFORMANCE.md lists when results are bit-identical)",
+    )
+
     sub.add_parser("machines", help="list modeled platforms").set_defaults(
         func=_cmd_machines
     )
 
     p_char = sub.add_parser(
-        "characterize", help="measure a latency profile", parents=[perf_flags]
+        "characterize",
+        help="measure a latency profile",
+        parents=[perf_flags, batch_flag],
     )
     p_char.add_argument("--machine", required=True, choices=machine_names())
     p_char.add_argument("--levels", type=int, default=12, help="load levels")
@@ -792,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate",
         help="run a workload trace on the simulator and analyze it",
-        parents=[perf_flags],
+        parents=[perf_flags, batch_flag],
     )
     p_sim.add_argument("--machine", required=True, choices=machine_names())
     p_sim.add_argument(
@@ -815,6 +811,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulated cores (default: 2, or the trace's thread count "
         "with --trace)",
+    )
+    p_sim.add_argument(
+        "--batch-miss",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="let batched runs hold L1 misses, whose MSHR and memory "
+        "service replays closed-form (requires --batch; --no-batch-miss "
+        "limits batched runs to L1 hits)",
     )
     p_sim.add_argument("--accesses", type=int, default=3000, help="per thread")
     p_sim.add_argument("--window", type=int, default=14, help="per-core window")

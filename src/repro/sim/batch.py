@@ -1,30 +1,49 @@
-"""Batch-stepping fast path: vectorized planning of L1-hit runs.
+"""Batch-stepping fast path: vectorized planning of interaction-free runs.
 
 The paper's method needs event-level fidelity only for the **miss**
 stream — MSHR occupancy and loaded latency are where Little's law
 lives.  An L1 hit, by contrast, is pure arithmetic: it completes a
-fixed ``l1_hit_ns`` after issue, touches nothing shared, and cannot
-change which later accesses hit or miss (hits never install or evict
-lines).  This module computes, for a candidate run of upcoming
-accesses, how long a prefix the simulator may retire *in one step*
-with observables bit-identical to the event engine:
+fixed ``l1_hit_ns`` after issue, touches nothing shared, and never
+installs or evicts a line.  A run of hits is therefore just a run with
+zero misses, and one planner
+(:meth:`repro.sim.core.ThreadDriver._try_batch`) retires both; for a
+run that holds misses it also replays the MSHR and memory-controller
+service closed-form.  This module holds the planner's vectorized
+checks.  Each computes, for a candidate run of upcoming accesses, how
+long a prefix the simulator may retire *in one step* with observables
+bit-identical to the event engine:
 
 * :func:`issue_times` reproduces the event path's chained issue-time
   floats exactly (``np.cumsum`` performs the same left-to-right adds);
 * :func:`window_admissible` replays the per-access window check the
   core front end would perform, using the completion-before-issue tie
   rule of the event engine;
+* :func:`mshr_admissible`, :func:`conflict_free`,
+  :func:`first_duplicate` and :func:`first_member` cut a run holding
+  misses at MSHR pressure, at an in-run fill that invalidates the
+  residency snapshot, at a merge onto an in-flight line, and at an
+  exact float tie;
 * :func:`run_length` cuts the run at the first access that fails any
-  condition — that access (a miss, a prefetch, a would-be stall…)
-  falls back to the event engine with exact state.
+  condition — that access (a would-be stall, a prefetch, a miss the
+  plan cannot take…) falls back to the event engine with exact state.
 
-The caller (:meth:`repro.sim.core.ThreadDriver._try_batch`) is
-responsible for the *quiescence* preconditions that make the prefix
-provably interaction-free: no stall in progress, zero outstanding
-demand accesses, empty L1/L2 MSHR files, and no page walks in flight.
-Under those conditions nothing in the event queue can mutate the
-core's L1/TLB residency (or observe its issue state) while the run is
-in progress, so snapshot probes and aggregate LRU replay are exact.
+The caller is responsible for the *quiescence* preconditions: no stall
+in progress, zero outstanding demand accesses, empty L1/L2 MSHR files,
+and no page walks in flight.  Under those conditions no queued event
+can mutate the core's L1/TLB residency while the run is in progress,
+so snapshot probes and aggregate LRU replay are exact.  A run that
+holds misses further requires an empty event queue, so nothing can
+observe or perturb the shared memory controller mid-run.
+
+A run of hits may still retire while another core has events queued,
+and then exactness can fail.  The run schedules its hand-off and late
+completion events when it is planned, so they carry earlier tie-break
+sequence numbers than the event path would give them.  An event of
+another core at the same instant then fires in a different order, and
+same-instant memory-controller admissions of the two cores can swap.
+The known case is comd on knl and a64fx at the cross-validation size,
+pinned as an expected failure in ``tests/test_sim_batch.py``; an exact
+fix needs multi-core co-batching.
 """
 
 from __future__ import annotations
@@ -64,29 +83,6 @@ def issue_times(t0: float, gaps_ns: np.ndarray) -> np.ndarray:
     return out
 
 
-def window_admissible(
-    t: np.ndarray, l1_hit_ns: float, window: int
-) -> np.ndarray:
-    """Per-access window check for an all-hit demand run.
-
-    With zero outstanding accesses at ``t[0]``, the demand accesses in
-    flight when access ``j`` attempts to issue are exactly
-    ``#{m < j : t[m] + l1_hit_ns > t[j]}`` — *strictly* later
-    completions only, because the event engine fires a completion
-    scheduled for the same instant before the issue attempt (the
-    completion was scheduled earlier, so it carries the lower tie-break
-    sequence number).  ``searchsorted`` on the (sorted) completion
-    times counts the complement in O(n log n).
-
-    Entries past the first ``False`` are meaningless (they assume every
-    earlier access issued as an unstalled hit); callers must cut at the
-    first failure via :func:`run_length`.
-    """
-    completed = np.searchsorted(t + l1_hit_ns, t, side="right")
-    in_flight = np.arange(len(t)) - completed
-    return in_flight < window
-
-
 def run_length(ok: np.ndarray) -> int:
     """Length of the leading all-True prefix of a boolean mask."""
     if ok.all():
@@ -94,7 +90,7 @@ def run_length(ok: np.ndarray) -> int:
     return int(np.argmin(ok))
 
 
-# -- miss-run planning helpers (vectorized MSHR/memctrl fast path) -------------
+# -- run planning helpers ------------------------------------------------------
 #
 # Every helper below is *prefix-consistent*: the value it computes for
 # access ``j`` depends only on accesses ``i < j``, so a run planned at
@@ -102,19 +98,22 @@ def run_length(ok: np.ndarray) -> int:
 # without recomputation — the surviving prefix's values are unchanged.
 
 
-def window_admissible_mixed(
+def window_admissible(
     t: np.ndarray, completion: np.ndarray, window: int
 ) -> np.ndarray:
-    """Per-access window check for a mixed hit/miss run.
+    """Per-access window check for a run that starts with none in flight.
 
-    Generalizes :func:`window_admissible` to runs where each access has
-    its own completion time (``t + l1_hit_ns`` for hits, the L1 fill
-    time for misses).  Completions at exactly ``t[j]`` count as retired
-    (the completion event carries the lower tie-break sequence number —
-    it was scheduled strictly earlier); miss-completion/issue ties are
-    cut upstream by :func:`first_member`, so only the hit tie rule is
-    exercised here.  Entries past the first ``False`` are meaningless;
-    cut via :func:`run_length`.
+    ``completion`` holds each access's completion time (``t +
+    l1_hit_ns`` for a hit, the L1 fill time for a miss).  The demand
+    accesses in flight when access ``j`` attempts to issue are the
+    earlier ones that complete *strictly* after ``t[j]``: a completion
+    at exactly ``t[j]`` counts as retired, because the event engine
+    fires it first (it was scheduled strictly earlier, so it carries
+    the lower tie-break sequence number).  Miss-completion/issue ties
+    are cut upstream by :func:`first_member`, so only the hit tie rule
+    is exercised here.  ``searchsorted`` on the sorted completion times
+    counts the complement in O(n log n).  Entries past the first
+    ``False`` are meaningless; cut via :func:`run_length`.
     """
     completed = np.searchsorted(np.sort(completion), t, side="right")
     in_flight = np.arange(len(t)) - completed

@@ -17,14 +17,14 @@ resource-sharing the paper describes.
 The issue loop never touches :class:`~repro.sim.trace.Access` objects:
 :class:`ThreadDriver` takes a columnar thread trace's parallel
 plain-Python lists once at construction (``issue_columns()``), so the
-per-event work is list indexing only, while the batch planners read the
+per-event work is list indexing only, while the batch planner reads the
 numpy columns directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .batch import (
     mshr_admissible,
     run_length,
     window_admissible,
-    window_admissible_mixed,
 )
 from .coltrace import _FIRST_PREFETCH_CODE, KIND_CODES, ColumnarThreadTrace
 from .stats import CoreStats
@@ -224,17 +223,41 @@ class ThreadDriver:
         the caller falls through to the per-event path).  Engagement
         requires a quiescent core — no stall in progress, zero
         outstanding demand accesses, empty L1/L2 MSHR files, no page
-        walks in flight — so nothing in the event queue can mutate this
-        core's L1/TLB residency or observe its issue state mid-run; see
-        :mod:`repro.sim.batch` and docs/PERFORMANCE.md for the argument.
+        walks in flight — so nothing outside the run can mutate this
+        core's L1/TLB residency mid-run; see :mod:`repro.sim.batch` and
+        docs/PERFORMANCE.md for the argument.
 
-        Runs containing L1 *misses* are attempted first via
-        :meth:`_try_batch_miss`, which replays the MSHR and memory-
-        controller service closed-form; when that path declines (a
-        precondition fails, or the run is pure hits) the all-hit path
-        below retires the longest hit prefix.  Either way, the first
-        access past the run replays through the event engine with exact
-        state.
+        A run of L1 hits is a run with zero misses, so one planner
+        serves both.  A run may contain L1 misses only when miss
+        batching is on, the event queue is empty (anything queued could
+        observe shared memory-controller state or interleave with the
+        run's elided events) and both cache arrays are clean (an in-run
+        fill could otherwise evict a dirty line and emit a writeback the
+        plan does not model).  For such a run the planner reconstructs,
+        closed-form, every float the event engine would compute — issue
+        times, memory-controller admissions and loaded latencies, L2 and
+        L1 fill instants — using the same chained arithmetic in the same
+        order, then cuts the run at the first access where any
+        event-path behaviour could diverge:
+
+        * a repeated miss line (the event path would merge it onto the
+          in-flight MSHR entry),
+        * an exact float tie between an issue attempt and a fill, or
+          between two fills (firing order there depends on scheduling
+          history the planner cannot reconstruct),
+        * a planned hit whose set receives an earlier in-run fill (the
+          residency snapshot can no longer be trusted),
+        * a would-be window stall or a full L1/L2 MSHR file (the event
+          path would stall and resume on a wakeup),
+        * a miss fill landing at or after the post-run issue attempt
+          (the hand-off to the event engine needs empty MSHR files),
+        * a prefetcher emission (the emitted prefetches would contend
+          for L2 MSHRs and memory bandwidth mid-run).
+
+        A run without misses needs only the window check.  When the cuts
+        leave no miss in the prefix, the hit prefix retires alone.  The
+        first access past the run replays through the event engine with
+        exact state.
         """
         ctx = self.ctx
         if ctx.waiting_window or ctx.waiting_mshr or ctx.in_flight != 0:
@@ -243,43 +266,232 @@ class ThreadDriver:
         core = hierarchy.cores[ctx.core_id]
         if core.l1_mshr.entries or core.l2_mshr.entries or core.walks_in_flight:
             return 0
+        stats = hierarchy.stats
+        engine = self.engine
 
         stop = min(self._n, start + BATCH_LOOKAHEAD)
         lines = self._lines_arr[start:stop]
-        demand = self._demand[start:stop]
         hit = core.l1_array.probe_batch(lines)
-        tlb_ok = (
-            core.tlb.probe_batch(self._addr_arr[start:stop])
-            if core.tlb is not None
-            else None
-        )
+        misses_allowed = False
         if self._batch_miss:
-            k = self._try_batch_miss(start, stop, core, lines, demand, hit, tlb_ok)
-            if k:
-                return k
-        ok = demand & hit
-        if tlb_ok is not None:
-            ok &= tlb_ok
-        k = run_length(ok)
+            if engine.pending():
+                stats.note_batch_fallback("concurrent_events")
+            elif core.l1_array.maybe_dirty or core.l2_array.maybe_dirty:
+                stats.note_batch_fallback("dirty")
+            else:
+                misses_allowed = True
+        ok = self._demand[start:stop]
+        if not misses_allowed:
+            ok = ok & hit
+        if core.tlb is not None:
+            ok = ok & core.tlb.probe_batch(self._addr_arr[start:stop])
+        # A run may hold stores or misses, never both: a store dirties a
+        # line that an in-run fill could evict.
+        writes = self._writes_arr[start:stop]
+        k = min(run_length(ok), max(run_length(hit), run_length(~writes)))
         if k < MIN_BATCH:
             self._skip_until = start + BATCH_BACKOFF
             return 0
-        l1_hit_ns = self._l1_hit_ns
-        t = issue_times(self.engine.now, self._gaps_ns_arr[start + 1 : start + k])
-        admissible = window_admissible(t, l1_hit_ns, ctx.window)
-        if not admissible.all():
-            k = run_length(admissible)
-            if k < MIN_BATCH:
-                self._skip_until = start + BATCH_BACKOFF
-                return 0
-            t = t[:k]
+        lines = lines[:k]
+        hit = hit[:k]
+        t = issue_times(engine.now, self._gaps_ns_arr[start + 1 : start + k])
+        completion = t + self._l1_hit_ns
+        miss_pos = np.flatnonzero(~hit)
+        misses = None
+        if not len(miss_pos):
+            k = run_length(window_admissible(t, completion, ctx.window))
+        else:
+            cut = k
+            reason = None
+            miss_lines = lines[miss_pos]
+            d = first_duplicate(miss_lines)
+            if d < len(miss_pos) and miss_pos[d] < cut:
+                cut = int(miss_pos[d])
+                reason = "merge"
 
+            # L2 classification and the closed-form memory service plan.
+            # Planning runs at full lookahead; every check below is
+            # prefix-consistent (see repro.sim.batch), so the final cut is
+            # just the minimum and the surviving prefix needs no replan.
+            l2_hit = core.l2_array.probe_batch(miss_lines)
+            l2m_pos = miss_pos[~l2_hit]
+            l2h_pos = miss_pos[l2_hit]
+            admit, latency = hierarchy.memctrl.plan_batch(t[l2m_pos])
+            c = admit + latency  # L2 fill instants (event: schedule at admit)
+            f1_miss = np.empty(len(miss_pos), dtype=np.float64)
+            f1_miss[~l2_hit] = c + self._l2_hit_ns
+            f1_miss[l2_hit] = t[l2h_pos] + self._l2_hit_ns
+
+            d = first_duplicate(f1_miss)
+            if d < len(miss_pos) and miss_pos[d] < cut:
+                cut = int(miss_pos[d])
+                reason = "tie"
+            d = first_duplicate(c)
+            if d < len(l2m_pos) and l2m_pos[d] < cut:
+                cut = int(l2m_pos[d])
+                reason = "tie"
+            m = first_member(t, np.concatenate([f1_miss, c]))
+            if m < cut:
+                cut = m
+                reason = "tie"
+
+            l1_sets = core.l1_array.set_index_batch(lines)
+            r = run_length(
+                conflict_free(t, l1_sets, hit, l1_sets[miss_pos], f1_miss)
+            )
+            if r < cut:
+                cut = r
+                reason = "conflict"
+            l2_sets = core.l2_array.set_index_batch(lines)
+            l2_check = np.zeros(k, dtype=bool)
+            l2_check[l2h_pos] = True
+            r = run_length(
+                conflict_free(t, l2_sets, l2_check, l2_sets[l2m_pos], c)
+            )
+            if r < cut:
+                cut = r
+                reason = "conflict"
+
+            completion[miss_pos] = f1_miss
+            r = run_length(window_admissible(t, completion, ctx.window))
+            if r < cut:
+                cut = r
+                reason = "window_stall"
+
+            r = run_length(mshr_admissible(t, ~hit, f1_miss, core.l1_mshr.capacity))
+            if r < cut:
+                cut = r
+                reason = "mshr_pressure"
+            l2_alloc = np.zeros(k, dtype=bool)
+            l2_alloc[l2m_pos] = True
+            r = run_length(mshr_admissible(t, l2_alloc, c, core.l2_mshr.capacity))
+            if r < cut:
+                cut = r
+                reason = "mshr_pressure"
+
+            # Every check above but the window check cuts at or after
+            # the first miss, so a cut that drops every miss leaves the
+            # hit run min(cut, first_miss).
+            first_miss = int(miss_pos[0])
+            k = cut
+            if k < MIN_BATCH or k <= first_miss:
+                if reason is not None:
+                    stats.note_batch_fallback(reason)
+                k = min(k, first_miss)
+            else:
+                # Handoff trim and prefetcher replay.  The trim guarantees
+                # every miss fill lands strictly before the post-run issue
+                # attempt, so the MSHR files are genuinely empty (and all
+                # tracker/audit times in the past) when the event engine
+                # resumes.  The prefetcher replay runs the real table
+                # forward over the run's misses; an emission cuts the run
+                # so the emitting access trains the prefetcher — and
+                # issues its prefetches — on the scalar path.  A shorter
+                # trim invalidates the replay (fewer observes), hence the
+                # restore-and-redo loop; it terminates because the cut
+                # only ever shrinks.  A decline leaves the hit prefix.
+                fills = np.where(hit, -np.inf, completion)
+                pf = core.prefetcher
+                pf_active = pf.enabled
+                snap = pf.snapshot() if pf_active else None
+                replayed = False
+                gaps_ns = self._gaps_ns_arr
+                while True:
+                    if start + k < self._n:
+                        fill_run_max = np.maximum.accumulate(fills[:k])
+                        t_next_arr = t[:k] + gaps_ns[start + 1 : start + k + 1]
+                        good = np.flatnonzero(fill_run_max < t_next_arr)
+                        if not len(good) or good[-1] + 1 < MIN_BATCH:
+                            stats.note_batch_fallback("handoff")
+                            k = first_miss
+                            break
+                        k = int(good[-1]) + 1
+                    if k <= first_miss or not pf_active:
+                        break
+                    if replayed:
+                        pf.restore(snap)
+                    in_run = miss_pos[miss_pos < k]
+                    emit = pf.observe_replay(lines[in_run])
+                    replayed = True
+                    if emit is None:
+                        break
+                    k_new = int(in_run[emit])
+                    if k_new < MIN_BATCH or k_new <= first_miss:
+                        stats.note_batch_fallback("prefetcher")
+                        k = first_miss
+                        break
+                    k = k_new
+                if replayed and k <= first_miss:
+                    pf.restore(snap)
+            if k > first_miss:
+                misses = (hit, miss_pos, l2h_pos, l2m_pos, f1_miss, c, admit, latency)
+
+        if k < MIN_BATCH:
+            self._skip_until = start + BATCH_BACKOFF
+            return 0
+        return self._commit_run(start, k, core, lines, t, completion, misses)
+
+    def _commit_run(
+        self,
+        start: int,
+        k: int,
+        core: "_CoreSlice",
+        lines: np.ndarray,
+        t: np.ndarray,
+        completion: np.ndarray,
+        misses: Optional[Tuple[np.ndarray, ...]],
+    ) -> int:
+        """Apply a verified run's state, stats and handoff events.
+
+        ``misses`` is ``None`` for a run of L1 hits, which needs one
+        deferred LRU/dirty touch.  Otherwise it holds the miss plan
+        ``(hit, miss_pos, l2h_pos, l2m_pos, f1_miss, c, admit,
+        latency)`` at full lookahead; position arrays are sorted, so
+        restricting to positions ``< k`` always selects a *prefix* of
+        the per-miss arrays (``f1_miss``, ``c``, ``admit``,
+        ``latency``) — the truncated plan is exactly what
+        :meth:`~repro.sim.memctrl.MemoryController.plan_batch` would
+        have produced for the shorter run.
+        """
+        ctx = self.ctx
+        hierarchy = self.hierarchy
+        stats = hierarchy.stats
         end = start + k
-        core.l1_array.touch_batch(lines[:k], self._writes_arr[start:end])
+        if misses is None:
+            core.l1_array.touch_batch(lines[:k], self._writes_arr[start:end])
+            n_miss = 0
+        else:
+            hit, miss_pos, l2h_pos, l2m_pos, f1_miss, c, admit, latency = misses
+            mp = miss_pos[miss_pos < k]
+            n_miss = len(mp)
+            l2m = l2m_pos[l2m_pos < k]
+            n_l2m = len(l2m)
+            l2h = l2h_pos[l2h_pos < k]
+            f1 = f1_miss[:n_miss]
+            hierarchy.memctrl.commit_batch(t[l2m], admit[:n_l2m], latency[:n_l2m])
+            core.l1_mshr.allocate_batch(t[mp], lines[mp])
+            core.l1_mshr.release_batch(f1)
+            core.l2_mshr.allocate_batch(t[l2m], lines[l2m])
+            core.l2_mshr.release_batch(c[:n_l2m])
+            # L1: hit touches interleave with miss fills in event-time
+            # order; L2: hit-lookup touches (L2-hit misses) interleave
+            # with L2 fills.  L2-miss lookups mutate nothing and are
+            # elided.
+            hit_pos = np.flatnonzero(hit[:k])
+            self._replay_array(
+                core.l1_array, t[hit_pos], lines[hit_pos], f1, lines[mp]
+            )
+            self._replay_array(
+                core.l2_array, t[l2h], lines[l2h], c[:n_l2m], lines[l2m]
+            )
+            stats.l1.misses += n_miss
+            stats.l2.hits += len(l2h)
+            stats.l2.misses += n_l2m
+            stats.batch_miss_accesses += k
         if core.tlb is not None:
             core.tlb.touch_batch(self._addr_arr[start:end])
-        stats = hierarchy.stats
-        stats.l1.hits += k
+
+        stats.l1.hits += k - n_miss
         stats.batch_accesses += k
         if self._san is not None:
             self._san.batch_issued += k
@@ -293,309 +505,15 @@ class ThreadDriver:
         core_stats.compute_cycles = float(np.cumsum(acc)[-1])
         ctx.next_idx = end
 
-        completion = t + l1_hit_ns
+        completion = completion[:k]
         engine = self.engine
         if end >= self._n:
             # Final run: one drain event at the last completion time
             # replaces k individual decrements.  The intermediate
             # in_flight values have no readers (the trace is exhausted
-            # and nothing else touches this context), and the finish
-            # time matches the event path's last completion exactly.
-            ctx.in_flight += k
-
-            def _drain() -> None:
-                ctx.in_flight -= k
-                self._maybe_finish()
-
-            engine.schedule_at(float(completion[k - 1]), _drain)
-            return k
-
-        # Handoff: completions landing at or before the next attempt
-        # would have fired before it (earlier tie-break seq), so they
-        # are pure decrements with no observable effect — elide them.
-        # Strictly later ones get real events at their exact times so
-        # post-run window checks and stall wakeups see the true
-        # in-flight trajectory.
-        t_next = float(t[k - 1]) + self._gaps_ns[end]
-        out_times = completion[completion > t_next]
-        ctx.in_flight += len(out_times)
-        on_complete = self._on_complete
-        for when in out_times.tolist():
-            engine.schedule_at(when, on_complete)
-        engine.schedule_at(t_next, self._try_issue)
-        return k
-
-    # -- batched miss-stream retirement ----------------------------------------
-
-    def _try_batch_miss(
-        self,
-        start: int,
-        stop: int,
-        core: "_CoreSlice",
-        lines: np.ndarray,
-        demand: np.ndarray,
-        hit: np.ndarray,
-        tlb_ok: Optional[np.ndarray],
-    ) -> int:
-        """Plan and retire a run *containing L1 misses* in one step.
-
-        The planner reconstructs, closed-form, every float the event
-        engine would compute for the run — issue times, memory-
-        controller admissions and loaded latencies, L2 and L1 fill
-        instants — using the same chained arithmetic in the same order,
-        then proves the run is interaction-free by cutting it at the
-        first access where any event-path behaviour could diverge:
-
-        * a repeated miss line (the event path would merge it onto the
-          in-flight MSHR entry),
-        * an exact float tie between an issue attempt and a fill, or
-          between two fills (firing order there depends on scheduling
-          history the planner cannot reconstruct),
-        * a planned hit whose set receives an earlier in-run fill (the
-          residency snapshot can no longer be trusted),
-        * a would-be window stall or a full L1/L2 MSHR file (the event
-          path would stall and resume on a wakeup),
-        * a prefetcher emission (the emitted prefetches would contend
-          for L2 MSHRs and memory bandwidth mid-run).
-
-        In-flight misses *within* the run are allowed — that is the
-        point — because window admissibility over the mixed completion
-        vector proves the front end never stalls, and the quiescence
-        gates (empty event queue, clean caches, empty MSHR files)
-        prove nothing outside the run can observe or perturb it.
-        Returns the number of accesses retired, or 0 to decline (the
-        caller falls through to the all-hit path, then to the event
-        engine).
-        """
-        ctx = self.ctx
-        hierarchy = self.hierarchy
-        stats = hierarchy.stats
-        engine = self.engine
-        if engine.pending():
-            # Anything already queued (another thread's issue, a fill in
-            # flight elsewhere) could observe shared memctrl state or
-            # interleave with the run's elided events.
-            stats.note_batch_fallback("concurrent_events")
-            return 0
-        if core.l1_array.maybe_dirty or core.l2_array.maybe_dirty:
-            # A dirty line anywhere means an in-run fill could evict it
-            # and emit a writeback the closed-form plan does not model.
-            stats.note_batch_fallback("dirty")
-            return 0
-
-        eligible = demand & ~self._writes_arr[start:stop]
-        if tlb_ok is not None:
-            eligible &= tlb_ok
-        k0 = run_length(eligible)
-        if k0 < MIN_BATCH:
-            return 0
-        hit = hit[:k0]
-        miss_pos = np.flatnonzero(~hit)
-        if not len(miss_pos):
-            return 0  # pure-hit prefix: the all-hit path handles it
-        lines = lines[:k0]
-
-        t = issue_times(engine.now, self._gaps_ns_arr[start + 1 : start + k0])
-        cut = k0
-        reason = None
-
-        miss_lines = lines[miss_pos]
-        d = first_duplicate(miss_lines)
-        if d < len(miss_pos) and miss_pos[d] < cut:
-            cut = int(miss_pos[d])
-            reason = "merge"
-
-        # L2 classification and the closed-form memory service plan.
-        # Planning runs at full lookahead; every check below is
-        # prefix-consistent (see repro.sim.batch), so the final cut is
-        # just the minimum and the surviving prefix needs no replan.
-        l2_hit = core.l2_array.probe_batch(miss_lines)
-        l2m_pos = miss_pos[~l2_hit]
-        l2h_pos = miss_pos[l2_hit]
-        admit, latency = hierarchy.memctrl.plan_batch(t[l2m_pos])
-        c = admit + latency  # L2 fill instants (event: schedule at admit)
-        f1_miss = np.empty(len(miss_pos), dtype=np.float64)
-        f1_miss[~l2_hit] = c + self._l2_hit_ns
-        f1_miss[l2_hit] = t[l2h_pos] + self._l2_hit_ns
-
-        d = first_duplicate(f1_miss)
-        if d < len(miss_pos) and miss_pos[d] < cut:
-            cut = int(miss_pos[d])
-            reason = "tie"
-        d = first_duplicate(c)
-        if d < len(l2m_pos) and l2m_pos[d] < cut:
-            cut = int(l2m_pos[d])
-            reason = "tie"
-        m = first_member(t, np.concatenate([f1_miss, c]))
-        if m < cut:
-            cut = m
-            reason = "tie"
-
-        l1_sets = core.l1_array.set_index_batch(lines)
-        r = run_length(
-            conflict_free(t, l1_sets, hit, l1_sets[miss_pos], f1_miss)
-        )
-        if r < cut:
-            cut = r
-            reason = "conflict"
-        l2_sets = core.l2_array.set_index_batch(lines)
-        l2_check = np.zeros(k0, dtype=bool)
-        l2_check[l2h_pos] = True
-        r = run_length(
-            conflict_free(t, l2_sets, l2_check, l2_sets[l2m_pos], c)
-        )
-        if r < cut:
-            cut = r
-            reason = "conflict"
-
-        f1_full = np.full(k0, -np.inf)
-        f1_full[miss_pos] = f1_miss
-        completion = np.where(hit, t + self._l1_hit_ns, f1_full)
-        r = run_length(window_admissible_mixed(t, completion, ctx.window))
-        if r < cut:
-            cut = r
-            reason = "window_stall"
-
-        r = run_length(mshr_admissible(t, ~hit, f1_miss, core.l1_mshr.capacity))
-        if r < cut:
-            cut = r
-            reason = "mshr_pressure"
-        l2_alloc = np.zeros(k0, dtype=bool)
-        l2_alloc[l2m_pos] = True
-        r = run_length(mshr_admissible(t, l2_alloc, c, core.l2_mshr.capacity))
-        if r < cut:
-            cut = r
-            reason = "mshr_pressure"
-
-        k = cut
-        if k < MIN_BATCH or miss_pos[0] >= k:
-            if reason is not None:
-                stats.note_batch_fallback(reason)
-            return 0
-
-        # Handoff trim and prefetcher replay.  The trim guarantees every
-        # miss fill lands strictly before the post-run issue attempt, so
-        # the MSHR files are genuinely empty (and all tracker/audit
-        # times in the past) when the event engine resumes.  The
-        # prefetcher replay runs the real table forward over the run's
-        # misses; an emission cuts the run so the emitting access trains
-        # the prefetcher — and issues its prefetches — on the scalar
-        # path.  A shorter trim invalidates the replay (fewer observes),
-        # hence the restore-and-redo loop; it terminates because the cut
-        # only ever shrinks.
-        pf = core.prefetcher
-        pf_active = pf.enabled
-        snap = pf.snapshot() if pf_active else None
-        replayed = False
-        gaps_ns = self._gaps_ns_arr
-        while True:
-            if start + k < self._n:
-                fill_run_max = np.maximum.accumulate(f1_full[:k])
-                t_next_arr = t[:k] + gaps_ns[start + 1 : start + k + 1]
-                good = np.flatnonzero(fill_run_max < t_next_arr)
-                if not len(good) or good[-1] + 1 < MIN_BATCH:
-                    if replayed:
-                        pf.restore(snap)
-                    stats.note_batch_fallback("handoff")
-                    return 0
-                k = int(good[-1]) + 1
-            if miss_pos[0] >= k:
-                if replayed:
-                    pf.restore(snap)
-                return 0
-            if not pf_active:
-                break
-            if replayed:
-                pf.restore(snap)
-            in_run = miss_pos[miss_pos < k]
-            emit = pf.observe_replay(lines[in_run])
-            replayed = True
-            if emit is None:
-                break
-            k_new = int(in_run[emit])
-            if k_new < MIN_BATCH or miss_pos[0] >= k_new:
-                pf.restore(snap)
-                stats.note_batch_fallback("prefetcher")
-                return 0
-            k = k_new
-
-        return self._commit_miss_run(
-            start, k, core, lines, hit, t, completion,
-            miss_pos, l2h_pos, l2m_pos, f1_miss, c, admit, latency,
-        )
-
-    def _commit_miss_run(
-        self,
-        start: int,
-        k: int,
-        core: "_CoreSlice",
-        lines: np.ndarray,
-        hit: np.ndarray,
-        t: np.ndarray,
-        completion: np.ndarray,
-        miss_pos: np.ndarray,
-        l2h_pos: np.ndarray,
-        l2m_pos: np.ndarray,
-        f1_miss: np.ndarray,
-        c: np.ndarray,
-        admit: np.ndarray,
-        latency: np.ndarray,
-    ) -> int:
-        """Apply a verified miss run's state, stats and handoff events.
-
-        All planning arrays are at full lookahead; position arrays are
-        sorted, so restricting to positions ``< k`` always selects a
-        *prefix* of the per-miss arrays (``f1_miss``, ``c``, ``admit``,
-        ``latency``) — the truncated plan is exactly what
-        :meth:`~repro.sim.memctrl.MemoryController.plan_batch` would
-        have produced for the shorter run.
-        """
-        ctx = self.ctx
-        hierarchy = self.hierarchy
-        end = start + k
-        mp = miss_pos[miss_pos < k]
-        n_miss = len(mp)
-        l2m = l2m_pos[l2m_pos < k]
-        n_l2m = len(l2m)
-        l2h = l2h_pos[l2h_pos < k]
-        f1 = f1_miss[:n_miss]
-        hierarchy.memctrl.commit_batch(t[l2m], admit[:n_l2m], latency[:n_l2m])
-        core.l1_mshr.allocate_batch(t[mp], lines[mp])
-        core.l1_mshr.release_batch(f1)
-        core.l2_mshr.allocate_batch(t[l2m], lines[l2m])
-        core.l2_mshr.release_batch(c[:n_l2m])
-        # L1: hit touches interleave with miss fills in event-time order;
-        # L2: hit-lookup touches (L2-hit misses) interleave with L2
-        # fills.  L2-miss lookups mutate nothing and are elided.
-        hit_pos = np.flatnonzero(hit[:k])
-        self._replay_array(core.l1_array, t[hit_pos], lines[hit_pos], f1, lines[mp])
-        self._replay_array(core.l2_array, t[l2h], lines[l2h], c[:n_l2m], lines[l2m])
-        if core.tlb is not None:
-            core.tlb.touch_batch(self._addr_arr[start:end])
-
-        stats = hierarchy.stats
-        stats.l1.hits += k - n_miss
-        stats.l1.misses += n_miss
-        stats.l2.hits += len(l2h)
-        stats.l2.misses += n_l2m
-        stats.batch_accesses += k
-        stats.batch_miss_accesses += k
-        if self._san is not None:
-            self._san.batch_issued += k
-        core_stats = self.core_stats
-        core_stats.issued_accesses += k
-        acc = np.empty(k + 1, dtype=np.float64)
-        acc[0] = core_stats.compute_cycles
-        acc[1:] = self._gap_arr[start:end]
-        core_stats.compute_cycles = float(np.cumsum(acc)[-1])
-        ctx.next_idx = end
-
-        completion = completion[:k]
-        engine = self.engine
-        if end >= self._n:
-            # Final run: drain at the last completion (fills are not
-            # monotone in issue order, so take the max), matching the
-            # event path's final _on_complete time exactly.
+            # and nothing else touches this context), and fills are not
+            # monotone in issue order, so the max is the event path's
+            # final _on_complete time exactly.
             ctx.in_flight += k
 
             def _drain() -> None:
@@ -605,11 +523,13 @@ class ThreadDriver:
             engine.schedule_at(float(completion.max()), _drain)
             return k
 
-        # Handoff — identical to the all-hit path: completions at or
-        # before the next attempt are elided (they fired first by
-        # tie-break and decrement with no observer); strictly later ones
-        # get real events.  The trim guaranteed every *miss* completion
-        # lands before t_next, so the stragglers are all hits.
+        # Handoff: completions landing at or before the next attempt
+        # would have fired before it (earlier tie-break seq), so they
+        # are pure decrements with no observable effect — elide them.
+        # Strictly later ones get real events at their exact times so
+        # post-run window checks and stall wakeups see the true
+        # in-flight trajectory.  The trim guaranteed every *miss*
+        # completion lands before t_next, so the stragglers are all hits.
         t_next = float(t[k - 1]) + self._gaps_ns[end]
         out_times = completion[completion > t_next]
         ctx.in_flight += len(out_times)

@@ -91,3 +91,12 @@ class TestParser:
     def test_unknown_machine_rejected_by_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--machine", "epyc", "--bandwidth", "1"])
+
+    def test_batch_flags_only_where_read(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["reproduce", "--no-batch"])
+        args = parser.parse_args(
+            ["simulate", "--machine", "skl", "--no-batch-miss"]
+        )
+        assert args.batch is True and args.batch_miss is False

@@ -145,6 +145,28 @@ class TestFingerprintEquivalence:
         event, batch = _fingerprints(trace, machine=m, sim_cores=2)
         assert event.fingerprint() == batch.fingerprint()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known divergence: a hit run retired while the other core has "
+            "queued events schedules its hand-off and late completions at "
+            "plan time, with earlier tie-break sequence numbers than the "
+            "event path, so same-instant cross-core memory-controller "
+            "admissions reorder; an exact fix needs multi-core co-batching"
+        ),
+    )
+    @pytest.mark.parametrize("machine", ["knl", "a64fx"])
+    def test_comd_cross_validation_cell(self, machine):
+        """comd at the cross-validation size: batch-on differs from batch-off."""
+        m = get_machine(machine)
+        trace = get_workload("comd").generate_trace(
+            m, spec=TraceSpec(threads=2, accesses_per_thread=2200, seed=12345)
+        )
+        event, batch = _fingerprints(
+            trace, machine=m, sim_cores=2, window_per_core=14
+        )
+        assert event.fingerprint() == batch.fingerprint()
+
     def test_batch_path_engages_on_hot_loop(self):
         m = get_machine("skl")
         trace = _mixed_trace(3, 4000, miss_rate=0.0, store_rate=0.1)

@@ -16,7 +16,10 @@ the event engine.  Exercised four ways:
 * fallback diagnosability: the ``batch_fallbacks`` reason counters for
   SMT, L3, and non-drainable handoffs;
 * config plumbing: ``batch_miss=False`` restricts batching to all-hit
-  runs without changing results.
+  runs without changing results;
+* pinned engagement: exact ``(events_fired, batch_accesses,
+  batch_miss_accesses)`` on resident, scatter and mixed traces, so a
+  planner change that batches more or less than before is caught.
 """
 
 import numpy as np
@@ -37,7 +40,9 @@ from repro.sim.engine import Engine
 from repro.sim.memctrl import MemoryController
 from repro.sim.mshr import MshrFile
 from repro.sim.stats import MemoryStats
-from repro.xmem.kernels import pointer_chase_trace, scatter_trace
+from repro.xmem.kernels import pointer_chase_trace, resident_trace, scatter_trace
+
+from .test_sim_batch import _mixed_trace
 
 
 # -- MshrFile batch surface ------------------------------------------------------
@@ -389,3 +394,63 @@ class TestMissBatchEndToEnd:
         stats.batch_miss_accesses = 0
         stats.batch_fallbacks = {"synthetic": 3}
         assert stats.fingerprint() == fp
+
+
+# -- pinned engagement -------------------------------------------------------------
+
+
+def _pin_cases():
+    skl, knl = get_machine("skl"), get_machine("knl")
+    yield pytest.param(
+        lambda: resident_trace(
+            threads=4, accesses_per_thread=2000, line_bytes=skl.line_bytes
+        ),
+        dict(machine=skl, sim_cores=4),
+        (8416, 6203, 0),
+        id="resident-skl-4core",
+    )
+    for hw_prefetch in (False, True):
+        yield pytest.param(
+            lambda: scatter_trace(
+                threads=1, accesses_per_thread=1500, line_bytes=knl.line_bytes
+            ),
+            dict(
+                machine=knl,
+                sim_cores=1,
+                window_per_core=12,
+                tlb_entries=0,
+                hw_prefetch=hw_prefetch,
+            ),
+            (3, 1500, 1500),
+            id=f"scatter-knl-prefetch{int(hw_prefetch)}",
+        )
+    for miss_rate, store_rate, expected in (
+        (0.3, 0.2, (6532, 0, 0)),
+        (0.02, 0.2, (3572, 569, 0)),
+        (0.02, 0.0, (2764, 959, 750)),
+    ):
+        yield pytest.param(
+            lambda mr=miss_rate, sr=store_rate: _mixed_trace(
+                5, 2000, threads=1, miss_rate=mr, store_rate=sr
+            ),
+            dict(machine=skl, sim_cores=1),
+            expected,
+            id=f"mixed-skl-miss{miss_rate}-store{store_rate}",
+        )
+
+
+class TestPinnedEngagement:
+    """The batch planner retires exactly the runs it always has."""
+
+    @pytest.mark.parametrize("build, config, expected", list(_pin_cases()))
+    def test_engagement_counts(self, build, config, expected):
+        trace = build()
+        batch = run_trace(trace, SimConfig(batch=True, **config))
+        event = run_trace(trace, SimConfig(batch=False, **config))
+        assert batch.fingerprint() == event.fingerprint()
+        got = (
+            batch.events_fired,
+            batch.batch_accesses,
+            batch.batch_miss_accesses,
+        )
+        assert got == expected

@@ -27,7 +27,7 @@ Commands mirror the paper's workflow:
 
 ``characterize`` and ``analyze`` accept ``--fast`` to answer from the
 calibrated closed form instead of simulating; the global ``-v`` prints
-solver diagnostics (iterations, final residual).
+solver diagnostics (segments examined, final residual).
 """
 
 from __future__ import annotations
@@ -120,15 +120,14 @@ def _print_cache_summary() -> None:
 
 
 def _print_point_diagnostics(point: "object", args: argparse.Namespace) -> None:
-    """Solver health line (iterations + final residual) under ``-v``."""
+    """Solver health line (segments examined + final residual) under ``-v``."""
     if not getattr(args, "verbose", False):
         return
-    iterations = getattr(point, "iterations", None)
+    segments = getattr(point, "iterations", None)
     residual = getattr(point, "residual", None)
-    if iterations is None or residual is None:
+    if segments is None or residual is None:
         return
-    route = "closed form" if iterations == 0 else f"{iterations} iteration(s)"
-    print(f"  solver: {route}, final residual {residual:.2e}")
+    print(f"  solver: {segments} segment(s) examined, final residual {residual:.2e}")
 
 
 def _cmd_machines(_: argparse.Namespace) -> int:
@@ -646,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="print solver diagnostics (iterations, final residual)",
+        help="print solver diagnostics (segments examined, final residual)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

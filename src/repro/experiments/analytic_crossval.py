@@ -7,10 +7,10 @@ simulator.  This experiment quantifies what that shortcut costs: for
 every paper workload × machine cell it solves the *same* operating-point
 query twice —
 
-* **reference**: the bisection solver over the machine's full
+* **reference**: the operating-point solver over the machine's full
   X-Mem-style simulator-measured latency profile (the slow, honest
   route ``--fast`` replaces), and
-* **analytic**: the closed-form solve over the probe-calibrated
+* **analytic**: the same solver over the probe-calibrated
   queueing parameters (a handful of simulator runs, then pure algebra)
 
 — and reports the relative bandwidth / latency / occupancy errors.

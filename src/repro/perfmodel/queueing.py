@@ -7,19 +7,20 @@ with the loaded latency approximated by the M/M/1-shaped form
 
     lat(u) = L0 + A * u / (1 - u)        (u = BW / peak, clipped)
 
-the Little's-law fixed point the bisection solver iterates
-(:func:`repro.perfmodel.solver.solve_operating_point`) collapses to a
-**quadratic in utilization** with a closed-form root — so a calibrated
-machine answers characterize/advisor queries in microseconds with no
-simulation at all.  Substituting ``BW = peak * u`` and the Equation-2
-constraint ``BW * lat = n * cores * cls * 1e9 =: K`` gives
+the Little's-law fixed point becomes a **quadratic in utilization** —
+substituting ``BW = peak * u`` into the Equation-2 constraint
+``BW * lat = n * cores * cls * 1e9 =: K`` gives
 
     peak * (A - L0) * u^2 + (peak * L0 + K) * u - K = 0,
 
-whose root in ``[0, 1)`` is the operating point; when demand exceeds
-the machine's achievable-streams ceiling the bandwidth is capped there
-and the latency is backed out of Little's law — exactly the solver's
-queueing-regime semantics, still in closed form.
+so a calibrated machine answers characterize/advisor queries in
+microseconds with no simulation at all.  The root is found by the one
+operating-point solver, :func:`repro.perfmodel.solver.solve_operating_point`,
+which takes :class:`QueueingParams` as a curve like any other;
+:func:`solve_operating_point_fast` only supplies the default
+calibration.  When demand exceeds the machine's achievable-streams
+ceiling the bandwidth is capped there and the latency is backed out of
+Little's law.
 
 Calibration (:class:`QueueingParams`) comes either
 
@@ -45,12 +46,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError, ProfileError
 from ..machines.spec import MachineSpec
 from ..memory.latency_model import model_for_machine
 from ..memory.profile import LatencyProfile
-from ..units import GIGA, NANO
 from .solver import SolvedPoint, solve_operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,10 +66,6 @@ CALIBRATION_KIND = "calibration"
 #: closed form finite at u -> 1; operating points are capped at the
 #: achievable-streams ceiling well below this).
 UTILIZATION_CAP = 0.995
-
-#: Relative size below which the quadratic's leading coefficient counts
-#: as vanished (A ≈ L0) and the linear solution is used instead.
-_DEGENERATE_REL_TOL = 1e-12
 
 #: A state whose prefetch fraction exceeds this is prefetch-dominated:
 #: prefetches bypass the L1 MSHR file and carry the concurrency, so the
@@ -113,9 +108,10 @@ class QueueingParams:
     """Calibrated parameters of one machine's closed-form latency curve.
 
     Implements the :class:`~repro.memory.latency_model.LatencyModel`
-    protocol (``idle_latency_ns`` / ``latency_ns``), so it plugs
-    directly into the bisection solver as a ``curve`` — the guarded
-    fallback when the quadratic degenerates.
+    protocol (``idle_latency_ns`` / ``latency_ns``) and is a ``curve``
+    the solver understands natively: one M/M/1 segment up to
+    :data:`UTILIZATION_CAP`, with this calibration's own peak and
+    ceiling.
     """
 
     machine_name: str
@@ -381,91 +377,18 @@ def solve_operating_point_fast(
     params: Optional[QueueingParams] = None,
     cores: Optional[int] = None,
 ) -> SolvedPoint:
-    """Closed-form Little's-law operating point (no iteration, no sim).
+    """Operating point over the calibrated closed-form curve (``--fast``).
 
-    Drop-in analytic counterpart of
-    :func:`repro.perfmodel.solver.solve_operating_point`: same
-    validation, same capping semantics (bandwidth never exceeds the
-    achievable-streams ceiling; in the capped queueing regime latency is
-    backed out of Little's law), but the fixed point is the root of a
-    quadratic instead of a bisection — ``iterations == 0`` and the
-    reported ``residual`` is float-rounding-level.
-
-    ``params`` defaults to the machine's model-fitted calibration
-    (:func:`calibrate_from_model`); pass a probe calibration for the
-    measured route.  If the quadratic degenerates numerically (it
-    cannot for physical parameters, but the guard is cheap) the
-    function falls back to the bisection solver over the same
-    closed-form curve, so the result is always well-defined.
+    :func:`~repro.perfmodel.solver.solve_operating_point` with the
+    calibration as its ``curve``: same validation, same capping
+    semantics, the same exact root.  ``params`` defaults to the
+    machine's model-fitted calibration (:func:`calibrate_from_model`);
+    pass a probe calibration for the measured route.
     """
-    if demand_mlp <= 0:
-        raise ConfigurationError("demand_mlp must be positive")
-    ncores = cores if cores is not None else machine.active_cores
-    if not 0 < ncores <= machine.cores:
-        raise ConfigurationError(f"cores must be in 1..{machine.cores}")
     if params is None:
         params = calibrate_from_model(machine)
-    if params.machine_name != machine.name:
-        raise ConfigurationError(
-            f"calibration is for {params.machine_name!r}, "
-            f"machine is {machine.name!r}"
-        )
-
-    limit = machine.mshr_limit(binding_level)
-    n = min(demand_mlp, float(limit))
-    cls = machine.line_bytes
-    peak = params.peak_bw_bytes
-    cap = params.achievable_bw_bytes
-    l0 = params.unloaded_latency_ns
-    a_coeff = params.contention_ns
-
-    # K = BW * lat product Equation 2 demands (bytes/s * ns).
-    k = n * ncores * cls * GIGA
-
-    lat_at_cap = params.latency_at_bandwidth(cap)
-    if k >= cap * lat_at_cap:
-        # Queueing regime: demand saturates the ceiling; latency is
-        # whatever makes Little's law hold there, never below the curve.
-        bw = cap
-        lat = max(lat_at_cap, latency_from_mlp(n, bw, cls, cores=ncores))
-    else:
-        # peak*(A - L0) u^2 + (peak*L0 + K) u - K = 0 on [0, 1).
-        qa = peak * (a_coeff - l0)
-        qb = peak * l0 + k
-        qc = -k
-        u: Optional[float] = None
-        if abs(qa) <= _DEGENERATE_REL_TOL * qb:
-            u = k / qb  # A == L0 edge: the quadratic term vanishes
-        else:
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
-                # qb > 0 always, so -(qb + sqrt(disc))/2 is the stable q.
-                q = -0.5 * (qb + math.sqrt(disc))
-                candidates = [
-                    r for r in (q / qa, qc / q) if 0.0 <= r < 1.0
-                ]
-                if candidates:
-                    u = min(candidates)
-        if u is None:
-            # Degenerate quadratic: bisect the same closed-form curve
-            # (still simulation-free) rather than return garbage.
-            return solve_operating_point(
-                machine, demand_mlp, binding_level, curve=params, cores=ncores
-            )
-        bw = u * peak
-        lat = params.latency_ns(u)
-
-    capped = bw >= cap * (1.0 - 1e-6)
-    residual = abs(bw - min(cap, bandwidth_from_mlp(n, lat, cls, cores=ncores))) / cap
-    n_observed = bw * lat * NANO / cls / ncores
-    return SolvedPoint(
-        bandwidth_bytes=bw,
-        latency_ns=lat,
-        n_sustained=n,
-        n_observed=n_observed,
-        bandwidth_capped=capped,
-        iterations=0,
-        residual=residual,
+    return solve_operating_point(
+        machine, demand_mlp, binding_level, curve=params, cores=cores
     )
 
 

@@ -1,4 +1,4 @@
-"""Fixed-point bandwidth/latency/MLP solver (DESIGN.md §5).
+"""Little's-law operating-point solver (DESIGN.md §5).
 
 Little's law closes a feedback loop between three quantities:
 
@@ -7,37 +7,58 @@ Little's law closes a feedback loop between three quantities:
 * the bandwidth that MLP drives, ``BW = cores * n * cls / lat``;
 * the loaded latency that bandwidth causes, ``lat = curve(BW)``.
 
-The consistent operating point is the root of
-``g(bw) = bw - min(cap, BW(n, curve(bw)))``, where ``cap`` is the
-machine's achievable-streams ceiling.  The curve is monotone
-non-decreasing, so ``g`` is non-decreasing in ``bw`` and the solver
-bisects ``[0, cap]`` until the bracket is within a relative 1e-9
-(at most 500 steps) — robust even across the steep knee segments of
-tabulated curves.
+The consistent operating point is the root of ``BW * lat(BW) = K`` with
+``K = n * cores * cls * 1e9`` (paper Eq. 2), below the machine's
+achievable-streams ceiling ``cap``.  Every curve the library builds is
+piecewise of one form in utilization ``u = BW / peak``:
 
-If ``g(cap) <= 0`` the demand saturates the ceiling even at the top of
-the curve: bandwidth is capped and latency is *backed out* of Little's
-law (never below what the curve says) — the queueing regime where extra
-demand just inflates latency, which is why ISx-optimized on KNL reads
-238 ns at 86 % utilization.  The returned ``residual`` reports how far
-the point sits from the fixed point, as a health check.
+    lat(u) = (a + q * (u - u0)) / (1 - r * u)      on [u0, u1]
+
+— chords (``r = 0``) for :class:`~repro.memory.latency_model.TabulatedLatencyModel`
+and :class:`~repro.memory.profile.LatencyProfile`, and the M/M/1 form
+``L0 + A*u/(1-u)`` (``a = L0, q = A - L0, r = 1``) for
+:class:`~repro.perfmodel.queueing.QueueingParams`.  ``BW * lat`` grows
+with ``u``, so the solver walks the segments to the first whose top
+reaches ``K`` and solves the quadratic there exactly: with
+``u = u0 + t``,
+
+    peak*q * t^2 + B * t - C = 0,   B = peak*(a + q*u0) + K*r,
+                                    C = K*(1 - r*u0) - peak*u0*a,
+
+whose root is ``t = 2C / (B + sqrt(B^2 + 4*peak*q*C))`` — Hill's point
+in *Three Other Models of Computer System Performance*: Little's law
+over a queueing curve is a closed-form problem.  A curve without
+segments (the smooth :class:`~repro.memory.latency_model.QueueingLatencyModel`
+of synthetic machines) is one segment, bisected to float resolution.
+
+If ``K >= cap * lat(cap)`` the demand saturates the ceiling even at the
+top of the curve: bandwidth is capped and latency is *backed out* of
+Little's law (never below what the curve says) — the queueing regime
+where extra demand just inflates latency, which is why ISx-optimized on
+KNL reads 238 ns at 86 % utilization.  The returned ``residual``
+reports how far the point sits from the fixed point, as a health check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import LatencyModel, model_for_machine
+from ..memory.latency_model import (
+    LatencyModel,
+    TabulatedLatencyModel,
+    model_for_machine,
+)
 from ..memory.profile import LatencyProfile
-from ..units import NANO, to_gb_per_s
+from ..units import GIGA, NANO, to_gb_per_s
 
-#: Convergence tolerance on relative bandwidth change.
-_TOLERANCE = 1e-9
-_MAX_ITERATIONS = 500
+#: One piece of a latency curve, ``(u0, u1, a, q, r)``: on ``[u0, u1]``
+#: the latency is ``(a + q*(u - u0)) / (1 - r*u)``.
+Segment = Tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -53,11 +74,13 @@ class SolvedPoint:
     #: bandwidth-capped).
     n_observed: float
     bandwidth_capped: bool
+    #: Curve segments the solver examined (0 when the demand saturates
+    #: the ceiling and no root is needed).
     iterations: int
     #: Final relative residual of the fixed point: how far the returned
     #: bandwidth sits from ``min(cap, BW(n, lat))``, normalized by the
-    #: achievable ceiling.  Near float rounding for both the bisection
-    #: and the closed-form path; printed under ``-v`` as a health check.
+    #: achievable ceiling.  Near float rounding on every route; printed
+    #: under ``-v`` as a health check.
     residual: float = 0.0
 
     @property
@@ -66,20 +89,93 @@ class SolvedPoint:
         return to_gb_per_s(self.bandwidth_bytes)
 
 
-class _ProfileAsModel:
-    """Adapter: query a LatencyProfile with utilization like a model."""
+def _chords(points: Sequence[Tuple[float, float]]) -> List[Segment]:
+    """Segments of a piecewise-linear ``(u, lat)`` curve, flat past its ends."""
+    segments = [(0.0, points[0][0], points[0][1], 0.0, 0.0)]
+    for (u0, l0), (u1, l1) in zip(points, points[1:]):
+        segments.append((u0, u1, l0, (l1 - l0) / (u1 - u0), 0.0))
+    segments.append((points[-1][0], math.inf, points[-1][1], 0.0, 0.0))
+    return segments
 
-    def __init__(self, profile: LatencyProfile) -> None:
-        self._profile = profile
 
-    @property
-    def idle_latency_ns(self) -> float:
-        return self._profile.idle_latency_ns
+def _curve_view(
+    machine: MachineSpec, curve: Optional[Union[LatencyModel, LatencyProfile]]
+) -> Tuple[float, float, Callable[[float], float], Optional[List[Segment]]]:
+    """``(peak, cap, latency at bandwidth, segments)`` of one curve.
 
-    def latency_ns(self, utilization: float) -> float:
-        bw = min(utilization, 1.0) * self._profile.peak_bw_bytes
-        bw = min(bw, self._profile.max_measured_bw_bytes)
-        return self._profile.latency_at(bw)
+    Segments are ``None`` for a curve with no piecewise form.
+    """
+    from .queueing import UTILIZATION_CAP, QueueingParams  # it imports this module
+
+    if curve is None:
+        curve = model_for_machine(machine)
+    if isinstance(curve, (LatencyProfile, QueueingParams)):
+        if curve.machine_name != machine.name:
+            raise ConfigurationError(
+                f"curve is for {curve.machine_name!r}, machine is {machine.name!r}"
+            )
+    peak = machine.memory.peak_bw_bytes
+    cap = machine.memory.achievable_bw_bytes
+    if isinstance(curve, LatencyProfile):
+        profile, top = curve, curve.max_measured_bw_bytes
+        # A profile is read at the bandwidth its own peak maps u to,
+        # clamped at the highest measured point.
+        ratio = profile.peak_bw_bytes / peak
+        points = [
+            (p.bandwidth_bytes / profile.peak_bw_bytes, p.latency_ns)
+            for p in profile.points
+        ]
+        return (
+            peak,
+            cap,
+            lambda bw: profile.latency_at(min(bw * ratio, top)),
+            _chords(points),
+        )
+    model = curve
+    segments: Optional[List[Segment]] = None
+    if isinstance(model, TabulatedLatencyModel):
+        segments = _chords(model.points)
+    elif isinstance(model, QueueingParams):
+        peak, cap = model.peak_bw_bytes, model.achievable_bw_bytes
+        l0, u_top = model.unloaded_latency_ns, UTILIZATION_CAP
+        segments = [
+            (0.0, u_top, l0, model.contention_ns - l0, 1.0),
+            (u_top, math.inf, model.latency_ns(u_top), 0.0, 0.0),
+        ]
+    return peak, cap, lambda bw: model.latency_ns(min(1.0, bw / peak)), segments
+
+
+def _root(
+    k: float,
+    peak: float,
+    top: float,
+    latency: Callable[[float], float],
+    segments: Optional[List[Segment]],
+) -> Tuple[float, int]:
+    """Utilization in ``[0, top]`` where ``peak*u*lat(u) = K``, and the
+    number of segments examined."""
+    if segments is None:
+        # No piecewise form: one segment [0, top], bisected until the
+        # bracket cannot shrink further.
+        lo, hi = 0.0, top
+        mid = 0.5 * hi
+        while lo < mid < hi:
+            if peak * mid * latency(mid * peak) >= k:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        return mid, 1
+    for examined, (u0, u1, a, q, r) in enumerate(segments, 1):
+        hi = min(u1, top)
+        if hi >= top or peak * hi * (a + q * (hi - u0)) >= k * (1.0 - r * hi):
+            break
+    b = peak * (a + q * u0) + k * r
+    c = k * (1.0 - r * u0) - peak * u0 * a
+    # Exactly a perfect square when A = 0 on the M/M/1 segment; the
+    # clamp keeps rounding from taking it below zero.
+    disc = max(b * b + 4.0 * peak * q * c, 0.0)
+    return u0 + 2.0 * c / (b + math.sqrt(disc)), examined
 
 
 def solve_operating_point(
@@ -101,8 +197,11 @@ def solve_operating_point(
     binding_level:
         Which MSHR file (1 or 2) bounds the in-flight requests.
     curve:
-        Loaded-latency source: a model or a measured profile.  Defaults
-        to the machine's calibrated model.
+        Loaded-latency source: a model, a measured profile, or
+        calibrated :class:`~repro.perfmodel.queueing.QueueingParams`
+        (which also supply peak and ceiling).  Defaults to the
+        machine's calibrated model.  A profile or calibration made for
+        another machine raises :class:`~repro.errors.ConfigurationError`.
     cores:
         Active cores (defaults to the machine's loaded-run count).
     """
@@ -111,53 +210,24 @@ def solve_operating_point(
     ncores = cores if cores is not None else machine.active_cores
     if not 0 < ncores <= machine.cores:
         raise ConfigurationError(f"cores must be in 1..{machine.cores}")
+    peak, cap, latency, segments = _curve_view(machine, curve)
 
-    if curve is None:
-        model: Union[LatencyModel, _ProfileAsModel] = model_for_machine(machine)
-    elif isinstance(curve, LatencyProfile):
-        model = _ProfileAsModel(curve)
-    else:
-        model = curve
-
-    limit = machine.mshr_limit(binding_level)
-    n = min(demand_mlp, float(limit))
+    n = min(demand_mlp, float(machine.mshr_limit(binding_level)))
     cls = machine.line_bytes
-    peak = machine.memory.peak_bw_bytes
-    cap = machine.memory.achievable_bw_bytes
-
-    # g(bw) = bw - min(cap, n*cores*cls/lat(bw)) is non-decreasing in bw
-    # (the curve is non-decreasing), so the root is found by bisection —
-    # robust even across the steep knee segments of the tabulated curves.
-    def residual(bw_value: float) -> float:
-        lat_value = model.latency_ns(min(1.0, bw_value / peak))
-        return bw_value - min(cap, bandwidth_from_mlp(n, lat_value, cls, cores=ncores))
-
-    lo, hi = 0.0, cap
-    if residual(hi) <= 0.0:
+    k = n * ncores * cls * GIGA  # the BW * lat product Eq. 2 demands
+    examined = 0
+    if k >= cap * latency(cap):
         bw = cap  # demand exceeds what the cap admits even at top latency
-        iterations = 1
     else:
-        iterations = 0
-        for iterations in range(1, _MAX_ITERATIONS + 1):
-            mid = 0.5 * (lo + hi)
-            if residual(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= _TOLERANCE * max(hi, 1.0):
-                break
-        bw = 0.5 * (lo + hi)
+        u, examined = _root(k, peak, cap / peak, latency, segments)
+        bw = min(u * peak, cap)
 
+    lat = latency(bw)
     capped = bw >= cap * (1.0 - 1e-6)
     if capped:
         # Queueing regime: latency is whatever makes Little's law hold
         # at the capped bandwidth, never less than the curve says.
-        lat = max(
-            model.latency_ns(min(1.0, bw / peak)),
-            latency_from_mlp(n, bw, cls, cores=ncores),
-        )
-    else:
-        lat = model.latency_ns(min(1.0, bw / peak))
+        lat = max(lat, latency_from_mlp(n, bw, cls, cores=ncores))
 
     n_observed = bw * lat * NANO / cls / ncores
     final_residual = (
@@ -169,6 +239,6 @@ def solve_operating_point(
         n_sustained=n,
         n_observed=n_observed,
         bandwidth_capped=capped,
-        iterations=iterations,
+        iterations=examined,
         residual=final_residual,
     )

@@ -100,3 +100,15 @@ class TestParser:
             ["simulate", "--machine", "skl", "--no-batch-miss"]
         )
         assert args.batch is True and args.batch_miss is False
+
+
+class TestVerboseSolver:
+    def test_advisor_prints_solver_residual(self, capsys):
+        assert main(["-v", "advisor", "--machine", "skl", "--workload", "isx"]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines() if "solver:" in line
+        ]
+        assert lines
+        for line in lines:
+            assert "segment(s) examined" in line
+            assert float(line.rsplit(" ", 1)[1]) < 1e-9

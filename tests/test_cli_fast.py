@@ -89,7 +89,7 @@ class TestAdvisor:
         assert code == 0
         out = capsys.readouterr().out
         assert "solved analytically (closed-form fast path)" in out
-        assert "solver: closed form" in out
+        assert "solver: 1 segment(s) examined, final residual" in out
 
     def test_slow_route_without_fast(self, capsys):
         code = main(
@@ -98,7 +98,7 @@ class TestAdvisor:
         assert code == 0
         out = capsys.readouterr().out
         assert "solved analytically" not in out
-        assert "iteration(s), final residual" in out
+        assert "segment(s) examined, final residual" in out
 
     def test_diagnostics_silent_without_verbose(self, capsys):
         assert main(["advisor", "--machine", "skl", "--workload", "isx"]) == 0

@@ -1,0 +1,166 @@
+"""The operating-point solver (repro.perfmodel.solver).
+
+Every curve is checked against the defining equation ``BW * lat(BW) =
+K`` itself rather than against another solver; a pinned table guards
+the numbers; metamorphic properties check the paper's physics: more
+MSHRs never cost bandwidth and slower memory never buys any.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigurationError
+from repro.machines.registry import get_machine, machine_names
+from repro.memory.latency_model import TabulatedLatencyModel, model_for_machine
+from repro.perfmodel.queueing import analytic_profile, calibrate_from_model
+from repro.perfmodel.solver import solve_operating_point
+
+MACHINES = tuple(machine_names())
+CURVES = ("model", "profile", "params")
+
+demands = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
+levels = st.sampled_from([1, 2])
+
+
+def _curve(kind, machine):
+    """The curve of one kind for ``machine`` (``None`` = its own model)."""
+    if kind == "model":
+        return None
+    if kind == "profile":
+        return analytic_profile(machine)
+    return calibrate_from_model(machine)
+
+
+def _latency_at(kind, machine, curve):
+    """``curve(BW)``: the loaded latency the curve reads at a bandwidth."""
+    if kind == "model":
+        model = model_for_machine(machine)
+        peak = machine.memory.peak_bw_bytes
+        return lambda bw: model.latency_ns(bw / peak)
+    if kind == "profile":
+        return lambda bw: curve.latency_at(min(bw, curve.max_measured_bw_bytes))
+    return curve.latency_at_bandwidth
+
+
+class TestSolverEquation:
+    @pytest.mark.parametrize("machine", MACHINES)
+    @given(
+        kind=st.sampled_from(CURVES),
+        demand=demands,
+        level=levels,
+        all_cores=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_defining_equation(self, machine, kind, demand, level, all_cores):
+        spec = get_machine(machine)
+        curve = _curve(kind, spec)
+        latency_at = _latency_at(kind, spec, curve)
+        cores = spec.active_cores if all_cores else 1
+        point = solve_operating_point(spec, demand, level, curve=curve, cores=cores)
+
+        cap = spec.memory.achievable_bw_bytes
+        n = min(demand, spec.mshr_limit(level))
+        k = n * cores * spec.line_bytes * 1e9
+        bw, lat = point.bandwidth_bytes, point.latency_ns
+        saturates = k >= cap * latency_at(cap)
+        # Capped exactly when the demand saturates the ceiling, or the
+        # root lies within the capped threshold below it.
+        assert point.bandwidth_capped == (saturates or bw >= cap * (1 - 1e-6))
+        if saturates:
+            assert bw == cap
+            assert lat >= latency_at(cap)
+        else:
+            assert abs(bw * lat - k) / k < 1e-9
+            if not point.bandwidth_capped:
+                assert lat == latency_at(bw)
+        assert point.residual < 1e-9
+
+
+#: Operating points at the machine's active cores: an uncapped L1-bound
+#: demand and a saturating L2-bound one (a64fx's own curve stays below
+#: its ceiling even there).
+PINNED = [
+    ("skl", "model", 5.0, 1, 72830996288.35916, 105.4496079251403, False),
+    ("skl", "model", 1e4, 2, 111360000000.0, 220.68965517241378, True),
+    ("skl", "profile", 5.0, 1, 75757480603.15848, 101.37612731463304, False),
+    ("skl", "profile", 1e4, 2, 111360000000.0, 220.68965517241378, True),
+    ("skl", "params", 5.0, 1, 75925333681.40459, 101.15200847977425, False),
+    ("skl", "params", 1e4, 2, 111360000000.0, 220.68965517241378, True),
+    ("knl", "model", 5.0, 1, 112398410396.18478, 182.2089825270126, False),
+    ("knl", "model", 1e4, 2, 348000000000.0, 376.64367816091954, True),
+    ("knl", "profile", 5.0, 1, 122751787320.24506, 166.84074787135376, False),
+    ("knl", "profile", 1e4, 2, 348000000000.0, 376.64367816091954, True),
+    ("knl", "params", 5.0, 1, 122771318736.02048, 166.81420558578841, False),
+    ("knl", "params", 1e4, 2, 348000000000.0, 376.64367816091954, True),
+    ("a64fx", "model", 5.0, 1, 377982082080.84106, 162.5473876219243, False),
+    ("a64fx", "model", 1e4, 2, 815432863998.4131, 301.3859394518658, False),
+    ("a64fx", "profile", 5.0, 1, 378447325229.6448, 162.34756041665037, False),
+    ("a64fx", "profile", 1e4, 2, 819200000000.0, 300.0, True),
+    ("a64fx", "params", 5.0, 1, 378575028133.39233, 162.29279647833738, False),
+    ("a64fx", "params", 1e4, 2, 819200000000.0, 300.0, True),
+]
+
+
+class TestPinnedOperatingPoints:
+    @pytest.mark.parametrize("machine,kind,demand,level,bw,lat,capped", PINNED)
+    def test_pinned(self, machine, kind, demand, level, bw, lat, capped):
+        spec = get_machine(machine)
+        point = solve_operating_point(spec, demand, level, curve=_curve(kind, spec))
+        assert point.bandwidth_bytes == pytest.approx(bw, rel=1e-8)
+        assert point.latency_ns == pytest.approx(lat, rel=1e-8)
+        assert point.bandwidth_capped is capped
+
+    def test_smooth_curve_is_one_bisected_segment(self):
+        # No calibration points: the smooth queueing model, which has no
+        # piecewise form, is solved inside the single [0, cap] bracket.
+        spec = dataclasses.replace(get_machine("skl"), latency_calibration=())
+        point = solve_operating_point(spec, 5.0, 1)
+        assert point.iterations == 1
+        assert not point.bandwidth_capped
+        assert point.residual < 1e-9
+
+
+class TestCurveOwnership:
+    @pytest.mark.parametrize("kind", ["profile", "params"])
+    def test_rejects_another_machines_curve(self, kind):
+        knl_curve = _curve(kind, get_machine("knl"))
+        with pytest.raises(ConfigurationError, match="knl"):
+            solve_operating_point(get_machine("skl"), 5.0, 1, curve=knl_curve)
+
+
+class TestMetamorphic:
+    @given(
+        machine=st.sampled_from(MACHINES),
+        demand=demands,
+        level=levels,
+        extra=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_more_mshrs_never_lower_bandwidth(self, machine, demand, level, extra):
+        spec = get_machine(machine)
+        field = "l1" if level == 1 else "l2"
+        cache = getattr(spec, field)
+        bigger = dataclasses.replace(
+            spec, **{field: dataclasses.replace(cache, mshrs=cache.mshrs + extra)}
+        )
+        base = solve_operating_point(spec, demand, level)
+        more = solve_operating_point(bigger, demand, level)
+        assert more.bandwidth_bytes >= base.bandwidth_bytes * (1 - 1e-12)
+
+    @given(
+        machine=st.sampled_from(MACHINES),
+        demand=demands,
+        level=levels,
+        factor=st.floats(min_value=1.0, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slower_memory_never_raises_bandwidth(self, machine, demand, level, factor):
+        spec = get_machine(machine)
+        model = model_for_machine(spec)
+        slower = TabulatedLatencyModel([(u, lat * factor) for u, lat in model.points])
+        base = solve_operating_point(spec, demand, level, curve=model)
+        slow = solve_operating_point(spec, demand, level, curve=slower)
+        assert slow.bandwidth_bytes <= base.bandwidth_bytes * (1 + 1e-12)

@@ -1,12 +1,12 @@
 """RES — resilience hygiene: no silent exception swallows.
 
-PR 4 gives the pipeline sanctioned places to absorb failure: the
-:mod:`repro.resilience` package (fault injection, retry, checkpoint)
-and :func:`repro.perf.parallel.fan_out`'s pool machinery, where broken
-workers are part of the contract and every absorbed error is accounted
-for in a per-item outcome.  Everywhere else, a handler that catches a
-broad exception class and silently discards it hides exactly the
-failures the resilience layer exists to surface:
+The pipeline has one sanctioned place to absorb failure: the
+:mod:`repro.resilience` package, whose fault injector damages files
+and drops samples on purpose.  Everywhere else — the
+:func:`repro.perf.parallel.fan_out` pool included, where an item's
+exception propagates unchanged — a handler that catches a broad
+exception class and silently discards it hides exactly the failures
+the resilience layer exists to surface:
 
 * **RES001** — a ``try``/``except`` handler that catches a broad type
   (bare ``except``, ``Exception``, ``BaseException``) or the
@@ -31,9 +31,8 @@ from ..core import Rule, SourceFile, Violation, register
 #: the author; these broad ones are where real failures go to die.
 _BROAD_TYPES = {"Exception", "BaseException", "OSError", "IOError"}
 
-#: Sub-paths sanctioned to absorb failures (the resilience layer
-#: itself, and the pool machinery whose contract is per-item recovery).
-_SANCTIONED = ("repro/resilience/", "repro/perf/parallel.py")
+#: Sub-paths sanctioned to absorb failures (the resilience layer itself).
+_SANCTIONED = ("repro/resilience/",)
 
 
 def _caught_broad(handler: ast.ExceptHandler) -> bool:
@@ -93,7 +92,7 @@ class ResilienceHygieneRule(Rule):
     name = "resilience-hygiene"
     description = (
         "no silent except Exception/OSError swallows (RES001) outside "
-        "repro.resilience and the fan-out pool machinery"
+        "repro.resilience"
     )
 
     def applies_to(self, path: Path) -> bool:

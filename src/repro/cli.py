@@ -45,22 +45,11 @@ from .xmem.runner import XMemConfig, characterize_machine
 
 
 def _apply_perf_flags(args: argparse.Namespace) -> None:
-    """Honor ``--no-cache``/``--retries``/``--timeout-s`` before any runs.
-
-    Retry/timeout settings are mirrored into ``REPRO_RETRIES``/
-    ``REPRO_TIMEOUT_S`` so every :func:`repro.perf.parallel.fan_out`
-    in the command — and its worker processes — picks them up.
-    """
-    import os
-
+    """Honor ``--no-cache``/``--sanitize`` before any runs."""
     if getattr(args, "no_cache", False):
         from .perf.cache import configure_cache
 
         configure_cache(enabled=False)
-    if getattr(args, "retries", None) is not None:
-        os.environ["REPRO_RETRIES"] = str(args.retries)
-    if getattr(args, "timeout_s", None) is not None:
-        os.environ["REPRO_TIMEOUT_S"] = str(args.timeout_s)
     if getattr(args, "sanitize", False):
         from .analysis.sanitizer import configure_sanitize
 
@@ -178,29 +167,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 print(f"saved to {args.out}")
             return 0
     config = XMemConfig(levels=args.levels, batch=args.batch)
-    checkpoint = None
-    if args.checkpoint:
-        from .resilience.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(
-            args.checkpoint, label=f"xmem:{machine.name}"
-        )
-        if args.resume:
-            if checkpoint.exists:
-                print(
-                    f"resuming from checkpoint {args.checkpoint} "
-                    f"({len(checkpoint.load())} level(s) already done)"
-                )
-        elif checkpoint.exists:
-            checkpoint.clear()
-            print(f"cleared stale checkpoint {args.checkpoint} (no --resume)")
-    elif args.resume:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
     start = time.perf_counter()
-    profile = characterize_machine(
-        machine, config, jobs=args.jobs, checkpoint=checkpoint
-    )
+    profile = characterize_machine(machine, config, jobs=args.jobs)
     wall = time.perf_counter() - start
     print(
         f"latency profile for {machine.name} "
@@ -662,22 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_flags.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the content-addressed simulation result cache",
-    )
-    perf_flags.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="per-item retries for failing simulations "
-        "(default: REPRO_RETRIES or 0; crashed/hung workers always get "
-        "a small retry budget)",
-    )
-    perf_flags.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        help="per-task timeout in seconds with --jobs > 1 "
-        "(default: REPRO_TIMEOUT_S or none; 0 disables)",
+        help="disable the content-addressed simulation result cache "
+        "(the cache is also what lets a rerun resume an interrupted sweep)",
     )
     perf_flags.add_argument(
         "--sanitize",
@@ -712,17 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--machine", required=True, choices=machine_names())
     p_char.add_argument("--levels", type=int, default=12, help="load levels")
     p_char.add_argument("--out", help="save profile JSON here")
-    p_char.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="record each completed load level to this JSONL checkpoint",
-    )
-    p_char.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed levels from --checkpoint instead of "
-        "starting over",
-    )
     p_char.add_argument(
         "--fast",
         action="store_true",

@@ -18,12 +18,9 @@ single-point analysis exists:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from ..resilience.checkpoint import SweepCheckpoint
 from ..machines.spec import MachineSpec
 from ..memory.profile import LatencyProfile
 from .classify import AccessPattern, Classification
@@ -47,16 +44,8 @@ def operating_curve(
     profile: Optional[LatencyProfile] = None,
     points: int = 33,
     max_utilization: Optional[float] = None,
-    checkpoint: Optional["SweepCheckpoint"] = None,
 ) -> List[OperatingPoint]:
-    """Sample (utilization → bandwidth, latency, n_avg).
-
-    With a ``checkpoint``
-    (:class:`repro.resilience.checkpoint.SweepCheckpoint`) each computed
-    point is durably recorded, keyed by a digest of the machine,
-    profile, and utilization, and replayed on resume — byte-identical
-    to an uninterrupted run.
-    """
+    """Sample (utilization → bandwidth, latency, n_avg)."""
     if points < 2:
         raise ConfigurationError("need at least two points")
     calc = MlpCalculator(machine, profile)
@@ -78,28 +67,7 @@ def operating_curve(
             n_avg=result.n_avg,
         )
 
-    if checkpoint is None:
-        return [sample(u) for u in utilizations]
-
-    from ..perf.cache import stable_digest
-    from ..resilience.checkpoint import dataclass_codec, run_checkpointed
-
-    encode, decode = dataclass_codec(OperatingPoint)
-    return run_checkpointed(
-        sample,
-        utilizations,
-        checkpoint=checkpoint,
-        key_fn=lambda u: stable_digest(
-            {
-                "harness": "operating_curve",
-                "machine": machine,
-                "profile": profile,
-                "utilization": u,
-            }
-        ),
-        encode=encode,
-        decode=decode,
-    )
+    return [sample(u) for u in utilizations]
 
 
 def utilization_where_mshrs_bind(

@@ -111,7 +111,7 @@ class ExperimentError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Base class for the fault-tolerant execution layer's own failures."""
+    """Base class for the resilience layer's own failures."""
 
 
 class FaultInjected(ResilienceError):
@@ -126,31 +126,3 @@ class FaultInjected(ResilienceError):
         self.kind = kind
         self.key = key
         super().__init__(f"injected fault {kind!r} fired at site {key!r}")
-
-
-class TaskTimeout(ResilienceError):
-    """A fan-out task exceeded its per-task timeout budget."""
-
-    def __init__(self, label: str, timeout_s: float) -> None:
-        self.label = label
-        self.timeout_s = timeout_s
-        super().__init__(f"task {label!r} exceeded timeout of {timeout_s}s")
-
-
-class RetryExhausted(ResilienceError):
-    """A fan-out item kept failing after all its retry attempts.
-
-    The last underlying failure is chained as ``__cause__``.
-    """
-
-    def __init__(self, label: str, attempts: int, last_error: str) -> None:
-        self.label = label
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            f"task {label!r} failed after {attempts} attempt(s): {last_error}"
-        )
-
-
-class CheckpointError(ResilienceError):
-    """A sweep checkpoint file is unusable (wrong label/version, bad JSON)."""

@@ -24,12 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import recipe as recipe_module
 from ..machines.registry import get_machine
-from ..perf.cache import cached_run_trace, stable_digest
-from ..resilience.checkpoint import (
-    SweepCheckpoint,
-    dataclass_codec,
-    run_checkpointed,
-)
+from ..perf.cache import cached_run_trace
+from ..perf.parallel import fan_out
 from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
 from ..sim.hierarchy import SimConfig
 from ..units import to_gb_per_s
@@ -195,35 +191,17 @@ def prefetch_distance_sweep(
     accesses_per_thread: int = 3000,
     seed: int = 11,
     jobs: Optional[int] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    retries: Optional[int] = None,
-    timeout_s: Optional[float] = None,
 ) -> List[PrefetchDistancePoint]:
     """ISx-on-simulator sweep over the prefetch lead distance.
 
     Each distance is an independent (seeded) simulation; with
     ``jobs > 1`` the grid points run in worker processes and the result
-    order still follows ``distances`` exactly.  With a ``checkpoint``,
-    completed distances are durably recorded and replayed on resume
-    (byte-identical to an uninterrupted run).
+    order still follows ``distances`` exactly.  Every simulation is
+    stored in the sim cache, so rerunning an interrupted sweep only
+    simulates the distances it had not finished.
     """
-    encode, decode = dataclass_codec(PrefetchDistancePoint)
-    return run_checkpointed(
+    return fan_out(
         _distance_point,
         [(d, machine_name, accesses_per_thread, seed) for d in distances],
-        checkpoint=checkpoint,
-        key_fn=lambda args: stable_digest(
-            {
-                "harness": "prefetch_distance",
-                "distance": args[0],
-                "machine": args[1],
-                "accesses_per_thread": args[2],
-                "seed": args[3],
-            }
-        ),
-        encode=encode,
-        decode=decode,
         jobs=jobs,
-        retries=retries,
-        timeout_s=timeout_s,
     )

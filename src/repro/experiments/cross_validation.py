@@ -25,12 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.classify import classify_from_prefetch_fraction
 from ..machines.registry import paper_machines
 from ..machines.spec import MachineSpec
-from ..perf.cache import cached_run_trace, stable_digest
-from ..resilience.checkpoint import (
-    SweepCheckpoint,
-    dataclass_codec,
-    run_checkpointed,
-)
+from ..perf.cache import cached_run_trace
+from ..perf.parallel import fan_out
 from ..sim.hierarchy import SimConfig
 from ..sim.stats import SimStats
 from ..workloads import ALL_WORKLOADS
@@ -114,20 +110,6 @@ def _validate_cell(
     )
 
 
-def _cell_key(args: Tuple[Workload, MachineSpec, int, int]) -> str:
-    """Stable checkpoint key for one (workload, machine) grid cell."""
-    workload, machine, accesses_per_thread, sim_cores = args
-    return stable_digest(
-        {
-            "harness": "cross_validation",
-            "workload": workload.name,
-            "machine": machine.name,
-            "accesses_per_thread": accesses_per_thread,
-            "sim_cores": sim_cores,
-        }
-    )
-
-
 def cross_validate(
     *,
     machines: Optional[Sequence[MachineSpec]] = None,
@@ -135,17 +117,14 @@ def cross_validate(
     accesses_per_thread: int = 2200,
     sim_cores: int = 2,
     jobs: Optional[int] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    retries: Optional[int] = None,
-    timeout_s: Optional[float] = None,
 ) -> List[CrossValidationRow]:
     """Run every workload's base trace on every machine and compare.
 
     The (workload, machine) grid cells are independent simulations;
     ``jobs > 1`` distributes them over worker processes while keeping
-    the row order identical to the serial nested loop.  With a
-    ``checkpoint``, completed cells are durably recorded and replayed
-    on resume (byte-identical to an uninterrupted run).
+    the row order identical to the serial nested loop.  Every cell's
+    simulation is stored in the sim cache, so rerunning an interrupted
+    grid only simulates the cells it had not finished.
     """
     cells = [
         (workload, machine, accesses_per_thread, sim_cores)
@@ -153,18 +132,7 @@ def cross_validate(
         for machine in (machines or paper_machines())
         if machine.name in workload.machines()
     ]
-    encode, decode = dataclass_codec(CrossValidationRow)
-    return run_checkpointed(
-        _validate_cell,
-        cells,
-        checkpoint=checkpoint,
-        key_fn=_cell_key,
-        encode=encode,
-        decode=decode,
-        jobs=jobs,
-        retries=retries,
-        timeout_s=timeout_s,
-    )
+    return fan_out(_validate_cell, cells, jobs=jobs)
 
 
 def render_cross_validation(rows: Sequence[CrossValidationRow]) -> str:

@@ -1,4 +1,4 @@
-"""Crash-safe file primitives shared by the cache, trace, and checkpoint layers.
+"""Crash-safe file primitives shared by the cache and trace layers.
 
 Three write disciplines cover every persistence need in the repo:
 
@@ -12,8 +12,8 @@ Three write disciplines cover every persistence need in the repo:
   a single ``write`` of a ``\\n``-terminated line on an ``O_APPEND``
   handle, flushed and fsynced, so concurrent appenders never interleave
   within a line and a crash can lose at most the final partial line
-  (which JSONL readers must tolerate — see
-  :mod:`repro.resilience.checkpoint`).
+  (which JSONL readers must tolerate — see the sim cache's
+  ``tallies.jsonl`` ledger, :func:`repro.perf.cache.read_tallies`).
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ The experiment pipeline is built from dozens-to-hundreds of *independent*
 ablation grid points, per-routine cross-validations, table rows).  This
 package makes that pipeline scale with cores and never repeat work:
 
-* :mod:`repro.perf.parallel` — :func:`fan_out`, a deterministic
+* :mod:`repro.perf.parallel` — :func:`fan_out`, an ordered
   process-pool map with a serial fallback, used by the X-Mem runner, the
   experiment harness, and the ablation sweeps;
 * :mod:`repro.perf.cache` — a content-addressed on-disk cache keyed by a
   stable SHA-256 digest of ``(machine, config, trace, repro version)``
   that memoizes :class:`~repro.sim.stats.SimStats`, so repeated
-  ``reproduce``/``characterize``/benchmark runs are near-instant.
+  ``reproduce``/``characterize``/benchmark runs are near-instant and an
+  interrupted sweep resumes by rerunning it.
 
 Both honor environment variables (``REPRO_JOBS``, ``REPRO_CACHE``,
 ``REPRO_CACHE_DIR``) and the CLI's ``--jobs`` / ``--no-cache`` flags.

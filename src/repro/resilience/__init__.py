@@ -1,31 +1,22 @@
-"""Fault-tolerant execution layer: inject, retry, checkpoint, degrade.
+"""Fault injection and degraded-mode accounting.
 
-The pipeline's scaling substrate (worker pools, on-disk caches, trace
-files, external counter data) fails in four characteristic ways; this
-package gives each one a deterministic answer:
+The pipeline's on-disk caches, trace files and external counter data
+fail in characteristic ways; this package makes each failure path
+exercisable and accountable:
 
 * :mod:`repro.resilience.faults` — seeded fault *injection*
-  (``REPRO_FAULTS``): kill workers, hang tasks, corrupt cache/trace
-  files, drop or NaN counter samples — every failure path exercisable
-  on demand, byte-for-byte reproducibly;
-* :mod:`repro.resilience.retry` — seeded exponential backoff with
-  deterministic jitter, consumed by
-  :func:`repro.perf.parallel.fan_out`'s per-item retry machinery;
+  (``REPRO_FAULTS``): corrupt cache/trace files, drop or NaN counter
+  samples, plant simulator bugs only the sanitizer can see — every
+  failure path exercisable on demand, byte-for-byte reproducibly;
 * :mod:`repro.resilience.quality` — :class:`DataQualityIssue`, the unit
-  of degraded-mode ingestion accounting;
-* :mod:`repro.resilience.checkpoint` — durable JSONL sweep checkpoints
-  keyed by content digests, behind the CLI's ``--resume``.
+  of degraded-mode ingestion accounting.
 
-See ``docs/ROBUSTNESS.md`` for the operational guide.
+An interrupted sweep needs no machinery of its own: every simulation
+is stored in the content-addressed sim cache (:mod:`repro.perf.cache`),
+so rerunning the command resumes it.  See ``docs/ROBUSTNESS.md`` for
+the operational guide.
 """
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    SweepCheckpoint,
-    dataclass_codec,
-    run_checkpointed,
-)
 from .faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -35,22 +26,14 @@ from .faults import (
     parse_fault_spec,
 )
 from .quality import DataQualityIssue, issue_summary
-from .retry import RetryPolicy, backoff_delay
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
     "DataQualityIssue",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultRule",
-    "RetryPolicy",
-    "SweepCheckpoint",
-    "backoff_delay",
     "configure_faults",
-    "dataclass_codec",
     "get_injector",
     "issue_summary",
     "parse_fault_spec",
-    "run_checkpointed",
 ]

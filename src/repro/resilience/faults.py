@@ -2,9 +2,8 @@
 
 Counter-based analysis has to survive noisy, partial, and malformed
 inputs (Treibig et al.'s HPM best practices; Hill's "other models"
-caveats), and a parallel sweep has to survive dying workers and corrupt
-cache files.  None of those paths can be trusted unless they are
-*exercisable*: this module lets tests — and a CI leg — turn each one on
+caveats), and the simulation cache has to survive corrupt entries.
+None of those paths can be trusted unless they are *exercisable*: this module lets tests — and a CI leg — turn each one on
 deterministically.
 
 Spec grammar (``REPRO_FAULTS`` or :func:`configure_faults`)::
@@ -12,17 +11,17 @@ Spec grammar (``REPRO_FAULTS`` or :func:`configure_faults`)::
     spec      := entry (';' entry)*
     entry     := kind [':' param (',' param)*]
     param     := name '=' value
-    kind      := worker_kill | task_hang | cache_corrupt | cache_truncate
-               | trace_corrupt | trace_truncate | counter_drop | counter_nan
+    kind      := cache_corrupt | cache_truncate | trace_corrupt
+               | trace_truncate | counter_drop | counter_nan
                | mshr_leak | time_skew | replay_skip
 
 Common params: ``p`` (firing probability per site, default ``1.0``) and
-``seed`` (default ``0``).  ``task_hang`` also takes ``s`` (hang seconds,
-default ``30``).
+``seed`` (default ``0``).  ``time_skew`` also takes ``skew`` (relative
+drift of the recorded latency, default ``0.5``).
 
 Example::
 
-    REPRO_FAULTS="worker_kill:p=0.05,seed=7;cache_corrupt:p=0.1,seed=7"
+    REPRO_FAULTS="cache_corrupt:p=0.1,seed=7;counter_drop:p=0.05,seed=7"
 
 Determinism
 -----------
@@ -31,14 +30,12 @@ Whether a fault fires at a site is a pure function of
 compares the result against ``p``.  No RNG state is consumed, so firing
 decisions are independent of call order, process boundaries (workers
 inherit the spec through the environment), and the number of other
-sites — a fixed seed reproduces exactly the same failures every run,
-which is what lets the resume test demand byte-identical output.
+sites — a fixed seed reproduces exactly the same failures every run.
 
-Injection sites live in the layers under test (``perf.parallel``
-workers, ``perf.cache`` stores, ``io.tracefile`` saves, measurement
-ingestion); each passes a stable key (item index + attempt, digest,
-line number) so retries re-roll deterministically rather than re-firing
-forever.
+Injection sites live in the layers under test (``perf.cache`` stores,
+``io.tracefile`` saves, measurement ingestion, the simulator's MSHR
+files, memory controller and batch replay); each passes a stable key
+(digest, line number, event sequence number).
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 from ..errors import ConfigurationError, FaultInjected
 
@@ -67,8 +64,6 @@ __all__ = [
 #: mshr-balance, ``time_skew`` -> littles-law, ``replay_skip`` ->
 #: batch-replay), proving the sanitizer catches real corruption.
 FAULT_KINDS = (
-    "worker_kill",
-    "task_hang",
     "cache_corrupt",
     "cache_truncate",
     "trace_corrupt",
@@ -79,9 +74,6 @@ FAULT_KINDS = (
     "time_skew",
     "replay_skip",
 )
-
-#: Exit status used by injected worker kills (distinctive in CI logs).
-WORKER_KILL_EXIT_CODE = 113
 
 #: Hash-bucket denominator for the firing decision.
 _BUCKETS = float(1 << 64)
@@ -185,30 +177,13 @@ class FaultInjector:
         return rule is not None and rule.fires(key)
 
     def param(self, kind: str, name: str, default: float) -> float:
-        """A kind's extra parameter (e.g. ``task_hang``'s ``s``)."""
+        """A kind's extra parameter (e.g. ``time_skew``'s ``skew``)."""
         rule = self.rules.get(kind)
         if rule is None:
             return default
         return float(rule.params.get(name, default))
 
     # -- injection-site helpers --------------------------------------------------
-
-    def maybe_kill_worker(self, key: str) -> None:
-        """``worker_kill`` site: hard-exit the current process.
-
-        ``os._exit`` bypasses cleanup exactly like an OOM kill or
-        segfault would, which is the failure being simulated; callers
-        (pool workers) must be prepared for :class:`BrokenProcessPool`.
-        """
-        if self.fires("worker_kill", key):
-            os._exit(WORKER_KILL_EXIT_CODE)
-
-    def maybe_hang(self, key: str) -> None:
-        """``task_hang`` site: stall for ``s`` seconds (default 30)."""
-        if self.fires("task_hang", key):
-            import time
-
-            time.sleep(self.param("task_hang", "s", 30.0))
 
     def maybe_raise(self, kind: str, key: str) -> None:
         """Generic site: raise :class:`FaultInjected` when armed + firing."""

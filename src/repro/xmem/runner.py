@@ -24,12 +24,8 @@ from typing import List, Optional, Tuple
 from ..errors import ProfileError
 from ..machines.spec import MachineSpec
 from ..memory.profile import LatencyProfile
-from ..perf.cache import cached_run_trace, stable_digest
-from ..resilience.checkpoint import (
-    SweepCheckpoint,
-    dataclass_codec,
-    run_checkpointed,
-)
+from ..perf.cache import cached_run_trace
+from ..perf.parallel import fan_out
 from ..sim.hierarchy import SimConfig
 from .kernels import gap_sweep, throughput_trace
 
@@ -103,25 +99,7 @@ class XMemRunner:
             utilization=socket_bw / self.machine.memory.peak_bw_bytes,
         )
 
-    def _level_key(self, gap_cycles: float) -> str:
-        """Stable checkpoint key for one load level of this sweep."""
-        return stable_digest(
-            {
-                "harness": "xmem",
-                "machine": self.machine.name,
-                "config": self.config,
-                "gap_cycles": gap_cycles,
-            }
-        )
-
-    def sweep(
-        self,
-        *,
-        jobs: Optional[int] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        retries: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-    ) -> List[XMemMeasurement]:
+    def sweep(self, *, jobs: Optional[int] = None) -> List[XMemMeasurement]:
         """Measure all load levels, near-idle to saturation.
 
         Load levels are independent simulations, so with ``jobs > 1``
@@ -129,42 +107,20 @@ class XMemRunner:
         (:func:`repro.perf.parallel.fan_out`); the measurement order —
         and therefore the profile — is identical for any worker count.
 
-        With a ``checkpoint`` each completed level is durably recorded
-        (keyed by a digest of machine + sweep config + gap), so a run
-        killed mid-characterization resumes exactly where it stopped —
-        and returns byte-identical measurements to an uninterrupted run.
+        Each level's simulation is stored in the sim cache, so a sweep
+        interrupted part-way resumes by running it again: finished
+        levels are cache hits.
         """
         gaps = gap_sweep(self.config.levels, max_gap_cycles=self.config.max_gap_cycles)
-        encode, decode = dataclass_codec(XMemMeasurement)
-        return run_checkpointed(
-            self.measure_level,
-            gaps,
-            checkpoint=checkpoint,
-            key_fn=self._level_key,
-            encode=encode,
-            decode=decode,
-            jobs=jobs,
-            retries=retries,
-            timeout_s=timeout_s,
-        )
+        return fan_out(self.measure_level, gaps, jobs=jobs)
 
-    def characterize(
-        self,
-        *,
-        jobs: Optional[int] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-        retries: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-    ) -> LatencyProfile:
+    def characterize(self, *, jobs: Optional[int] = None) -> LatencyProfile:
         """Produce this machine's measured LatencyProfile.
 
         An explicit near-zero-load anchor (idle latency) is added so the
-        profile's domain starts at zero bandwidth.  ``checkpoint``,
-        ``retries`` and ``timeout_s`` pass through to :meth:`sweep`.
+        profile's domain starts at zero bandwidth.
         """
-        measurements = self.sweep(
-            jobs=jobs, checkpoint=checkpoint, retries=retries, timeout_s=timeout_s
-        )
+        measurements = self.sweep(jobs=jobs)
         samples: List[Tuple[float, float]] = [
             (m.bandwidth_bytes, m.latency_ns) for m in measurements
         ]
@@ -183,11 +139,6 @@ def characterize_machine(
     config: Optional[XMemConfig] = None,
     *,
     jobs: Optional[int] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    retries: Optional[int] = None,
-    timeout_s: Optional[float] = None,
 ) -> LatencyProfile:
     """One-call characterization: the paper's per-machine prerequisite."""
-    return XMemRunner(machine, config).characterize(
-        jobs=jobs, checkpoint=checkpoint, retries=retries, timeout_s=timeout_s
-    )
+    return XMemRunner(machine, config).characterize(jobs=jobs)

@@ -31,6 +31,37 @@ def _hermetic_sim_cache(tmp_path_factory):
     yield
 
 
+@pytest.fixture
+def fresh_sim_cache(tmp_path, monkeypatch):
+    """An empty sim cache for exact hit/miss counts; session cache restored.
+
+    Parks the sanitizer (sanitized runs bypass the cache) and any ambient
+    ``REPRO_FAULTS`` spec (a corrupted store turns a hit into a miss).
+    Yields ``reopen()``, which reopens the same directory with zeroed
+    counters — what a rerun in a new process sees.
+    """
+    import os
+
+    from repro.perf import cache as cache_module
+    from repro.resilience import configure_faults
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    # setenv/setattr record the current values, restored at teardown.
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", os.environ.get("REPRO_CACHE_DIR", ""))
+    monkeypatch.setattr(cache_module, "_global_cache", cache_module.get_cache())
+    ambient = os.environ.get("REPRO_FAULTS")
+    configure_faults(None)
+    cache_dir = tmp_path / "sim-cache"
+
+    def reopen():
+        return cache_module.configure_cache(cache_dir=cache_dir, enabled=True)
+
+    reopen()
+    yield reopen
+    configure_faults(ambient)
+
+
 @pytest.fixture(scope="session")
 def skl():
     return get_machine("skl")

@@ -101,6 +101,22 @@ class TestParser:
         )
         assert args.batch is True and args.batch_miss is False
 
+    @pytest.mark.parametrize("command", ["characterize", "reproduce"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--retries", "2"],
+            ["--timeout-s", "30"],
+            ["--checkpoint", "ck.jsonl"],
+            ["--resume"],
+        ],
+        ids=["retries", "timeout-s", "checkpoint", "resume"],
+    )
+    def test_retry_and_checkpoint_flags_rejected(self, command, flag):
+        argv = [command] + (["--machine", "skl"] if command == "characterize" else [])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + flag)
+
 
 class TestVerboseSolver:
     def test_advisor_prints_solver_residual(self, capsys):

@@ -115,44 +115,41 @@ class TestLenientIngest:
 
 
 class TestCharacterizeResume:
-    ARGS = ["characterize", "--machine", "skl", "--levels", "3"]
+    # Serial, so no worker can finish level 4 before level 3 raises.
+    ARGS = ["characterize", "--machine", "skl", "--levels", "4", "--jobs", "1"]
 
-    def test_checkpoint_then_resume_replays(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
-        first = capsys.readouterr().out
-        assert ck.exists()
-        code = main(self.ARGS + ["--checkpoint", str(ck), "--resume"])
-        resumed = capsys.readouterr().out
-        assert code == 0
-        assert "resuming from checkpoint" in resumed
-        assert "3 level(s) already done" in resumed
-        # The replayed profile must match the fresh one line for line
-        # (wall time and cache stats legitimately differ).
-        profile = first[first.index("latency profile") : first.index("characterized in")]
-        assert profile in resumed
+    @staticmethod
+    def _profile(out):
+        return out[out.index("latency profile") : out.index("characterized in")]
 
-    def test_no_resume_clears_stale_checkpoint(self, capsys, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
+    def test_interrupted_sweep_resumes_from_sim_cache(
+        self, capsys, monkeypatch, fresh_sim_cache
+    ):
+        from repro.xmem import XMemConfig
+        from repro.xmem.kernels import gap_sweep
+        from repro.xmem.runner import XMemRunner
+
+        gaps = gap_sweep(4, max_gap_cycles=XMemConfig().max_gap_cycles)
+        measure = XMemRunner.measure_level
+
+        def interrupted(runner, gap_cycles):
+            if gap_cycles == gaps[2]:
+                raise RuntimeError("interrupted at level 3 of 4")
+            return measure(runner, gap_cycles)
+
+        monkeypatch.setattr(XMemRunner, "measure_level", interrupted)
+        with pytest.raises(RuntimeError, match="level 3 of 4"):
+            main(self.ARGS)
+        monkeypatch.setattr(XMemRunner, "measure_level", measure)
         capsys.readouterr()
-        assert main(self.ARGS + ["--checkpoint", str(ck)]) == 0
-        assert "cleared stale checkpoint" in capsys.readouterr().out
 
-    def test_resume_without_checkpoint_is_an_error(self, capsys):
-        code = main(self.ARGS + ["--resume"])
-        assert code == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        # Rerun the same command against the same cache directory.
+        fresh_sim_cache()
+        assert main(self.ARGS) == 0
+        resumed = capsys.readouterr().out
+        assert "sim cache: 2 hit(s), 2 miss(es)" in resumed
 
-    def test_retry_flags_mirror_into_env(self, monkeypatch):
-        import os
-
-        # setenv (not delenv) so teardown restores the ORIGINAL state —
-        # delenv on an absent var registers nothing to undo, and the
-        # values main() writes would leak into later tests.
-        monkeypatch.setenv("REPRO_RETRIES", "")
-        monkeypatch.setenv("REPRO_TIMEOUT_S", "")
-        code = main(self.ARGS + ["--retries", "2", "--timeout-s", "30"])
-        assert code == 0
-        assert os.environ["REPRO_RETRIES"] == "2"
-        assert os.environ["REPRO_TIMEOUT_S"] == "30.0"
+        assert main(self.ARGS + ["--no-cache"]) == 0
+        uncached = capsys.readouterr().out
+        assert "sim cache: disabled" in uncached
+        assert self._profile(resumed) == self._profile(uncached)

@@ -50,3 +50,17 @@ class TestCrossValidation:
         )
         assert len(rows) == 1
         assert rows[0].machine == "knl"
+
+    def test_rerun_resumes_from_sim_cache(self, fresh_sim_cache):
+        knl = [get_machine("knl")]
+        (done,) = cross_validate(
+            machines=knl, workloads=[get_workload("isx")], accesses_per_thread=600
+        )
+        cache = fresh_sim_cache()
+        rows = cross_validate(
+            machines=knl,
+            workloads=[get_workload("isx"), get_workload("hpcg")],
+            accesses_per_thread=600,
+        )
+        assert (cache.counters.hits, cache.counters.misses) == (1, 1)
+        assert rows[0] == done

@@ -66,3 +66,12 @@ class TestPrefetchDistanceSweep:
         assert base.distance == 0 and far.distance == 64
         assert far.l1_full_fraction < base.l1_full_fraction
         assert far.bandwidth_gbs > base.bandwidth_gbs
+
+    def test_rerun_resumes_from_sim_cache(self, fresh_sim_cache):
+        (done,) = prefetch_distance_sweep(distances=(0,), accesses_per_thread=600)
+        cache = fresh_sim_cache()
+        points = prefetch_distance_sweep(
+            distances=(0, 16), accesses_per_thread=600
+        )
+        assert (cache.counters.hits, cache.counters.misses) == (1, 1)
+        assert points[0] == done

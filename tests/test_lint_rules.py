@@ -486,10 +486,11 @@ class TestResilienceHygieneRule:
         path = Path("src/repro/resilience/faults.py")
         assert _lint("RES", path, text).violations == []
 
-    def test_parallel_pool_machinery_sanctioned(self):
+    def test_parallel_pool_machinery_linted(self):
         text = "try:\n    work()\nexcept Exception:\n    pass\n"
         path = Path("src/repro/perf/parallel.py")
-        assert _lint("RES", path, text).violations == []
+        flagged = _lint("RES", path, text)
+        assert [v.rule_id for v in flagged.violations] == ["RES001"]
 
     def test_tests_exempt(self):
         text = "try:\n    work()\nexcept Exception:\n    pass\n"

@@ -1,4 +1,4 @@
-"""fan_out semantics: ordering, worker counts, fallback, errors."""
+"""fan_out semantics: ordering, worker counts, fallback, errors, counters."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.perf import fan_out, resolve_jobs
+from repro.perf.parallel import MAX_JOBS
 
 
 def _square(x):
@@ -81,111 +82,12 @@ class TestFanOut:
         assert out == [11, 12, 13]
 
 
-# -- PR 4: retries, timeouts, outcomes, fault tolerance ---------------------------
-
-from repro.errors import RetryExhausted  # noqa: E402
-from repro.perf.parallel import (  # noqa: E402
-    MAX_JOBS,
-    MAX_RETRIES,
-    Err,
-    Ok,
-    fan_out_outcomes,
-    resolve_retries,
-    resolve_timeout_s,
-)
-from repro.resilience import FaultRule, configure_faults  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def _disarm_faults():
-    """Fault-free baseline for this file, ambient spec restored after.
-
-    This file asserts *exact* retry/exception semantics, so an ambient
-    ``REPRO_FAULTS`` spec (the CI fault-injection leg) is parked before
-    each test and restored — never popped — afterwards, keeping the rest
-    of the suite's leg coverage intact and order-independent.
-    """
-    ambient = os.environ.get("REPRO_FAULTS")
-    configure_faults(None)
-    yield
-    configure_faults(ambient)
-
-
-class _FailNTimes:
-    """Fails the first ``n`` calls, then succeeds (serial-path only)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        if self.calls <= self.n:
-            raise ValueError(f"transient #{self.calls}")
-        return x
-
-
 def _cache_miss_probe(x):
     """One guaranteed cache miss per call (counter-delta merge probe)."""
     from repro.perf.cache import get_cache
 
     get_cache().load(f"{x:064x}")
     return x
-
-
-class TestResolveRetries:
-    def test_default_is_zero(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert resolve_retries(None) == 0
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        assert resolve_retries(None) == 3
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        assert resolve_retries(1) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_retries(-1)
-
-    def test_absurd_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_retries(MAX_RETRIES + 1)
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "lots")
-        with pytest.raises(ConfigurationError):
-            resolve_retries(None)
-
-
-class TestResolveTimeout:
-    def test_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMEOUT_S", raising=False)
-        assert resolve_timeout_s(None) is None
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT_S", "2.5")
-        assert resolve_timeout_s(None) == 2.5
-
-    def test_zero_means_no_timeout(self):
-        assert resolve_timeout_s(0) is None
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_timeout_s(-1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_timeout_s(float("nan"))
-        with pytest.raises(ConfigurationError):
-            resolve_timeout_s(float("inf"))
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT_S", "soon")
-        with pytest.raises(ConfigurationError):
-            resolve_timeout_s(None)
 
 
 class TestJobsCeiling:
@@ -200,149 +102,13 @@ class TestJobsCeiling:
         assert isinstance(info.value.__cause__, ValueError)
 
 
-class TestOutcomes:
-    def test_all_ok(self):
-        outcomes = fan_out_outcomes(_square, [2, 3], jobs=1)
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == [4, 9]
-        assert [o.index for o in outcomes] == [0, 1]
-        assert all(o.attempts == 1 for o in outcomes)
-
-    def test_failure_captured_not_raised(self):
-        outcomes = fan_out_outcomes(_fail_on_three, [1, 3], jobs=1)
-        ok, err = outcomes
-        assert isinstance(ok, Ok) and ok.value == 1
-        assert isinstance(err, Err) and not err.ok
-        assert isinstance(err.exception, ValueError)
-        assert err.attempts == 1
-
-    def test_single_attempt_err_reraises_original(self):
-        (err,) = fan_out_outcomes(_fail_on_three, [3], jobs=1)
-        with pytest.raises(ValueError, match="boom on 3"):
-            err.reraise()
-
-    def test_exhausted_err_reraises_retry_exhausted(self):
-        (err,) = fan_out_outcomes(
-            _fail_on_three, [3], jobs=1, retries=2, backoff_base_s=0.0
-        )
-        assert err.attempts == 3
-        with pytest.raises(RetryExhausted) as info:
-            err.reraise()
-        assert isinstance(info.value.__cause__, ValueError)
-
-
-class TestRetrySemantics:
-    def test_transient_failure_recovered_within_budget(self):
-        func = _FailNTimes(2)
-        (outcome,) = fan_out_outcomes(
-            func, [7], jobs=1, retries=2, backoff_base_s=0.0
-        )
-        assert outcome.ok and outcome.value == 7
-        assert outcome.attempts == 3
-        assert func.calls == 3
-
-    def test_zero_retries_fails_immediately(self):
-        func = _FailNTimes(1)
-        (outcome,) = fan_out_outcomes(func, [7], jobs=1, backoff_base_s=0.0)
-        assert not outcome.ok
-        assert func.calls == 1
-
-    def test_task_exception_budget_is_exact(self):
-        # Deterministic task failures must NOT get the infrastructure
-        # retry allowance: retries=1 means exactly 2 calls.
-        func = _FailNTimes(10)
-        (outcome,) = fan_out_outcomes(
-            func, [7], jobs=1, retries=1, backoff_base_s=0.0
-        )
-        assert not outcome.ok
-        assert func.calls == 2
-
-    def test_on_error_skip_keeps_partial_results(self):
-        out = fan_out(_fail_on_three, [1, 2, 3, 4], jobs=1, on_error="skip")
-        assert out == [1, 2, 4]
-
-    def test_on_error_retry_implies_budget_then_raises(self):
-        with pytest.raises(RetryExhausted, match="_fail_on_three"):
-            fan_out(_fail_on_three, [3], jobs=1, on_error="retry")
-
-    def test_on_error_retry_recovers_transients(self):
-        assert fan_out(_FailNTimes(2), [7], jobs=1, on_error="retry") == [7]
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ConfigurationError, match="on_error"):
-            fan_out(_square, [1], jobs=1, on_error="explode")
-
-
-def _find_fault_seed(kind, label, n_items, p, max_attempts):
-    """A seed where some first attempt fires but recovery is guaranteed.
-
-    Guaranteed means: some attempt level ``a < max_attempts`` exists at
-    which NO item fires.  That covers the worst schedule for a broken
-    pool — where unfinished items are charged in lockstep and a level
-    with any firing item can break the pool for everyone — as well as
-    the per-item case (hangs charge only the hung task).  Purely a
-    function of the hash, so the search — and therefore the whole test —
-    is deterministic.
-    """
-    for seed in range(500):
-        rule = FaultRule(kind=kind, p=p, seed=seed)
-        fired_first = any(
-            rule.fires(f"{label}:{i}:a0") for i in range(n_items)
-        )
-        clear_level = any(
-            not any(
-                rule.fires(f"{label}:{i}:a{a}") for i in range(n_items)
-            )
-            for a in range(max_attempts)
-        )
-        if fired_first and clear_level:
-            return seed
-    raise AssertionError("no suitable fault seed in range")
-
-
-class TestInjectedWorkerFaults:
-    def test_worker_kill_is_recovered(self):
-        # A killed worker breaks the pool; fan_out must resubmit the
-        # unfinished items and still return every result in order.
-        items = list(range(4))
-        seed = _find_fault_seed("worker_kill", "_square", len(items), 0.4, 3)
-        configure_faults(f"worker_kill:p=0.4,seed={seed}")
-        out = fan_out(_square, items, jobs=2)
-        assert out == [x * x for x in items]
-
-    def test_worker_kill_recovery_is_deterministic(self):
-        # Fault FIRING is a pure function of (seed, key), so repeated
-        # runs must recover the same values.  Attempt counts are NOT
-        # compared: which tasks a broken round charges depends on how
-        # far the pool got before dying, which is scheduling-dependent.
-        items = list(range(4))
-        seed = _find_fault_seed("worker_kill", "_square", len(items), 0.4, 3)
-        configure_faults(f"worker_kill:p=0.4,seed={seed}")
-        first = fan_out_outcomes(_square, items, jobs=2)
-        second = fan_out_outcomes(_square, items, jobs=2)
-        assert all(o.ok for o in first)
-        assert [o.value for o in first] == [o.value for o in second]
-
-    def test_task_hang_times_out_and_recovers(self):
-        # The hung attempt exceeds timeout_s; the retry re-rolls the
-        # fault key and completes.  Without the timeout this test would
-        # block for the full 30 s hang.
-        items = [0, 1]
-        seed = _find_fault_seed("task_hang", "_square", len(items), 0.5, 3)
-        configure_faults(f"task_hang:p=0.5,seed={seed},s=30")
-        out = fan_out(_square, items, jobs=2, timeout_s=0.5)
-        assert out == [0, 1]
-
-    def test_counter_deltas_survive_worker_failure(self):
-        # Each successful call performs exactly one cache miss inside a
-        # worker; merged deltas must equal the item count even when
-        # killed attempts (which never reach the probe) are retried.
+class TestCounterMerge:
+    def test_worker_cache_counters_merged_into_parent(self):
+        # Each call performs exactly one cache miss inside a worker; the
+        # parent's counters must see every one of them.
         from repro.perf.cache import get_cache
 
         items = list(range(4))
-        label = "_cache_miss_probe"
-        seed = _find_fault_seed("worker_kill", label, len(items), 0.4, 3)
-        configure_faults(f"worker_kill:p=0.4,seed={seed}")
         before = get_cache().counters.snapshot()
         out = fan_out(_cache_miss_probe, items, jobs=2)
         delta = get_cache().counters.diff(before)
@@ -366,7 +132,7 @@ class TestSerialFallback:
             out = fan_out(_square, [1, 2, 3], jobs=2)
         assert out == [1, 4, 9]
 
-    def test_fallback_preserves_retry_semantics(self, monkeypatch):
+    def test_fallback_propagates_item_exception(self, monkeypatch):
         import repro.perf.parallel as parallel_module
 
         class _NoPool:

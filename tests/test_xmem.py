@@ -90,6 +90,30 @@ class TestCharacterization:
         with pytest.raises(ProfileError):
             XMemRunner(skl, XMemConfig(sim_cores=100))
 
+    def test_sweep_rerun_resumes_from_sim_cache(
+        self, skl, monkeypatch, fresh_sim_cache
+    ):
+        runner = XMemRunner(skl, XMemConfig(levels=3, accesses_per_thread=300))
+        gaps = gap_sweep(3, max_gap_cycles=runner.config.max_gap_cycles)
+        measure = XMemRunner.measure_level
+
+        def interrupted(self_, gap_cycles):
+            if gap_cycles == gaps[2]:
+                raise RuntimeError("interrupted at level 3 of 3")
+            return measure(self_, gap_cycles)
+
+        monkeypatch.setattr(XMemRunner, "measure_level", interrupted)
+        with pytest.raises(RuntimeError, match="level 3 of 3"):
+            runner.sweep(jobs=1)
+        monkeypatch.setattr(XMemRunner, "measure_level", measure)
+
+        cache = fresh_sim_cache()
+        resumed = runner.sweep(jobs=1)
+        assert (cache.counters.hits, cache.counters.misses) == (2, 1)
+        cache = fresh_sim_cache()
+        assert runner.sweep(jobs=1) == resumed
+        assert (cache.counters.hits, cache.counters.misses) == (3, 0)
+
     def test_utilization_field(self, skl):
         runner = XMemRunner(skl, XMemConfig(levels=2, accesses_per_thread=500))
         m = runner.measure_level(0.0)

@@ -17,7 +17,6 @@ import time
 from conftest import pedantic_once
 
 from repro.machines import get_machine
-from repro.perf.cache import SimCache
 from repro.perfmodel.queueing import (
     analytic_profile,
     calibrate_from_probes,
@@ -50,15 +49,13 @@ def _fast_answer(machine, params):
     return profile, points
 
 
-def test_fast_characterize_speedup(benchmark, printed, tmp_path):
+def test_fast_characterize_speedup(benchmark, printed):
     """Analytic --fast answers >= 100x faster than the event engine."""
     machine = get_machine(MACHINE)
-    cache = SimCache(tmp_path, enabled=True)
     params = calibrate_from_probes(
         machine,
         sim_cores=SWEEP.sim_cores,
         accesses_per_thread=SWEEP.accesses_per_thread,
-        cache=cache,
     )
 
     profile, points = pedantic_once(benchmark, _fast_answer, machine, params)

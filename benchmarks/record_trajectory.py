@@ -169,33 +169,28 @@ def _analytic_speedup() -> dict:
     """Closed-form fast path vs uncached event-engine characterization.
 
     Per paper machine: wall time of one full ``--fast`` answer (probe
-    calibration cached, so what a warm query costs) against one uncached
-    event-engine X-Mem sweep — the exact work ``characterize --fast``
-    replaces.
+    calibration done beforehand, so what a warm query costs) against one
+    uncached event-engine X-Mem sweep — the exact work
+    ``characterize --fast`` replaces.
     """
-    import tempfile
-
     per_machine = {}
     config = XMemConfig(levels=6, accesses_per_thread=1500, batch=False)
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = SimCache(Path(tmp), enabled=True)
-        for machine in paper_machines():
-            params = calibrate_from_probes(
-                machine,
-                sim_cores=config.sim_cores,
-                accesses_per_thread=config.accesses_per_thread,
-                cache=cache,
-            )
-            start = time.perf_counter()
-            analytic_profile(machine, params)
-            fast_s = time.perf_counter() - start
-            runner = XMemRunner(machine, config)
-            sim_s = _uncached_sweep_seconds(runner)
-            per_machine[machine.name] = {
-                "fast_s": fast_s,
-                "sim_s": sim_s,
-                "speedup": sim_s / fast_s if fast_s > 0 else float("inf"),
-            }
+    for machine in paper_machines():
+        params = calibrate_from_probes(
+            machine,
+            sim_cores=config.sim_cores,
+            accesses_per_thread=config.accesses_per_thread,
+        )
+        start = time.perf_counter()
+        analytic_profile(machine, params)
+        fast_s = time.perf_counter() - start
+        runner = XMemRunner(machine, config)
+        sim_s = _uncached_sweep_seconds(runner)
+        per_machine[machine.name] = {
+            "fast_s": fast_s,
+            "sim_s": sim_s,
+            "speedup": sim_s / fast_s if fast_s > 0 else float("inf"),
+        }
     return per_machine
 
 

@@ -20,14 +20,15 @@ Commands mirror the paper's workflow:
   closed-form queueing model, falling back with a stated reason);
 * ``repro crossval-analytic`` — the analytic-vs-simulator error table
   backing the ``--fast`` error bounds (docs/QUEUEING.md);
-* ``repro cache stats`` — entry counts, bytes, and hit/miss tallies for
-  the SimStats + calibration stores;
+* ``repro cache stats`` — entry count, bytes, quarantined files, and
+  lifetime hit/miss tallies of the SimStats cache;
 * ``repro cache gc --max-bytes 500M --max-age 30d`` — evict cache
   entries oldest-first to fit a byte budget and/or age horizon.
 
 ``characterize`` and ``analyze`` accept ``--fast`` to answer from the
-calibrated closed form instead of simulating; the global ``-v`` prints
-solver diagnostics (segments examined, final residual).
+calibrated closed form instead of simulating.  The global ``-v`` prints
+solver diagnostics (segments examined, final residual) and, for
+``simulate``, the batch fast path's fallback reasons.
 """
 
 from __future__ import annotations
@@ -588,12 +589,9 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         return 0
     stats = collect_stats(cache)
     print(f"cache directory: {stats.cache_dir}")
-    for kind, usage in sorted(stats.usage.items()):
-        print(f"  {kind:<12s} {usage.entries:6d} entr(ies), {usage.total_bytes:10d} bytes")
     print(
-        f"  {'total':<12s} {stats.total_entries:6d} entr(ies), "
-        f"{stats.total_bytes:10d} bytes"
-        + (f", {stats.corrupt_entries} quarantined" if stats.corrupt_entries else "")
+        f"  total {stats.entries:6d} entr(ies), {stats.total_bytes:10d} bytes, "
+        f"{stats.corrupt_entries} quarantined"
     )
     tallies = stats.tallies
     print(
@@ -613,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="print solver diagnostics (segments examined, final residual)",
+        help="print solver diagnostics (segments examined, final residual) "
+        "and, for simulate, why the batch fast path fell back",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -670,8 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast",
         action="store_true",
         help="answer from the calibrated closed-form queueing model "
-        "(microseconds instead of a full simulated sweep; probe "
-        "calibration is cached per machine; declines with a stated "
+        "(milliseconds instead of a full simulated sweep once the five "
+        "probe runs are in the sim cache; declines with a stated "
         "reason under --sanitize)",
     )
     p_char.set_defaults(func=_cmd_characterize)
@@ -891,7 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser(
         "stats",
-        help="entry counts, bytes, and lifetime hit/miss tallies per store",
+        help="entry count, bytes, quarantined files, and lifetime "
+        "hit/miss tallies of the sim cache",
     ).set_defaults(func=_cmd_cache_stats)
     p_gc = cache_sub.add_parser(
         "gc",

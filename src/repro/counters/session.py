@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CounterUnavailableError
 from ..machines.spec import MachineSpec
@@ -63,10 +63,6 @@ class CounterSession:
     def supports(self, event: CounterEvent) -> bool:
         """Does this vendor expose ``event`` at all?"""
         return event in self._supported
-
-    def supported_events(self) -> Mapping[CounterEvent, NativeEvent]:
-        """All events this vendor can count."""
-        return dict(self._supported)
 
     # -- readings -----------------------------------------------------------------
 

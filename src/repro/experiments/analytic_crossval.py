@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 
 from ..machines.registry import paper_machines
 from ..machines.spec import MachineSpec
-from ..perf.cache import SimCache
+from ..memory.profile import LatencyProfile
 from ..perfmodel.queueing import (
     ANALYTIC_BW_ERROR_BOUND,
     ANALYTIC_LAT_ERROR_BOUND,
@@ -87,7 +87,8 @@ def _validate_cell(
     workload: Workload,
     machine: MachineSpec,
     params: QueueingParams,
-    runner: XMemRunner,
+    profile: LatencyProfile,
+    sim_cores: int,
 ) -> AnalyticCrossValRow:
     """Grade one workload × machine cell (profile/params precomputed)."""
     state = workload.base_state(machine)
@@ -95,11 +96,10 @@ def _validate_cell(
     if decision.eligible:
         trace = workload.generate_trace(
             machine,
-            spec=TraceSpec(threads=runner.config.sim_cores),
+            spec=TraceSpec(threads=sim_cores),
         )
         decision = trace_eligibility(trace)
 
-    profile = runner.characterize()
     reference = solve_operating_point(
         machine, state.demand_mlp, state.binding_level, curve=profile
     )
@@ -134,7 +134,6 @@ def crossval_analytic(
     machines: Optional[Sequence[MachineSpec]] = None,
     workloads: Optional[Sequence[Workload]] = None,
     xmem_config: Optional[XMemConfig] = None,
-    cache: Optional[SimCache] = None,
 ) -> List[AnalyticCrossValRow]:
     """Build the full analytic-vs-simulator error table.
 
@@ -147,17 +146,21 @@ def crossval_analytic(
     config = xmem_config or XMemConfig()
     rows: List[AnalyticCrossValRow] = []
     for machine in machines or paper_machines():
+        cells = [
+            w for w in workloads or ALL_WORKLOADS if machine.name in w.machines()
+        ]
+        if not cells:
+            continue
         params = calibrate_from_probes(
             machine,
             sim_cores=config.sim_cores,
             accesses_per_thread=config.accesses_per_thread,
-            cache=cache,
         )
-        runner = XMemRunner(machine, config)
-        for workload in workloads or ALL_WORKLOADS:
-            if machine.name not in workload.machines():
-                continue
-            rows.append(_validate_cell(workload, machine, params, runner))
+        profile = XMemRunner(machine, config).characterize()
+        rows.extend(
+            _validate_cell(workload, machine, params, profile, config.sim_cores)
+            for workload in cells
+        )
     return rows
 
 

@@ -52,7 +52,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Iterator, Optional, Tuple, Union
 
 from .. import __version__
 from ..analysis.sanitizer import sanitize_enabled
@@ -78,13 +78,8 @@ SCHEMA_VERSION = 4
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 
-#: Sim shards are two-hex-digit directories directly under the cache
-#: root; payload kinds must never collide with that namespace.
+#: Shards are two-hex-digit directories directly under the cache root.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
-
-#: Valid payload-kind names: python-identifier-ish, and (checked
-#: separately) never a two-hex-digit shard name.
-_KIND_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 #: Persistent hit/miss ledger file (JSON lines, one counter delta per
 #: flush) kept beside the shards.
@@ -221,11 +216,10 @@ def _env_enabled() -> bool:
 class SimCache:
     """Content-addressed store of :class:`~repro.sim.stats.SimStats`.
 
-    Also hosts a generic *payload* store for small JSON documents keyed
-    by ``(kind, digest)`` — e.g. the queueing-model calibrations of
-    :mod:`repro.perfmodel.queueing` — living under ``<cache_dir>/<kind>/``
-    so they share the sim store's sharding, atomic writes, quarantine
-    behavior, and counters without colliding with SimStats entries.
+    The only on-disk cache kind.  Derived results built from
+    simulations — latency profiles, the queueing-model probe
+    calibrations of :mod:`repro.perfmodel.queueing` — are not stored
+    separately: recomputing them replays their simulations from here.
     """
 
     __slots__ = ("cache_dir", "enabled", "counters", "_tally_base")
@@ -313,69 +307,6 @@ class SimCache:
             # recovery path stays exercised under the CI fault leg.
             injector.maybe_corrupt_file("cache_corrupt", digest, path)
             injector.maybe_corrupt_file("cache_truncate", digest, path)
-
-    # -- generic payload store (calibrations, ...) ---------------------------
-
-    @staticmethod
-    def _check_kind(kind: str) -> None:
-        """Reject kinds that could collide with the sim shard layout."""
-        if not _KIND_NAME.match(kind) or _SHARD_DIR.match(kind):
-            raise CacheKeyError(f"invalid payload kind {kind!r}")
-
-    def payload_path_for(self, digest: str, *, kind: str) -> Path:
-        """On-disk location of one ``(kind, digest)`` payload entry."""
-        self._check_kind(kind)
-        return self.cache_dir / kind / digest[:2] / f"{digest}.json"
-
-    def load_payload(self, digest: str, *, kind: str) -> Optional[Dict[str, Any]]:
-        """Fetch a stored JSON payload; corrupt entries are quarantined misses."""
-        if not self.enabled:
-            return None
-        path = self.payload_path_for(digest, kind=kind)
-        try:
-            doc = json.loads(path.read_text())
-            if doc.get("schema") != SCHEMA_VERSION or doc.get("digest") != digest:
-                raise ValueError("schema/digest mismatch")
-            payload = doc["payload"]
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not a JSON object")
-        except FileNotFoundError:
-            self.counters.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.counters.misses += 1
-            self.counters.errors += 1
-            quarantined = self._quarantine(path)
-            warnings.warn(
-                f"discarding corrupt {kind} cache entry {path.name}: {exc}"
-                + (f" (quarantined as {quarantined.name})" if quarantined else ""),
-                stacklevel=2,
-            )
-            return None
-        self.counters.hits += 1
-        return payload
-
-    def store_payload(
-        self, digest: str, payload: Dict[str, Any], *, kind: str
-    ) -> None:
-        """Persist one JSON payload atomically under its kind directory."""
-        if not self.enabled:
-            return
-        path = self.payload_path_for(digest, kind=kind)
-        doc = {"schema": SCHEMA_VERSION, "digest": digest, "payload": payload}
-        try:
-            from ..io.atomic import atomic_write_text
-
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps(doc))
-        except OSError as exc:
-            # Payloads are derived data: a full disk must not fail the run.
-            self.counters.errors += 1
-            warnings.warn(
-                f"could not write {kind} cache entry: {exc}", stacklevel=2
-            )
-            return
-        self.counters.stores += 1
 
     # -- persistent tallies ---------------------------------------------------
 
@@ -496,59 +427,41 @@ def cached_run_trace(
 # -- cache statistics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KindUsage:
-    """Entry count and byte footprint of one store kind on disk."""
-
-    entries: int
-    total_bytes: int
-
-
 @dataclass
 class CacheStats:
     """One snapshot of a cache directory's contents and accounting."""
 
     cache_dir: Path
-    #: Disk usage per store: ``"sim"`` plus one key per payload kind.
-    usage: Dict[str, KindUsage] = field(default_factory=dict)
-    #: Quarantined ``.corrupt`` files across all stores.
+    #: Stored SimStats entries and their byte footprint.
+    entries: int = 0
+    total_bytes: int = 0
+    #: Quarantined ``.corrupt`` files.
     corrupt_entries: int = 0
     #: Lifetime hit/miss tallies summed from the persistent ledger
     #: (includes the live handle's just-flushed counts).
     tallies: CacheCounters = field(default_factory=CacheCounters)
 
-    @property
-    def total_entries(self) -> int:
-        """All entries across every store kind."""
-        return sum(u.entries for u in self.usage.values())
 
-    @property
-    def total_bytes(self) -> int:
-        """All bytes across every store kind."""
-        return sum(u.total_bytes for u in self.usage.values())
+def _walk_shards(cache_dir: Path) -> Iterator[Tuple[Path, os.stat_result]]:
+    """Every entry and quarantine file in the digest shards, with its stat.
 
-
-def _scan_shards(root: Path) -> Tuple[int, int, int]:
-    """(entries, bytes, corrupt) across one store's shard directories."""
-    entries = total = corrupt = 0
-    if not root.is_dir():
-        return 0, 0, 0
-    for shard in sorted(root.iterdir()):
+    Yields ``.json`` entries and ``.corrupt`` files in sorted order;
+    files that vanish mid-scan (a concurrent run replacing or evicting
+    them) are skipped.
+    """
+    if not cache_dir.is_dir():
+        return
+    for shard in sorted(cache_dir.iterdir()):
         if not (shard.is_dir() and _SHARD_DIR.match(shard.name)):
             continue
         for entry in sorted(shard.iterdir()):
-            if entry.suffix == ".corrupt":
-                corrupt += 1
-                continue
-            if entry.suffix != ".json":
+            if entry.suffix not in (".json", ".corrupt"):
                 continue
             try:
-                size = entry.stat().st_size
+                st = entry.stat()
             except OSError:  # repro: noqa[RES001] - raced with concurrent eviction; skip the entry
                 continue
-            entries += 1
-            total += size
-    return entries, total, corrupt
+            yield entry, st
 
 
 def read_tallies(cache_dir: Path) -> CacheCounters:
@@ -590,18 +503,6 @@ class GcResult:
     kept_bytes: int
 
 
-def _store_roots(cache_dir: Path) -> Dict[str, Path]:
-    """Every store root: ``"sim"`` (the cache dir itself) plus kind dirs."""
-    roots = {"sim": cache_dir}
-    if cache_dir.is_dir():
-        for child in sorted(cache_dir.iterdir()):
-            if not child.is_dir() or _SHARD_DIR.match(child.name):
-                continue
-            if _KIND_NAME.match(child.name):
-                roots[child.name] = child
-    return roots
-
-
 def gc_cache(
     cache: Optional[SimCache] = None,
     *,
@@ -611,12 +512,10 @@ def gc_cache(
 ) -> GcResult:
     """Evict cache entries oldest-first until the limits hold.
 
-    Entries (sim results and payloads alike) are ranked by modification
-    time within every kind directory and across the whole cache — the
-    two orders agree because eviction is purely by age.  ``max_age_s``
-    removes every entry older than the horizon; ``max_bytes`` then
-    removes the oldest survivors until the remaining footprint fits the
-    budget.  Quarantined ``.corrupt`` files are forensic artifacts and
+    Entries are ranked by modification time across every shard.
+    ``max_age_s`` removes every entry older than the horizon;
+    ``max_bytes`` then removes the oldest survivors until the remaining
+    footprint fits the budget.  Quarantined ``.corrupt`` files are forensic artifacts and
     are never touched; empty shard directories left behind are pruned.
     Entries that vanish mid-scan (a concurrent run replacing them) are
     skipped — gc is best-effort by design, like every other maintenance
@@ -627,21 +526,11 @@ def gc_cache(
         import time
 
         now = time.time()
-    entries = []  # (mtime, size, path)
-    for root in _store_roots(handle.cache_dir).values():
-        if not root.is_dir():
-            continue
-        for shard in sorted(root.iterdir()):
-            if not (shard.is_dir() and _SHARD_DIR.match(shard.name)):
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.suffix != ".json":
-                    continue
-                try:
-                    st = entry.stat()
-                except OSError:  # repro: noqa[RES001] - raced with concurrent eviction; skip the entry
-                    continue
-                entries.append((st.st_mtime, st.st_size, entry))
+    entries = [
+        (st.st_mtime, st.st_size, path)
+        for path, st in _walk_shards(handle.cache_dir)
+        if path.suffix == ".json"
+    ]
     entries.sort(key=lambda e: (e[0], str(e[2])))
     total_bytes = sum(size for _, size, _ in entries)
     removed_entries = removed_bytes = 0
@@ -681,17 +570,11 @@ def collect_stats(cache: Optional[SimCache] = None) -> CacheStats:
     handle = cache if cache is not None else get_cache()
     handle.flush_tallies()
     stats = CacheStats(cache_dir=handle.cache_dir)
-    sim_entries, sim_bytes, corrupt = _scan_shards(handle.cache_dir)
-    stats.usage["sim"] = KindUsage(entries=sim_entries, total_bytes=sim_bytes)
-    stats.corrupt_entries = corrupt
-    if handle.cache_dir.is_dir():
-        for child in sorted(handle.cache_dir.iterdir()):
-            if not child.is_dir() or _SHARD_DIR.match(child.name):
-                continue
-            if not _KIND_NAME.match(child.name):
-                continue
-            entries, total, kind_corrupt = _scan_shards(child)
-            stats.usage[child.name] = KindUsage(entries=entries, total_bytes=total)
-            stats.corrupt_entries += kind_corrupt
+    for path, st in _walk_shards(handle.cache_dir):
+        if path.suffix == ".corrupt":
+            stats.corrupt_entries += 1
+        else:
+            stats.entries += 1
+            stats.total_bytes += st.st_size
     stats.tallies = read_tallies(handle.cache_dir)
     return stats

@@ -27,9 +27,10 @@ Calibration (:class:`QueueingParams`) comes either
 * from the machine's canonical latency model
   (:func:`calibrate_from_model` — deterministic, no simulation), or
 * from a handful of simulator probe runs
-  (:func:`calibrate_from_probes` — the honest measured route), with the
-  fitted parameters content-addressed in the :mod:`repro.perf.cache`
-  store so each machine is calibrated once and shared.
+  (:func:`calibrate_from_probes` — the honest measured route); each
+  probe is memoized in the :mod:`repro.perf.cache` SimStats store, so
+  a machine's probes are simulated once and a warm calibration is five
+  cache hits plus a least-squares fit.
 
 The closed form cannot cover everything; :func:`state_eligibility` and
 :func:`trace_eligibility` gate the fast path (SMT contention,
@@ -44,9 +45,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, ProfileError
+from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 from ..memory.latency_model import model_for_machine
 from ..memory.profile import LatencyProfile
@@ -54,13 +55,6 @@ from .solver import SolvedPoint, solve_operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.coltrace import ColumnarTrace
-
-#: Bump when the calibrated-parameter representation changes; enters the
-#: content-address so stale calibrations can never be replayed.
-QUEUEING_SCHEMA_VERSION = 1
-
-#: Payload kind under which calibrations live in the perf cache store.
-CALIBRATION_KIND = "calibration"
 
 #: Utilization at which the queueing term stops growing (keeps the
 #: closed form finite at u -> 1; operating points are capped at the
@@ -183,42 +177,6 @@ class QueueingParams:
             raise ConfigurationError("line_bytes must be positive")
         return self.latency_at_bandwidth(requests_per_s * line_bytes)
 
-    def saturation_rate(self, line_bytes: int) -> float:
-        """The achievable-ceiling injection rate (requests/s)."""
-        if line_bytes <= 0:
-            raise ConfigurationError("line_bytes must be positive")
-        return self.achievable_bw_bytes / line_bytes
-
-    # -- persistence -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form for the content-addressed calibration store."""
-        return {
-            "machine_name": self.machine_name,
-            "peak_bw_bytes": self.peak_bw_bytes,
-            "achievable_bw_bytes": self.achievable_bw_bytes,
-            "unloaded_latency_ns": self.unloaded_latency_ns,
-            "contention_ns": self.contention_ns,
-            "source": self.source,
-            "probes": self.probes,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "QueueingParams":
-        """Inverse of :meth:`to_dict` (raises on malformed documents)."""
-        try:
-            return cls(
-                machine_name=str(doc["machine_name"]),
-                peak_bw_bytes=float(doc["peak_bw_bytes"]),
-                achievable_bw_bytes=float(doc["achievable_bw_bytes"]),
-                unloaded_latency_ns=float(doc["unloaded_latency_ns"]),
-                contention_ns=float(doc["contention_ns"]),
-                source=str(doc.get("source", "unknown")),
-                probes=int(doc.get("probes", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProfileError(f"malformed calibration document: {exc}") from exc
-
 
 # -- calibration -----------------------------------------------------------------
 
@@ -276,67 +234,21 @@ def calibrate_from_model(
     )
 
 
-def calibration_digest(
-    machine: MachineSpec,
-    *,
-    probe_gaps: Sequence[float] = DEFAULT_PROBE_GAPS,
-    sim_cores: int = 2,
-    accesses_per_thread: int = 1500,
-) -> str:
-    """Content address of one machine's probe calibration.
-
-    Any physical input — the machine spec (including its latency
-    calibration points), the probe plan, or the calibration schema —
-    changes the digest, so a stale calibration can never be replayed.
-    """
-    from ..perf.cache import stable_digest
-
-    return stable_digest(
-        {
-            "harness": "queueing-calibration",
-            "schema": QUEUEING_SCHEMA_VERSION,
-            "machine": machine,
-            "probe_gaps": [float(g) for g in probe_gaps],
-            "sim_cores": sim_cores,
-            "accesses_per_thread": accesses_per_thread,
-        }
-    )
-
-
 def calibrate_from_probes(
     machine: MachineSpec,
     *,
     probe_gaps: Sequence[float] = DEFAULT_PROBE_GAPS,
     sim_cores: int = 2,
     accesses_per_thread: int = 1500,
-    cache: Optional[Any] = None,
 ) -> QueueingParams:
     """Calibrate the closed form from a handful of simulator probe runs.
 
     Runs :data:`DEFAULT_PROBE_GAPS`-many X-Mem-style load levels through
-    the discrete-event simulator (each level itself memoized in the
-    SimStats cache), fits ``L0`` and ``A`` to the measured (bandwidth,
-    latency) samples, and content-addresses the fitted parameters in the
-    :mod:`repro.perf.cache` store under :data:`CALIBRATION_KIND` — so
-    the probes run once per machine ever, and every later ``--fast``
-    query answers from the stored closed form.
+    the discrete-event simulator and fits ``L0`` and ``A`` to the
+    measured (bandwidth, latency) samples.  Each probe goes through the
+    SimStats cache, so the probes are simulated once per machine and a
+    warm calibration replays them — five cache hits — and refits.
     """
-    from ..perf.cache import get_cache
-
-    handle = cache if cache is not None else get_cache()
-    digest = calibration_digest(
-        machine,
-        probe_gaps=probe_gaps,
-        sim_cores=sim_cores,
-        accesses_per_thread=accesses_per_thread,
-    )
-    stored = handle.load_payload(digest, kind=CALIBRATION_KIND)
-    if stored is not None:
-        try:
-            return QueueingParams.from_dict(stored)
-        except ProfileError:
-            pass  # malformed payload: recalibrate and re-store below
-
     from ..xmem.runner import XMemConfig, XMemRunner
 
     runner = XMemRunner(
@@ -353,7 +265,7 @@ def calibrate_from_probes(
     unloaded = min(m.latency_ns for m in measurements)
     peak = machine.memory.peak_bw_bytes
     pairs = [(m.bandwidth_bytes / peak, m.latency_ns) for m in measurements]
-    params = QueueingParams(
+    return QueueingParams(
         machine_name=machine.name,
         peak_bw_bytes=peak,
         achievable_bw_bytes=machine.memory.achievable_bw_bytes,
@@ -362,8 +274,6 @@ def calibrate_from_probes(
         source="probes",
         probes=len(measurements),
     )
-    handle.store_payload(digest, params.to_dict(), kind=CALIBRATION_KIND)
-    return params
 
 
 # -- the closed-form solve -------------------------------------------------------
@@ -494,18 +404,15 @@ def trace_eligibility(trace: ColumnarTrace) -> FastPathDecision:
 __all__ = [
     "ANALYTIC_BW_ERROR_BOUND",
     "ANALYTIC_LAT_ERROR_BOUND",
-    "CALIBRATION_KIND",
     "DEFAULT_PROBE_GAPS",
     "FastPathDecision",
     "PATHOLOGICAL_GAP_CV",
     "PREFETCH_DOMINATED_FRACTION",
-    "QUEUEING_SCHEMA_VERSION",
     "QueueingParams",
     "UTILIZATION_CAP",
     "analytic_profile",
     "calibrate_from_model",
     "calibrate_from_probes",
-    "calibration_digest",
     "solve_operating_point_fast",
     "state_eligibility",
     "trace_eligibility",

@@ -99,29 +99,6 @@ class StreamPrefetcher:
             self._page_of(line_addr), line_addr // self.line_bytes
         )
 
-    def observe_batch(self, line_addrs: np.ndarray) -> List[Tuple[int, List[int]]]:
-        """Feed a vector of demand line addresses in one call.
-
-        The per-access address arithmetic (page extraction, line
-        numbering) is vectorized; the stream-table transitions replay in
-        order so the final tracker state and every emitted candidate are
-        identical to sequential :meth:`observe` calls.  Returns
-        ``(batch_index, candidates)`` pairs for exactly the accesses
-        whose sequential call would return a non-empty candidate list,
-        in batch order.
-        """
-        if not self.enabled or not len(line_addrs):
-            return []
-        pages = (line_addrs >> 12).tolist()
-        line_nos = (line_addrs // self.line_bytes).tolist()
-        triggers: List[Tuple[int, List[int]]] = []
-        observe_one = self._observe_one
-        for i, (page, line_no) in enumerate(zip(pages, line_nos)):
-            candidates = observe_one(page, line_no)
-            if candidates:
-                triggers.append((i, candidates))
-        return triggers
-
     def _observe_one(self, page: int, line_no: int) -> List[int]:
         """Table transition for one observed demand line (enabled path)."""
         self._seq += 1

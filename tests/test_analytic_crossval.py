@@ -13,24 +13,20 @@ from repro.experiments.analytic_crossval import (
     rows_to_json,
     table_ok,
 )
-from repro.perf.cache import SimCache
 from repro.perfmodel.queueing import (
     ANALYTIC_BW_ERROR_BOUND,
     ANALYTIC_LAT_ERROR_BOUND,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
-from repro.xmem.runner import XMemConfig
+from repro.xmem.runner import XMemConfig, XMemRunner
 
 LIGHT = XMemConfig(levels=6, accesses_per_thread=1200)
 
 
 @pytest.fixture(scope="module")
-def rows(skl, tmp_path_factory):
-    cache = SimCache(tmp_path_factory.mktemp("crossval-cache"), enabled=True)
+def rows(skl):
     picked = [get_workload(name) for name in ("isx", "comd", "minighost")]
-    return crossval_analytic(
-        machines=[skl], workloads=picked, xmem_config=LIGHT, cache=cache
-    )
+    return crossval_analytic(machines=[skl], workloads=picked, xmem_config=LIGHT)
 
 
 class TestCrossValTable:
@@ -80,6 +76,21 @@ class TestCrossValTable:
         assert doc["bounds"]["bandwidth_rel_error"] == ANALYTIC_BW_ERROR_BOUND
         assert len(doc["rows"]) == len(rows)
         assert all("within_bound" in r for r in doc["rows"])
+
+
+def test_reference_profile_built_once_per_machine(skl, knl, monkeypatch):
+    """Every workload row of a machine shares one X-Mem characterization."""
+    calls = []
+    characterize = XMemRunner.characterize
+
+    def counting(runner, *args, **kwargs):
+        calls.append(runner.machine.name)
+        return characterize(runner, *args, **kwargs)
+
+    monkeypatch.setattr(XMemRunner, "characterize", counting)
+    rows = crossval_analytic(machines=[skl, knl], xmem_config=LIGHT)
+    assert len(rows) == 12  # six workload rows per machine
+    assert calls == ["skl", "knl"]
 
 
 def test_full_grid_shape_is_six_by_three():

@@ -1,8 +1,7 @@
 """Cache garbage collection: ``gc_cache`` and ``repro cache gc``.
 
 The gc contract (docs in :mod:`repro.perf.cache`): entries are evicted
-oldest-first, uniformly across the sim store and every payload-kind
-directory; ``--max-age`` removes entries older than the horizon,
+oldest-first across every digest shard; ``--max-age`` removes entries older than the horizon,
 ``--max-bytes`` then trims the oldest survivors until the footprint
 fits; quarantined ``.corrupt`` files are forensic artifacts and are
 never deleted; emptied shard directories are pruned.
@@ -16,12 +15,9 @@ from repro.cli import _parse_age, _parse_size, main
 from repro.perf.cache import SimCache, collect_stats, configure_cache, gc_cache
 
 
-def _plant(cache_dir, kind, digest, *, mtime, body=b"x" * 50):
+def _plant(cache_dir, digest, *, mtime, body=b"x" * 50):
     """Write one fake cache entry with a controlled modification time."""
-    if kind == "sim":
-        shard = cache_dir / digest[:2]
-    else:
-        shard = cache_dir / kind / digest[:2]
+    shard = cache_dir / digest[:2]
     shard.mkdir(parents=True, exist_ok=True)
     path = shard / f"{digest}.json"
     path.write_bytes(body)
@@ -31,20 +27,20 @@ def _plant(cache_dir, kind, digest, *, mtime, body=b"x" * 50):
 
 @pytest.fixture
 def planted(tmp_path):
-    """A cache with five entries of known ages across two stores.
+    """A cache with five entries of known ages in five shards.
 
-    Ages (seconds before ``NOW``): sim aa..=500, sim bb..=400,
-    queueing cc..=300, sim dd..=200, queueing ee..=100.  Each entry is
-    50 bytes, so the total footprint is 250 bytes.
+    Ages (seconds before ``NOW``): aa..=500, bb..=400, cc..=300,
+    dd..=200, ee..=100.  Each entry is 50 bytes, so the total footprint
+    is 250 bytes.
     """
     cache = SimCache(tmp_path, enabled=True)
     now = 1_000_000.0
     paths = {
-        "aa": _plant(tmp_path, "sim", "aa11", mtime=now - 500),
-        "bb": _plant(tmp_path, "sim", "bb22", mtime=now - 400),
-        "cc": _plant(tmp_path, "queueing", "cc33", mtime=now - 300),
-        "dd": _plant(tmp_path, "sim", "dd44", mtime=now - 200),
-        "ee": _plant(tmp_path, "queueing", "ee55", mtime=now - 100),
+        "aa": _plant(tmp_path, "aa11", mtime=now - 500),
+        "bb": _plant(tmp_path, "bb22", mtime=now - 400),
+        "cc": _plant(tmp_path, "cc33", mtime=now - 300),
+        "dd": _plant(tmp_path, "dd44", mtime=now - 200),
+        "ee": _plant(tmp_path, "ee55", mtime=now - 100),
     }
     return cache, now, paths
 
@@ -58,10 +54,10 @@ class TestGcCache:
         assert result.kept_bytes == 250
         assert all(p.exists() for p in paths.values())
 
-    def test_max_age_evicts_across_kind_dirs(self, planted):
+    def test_max_age_evicts_across_shards(self, planted):
         cache, now, paths = planted
         result = gc_cache(cache, max_age_s=250.0, now=now)
-        assert result.removed_entries == 3  # aa, bb, and queueing cc
+        assert result.removed_entries == 3  # aa, bb, and cc
         assert result.removed_bytes == 150
         assert not paths["aa"].exists() and not paths["cc"].exists()
         assert paths["dd"].exists() and paths["ee"].exists()
@@ -88,7 +84,7 @@ class TestGcCache:
     def test_corrupt_quarantine_is_preserved(self, tmp_path):
         cache = SimCache(tmp_path, enabled=True)
         now = 1_000_000.0
-        _plant(tmp_path, "sim", "aa11", mtime=now - 500)
+        _plant(tmp_path, "aa11", mtime=now - 500)
         corrupt = tmp_path / "aa" / "aa11.json.corrupt"
         corrupt.write_bytes(b"forensics")
         os.utime(corrupt, (now - 900, now - 900))
@@ -105,13 +101,13 @@ class TestGcCache:
             assert not path.parent.exists()
         # Stats over the emptied cache still work.
         stats = collect_stats(cache)
-        assert stats.total_entries == 0
+        assert stats.entries == 0
 
     def test_result_matches_collect_stats(self, planted):
         cache, now, _ = planted
         result = gc_cache(cache, max_bytes=120, now=now)
         stats = collect_stats(cache)
-        assert stats.total_entries == result.kept_entries
+        assert stats.entries == result.kept_entries
         assert stats.total_bytes == result.kept_bytes
 
 
@@ -161,8 +157,8 @@ class TestCacheGcCli:
     def test_evicts_and_reports(self, _scoped_cache, capsys):
         tmp_path = _scoped_cache
         now = 1_000_000.0
-        _plant(tmp_path, "sim", "aa11", mtime=now - 500)
-        _plant(tmp_path, "queueing", "bb22", mtime=now - 100)
+        _plant(tmp_path, "aa11", mtime=now - 500)
+        _plant(tmp_path, "bb22", mtime=now - 100)
         assert main(["cache", "gc", "--max-bytes", "60"]) == 0
         out = capsys.readouterr().out
         assert "evicted 1 entr(ies), 50 bytes" in out

@@ -1,18 +1,13 @@
-"""Payload store, persistent tallies, and stats scan (repro.perf.cache).
+"""Persistent tallies and the stats scan (repro.perf.cache).
 
-The generic ``(kind, digest)`` payload store hosts the queueing-model
-calibrations beside the SimStats shards; these tests pin its layout
-(never colliding with the two-hex sim shards), quarantine behavior,
-the append-only tallies ledger, and the ``repro cache stats`` scan.
+Pins the append-only hit/miss ledger and the ``repro cache stats`` scan
+of the digest shards.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.errors import CacheKeyError
 from repro.perf.cache import (
     CacheCounters,
     SimCache,
@@ -27,58 +22,6 @@ DIGEST = stable_digest({"payload": "unit"})
 @pytest.fixture
 def cache(tmp_path):
     return SimCache(tmp_path, enabled=True)
-
-
-class TestPayloadStore:
-    def test_round_trip(self, cache):
-        doc = {"a": 1, "b": [1.5, 2.5]}
-        cache.store_payload(DIGEST, doc, kind="calibration")
-        assert cache.load_payload(DIGEST, kind="calibration") == doc
-        assert cache.counters.hits == 1 and cache.counters.stores == 1
-
-    def test_missing_is_miss(self, cache):
-        assert cache.load_payload(DIGEST, kind="calibration") is None
-        assert cache.counters.misses == 1
-
-    def test_kind_namespaces_are_disjoint(self, cache):
-        cache.store_payload(DIGEST, {"k": "one"}, kind="calibration")
-        assert cache.load_payload(DIGEST, kind="other-kind") is None
-        assert cache.load_payload(DIGEST, kind="calibration") == {"k": "one"}
-
-    def test_layout_never_collides_with_sim_shards(self, cache):
-        path = cache.payload_path_for(DIGEST, kind="calibration")
-        # kind dir sits beside the two-hex shard dirs, never inside them
-        assert path.parent.parent.name == "calibration"
-        assert path.parent.parent.parent == cache.cache_dir
-
-    @pytest.mark.parametrize("bad", ["ab", "1f", "", "has space", ".dot", "a/b"])
-    def test_invalid_kinds_rejected(self, cache, bad):
-        with pytest.raises(CacheKeyError):
-            cache.payload_path_for(DIGEST, kind=bad)
-
-    def test_corrupt_payload_quarantined(self, cache):
-        cache.store_payload(DIGEST, {"ok": True}, kind="calibration")
-        path = cache.payload_path_for(DIGEST, kind="calibration")
-        path.write_text("garbage{")
-        with pytest.warns(UserWarning, match="corrupt calibration"):
-            assert cache.load_payload(DIGEST, kind="calibration") is None
-        assert path.with_suffix(".corrupt").exists()
-        assert not path.exists()
-
-    def test_wrong_digest_rejected(self, cache):
-        path = cache.payload_path_for(DIGEST, kind="calibration")
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            json.dumps({"schema": 3, "digest": "not-it", "payload": {}})
-        )
-        with pytest.warns(UserWarning):
-            assert cache.load_payload(DIGEST, kind="calibration") is None
-
-    def test_disabled_cache_is_inert(self, tmp_path):
-        cache = SimCache(tmp_path, enabled=False)
-        cache.store_payload(DIGEST, {"a": 1}, kind="calibration")
-        assert cache.load_payload(DIGEST, kind="calibration") is None
-        assert not any(tmp_path.iterdir())
 
 
 class TestTallies:
@@ -113,23 +56,24 @@ class TestTallies:
 
 
 class TestCollectStats:
-    def test_scan_counts_both_stores(self, cache):
-        cache.store_payload(DIGEST, {"a": 1}, kind="calibration")
+    def test_scan_counts_entries_and_quarantine(self, cache):
         shard = cache.cache_dir / DIGEST[:2]
         shard.mkdir(parents=True, exist_ok=True)
         (shard / f"{DIGEST}.json").write_text("{}")
         (shard / "dead.corrupt").write_text("x")
+        # Anything outside the two-hex shards is not an entry.
+        stray = cache.cache_dir / "calibration" / DIGEST[:2]
+        stray.mkdir(parents=True)
+        (stray / f"{DIGEST}.json").write_text("{}")
         cache.counters.misses += 4
         stats = collect_stats(cache)
-        assert stats.usage["sim"].entries == 1
-        assert stats.usage["calibration"].entries == 1
-        assert stats.total_entries == 2
-        assert stats.total_bytes > 0
+        assert stats.entries == 1
+        assert stats.total_bytes == 2
         assert stats.corrupt_entries == 1
         # collect_stats flushes the live counters into the ledger first.
         assert stats.tallies.misses == 4
 
     def test_scan_of_empty_dir(self, cache):
         stats = collect_stats(cache)
-        assert stats.total_entries == 0
-        assert stats.usage["sim"].entries == 0
+        assert stats.entries == 0
+        assert stats.total_bytes == 0

@@ -48,6 +48,25 @@ class TestCharacterizeFast:
         assert doc["machine"] == "skl"
         assert doc["source"] == "analytic"
 
+    def test_warm_calibration_replays_probes_from_sim_cache(
+        self, capsys, fresh_sim_cache
+    ):
+        args = ["characterize", "--machine", "skl", "--fast"]
+
+        def profile(out):
+            return out[out.index("latency profile") : out.index("analytic fast path")]
+
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert "sim cache: 0 hit(s), 5 miss(es), 5 stored" in cold
+
+        # A rerun in a new process sees the same directory, zeroed counters.
+        fresh_sim_cache()
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "sim cache: 5 hit(s), 0 miss(es), 0 stored" in warm
+        assert profile(warm) == profile(cold)
+
     def test_fast_declines_under_sanitize(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         code = main(
@@ -123,10 +142,12 @@ class TestCrossValAnalytic:
 class TestCacheStats:
     def test_stats_lists_stores(self, capsys):
         assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "cache directory:" in out
-        assert "total" in out
-        assert "lifetime tallies:" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("cache directory:")
+        assert out[1].split()[0] == "total"
+        assert "entr(ies)" in out[1] and "quarantined" in out[1]
+        assert out[2].startswith("lifetime tallies:")
+        assert len(out) == 3
 
     def test_stats_with_cache_disabled(self, capsys, monkeypatch):
         from repro.perf.cache import configure_cache

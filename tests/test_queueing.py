@@ -14,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ProfileError
+from repro.errors import ConfigurationError
 from repro.machines.registry import get_machine, machine_names
-from repro.perf.cache import SimCache
 from repro.perfmodel.queueing import (
-    CALIBRATION_KIND,
     QueueingParams,
     analytic_profile,
     calibrate_from_model,
     calibrate_from_probes,
-    calibration_digest,
     solve_operating_point_fast,
     state_eligibility,
     trace_eligibility,
@@ -175,14 +172,6 @@ class TestCalibration:
         with pytest.raises(ConfigurationError):
             QueueingParams("m", 1e9, 1e9, 100.0, -1.0)
 
-    def test_dict_round_trip(self):
-        params = _params("knl")
-        assert QueueingParams.from_dict(params.to_dict()) == params
-
-    def test_from_dict_rejects_malformed(self):
-        with pytest.raises(ProfileError):
-            QueueingParams.from_dict({"machine_name": "x"})
-
     def test_latency_rejects_bad_utilization(self):
         params = _params("skl")
         with pytest.raises(ConfigurationError):
@@ -190,35 +179,29 @@ class TestCalibration:
         with pytest.raises(ConfigurationError):
             params.latency_ns(math.nan)
 
-    def test_probe_calibration_cached(self, tmp_path):
+    def test_probe_calibration_cached(self, fresh_sim_cache):
         spec = get_machine("skl")
-        cache = SimCache(tmp_path, enabled=True)
-        first = calibrate_from_probes(spec, cache=cache)
+        first = calibrate_from_probes(spec)
         assert first.source == "probes" and first.probes == 5
-        before = cache.counters.snapshot()
-        second = calibrate_from_probes(spec, cache=cache)
+        cache = fresh_sim_cache()
+        second = calibrate_from_probes(spec)
         assert second == first
-        # The warm call is one payload hit, zero new simulations.
-        delta = cache.counters.diff(before)
-        assert delta.hits == 1 and delta.stores == 0
+        # The warm call replays all five probes from the sim cache.
+        counters = cache.counters
+        assert (counters.hits, counters.misses, counters.stores) == (5, 0, 0)
 
-    def test_corrupt_calibration_recovers(self, tmp_path):
+    def test_corrupt_calibration_recovers(self, fresh_sim_cache):
         spec = get_machine("skl")
-        cache = SimCache(tmp_path, enabled=True)
-        first = calibrate_from_probes(spec, cache=cache)
-        digest = calibration_digest(spec)
-        path = cache.payload_path_for(digest, kind=CALIBRATION_KIND)
+        first = calibrate_from_probes(spec)
+        cache = fresh_sim_cache()
+        path = next(cache.cache_dir.glob("[0-9a-f][0-9a-f]/*.json"))
         path.write_text("{definitely not json")
-        with pytest.warns(UserWarning, match="corrupt calibration"):
-            second = calibrate_from_probes(spec, cache=cache)
+        with pytest.warns(UserWarning, match="corrupt sim-cache entry"):
+            second = calibrate_from_probes(spec)
         assert second == first
         assert path.with_suffix(".corrupt").exists()
-
-    def test_digest_depends_on_probe_plan(self):
-        spec = get_machine("skl")
-        assert calibration_digest(spec) != calibration_digest(
-            spec, probe_gaps=(100.0, 10.0)
-        )
+        counters = cache.counters
+        assert (counters.hits, counters.misses, counters.stores) == (4, 1, 1)
 
 
 class TestEligibility:

@@ -10,7 +10,7 @@ pure event-engine run.  The property is exercised three ways:
   hardware-prefetch, and TLB settings;
 * the six paper workloads on all three modeled machines;
 * element-wise unit properties of the vectorized probe surfaces
-  (``probe_batch``/``touch_batch``/``observe_batch``) against their
+  (``probe_batch``/``touch_batch``/``observe_replay``) against their
   scalar counterparts, including aliasing within a batch.
 """
 
@@ -314,20 +314,40 @@ class TestTlbProbeSurface:
         assert batch_tlb.stats.hits == scalar_tlb.stats.hits
 
 
-class TestPrefetcherBatchObserve:
-    """observe_batch replays the same table updates as sequential observe."""
+class TestPrefetcherObserveReplay:
+    """observe_replay stops where sequential observe first emits, and a
+    restore + prefix replay leaves the tracker sequential observes would."""
+
+    @staticmethod
+    def _warm(lines):
+        pf = StreamPrefetcher(64, degree=2, distance=4)
+        for line in lines:
+            pf.observe(line)
+        return pf
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 200))
-    def test_observe_batch_matches_sequential(self, seed, n):
+    def test_observe_replay_matches_sequential(self, seed, n):
         rng = np.random.default_rng(seed)
-        batch_pf = StreamPrefetcher(64, degree=2, distance=4)
-        scalar_pf = StreamPrefetcher(64, degree=2, distance=4)
         base = rng.integers(0, 1 << 20) * 64
         steps = rng.integers(-2, 3, n).astype(np.int64)
         lines = (base + np.maximum(np.cumsum(steps), 0) * 64).astype(np.uint64)
-        batched = dict(batch_pf.observe_batch(lines))
-        for i, line in enumerate(lines.tolist()):
-            candidates = scalar_pf.observe(int(line))
-            assert batched.get(i, []) == candidates
-        assert batch_pf._streams.keys() == scalar_pf._streams.keys()
+        # A few random lines first, so the snapshot holds live streams.
+        warmup = (rng.integers(0, 1 << 20, 8) * 64).tolist()
+
+        replay_pf = self._warm(warmup)
+        scalar_pf = self._warm(warmup)
+        snap = replay_pf.snapshot()
+        first = replay_pf.observe_replay(lines)
+        emitting = [
+            i for i, line in enumerate(lines.tolist()) if scalar_pf.observe(line)
+        ]
+        assert first == (emitting[0] if emitting else None)
+        if first is None:
+            assert replay_pf.snapshot() == scalar_pf.snapshot()
+
+        prefix = lines if first is None else lines[:first]
+        replay_pf.restore(snap)
+        assert replay_pf.observe_replay(prefix) is None
+        sequential = self._warm(warmup + prefix.tolist())
+        assert replay_pf.snapshot() == sequential.snapshot()

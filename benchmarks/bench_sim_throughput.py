@@ -1,8 +1,9 @@
 """E-P1: raw simulator throughput (events/sec) and cache/parallel wins.
 
 Guards the hot-loop fast path in ``repro.sim``: a regression in the
-event loop, MSHR bookkeeping, or cache-array indexing shows up here as
-an events/sec drop long before it is visible in the paper tables.
+event loop, MSHR bookkeeping, cache-array indexing or the per-admission
+latency lookup shows up here as an events/sec drop long before it is
+visible in the paper tables.
 Also times the ``repro.perf`` layer itself: a warm content-addressed
 cache must beat re-simulation by a wide margin, and the batch-stepping
 fast path must beat the pure event engine on hit-heavy work.
@@ -12,12 +13,15 @@ heavily shared CI hosts).
 """
 
 import os
+import time
 
+import numpy as np
 import pytest
 
 from conftest import pedantic_once
 
 from repro.machines import get_machine
+from repro.memory import model_for_machine
 from repro.perf.cache import SimCache, cached_run_trace, digest_for
 from repro.sim import SimConfig, run_trace
 from repro.xmem.kernels import resident_trace, scatter_trace, throughput_trace
@@ -40,6 +44,11 @@ BATCH_SPEEDUP_FLOOR = 5.0
 MISS_BATCH_SPEEDUP_FLOOR = float(
     os.environ.get("REPRO_BENCH_FLOOR_MISS_BATCH", "3.0")
 )
+
+#: The scalar latency lookup (pure-Python ``bisect`` interpolation) must
+#: beat the ``np.interp`` reference it replaced by this factor.  A
+#: same-process ratio, so host speed cancels out.
+LATENCY_LOOKUP_SPEEDUP_FLOOR = 4.0
 
 
 def _inputs(machine_name):
@@ -166,3 +175,46 @@ def test_digest_cost_is_cheap_relative_to_simulation(benchmark):
     digest = pedantic_once(benchmark, digest_for, trace, config)
     assert len(digest) == 64
     assert benchmark.stats.stats.mean < 0.4
+
+
+def _numpy_latency_ns(model, utilization):
+    """The tabulated lookup as written against numpy: the speed reference."""
+    utils = np.array([p[0] for p in model.points])
+    lats = np.array([p[1] for p in model.points])
+    value = float(np.interp(min(utilization, 1.0), utils, lats))
+    return float(min(max(value, lats[0]), lats[-1]))
+
+
+def _best_times(lookups, utils, repeats=15):
+    """Fastest pass of each lookup over ``utils``; passes interleaved so
+    a burst of host noise hits both lookups alike."""
+    best = [float("inf")] * len(lookups)
+    for _ in range(repeats):
+        for i, lookup in enumerate(lookups):
+            start = time.perf_counter()
+            for u in utils:
+                lookup(u)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("machine_name", ["skl", "knl", "a64fx"])
+def test_latency_lookup_speedup(printed, machine_name):
+    """Per-admission latency lookup: >= 4x over the np.interp reference."""
+    model = model_for_machine(get_machine(machine_name))
+    utils = np.random.default_rng(19).uniform(0.0, 1.0, 1000).tolist()
+    assert [model.latency_ns(u) for u in utils] == [
+        _numpy_latency_ns(model, u) for u in utils
+    ]
+    scalar_s, reference_s = _best_times(
+        [model.latency_ns, lambda u: _numpy_latency_ns(model, u)], utils
+    )
+    speedup = reference_s / scalar_s
+    key = f"latency-lookup-{machine_name}"
+    if key not in printed:
+        printed.add(key)
+        print(
+            f"\n{machine_name} latency lookup: {scalar_s * 1e3:.2f} us/call vs "
+            f"np.interp {reference_s * 1e3:.2f} us/call = {speedup:.1f}x"
+        )
+    assert speedup >= LATENCY_LOOKUP_SPEEDUP_FLOOR

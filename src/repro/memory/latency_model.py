@@ -27,7 +27,10 @@ far out-of-range queries raise.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence, Tuple
 
 import numpy as np
@@ -51,8 +54,41 @@ class LatencyModel(Protocol):
         ...
 
 
+def interp_scalar(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """``float(np.interp(x, xp, fp))`` for one finite ``x``, in pure Python.
+
+    Replays numpy's compiled per-element step, so the result is
+    bit-identical while skipping the array round trip: flat ``fp[0]`` /
+    ``fp[-1]`` outside ``[xp[0], xp[-1]]``, the breakpoint value itself
+    at ``x == xp[j]``, otherwise ``slope * (x - xp[j]) + fp[j]`` with
+    ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, retried from the
+    right-hand point when that is NaN (an overflowed slope times zero).
+    ``xp`` must be strictly increasing.
+    """
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1:
+        return fp[j]
+    x0 = xp[j]
+    y0 = fp[j]
+    if x == x0:
+        return y0
+    x1 = xp[j + 1]
+    y1 = fp[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    value = slope * (x - x0) + y0
+    if value != value:
+        value = slope * (x - x1) + y1
+        if value != value and y0 == y1:
+            value = y0
+    return value
+
+
 def _check_utilization(utilization: float) -> float:
-    if not np.isfinite(utilization):
+    if 0.0 <= utilization <= 1.0:
+        return utilization  # the common case, and NaN fails it
+    if not math.isfinite(utilization):
         raise ProfileDomainError(f"utilization must be finite, got {utilization}")
     if utilization < 0.0:
         raise ProfileDomainError(f"utilization must be >= 0, got {utilization}")
@@ -123,6 +159,18 @@ class TabulatedLatencyModel:
             raise ProfileError("loaded latency must be non-decreasing in load")
         object.__setattr__(self, "points", ordered)
 
+    # The breakpoint columns are split once, not per lookup.  Cached
+    # properties rather than fields: equality, repr and cache-key
+    # canonicalization still see only ``points``.
+
+    @cached_property
+    def _utils(self) -> Tuple[float, ...]:
+        return tuple(u for u, _ in self.points)
+
+    @cached_property
+    def _lats(self) -> Tuple[float, ...]:
+        return tuple(lat for _, lat in self.points)
+
     @property
     def idle_latency_ns(self) -> float:
         """Latency at the lowest calibrated load (extrapolated flat to 0)."""
@@ -136,29 +184,33 @@ class TabulatedLatencyModel:
     def latency_ns(self, utilization: float) -> float:
         """Interpolated loaded latency at ``utilization``."""
         u = _check_utilization(utilization)
-        utils = np.array([p[0] for p in self.points])
-        lats = np.array([p[1] for p in self.points])
-        # np.interp clamps flat outside the domain, which is the right
-        # behaviour at both ends (idle below, saturated above).  The
-        # explicit clamp guards against float-overflow artifacts when
-        # control points are pathologically close together: physically
-        # the value must lie within the calibrated range.
-        value = float(np.interp(u, utils, lats))
-        return float(min(max(value, lats[0]), lats[-1]))
+        lats = self._lats
+        value = interp_scalar(u, self._utils, lats)
+        # The interpolation is flat outside the domain, which is the
+        # right behaviour at both ends (idle below, saturated above).
+        # This clamp, min(max(value, lats[0]), lats[-1]) spelled out,
+        # guards against float-overflow artifacts when control points
+        # are pathologically close together: physically the value must
+        # lie within the calibrated range.
+        if lats[0] > value:
+            value = lats[0]
+        if lats[-1] < value:
+            value = lats[-1]
+        return value
 
     def latency_ns_batch(self, utilization: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`latency_ns`, elementwise bit-identical.
 
-        ``np.interp`` evaluates each element with the same compiled
-        interpolation the scalar call uses, and ``np.clip`` performs the
+        ``np.interp`` evaluates each element with the compiled step that
+        :func:`interp_scalar` replays, and ``np.clip`` performs the
         identical ``min(max(...))`` pair, so ``latency_ns_batch(u)[i] ==
         latency_ns(u[i])`` bit-for-bit.  Used by the batched miss fast
-        path, where the per-call array construction of the scalar method
-        dominates the planning cost.
+        path, which plans a whole run of admissions at once: one
+        vectorized call replaces a Python-level loop of scalar lookups.
         """
         u = _check_utilization_batch(utilization)
-        utils = np.array([p[0] for p in self.points])
-        lats = np.array([p[1] for p in self.points])
+        utils = np.array(self._utils)
+        lats = np.array(self._lats)
         return np.clip(np.interp(u, utils, lats), lats[0], lats[-1])
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Tuple, Union
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from ..errors import ProfileDomainError, ProfileError
 from ..units import to_gb_per_s
-from .latency_model import LatencyModel
+from .latency_model import LatencyModel, interp_scalar
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,18 @@ class LatencyProfile:
                 f"bandwidth {to_gb_per_s(bandwidth_bytes):.1f} GB/s exceeds "
                 f"measured domain ({to_gb_per_s(self.max_measured_bw_bytes):.1f} GB/s)"
             )
-        bws = np.array([p.bandwidth_bytes for p in self.points])
-        lats = np.array([p.latency_ns for p in self.points])
-        return float(np.interp(bandwidth_bytes, bws, lats))
+        return interp_scalar(float(bandwidth_bytes), self._bandwidths, self._latencies)
+
+    # The sample columns are split once, not per query (cached
+    # properties, so equality and repr still see only the fields).
+
+    @cached_property
+    def _bandwidths(self) -> Tuple[float, ...]:
+        return tuple(float(p.bandwidth_bytes) for p in self.points)
+
+    @cached_property
+    def _latencies(self) -> Tuple[float, ...]:
+        return tuple(float(p.latency_ns) for p in self.points)
 
     def utilization_of(self, bandwidth_bytes: float) -> float:
         """Bandwidth as a fraction of theoretical peak."""

@@ -81,6 +81,7 @@ class ThreadDriver:
         "_addrs",
         "_kinds",
         "_demand",
+        "_demand_arr",
         "_gaps",
         "_gaps_ns",
         "_n",
@@ -113,8 +114,10 @@ class ThreadDriver:
         addr_arr, kind_arr, gap_arr = trace.addr, trace.kind, trace.gap_cycles
         # One vectorized compare / divide per column; the per-element
         # float values are IEEE-identical to scalar division, and
-        # tolist() keeps plain Python floats on the engine's hot path.
-        self._demand = kind_arr < _FIRST_PREFETCH_CODE
+        # tolist() keeps plain Python bools and floats on the engine's
+        # hot path (indexing a numpy array boxes a scalar per access).
+        demand_arr = kind_arr < _FIRST_PREFETCH_CODE
+        self._demand = demand_arr.tolist()
         gaps_ns_arr = gap_arr / freq_ghz
         self._gaps_ns = gaps_ns_arr.tolist()
         self._n = len(self._addrs)
@@ -138,13 +141,15 @@ class ThreadDriver:
             if hierarchy.batch_miss_enabled and not self._batch_miss:
                 hierarchy.stats.note_batch_fallback("faults")
             self._addr_arr = addr_arr
+            self._demand_arr = demand_arr
             self._lines_arr = core.l1_array.line_of_batch(addr_arr)
             self._writes_arr = kind_arr == KIND_CODES[AccessKind.STORE]
             self._gap_arr = gap_arr
             self._gaps_ns_arr = gaps_ns_arr
         else:
             self._batch_miss = False
-            self._addr_arr = self._lines_arr = self._writes_arr = None
+            self._addr_arr = self._demand_arr = None
+            self._lines_arr = self._writes_arr = None
             self._gap_arr = self._gaps_ns_arr = None
 
     def start(self) -> None:
@@ -280,7 +285,7 @@ class ThreadDriver:
                 stats.note_batch_fallback("dirty")
             else:
                 misses_allowed = True
-        ok = self._demand[start:stop]
+        ok = self._demand_arr[start:stop]
         if not misses_allowed:
             ok = ok & hit
         if core.tlb is not None:

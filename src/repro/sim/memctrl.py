@@ -66,6 +66,7 @@ class MemoryController:
         "line_bytes",
         "stats",
         "window_ns",
+        "_window_s",
         "slot_ns",
         "_next_free_ns",
         "_recent",
@@ -97,6 +98,7 @@ class MemoryController:
         self.line_bytes = line_bytes
         self.stats = stats
         self.window_ns = window_ns
+        self._window_s = ns(window_ns)
         #: ns per admitted line at the achievable-bandwidth cap.
         self.slot_ns = line_bytes / self.achievable_bw_bytes * GIGA
         self._next_free_ns = 0.0
@@ -130,7 +132,7 @@ class MemoryController:
             self._recent_bytes -= old
         if not self._recent:
             return 0.0
-        rate = self._recent_bytes / ns(self.window_ns)
+        rate = self._recent_bytes / self._window_s
         return min(1.0, rate / self.peak_bw_bytes)
 
     def current_latency_ns(self, now_ns: float) -> float:
@@ -173,9 +175,14 @@ class MemoryController:
             on_complete = _audited_complete
 
         def _admit() -> None:
-            t = self.engine.now
-            self._note_admission(t, self.line_bytes)
-            latency = self.latency_model.latency_ns(self.utilization(t))
+            self._note_admission(self.engine.now, self.line_bytes)
+            # utilization() at the admission time, without its second
+            # deque walk: _note_admission just trimmed with the same
+            # cutoff and left the deque non-empty.
+            util = self._recent_bytes / self._window_s / self.peak_bw_bytes
+            if util > 1.0:
+                util = 1.0
+            latency = self.latency_model.latency_ns(util)
             if is_prefetch:
                 self.stats.prefetch_bytes += self.line_bytes
             elif is_write:
@@ -228,7 +235,7 @@ class MemoryController:
         slot = self.slot_ns
         line_bytes = self.line_bytes
         window_ns = self.window_ns
-        window_s = ns(window_ns)
+        window_s = self._window_s
         peak = self.peak_bw_bytes
         for i, t in enumerate(issue_ns.tolist()):
             a = t if t > next_free else next_free

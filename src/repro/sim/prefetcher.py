@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stream:
     """State of one detected (or training) stream."""
 
@@ -102,19 +102,24 @@ class StreamPrefetcher:
     def _observe_one(self, page: int, line_no: int) -> List[int]:
         """Table transition for one observed demand line (enabled path)."""
         self._seq += 1
-        stream = self._streams.get(page)
+        streams = self._streams
+        # The table is kept in least-recently-touched order: a touched
+        # stream is popped and re-inserted last, so eviction takes the
+        # first key.
+        stream = streams.pop(page, None)
 
         if stream is None:
-            if len(self._streams) >= self.max_streams:
+            if len(streams) >= self.max_streams:
                 evicted = self._evict_stale()
                 if not evicted:
                     self.dropped_no_stream_slot += 1
                     return []
-            self._streams[page] = _Stream(
+            streams[page] = _Stream(
                 last_line=line_no, direction=0, confidence=0, last_touch_seq=self._seq
             )
             return []
 
+        streams[page] = stream
         step = line_no - stream.last_line
         stream.last_touch_seq = self._seq
         if step == 0:
@@ -221,11 +226,15 @@ class StreamPrefetcher:
         return None
 
     def _evict_stale(self) -> bool:
-        """Evict the least-recently-touched stream; False if table empty."""
+        """Evict the least-recently-touched stream; False if table empty.
+
+        Touch order is dict order (see :meth:`_observe_one`), so the
+        victim is the first key: the stream with the smallest
+        ``last_touch_seq``, as touch sequence numbers are unique.
+        """
         if not self._streams:
             return False
-        stale_page = min(self._streams, key=lambda p: self._streams[p].last_touch_seq)
-        del self._streams[stale_page]
+        del self._streams[next(iter(self._streams))]
         return True
 
     @property

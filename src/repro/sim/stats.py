@@ -73,16 +73,26 @@ class OccupancyTracker:
 
     def add(self, now_ns: float, delta: int = 1) -> None:
         """Change occupancy by ``delta`` at time ``now_ns``."""
-        self.update(now_ns)
-        self.occupancy += delta
-        if self.occupancy < 0:
+        # update() inlined: this runs on every MSHR allocate and release.
+        dt = now_ns - self.last_update_ns
+        if dt < 0:
+            raise ValueError(f"{self.name}: time went backwards ({dt} ns)")
+        occupancy = self.occupancy
+        capacity = self.capacity
+        self.integral_ns += occupancy * dt
+        if occupancy >= capacity:
+            self.full_time_ns += dt
+        self.last_update_ns = now_ns
+        occupancy += delta
+        self.occupancy = occupancy
+        if occupancy < 0:
             raise ValueError(f"{self.name}: occupancy went negative")
-        if self.occupancy > self.capacity:
+        if occupancy > capacity:
             raise ValueError(
-                f"{self.name}: occupancy {self.occupancy} exceeds capacity "
-                f"{self.capacity}"
+                f"{self.name}: occupancy {occupancy} exceeds capacity {capacity}"
             )
-        self.peak = max(self.peak, self.occupancy)
+        if occupancy > self.peak:
+            self.peak = occupancy
 
     def add_batch(self, times_ns: np.ndarray, deltas: np.ndarray) -> None:
         """Apply a time-sorted sequence of occupancy changes in one pass.

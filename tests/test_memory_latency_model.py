@@ -1,14 +1,28 @@
 """Loaded-latency models: tabulated curves and the queueing form."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProfileDomainError, ProfileError
 from repro.machines import (
     A64FX_LATENCY_CALIBRATION,
     KNL_LATENCY_CALIBRATION,
     SKL_LATENCY_CALIBRATION,
+    get_machine,
+    machine_names,
 )
-from repro.memory import QueueingLatencyModel, TabulatedLatencyModel, model_for_machine
+from repro.memory import (
+    LatencyProfile,
+    ProfilePoint,
+    QueueingLatencyModel,
+    TabulatedLatencyModel,
+    model_for_machine,
+)
+from repro.memory.latency_model import interp_scalar
 
 
 class TestTabulatedModel:
@@ -124,3 +138,193 @@ class TestQueueingModel:
         bare = dataclasses.replace(skl, latency_calibration=())
         model = model_for_machine(bare)
         assert model.idle_latency_ns == pytest.approx(skl.memory.idle_latency_ns)
+
+
+# -- the scalar lookup against numpy ---------------------------------------------
+
+
+def _numpy_latency_ns(model, utilization):
+    """The tabulated lookup as written against numpy: the oracle.
+
+    Validation is shared (and checked elsewhere), so only the clamp to
+    1.0 is repeated here.
+    """
+    utils = np.array([p[0] for p in model.points])
+    lats = np.array([p[1] for p in model.points])
+    value = float(np.interp(min(utilization, 1.0), utils, lats))
+    return float(min(max(value, lats[0]), lats[-1]))
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is float
+    assert got.hex() == want.hex()
+
+
+def _tabulated_machine_models():
+    models = {name: model_for_machine(get_machine(name)) for name in machine_names()}
+    return {
+        name: model
+        for name, model in models.items()
+        if isinstance(model, TabulatedLatencyModel)
+    }
+
+
+_MACHINE_MODELS = _tabulated_machine_models()
+
+
+def _edge_utilizations(model):
+    """Every breakpoint, the floats either side of it, 0, 1 and (1, 1.05]."""
+    edges = {0.0, 1.0, math.nextafter(1.0, 2.0), 1.01, 1.049, 1.05}
+    for u, _ in model.points:
+        edges.update(
+            (u, math.nextafter(u, -math.inf), math.nextafter(u, math.inf))
+        )
+    return sorted(u for u in edges if 0.0 <= u <= 1.05)
+
+
+def _check_lookup(model, utils):
+    got = [model.latency_ns(u) for u in utils]
+    for u, lat in zip(utils, got):
+        _assert_same_bits(lat, _numpy_latency_ns(model, u))
+    assert model.latency_ns_batch(np.array(utils)).tolist() == got
+
+
+@st.composite
+def _monotone_tables(draw):
+    """Random valid calibration tables, some with points closer than 1e-9.
+
+    The clustered points are merged on construction, which is the
+    near-vertical-segment case the lookup's clamp guards.
+    """
+    utils = draw(
+        st.lists(st.floats(0.0, 1.05), min_size=2, max_size=8, unique=True)
+    )
+    offsets = draw(
+        st.lists(
+            st.tuples(st.sampled_from(utils), st.floats(1e-12, 3e-9)), max_size=3
+        )
+    )
+    utils = sorted({*utils, *(min(u + d, 1.05) for u, d in offsets)})
+    lats = sorted(
+        draw(
+            st.lists(
+                st.floats(1.0, 1e4), min_size=len(utils), max_size=len(utils)
+            )
+        )
+    )
+    try:
+        return TabulatedLatencyModel(list(zip(utils, lats)))
+    except ProfileError:
+        assume(False)
+
+
+class TestScalarLookupMatchesNumpy:
+    """The pure-Python lookup is bit-identical to the np.interp it replaced."""
+
+    def test_every_machine_curve_is_covered(self):
+        assert {"skl", "knl", "a64fx", "hbm2e", "hbm3"} <= set(_MACHINE_MODELS)
+
+    @pytest.mark.parametrize("name", sorted(_MACHINE_MODELS))
+    def test_machine_curve_edges(self, name):
+        model = _MACHINE_MODELS[name]
+        _check_lookup(model, _edge_utilizations(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_MACHINE_MODELS)),
+        utils=st.lists(st.floats(0.0, 1.05), min_size=1, max_size=32),
+    )
+    def test_machine_curve_random(self, name, utils):
+        _check_lookup(_MACHINE_MODELS[name], utils)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model=_monotone_tables(),
+        utils=st.lists(st.floats(0.0, 1.05), max_size=16),
+    )
+    def test_random_monotone_tables(self, model, utils):
+        _check_lookup(model, _edge_utilizations(model) + utils)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xp=st.lists(
+            st.floats(-1e300, 1e300), min_size=2, max_size=6, unique=True
+        ).map(sorted),
+        fp_values=st.lists(
+            st.floats(allow_nan=False), min_size=6, max_size=6
+        ),
+        x=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_helper_matches_np_interp(self, xp, fp_values, x):
+        """Arbitrary tables, infinite values included: the NaN retry runs."""
+        fp = fp_values[: len(xp)]
+        for query in [x, *xp]:
+            want = float(np.interp(query, np.array(xp), np.array(fp)))
+            got = interp_scalar(query, tuple(xp), tuple(fp))
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                _assert_same_bits(got, want)
+
+    def test_helper_nan_retry_branch(self):
+        # inf - inf is NaN: the retry from the right-hand point, then the
+        # equal-endpoint fallback, must both match numpy.
+        xp, fp = (0.0, 1.0), (math.inf, math.inf)
+        want = float(np.interp(0.5, np.array(xp), np.array(fp)))
+        _assert_same_bits(interp_scalar(0.5, xp, fp), want)
+
+    def test_domain_errors_unchanged(self):
+        model = _MACHINE_MODELS["skl"]
+        for bad in (math.nan, math.inf, -1e-300, 1.0500001):
+            with pytest.raises(ProfileDomainError):
+                model.latency_ns(bad)
+
+
+def _numpy_latency_at(profile, bandwidth_bytes):
+    bws = np.array([p.bandwidth_bytes for p in profile.points])
+    lats = np.array([p.latency_ns for p in profile.points])
+    return float(np.interp(bandwidth_bytes, bws, lats))
+
+
+def _check_profile(profile, bandwidths):
+    top = profile.max_measured_bw_bytes * 1.05
+    edges = {0.0, top, profile.max_measured_bw_bytes}
+    for p in profile.points:
+        b = p.bandwidth_bytes
+        edges.update((b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)))
+    for bw in sorted(edges) + list(bandwidths):
+        if 0.0 <= bw <= top:
+            _assert_same_bits(profile.latency_at(bw), _numpy_latency_at(profile, bw))
+
+
+class TestProfileLookupMatchesNumpy:
+    """LatencyProfile.latency_at shares the helper; same bit-identity."""
+
+    @pytest.mark.parametrize("name", sorted(_MACHINE_MODELS))
+    def test_model_sampled_profiles(self, name):
+        machine = get_machine(name)
+        profile = LatencyProfile.from_model(
+            name, machine.memory.peak_bw_bytes, _MACHINE_MODELS[name], samples=37
+        )
+        rng = np.random.default_rng(5)
+        _check_profile(profile, rng.uniform(0.0, profile.max_measured_bw_bytes, 200))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(st.floats(0.0, 1e12), st.floats(1.0, 1e4)),
+            min_size=2,
+            max_size=10,
+            unique_by=lambda s: s[0],
+        ),
+        bandwidths=st.lists(st.floats(0.0, 1.1e12), max_size=16),
+    )
+    def test_random_profiles(self, samples, bandwidths):
+        profile = LatencyProfile.from_samples("skl", 2e12, samples)
+        _check_profile(profile, bandwidths)
+
+    def test_integer_samples(self):
+        profile = LatencyProfile(
+            "skl", 128e9, points=(ProfilePoint(0, 80), ProfilePoint(3, 97))
+        )
+        _check_profile(profile, [1, 2, 1.5])

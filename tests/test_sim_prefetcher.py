@@ -1,6 +1,9 @@
 """Stream prefetcher: training, stream limits, random-blindness."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import StreamPrefetcher
@@ -89,3 +92,64 @@ class TestValidation:
         for i in range(3):
             candidates = pf.observe(i * 64) or candidates
         assert len(candidates) == 4
+
+
+class _ScanEvictReference(StreamPrefetcher):
+    """Reference model: evict by scanning every stream for the oldest touch."""
+
+    def _evict_stale(self):
+        if not self._streams:
+            return False
+        stale = min(self._streams, key=lambda p: self._streams[p].last_touch_seq)
+        del self._streams[stale]
+        return True
+
+
+#: Line addresses over eight 4 KiB pages: more pages than stream slots,
+#: with small in-page steps so streams train, emit and get evicted.
+_LINE_SEQUENCES = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 63)).map(
+        lambda pl: pl[0] * 4096 + pl[1] * 64
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+def _streams_in_touch_order(pf):
+    touches = [s[4] for s in pf.snapshot()[0].values()]
+    assert touches == sorted(touches)
+
+
+class TestEvictionOrder:
+    """First-key eviction picks the stream the min(last_touch_seq) scan did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(max_streams=st.integers(1, 4), lines=_LINE_SEQUENCES)
+    def test_matches_scan_reference(self, max_streams, lines):
+        pf = StreamPrefetcher(64, max_streams=max_streams)
+        ref = _ScanEvictReference(64, max_streams=max_streams)
+        for line in lines:
+            assert pf.observe(line) == ref.observe(line)
+            assert pf.snapshot() == ref.snapshot()
+            _streams_in_touch_order(pf)
+        assert pf.dropped_no_stream_slot == ref.dropped_no_stream_slot
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        max_streams=st.integers(1, 4),
+        prefix=_LINE_SEQUENCES,
+        suffix=_LINE_SEQUENCES,
+    )
+    def test_restored_replay_evicts_like_observe(self, max_streams, prefix, suffix):
+        live = StreamPrefetcher(64, max_streams=max_streams)
+        for line in prefix:
+            live.observe(line)
+        replayed = StreamPrefetcher(64, max_streams=max_streams)
+        replayed.restore(live.snapshot())
+        stop = replayed.observe_replay(np.array(suffix, dtype=np.int64))
+        observed = suffix if stop is None else suffix[: stop + 1]
+        for line in observed:
+            live.observe(line)
+        assert replayed.snapshot() == live.snapshot()
+        assert list(replayed.snapshot()[0]) == list(live.snapshot()[0])

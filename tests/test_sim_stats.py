@@ -1,6 +1,9 @@
 """SimStats / OccupancyTracker / MemoryStats unit behaviour."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import OccupancyTracker, SimStats
 from repro.sim.stats import CoreStats, LevelStats, MemoryStats
@@ -31,6 +34,54 @@ class TestOccupancyTracker:
         tracker.update(10.0)
         with pytest.raises(ValueError):
             tracker.update(5.0)
+
+    def test_add_rejects_time_backwards(self):
+        tracker = OccupancyTracker("t", capacity=4)
+        tracker.add(10.0, +1)
+        with pytest.raises(ValueError, match="time went backwards"):
+            tracker.add(5.0, -1)
+
+    def test_add_rejects_negative_and_over_capacity(self):
+        tracker = OccupancyTracker("t", capacity=2)
+        with pytest.raises(ValueError, match="negative"):
+            tracker.add(1.0, -1)
+        tracker = OccupancyTracker("t", capacity=2)
+        tracker.add(1.0, +2)
+        with pytest.raises(ValueError, match="exceeds capacity"):
+            tracker.add(2.0, +1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        steps=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+                st.integers(-3, 3),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_add_matches_add_batch(self, capacity, steps):
+        """Scalar add and add_batch leave bit-identical trackers."""
+        times, deltas = [], []
+        now, occupancy = 0.0, 0
+        for dt, delta in steps:
+            now += dt
+            delta = max(-occupancy, min(delta, capacity - occupancy))
+            occupancy += delta
+            times.append(now)
+            deltas.append(delta)
+        scalar = OccupancyTracker("t", capacity=capacity)
+        for t, delta in zip(times, deltas):
+            scalar.add(t, delta)
+        batched = OccupancyTracker("t", capacity=capacity)
+        batched.add_batch(np.array(times), np.array(deltas))
+        for field_name in ("integral_ns", "full_time_ns", "peak", "occupancy"):
+            got, want = getattr(scalar, field_name), getattr(batched, field_name)
+            assert type(got) is type(want)
+            assert got == want and repr(got) == repr(want), field_name
+        assert scalar.last_update_ns == batched.last_update_ns
 
     def test_average_of_empty_window(self):
         assert OccupancyTracker("t", 4).average(0.0) == 0.0

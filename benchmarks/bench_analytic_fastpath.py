@@ -4,11 +4,11 @@ Guards the headline claim of the ``--fast`` mode: a calibrated analytic
 characterize — the profile *plus* the operating-point solves for every
 paper workload — must answer at least :data:`FAST_SPEEDUP_FLOOR` times
 faster than the uncached event-engine X-Mem sweep it replaces.  The
-measured trajectory is recorded in ``BENCH_analytic_speedup.json`` by
-``benchmarks/record_trajectory.py``.
-
-``REPRO_BENCH_FLOOR`` overrides the speedup floor (for slow or heavily
-shared CI hosts).
+floor is a same-host ratio, so host speed cancels out and no
+environment variable overrides it.  ``BENCH_analytic_speedup.json``
+is frozen history; the repository benchmark's ``analytic`` workload,
+recorded in ``BENCH_perfbench.json`` by
+``benchmarks/record_trajectory.py``, tracks the fast path's cost.
 """
 
 import os
@@ -27,7 +27,7 @@ from repro.xmem.runner import XMemConfig, XMemRunner
 
 #: Acceptance bar: analytic --fast must beat the event engine by at
 #: least this factor.  Real measurements land around 5000x.
-FAST_SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_FLOOR", "100"))
+FAST_SPEEDUP_FLOOR = 100.0
 
 MACHINE = "skl"
 SWEEP = XMemConfig(levels=6, accesses_per_thread=1500, batch=False)

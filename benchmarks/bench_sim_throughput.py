@@ -29,8 +29,9 @@ from repro.xmem.kernels import resident_trace, scatter_trace, throughput_trace
 THREADS = 4
 ACCESSES = 4000
 
-#: Loose events/sec floor — well below healthy rates (~300k+ on an idle
-#: host), but high enough to catch pathological event-loop slowdowns.
+#: Loose events/sec floor — well below healthy rates (82–87k on the
+#: last ``BENCH_sim_throughput.json`` point, a shared 2-vCPU container),
+#: but high enough to catch pathological event-loop slowdowns.
 EVENTS_PER_SEC_FLOOR = int(os.environ.get("REPRO_BENCH_FLOOR", "30000"))
 
 #: The batch-stepping acceptance bar: accesses/sec on the L1-resident

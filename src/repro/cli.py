@@ -8,10 +8,19 @@ Commands mirror the paper's workflow:
   once-per-machine prerequisite);
 * ``repro analyze --machine skl --bandwidth 106.9 --pattern random`` —
   per-routine analysis: MLP, binding MSHR file, recipe guidance;
+* ``repro ingest --machine skl --file counters.csv [--format perf]`` —
+  the same analysis from measured counter data (CSV or ``perf stat``
+  output; ``--lenient`` skips bad CSV rows and widens the error budget);
+* ``repro simulate --machine knl --workload isx [--trace FILE]`` — run
+  a workload trace on the event simulator and analyze the result;
 * ``repro reproduce [--table isx|hpcg|...|all]`` — regenerate the paper
   case-study tables and the agreement summary;
 * ``repro figure2`` — the extended-roofline experiment;
 * ``repro recipe-score`` — Figure 1 aggregate accuracy;
+* ``repro headroom --machine skl`` — the recipe's verdict map across
+  utilizations and access patterns;
+* ``repro lint [paths]`` — reprolint's domain rules (determinism,
+  units, cache keys, slots, machine specs) over source trees;
 * ``repro trace export/import`` — write a generated trace to an
   mmap-able ``.npz`` file / read one back and summarize it (feed it to
   ``repro simulate --trace FILE``);

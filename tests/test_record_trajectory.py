@@ -1,13 +1,13 @@
-"""The trajectory recorder's history handling (benchmarks/record_trajectory.py).
+"""The trajectory recorder (benchmarks/record_trajectory.py), without running it.
 
-Only the cheap persistence layer is tested — ``load_history`` /
-``append_point`` — not the measurement functions (those simulate for
-seconds and are exercised by the CI benchmark leg).
+Only the cheap pure layers are tested: persistence (``load_history`` /
+``append_point``) and turning canned benchmark output into a point
+(``assemble``).  The benchmark runs themselves take minutes and are
+exercised by CI's "Record trajectory points" step.
 """
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,7 @@ def test_missing_file_starts_fresh(recorder, tmp_path):
 
 def test_valid_history_preserved(recorder, tmp_path):
     path = tmp_path / "bench.json"
-    history = [{"schema_version": 1, "git_sha": "abc"}]
+    history = [{"git_sha": "abc", "workloads": {}}]
     path.write_text(json.dumps(history))
     assert recorder.load_history(path) == history
 
@@ -57,13 +57,10 @@ def test_non_list_payload_warns_and_starts_fresh(recorder, tmp_path, capsys):
 
 def test_append_point_accumulates(recorder, tmp_path):
     path = tmp_path / "bench.json"
-    recorder.append_point(path, {"schema_version": recorder.SCHEMA_VERSION, "n": 1})
-    recorder.append_point(path, {"schema_version": recorder.SCHEMA_VERSION, "n": 2})
+    recorder.append_point(path, {"n": 1})
+    recorder.append_point(path, {"n": 2})
     history = json.loads(path.read_text())
     assert [entry["n"] for entry in history] == [1, 2]
-    assert all(
-        entry["schema_version"] == recorder.SCHEMA_VERSION for entry in history
-    )
 
 
 def test_append_point_recovers_from_corruption(recorder, tmp_path, capsys):
@@ -74,17 +71,64 @@ def test_append_point_recovers_from_corruption(recorder, tmp_path, capsys):
     assert json.loads(path.read_text()) == [{"n": 1}]
 
 
-def test_out_path_is_bench_keyed(recorder):
-    assert recorder.out_path("analytic_speedup").name == "BENCH_analytic_speedup.json"
-    # The original single-bench location is preserved for old tooling.
-    assert recorder.OUT_PATH == recorder.out_path("sim_throughput")
+SPEC = {
+    "end_to_end": [{"name": "wall_s"}, {"name": "ok_frac"}],
+    "per_layer": [{"name": "sim.events"}],
+}
 
 
-def test_bench_registry_names(recorder):
-    assert set(recorder.BENCHES) == {"sim_throughput", "analytic_speedup"}
-    assert all(callable(fn) for fn in recorder.BENCHES.values())
+def _stdout(correct, metrics, attempted=10, failed=0):
+    """Canned benchmark output: log lines, then the JSON result line."""
+    result = {
+        "correct": correct,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()},
+    }
+    return (
+        "workload w seed 1 size full trace 0: 3 passes x 4 ops\n"
+        "  wall_s = 1.5 s\n" + json.dumps(result) + "\n"
+    )
 
 
-def test_record_rejects_unknown_bench(recorder):
-    with pytest.raises(SystemExit, match="unknown bench"):
-        recorder.record(["no_such_bench"])
+def test_assemble_builds_point_and_surfaces_failure(recorder):
+    outputs = {
+        "good": (
+            _stdout(True, {"wall_s": 1.5, "ok_frac": 1.0}),
+            _stdout(True, {"sim.events": 42}, attempted=12),
+        ),
+        "bad": (
+            _stdout(False, {"wall_s": 2.0, "ok_frac": 0.9}, failed=1),
+            _stdout(True, {"sim.events": 7}),
+        ),
+    }
+    point, failures = recorder.assemble(SPEC, "abc123", "2026-01-01T00:00:00Z", outputs)
+    assert point["git_sha"] == "abc123" and point["date"] == "2026-01-01T00:00:00Z"
+    assert point["workloads"]["good"] == {
+        "correct": True,
+        "attempted": 22,
+        "failed": 0,
+        "end_to_end": {"wall_s": 1.5, "ok_frac": 1.0},
+        "per_layer": {"sim.events": 42},
+    }
+    bad = point["workloads"]["bad"]
+    assert bad["correct"] is False and bad["failed"] == 1
+    assert bad["end_to_end"]["ok_frac"] == 0.9
+    assert len(failures) == 1 and failures[0].startswith("bad end_to_end")
+
+
+def test_assemble_flags_missing_result_and_metric(recorder):
+    outputs = {
+        "crashed": ("Traceback (most recent call last):\n", ""),
+        "partial": (_stdout(True, {"wall_s": 1.0}), _stdout(True, {"sim.events": 1})),
+    }
+    point, failures = recorder.assemble(SPEC, "abc", "d", outputs)
+    crashed = point["workloads"]["crashed"]
+    assert crashed["correct"] is False and crashed["attempted"] == 0
+    assert crashed["end_to_end"] == {} and crashed["per_layer"] == {}
+    assert point["workloads"]["partial"]["correct"] is False
+    assert [f.split(":")[0] for f in failures] == [
+        "crashed end_to_end",
+        "crashed per_layer",
+        "partial end_to_end",
+    ]

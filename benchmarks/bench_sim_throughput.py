@@ -38,13 +38,10 @@ EVENTS_PER_SEC_FLOOR = int(os.environ.get("REPRO_BENCH_FLOOR", "30000"))
 #: workload must improve by at least this factor over the event engine.
 BATCH_SPEEDUP_FLOOR = 5.0
 
-#: The batched-miss acceptance bar (ISSUE 10): wall-clock on the cold
-#: scatter workload must improve by at least this factor.  Speedup is a
-#: same-host ratio so it tolerates slow CI machines, but noisy shared
-#: hosts can still override it alongside ``REPRO_BENCH_FLOOR``.
-MISS_BATCH_SPEEDUP_FLOOR = float(
-    os.environ.get("REPRO_BENCH_FLOOR_MISS_BATCH", "3.0")
-)
+#: The batched-miss acceptance bar: wall-clock on the cold scatter
+#: workload must improve by at least this factor.  A same-host ratio,
+#: so host speed cancels out.
+MISS_BATCH_SPEEDUP_FLOOR = 3.0
 
 #: The scalar latency lookup (pure-Python ``bisect`` interpolation) must
 #: beat the ``np.interp`` reference it replaced by this factor.  A

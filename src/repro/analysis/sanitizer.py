@@ -18,7 +18,9 @@ LRU replay, and enforces:
   checked with the same invariants and tolerances as scalar ones;
 * **batch-replay** — at every ``flush_batch`` the deferred LRU replay
   must leave ``CacheArray``/``Tlb`` state *identical* to a scalar
-  re-execution of the queued runs (the fast path's core contract);
+  re-execution of the queued runs (the fast path's core contract), and
+  after every ``fill_batch`` the sorted resident table ``probe_batch``
+  reads must equal the sorted tags of the array's sets;
 * **stats-conserve** — ``hits + misses == accesses`` per level,
   ``issued_total == scalar + batch``, every issued access accounted
   against the trace, and memory requests = completions + writebacks;
@@ -59,6 +61,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import SanitizerError
 
@@ -313,13 +317,14 @@ class QueueAudit:
 class CacheReplayChecker:
     """Verifies deferred LRU replay against scalar re-execution.
 
-    Installed as ``CacheArray._sanitizer`` when sanitize mode is on.
-    Each ``touch_batch`` records the queued run; at ``flush_batch`` the
-    checker replays the accumulated runs with scalar
-    :meth:`~repro.sim.cache.CacheArray.access` semantics over a
-    snapshot taken *before* the first queued run, and requires the
-    array's actual post-flush state to match exactly — order, tags,
-    and dirty bits.
+    Installed as ``CacheArray._sanitizer`` on every core's L1 and L2
+    arrays when sanitize mode is on.  Each ``touch_batch`` records the
+    queued run; at ``flush_batch`` the checker replays the accumulated
+    runs with scalar :meth:`~repro.sim.cache.CacheArray.access`
+    semantics over a snapshot taken *before* the first queued run, and
+    requires the array's actual post-flush state to match exactly —
+    order, tags, and dirty bits.  After each ``fill_batch`` it also
+    checks the resident table ``fill_batch`` keeps (:meth:`on_fill`).
     """
 
     __slots__ = ("array", "runner", "_snapshot", "_runs", "checks")
@@ -336,6 +341,26 @@ class CacheReplayChecker:
         if self._snapshot is None:
             self._snapshot = [list(ways) for ways in self.array._sets]
         self._runs.append((line_addrs.tolist(), writes.tolist()))
+
+    def on_fill(self) -> None:
+        """A ``fill_batch`` ran; the resident table it kept must be exact."""
+        array = self.array
+        table = array._resident_cache
+        if table is None:
+            return
+        self.checks += 1
+        want = np.sort(
+            np.asarray(
+                [tag for ways in array._sets for tag, _ in ways], dtype=np.uint64
+            )
+        )
+        if not np.array_equal(table, want):
+            self.runner.violate(
+                "batch-replay",
+                f"{array.name}: resident table diverged from the tag array "
+                f"after fill_batch ({len(table)} vs {len(want)} lines)",
+                snapshot={"array": array.name},
+            )
 
     def on_flush(self) -> None:
         """The queued runs were replayed; verify against scalar semantics."""
@@ -531,9 +556,10 @@ class RunSanitizer:
                 )
                 mshr._audit = audit
                 self.mshr_audits.append((mshr, audit))
-            checker = CacheReplayChecker(core.l1_array, self)
-            core.l1_array._sanitizer = checker
-            self.replay_checkers.append(checker)
+            for array in (core.l1_array, core.l2_array):
+                checker = CacheReplayChecker(array, self)
+                array._sanitizer = checker
+                self.replay_checkers.append(checker)
             if core.tlb is not None:
                 tlb_checker = TlbReplayChecker(core.tlb, self)
                 core.tlb._sanitizer = tlb_checker

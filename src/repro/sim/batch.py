@@ -27,6 +27,22 @@ bit-identical to the event engine:
   condition — that access (a would-be stall, a prefetch, a miss the
   plan cannot take…) falls back to the event engine with exact state.
 
+A run that holds misses is also served closed-form by the components
+it touches, each with array passes instead of a loop per access, and
+each bit-identical to the scalar path:
+
+* ``MemoryController.plan_batch`` solves the admission recurrence
+  ``admit[i] = max(t[i], admit[i-1] + slot)`` by bounded fixed-point
+  passes (a back-to-back chain that outlasts them is finished with one
+  ``cumsum``) and the utilization window with one ``searchsorted``;
+  ``commit_batch`` trims the window once, at the last cutoff;
+* ``StreamPrefetcher.observe_replay`` opens the streams of pages it
+  has not seen before in bulk, and steps only repeat pages through the
+  scalar table transition;
+* ``CacheArray.fill_batch`` keeps the sorted resident table that
+  ``probe_batch`` reads current — victims deleted, survivors merged —
+  instead of dropping it for a rebuild on the next probe.
+
 The caller is responsible for the *quiescence* preconditions: no stall
 in progress, zero outstanding demand accesses, empty L1/L2 MSHR files,
 and no page walks in flight.  Under those conditions no queued event

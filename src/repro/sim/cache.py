@@ -54,9 +54,10 @@ class CacheArray:
         self.line_bytes = spec.line_bytes
         # Per set: list of (line_addr, dirty) in LRU order (front = LRU).
         self._sets: List[List[Tuple[int, bool]]] = [[] for _ in range(self.num_sets)]
-        # Sorted resident-line snapshot for probe_batch; None = stale.
-        # Only fill/invalidate change membership (hits merely reorder),
-        # so all-hit phases reuse one snapshot across many batches.
+        # Sorted resident-line table for probe_batch; None = stale.
+        # Only fills and invalidations change membership (hits merely
+        # reorder): scalar fill/invalidate drop the table, fill_batch
+        # keeps it current, so batched phases never rebuild it.
         self._resident_cache: Optional[np.ndarray] = None
         # Verified all-hit runs whose LRU/dirty replay is deferred: while
         # only hits occur, LRU order is unobservable (membership alone
@@ -151,29 +152,39 @@ class CacheArray:
         is always clean, so this reduces to the pure install/evict loop
         — same ``fills``/``evictions`` counters, same final LRU state.
         A dirty victim raises (the caller's precondition was violated).
+
+        The sorted resident table :meth:`probe_batch` reads is kept
+        current rather than dropped: the victims that were resident
+        before the run are deleted (found by ``searchsorted``), and the
+        installed lines that survive the run are merged in — a line
+        filled and then evicted within the run ends up in neither.
         """
         if self._pending:
             self.flush_batch()
         if not len(line_addrs):
             return
         self.fills += len(line_addrs)
-        self._resident_cache = None
         sets = self._sets
         ways_max = self.ways
-        evictions = 0
+        victims: List[int] = []
         set_indices = (line_addrs // self.line_bytes % self.num_sets).tolist()
         for line, idx in zip(line_addrs.tolist(), set_indices):
             ways = sets[idx]
             if len(ways) >= ways_max:
                 victim_addr, victim_dirty = ways.pop(0)
-                evictions += 1
                 if victim_dirty:
                     raise SimulationError(
                         f"{self.name}: fill_batch evicted dirty line "
                         f"{hex(victim_addr)} (clean-array precondition violated)"
                     )
+                victims.append(victim_addr)
             ways.append((line, False))
-        self.evictions += evictions
+        self.evictions += len(victims)
+        table = self._resident_cache
+        if table is not None:
+            self._resident_cache = _merge_fills(table, line_addrs, victims)
+        if self._sanitizer is not None:
+            self._sanitizer.on_fill()
 
     # -- vectorized probe surface (batch-stepping fast path) -------------------
 
@@ -308,3 +319,29 @@ class CacheArray:
     def resident_lines(self) -> int:
         """Total lines currently resident (for tests)."""
         return sum(len(ways) for ways in self._sets)
+
+
+def _merge_fills(table: np.ndarray, lines: np.ndarray, victims: List[int]) -> np.ndarray:
+    """Sorted resident table after installing ``lines`` and evicting ``victims``.
+
+    Every victim is either an old resident (present in ``table``) or a
+    line installed earlier in the same run (present in ``lines``, which
+    are absent from ``table``); ``searchsorted`` finds each in its own
+    array and ``np.delete`` drops it.  numpy's stable sort is a timsort
+    for 64-bit keys, so sorting the concatenation of the two sorted
+    arrays is a linear merge.
+    """
+    new = np.sort(lines)
+    if victims:
+        gone = np.sort(np.asarray(victims, dtype=table.dtype))
+        if len(table):
+            pos = np.searchsorted(table, gone)
+            np.minimum(pos, len(table) - 1, out=pos)
+            old = table[pos] == gone
+            table = np.delete(table, pos[old])
+            gone = gone[~old]
+        if len(gone):
+            new = np.delete(new, np.searchsorted(new, gone))
+    merged = np.concatenate([table, new])
+    merged.sort(kind="stable")
+    return merged

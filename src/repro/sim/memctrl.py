@@ -6,9 +6,14 @@ effective_bw`` seconds, and assigns each admitted request a completion
 latency taken from the machine's **calibrated loaded-latency curve** at
 the controller's currently observed utilization.  Consequences:
 
-* the characterize→analyze loop closes: the X-Mem substitute, sweeping
-  injection rates against this controller, recovers exactly the curve
-  the analyzer later consults;
+* the X-Mem substitute (:mod:`repro.xmem`) sweeps injection rates
+  against this controller and records the mean latency it observes at
+  each achieved bandwidth; that profile, not the calibrated curve, is
+  what the paper's workflow hands the analyzer.  The two are not the
+  same curve: on skl the swept profile reads up to 58% above the
+  calibrated one (188 vs 119 ns at utilization 0.74, 97 vs 80 ns at
+  idle).  ROADMAP.md's open item "Close the Eq. 2 loop on our own
+  simulator" tracks the gap;
 * Little's law holds by construction *of the physics*, so the measured
   MSHR occupancy equals rate × latency — which the property tests check
   against the independently-integrated occupancy trackers;
@@ -24,6 +29,7 @@ immediately (no MSHR is held for them).
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
@@ -33,6 +39,54 @@ from ..memory.latency_model import LatencyModel
 from ..units import GIGA, ns
 from .engine import Engine
 from .stats import MemoryStats
+
+
+#: Fixed-point passes :func:`_admissions` spends before it finishes the
+#: remaining back-to-back chain with one ``cumsum``.
+ADMIT_PASSES = 32
+
+
+def _admissions(issue_ns: np.ndarray, next_free: float, slot: float) -> np.ndarray:
+    """Admission times of a run: ``a[i] = max(t[i], a[i-1] + slot)``.
+
+    The scalar chain, seeded by ``a[-1] + slot = next_free``, is solved
+    by Jacobi passes starting from ``a = t``.  A pass applies the
+    scalar chain's own add and ``max``, so it never overshoots the
+    exact solution and fixes one more element of every back-to-back
+    chain.  Every element up to and including the first one a pass
+    changes was computed from a final predecessor, so that prefix is
+    final and later passes skip it.  After
+    :data:`ADMIT_PASSES` passes the chain still open at that point is
+    finished with ``np.cumsum([a, slot, slot, ...])`` — the same
+    left-to-right adds — up to the first issue time that breaks it,
+    and the passes resume behind the break.
+    """
+    n = len(issue_ns)
+    admit = np.array(issue_ns, dtype=np.float64)
+    if not n:
+        return admit
+    if next_free > admit[0]:
+        admit[0] = next_free
+    exact = 1  # admit[:exact] is final
+    while exact < n:
+        for _ in range(ADMIT_PASSES):
+            step = np.maximum(issue_ns[exact:], admit[exact - 1 : -1] + slot)
+            changed = step != admit[exact:]
+            if not changed.any():
+                return admit
+            admit[exact:] = step
+            exact += int(np.argmax(changed)) + 1
+        chain = np.full(n - exact + 1, slot)
+        chain[0] = admit[exact - 1]
+        np.cumsum(chain, out=chain)
+        breaks = issue_ns[exact:] > chain[1:]
+        length = int(np.argmax(breaks)) if breaks.any() else n - exact
+        admit[exact : exact + length] = chain[1 : length + 1]
+        exact += length
+        if exact < n:
+            admit[exact] = issue_ns[exact]
+            exact += 1
+    return admit
 
 
 class MemoryController:
@@ -215,44 +269,46 @@ class MemoryController:
 
         Computes, *without mutating controller state*, the admission
         time and loaded latency each request would receive from the
-        event path: the admission recurrence ``admit = max(issue,
-        next_free); next_free = admit + slot_ns`` chains exactly as
-        sequential :meth:`request` calls would, and the utilization
-        window replays the same deque arithmetic against a copy, so
-        every float is bit-identical to the scalar service.  Returns
-        ``(admit, latency)``; each completion time is ``admit +
+        event path, every float bit-identical to sequential
+        :meth:`request` calls:
+
+        * admissions solve ``admit[i] = max(t[i], admit[i-1] + slot_ns)``
+          (seeded by the next free slot) in array passes, see
+          :func:`_admissions`;
+        * utilization replays :meth:`_note_admission`'s sliding window
+          in one ``searchsorted``: the deque's times followed by the
+          run's admissions are time-ordered (the planner only runs with
+          an empty event queue, so every admission already in the deque
+          happened at or before the first issue), and cutoffs never
+          decrease, so the live entries at admission ``i`` are the
+          suffix of ``[deque; admit[:i+1]]`` at or after
+          ``admit[i] - window_ns``.  Their byte total is an exact
+          int64 cumulative-sum difference, divided by the window and
+          the peak in the scalar order.
+
+        Returns ``(admit, latency)``; each completion time is ``admit +
         latency`` — the same single float add the engine performs when
         scheduling the completion from the admission event.  The caller
         commits a (possibly truncated) prefix via :meth:`commit_batch`
         once its run cuts are final.
         """
         n = len(issue_ns)
-        admit = np.empty(n, dtype=np.float64)
-        utils = np.empty(n, dtype=np.float64)
-        recent = deque(self._recent)
-        recent_bytes = self._recent_bytes
-        next_free = self._next_free_ns
-        slot = self.slot_ns
-        line_bytes = self.line_bytes
-        window_ns = self.window_ns
-        window_s = self._window_s
-        peak = self.peak_bw_bytes
-        for i, t in enumerate(issue_ns.tolist()):
-            a = t if t > next_free else next_free
-            next_free = a + slot
-            # _note_admission(a, line_bytes) against the copy.
-            recent.append((a, line_bytes))
-            recent_bytes += line_bytes
-            cutoff = a - window_ns
-            while recent and recent[0][0] < cutoff:
-                recent_bytes -= recent.popleft()[1]
-            # utilization(a): the eviction above already used cutoff for
-            # time ``a`` and the deque is non-empty (just appended).
-            util = recent_bytes / window_s / peak
-            if util > 1.0:
-                util = 1.0
-            admit[i] = a
-            utils[i] = util
+        admit = _admissions(issue_ns, self._next_free_ns, self.slot_ns)
+        recent = self._recent
+        d = len(recent)
+        times = np.empty(d + n, dtype=np.float64)
+        nbytes = np.zeros(d + n + 1, dtype=np.int64)
+        if d:
+            old_times, old_bytes = zip(*recent)
+            times[:d] = old_times
+            nbytes[1 : d + 1] = old_bytes
+        times[d:] = admit
+        nbytes[d + 1 :] = self.line_bytes
+        np.cumsum(nbytes, out=nbytes)
+        first_live = np.searchsorted(times, admit - self.window_ns)
+        live = nbytes[d + 1 :] - nbytes[first_live]
+        utils = live / self._window_s / self.peak_bw_bytes
+        np.minimum(utils, 1.0, out=utils)
         # The admission recurrence never depends on latency values, so
         # the curve is consulted once for the whole run.  Models expose
         # latency_ns_batch with a bit-identity guarantee; anything else
@@ -274,19 +330,33 @@ class MemoryController:
 
         The arrays must be a prefix of a :meth:`plan_batch` result for
         the same issue times (the caller may have cut the run shorter
-        after planning).  Replays the admission bookkeeping (utilization
-        deque, next-free slot), applies stats in admission order with
-        the event path's exact chained-float arithmetic, and feeds the
-        sanitizer audit with arrivals and completions merged into
-        event-engine firing order.  Callers gate on ``_faults is None``:
-        the injected time-skew path stays scalar-only.
+        after planning).  Leaves the utilization deque, next-free slot
+        and stats exactly as sequential :meth:`request` calls would:
+        cutoffs never decrease and the deque is time-ordered, so one
+        trim at the last admission's cutoff drops the same entries as a
+        trim after every admission, and only the admissions that
+        survive it are appended.  Stats apply the event path's exact
+        chained-float arithmetic, and the sanitizer audit is fed
+        arrivals and completions merged into event-engine firing order.
+        Callers gate on ``_faults is None``: the injected time-skew path
+        stays scalar-only.
         """
         n = len(issue_ns)
         if n == 0:
             return
         line_bytes = self.line_bytes
-        for a in admit.tolist():
-            self._note_admission(a, line_bytes)
+        recent = self._recent
+        cutoff = float(admit[-1]) - self.window_ns
+        first = int(np.searchsorted(admit, cutoff))
+        if first:
+            # Every deque entry is at least as old as an expired admission.
+            recent.clear()
+            self._recent_bytes = 0
+        else:
+            while recent and recent[0][0] < cutoff:
+                self._recent_bytes -= recent.popleft()[1]
+        recent.extend(zip(admit[first:].tolist(), repeat(line_bytes)))
+        self._recent_bytes += (n - first) * line_bytes
         # Same float value as the scalar chain: next_free is recomputed
         # from the last admission exactly as request() would have.
         self._next_free_ns = float(admit[-1]) + self.slot_ns

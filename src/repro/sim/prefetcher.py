@@ -215,15 +215,72 @@ class StreamPrefetcher:
         caller must :meth:`restore` and re-replay the shorter prefix.
         Returns None when no element emits; the tracker is then exactly
         the state sequential observes of the whole vector would leave.
+
+        A *fresh* page — neither tracked at entry nor seen earlier in
+        the vector — can only open a new stream, which never emits, so
+        each run of consecutive fresh pages is applied in bulk by
+        :meth:`_open_streams`.  Only repeat pages step through the
+        scalar transition.
         """
-        if not self.enabled:
+        n = len(line_addrs)
+        if not self.enabled or not n:
             return None
+        pages_arr = line_addrs >> 12
+        # First occurrences: equal pages are adjacent after a stable
+        # sort, the earliest of each group first.
+        order = np.argsort(pages_arr, kind="stable")
+        sorted_pages = pages_arr[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=first[1:])
+        is_repeat = np.ones(n, dtype=bool)
+        is_repeat[order[first]] = False
+        streams = self._streams
+        if streams:
+            tracked = np.sort(
+                np.fromiter(streams, dtype=pages_arr.dtype, count=len(streams))
+            )
+            pos = np.searchsorted(tracked, pages_arr)
+            np.minimum(pos, len(tracked) - 1, out=pos)
+            is_repeat |= tracked[pos] == pages_arr
+        pages = pages_arr.tolist()
+        line_nos = (line_addrs // self.line_bytes).tolist()
         observe_one = self._observe_one
-        line_bytes = self.line_bytes
-        for i, line_addr in enumerate(line_addrs.tolist()):
-            if observe_one(line_addr >> 12, line_addr // line_bytes):
+        lo = 0
+        for i in np.flatnonzero(is_repeat).tolist():
+            if i > lo:
+                self._open_streams(pages[lo:i], line_nos[lo:i])
+            if observe_one(pages[i], line_nos[i]):
                 return i
+            lo = i + 1
+        if lo < n:
+            self._open_streams(pages[lo:], line_nos[lo:])
         return None
+
+    def _open_streams(self, pages: List[int], line_nos: List[int]) -> None:
+        """Sequential :meth:`_observe_one` over distinct untracked pages.
+
+        Each observation opens a training stream at the next sequence
+        number, evicting the least-recently-touched stream when the
+        table is full.  Only the evictions and the streams that survive
+        them are performed: the table keeps its last ``max_streams``
+        entries of old-then-new, so at most ``max_streams`` streams are
+        created however long the run.
+        """
+        m = len(pages)
+        streams = self._streams
+        seq0 = self._seq
+        self._seq = seq0 + m
+        excess = len(streams) + m - self.max_streams
+        for _ in range(min(excess, len(streams))):
+            del streams[next(iter(streams))]
+        for j in range(max(0, m - self.max_streams), m):
+            streams[pages[j]] = _Stream(
+                last_line=line_nos[j],
+                direction=0,
+                confidence=0,
+                last_touch_seq=seq0 + j + 1,
+            )
 
     def _evict_stale(self) -> bool:
         """Evict the least-recently-touched stream; False if table empty.

@@ -112,6 +112,36 @@ def test_replay_skip_trips_batch_replay_check():
     assert "diverged" in message
 
 
+def _table_cache():
+    spec = CacheSpec(
+        level=1, size_bytes=4096, line_bytes=64, mshrs=10, associativity=8
+    )
+    array = CacheArray(spec, "t.L2")
+    runner = _CapturingRunner()
+    array._sanitizer = CacheReplayChecker(array, runner)
+    array.fill_batch(np.arange(1, 40, dtype=np.uint64) * 64)
+    array.probe_batch(np.zeros(1, dtype=np.uint64))  # build the table
+    return array, runner
+
+
+def test_corrupt_resident_table_trips_check():
+    array, runner = _table_cache()
+    array._resident_cache[5] += 1  # one entry no longer names a resident line
+    array.fill_batch(np.arange(100, 110, dtype=np.uint64) * 64)
+
+    assert runner.calls, "sanitizer did not notice the corrupt table"
+    invariant, message = runner.calls[0]
+    assert invariant == "batch-replay"
+    assert "resident table" in message
+
+
+def test_resident_table_check_clean():
+    array, runner = _table_cache()
+    array.fill_batch(np.arange(100, 110, dtype=np.uint64) * 64)
+    assert runner.calls == []
+    assert array._sanitizer.checks == 1
+
+
 def test_replay_checker_clean_without_fault():
     spec = CacheSpec(
         level=1, size_bytes=4096, line_bytes=64, mshrs=10, associativity=8

@@ -9,8 +9,10 @@ the event engine.  Exercised four ways:
   scalar sequences — ``MshrFile.allocate_batch``/``release_batch``
   (including aliasing rejection and full-file back-pressure),
   ``MemoryController.plan_batch``/``commit_batch`` (including zero-gap
-  bursts), ``CacheArray.fill_batch``, and the latency models'
-  ``latency_ns_batch``;
+  bursts longer than the fixed-point pass bound, issue times equal to
+  the next free slot, window-cutoff ties, pre-filled deques and empty
+  runs), ``CacheArray.fill_batch`` (including the resident probe table
+  it keeps), and the latency models' ``latency_ns_batch``;
 * end-to-end fingerprint equivalence and full engagement on the cold
   scatter workload (the regime the fast path targets);
 * fallback diagnosability: the ``batch_fallbacks`` reason counters for
@@ -37,7 +39,7 @@ from repro.memory.latency_model import (
 from repro.sim import ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
 from repro.sim.engine import Engine
-from repro.sim.memctrl import MemoryController
+from repro.sim.memctrl import ADMIT_PASSES, MemoryController, _admissions
 from repro.sim.mshr import MshrFile
 from repro.sim.stats import MemoryStats
 from repro.xmem.kernels import pointer_chase_trace, resident_trace, scatter_trace
@@ -221,6 +223,210 @@ class TestMemctrlBatchEquivalence:
         assert first[1].tolist() == second[1].tolist()
 
 
+class _RecordingController(MemoryController):
+    """Scalar controller that records each admission time it applies."""
+
+    __slots__ = ("admits",)
+
+    def _note_admission(self, now_ns, nbytes):
+        self.admits.append(now_ns)
+        super()._note_admission(now_ns, nbytes)
+
+
+class _RecordingModel:
+    """Latency model wrapper recording every scalar lookup, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def latency_ns(self, utilization):
+        latency = self.inner.latency_ns(utilization)
+        self.seen.append(latency)
+        return latency
+
+
+def _admissions_reference(issue, next_free, slot):
+    """The scalar admission chain, one request at a time."""
+    out = []
+    for t in issue:
+        a = t if t > next_free else next_free
+        next_free = a + slot
+        out.append(a)
+    return np.array(out, dtype=np.float64)
+
+
+#: Per-request gap kinds: 0 = same instant (back-to-back chains), 1 =
+#: exactly one slot (an issue time equal to the next free slot), 2 =
+#: a random gap that may or may not drain the queue, 3 = a long gap,
+#: so a run can span several utilization windows.
+_GAP_KINDS = st.lists(st.integers(0, 3), min_size=0, max_size=160)
+
+
+class TestMemctrlArrayPasses:
+    """plan_batch's array passes against scalar request() sequences.
+
+    Compared bit for bit: admission times and loaded latencies per
+    request, then the deque, byte count, next free slot and latency
+    sum after commit_batch.
+    """
+
+    def _issue(self, kinds, t0, slot, rng):
+        issue = []
+        t = t0
+        for kind in kinds:
+            if kind == 1:
+                t = t + slot
+            elif kind == 2:
+                t = t + float(rng.uniform(0.0, 3.0 * slot))
+            elif kind == 3:
+                t = t + float(rng.uniform(0.0, 300.0 * slot))
+            issue.append(t)
+        return np.array(issue, dtype=np.float64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kinds=_GAP_KINDS,
+        burst=st.integers(0, 80),
+        prefill=st.integers(0, 30),
+        tie_start=st.booleans(),
+    )
+    def test_matches_scalar_admissions(
+        self, seed, kinds, burst, prefill, tie_start
+    ):
+        rng = np.random.default_rng(seed)
+        controllers = []
+        for model in (_RecordingModel(_TABULATED), _TABULATED):
+            engine = Engine()
+            ctrl = _RecordingController(
+                engine,
+                model,
+                peak_bw_bytes=100e9,
+                achievable_fraction=0.8,
+                line_bytes=64,
+                stats=MemoryStats(),
+                window_ns=500.0,
+            )
+            ctrl.admits = []
+            controllers.append((engine, ctrl))
+        # Identical scalar history on both controllers: the deque holds
+        # entries of mixed age when the batch starts.
+        history = np.sort(rng.uniform(0.0, 1500.0, prefill)).tolist()
+        for engine, ctrl in controllers:
+            for t in history:
+                engine.schedule_at(
+                    t,
+                    lambda c=ctrl: c.request(
+                        is_write=False, is_prefetch=False, on_complete=lambda: None
+                    ),
+                )
+            engine.run()
+            ctrl.admits.clear()
+        (scalar_engine, scalar), (batch_engine, batch) = controllers
+        scalar.latency_model.seen.clear()
+        t0 = max(batch_engine.now, batch._next_free_ns)
+        if not tie_start:
+            t0 += float(rng.uniform(0.0, 600.0))
+        # A leading zero-gap burst: a back-to-back chain that can outrun
+        # the fixed-point pass bound.
+        issue = self._issue([0] * burst + kinds, t0, batch.slot_ns, rng)
+        for t in issue.tolist():
+            scalar_engine.schedule_at(
+                t,
+                lambda: scalar.request(
+                    is_write=False, is_prefetch=False, on_complete=lambda: None
+                ),
+            )
+        scalar_engine.run()
+
+        admit, latency = batch.plan_batch(issue)
+        assert np.array_equal(admit, np.array(scalar.admits, dtype=np.float64))
+        assert np.array_equal(
+            latency, np.array(scalar.latency_model.seen, dtype=np.float64)
+        )
+        batch.commit_batch(issue, admit, latency)
+        assert list(batch._recent) == list(scalar._recent)
+        assert batch._recent_bytes == scalar._recent_bytes
+        assert batch._next_free_ns == scalar._next_free_ns
+        assert batch.stats.latency_sum_ns == scalar.stats.latency_sum_ns
+        assert batch.stats.requests == scalar.stats.requests
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kinds=_GAP_KINDS,
+        next_free=st.floats(0.0, 50.0),
+    )
+    def test_admission_passes_match_chain(self, seed, kinds, next_free):
+        rng = np.random.default_rng(seed)
+        slot = 0.8
+        issue = self._issue(kinds, 10.0, slot, rng)
+        assert np.array_equal(
+            _admissions(issue, next_free, slot),
+            _admissions_reference(issue.tolist(), next_free, slot),
+        )
+
+    def test_chain_longer_than_pass_bound(self):
+        # Three bursts, each longer than the pass bound, separated by
+        # gaps that drain the queue, then a tail of spaced requests.
+        slot = 0.7
+        burst = ADMIT_PASSES * 3
+        issue = np.concatenate(
+            [
+                np.full(burst, 5.0),
+                np.full(burst, 5.0 + burst * slot * 2),
+                np.full(burst, 5.0 + burst * slot * 4),
+                5.0 + burst * slot * 6 + np.arange(10) * slot * 1.5,
+            ]
+        )
+        assert np.array_equal(
+            _admissions(issue, 0.0, slot),
+            _admissions_reference(issue.tolist(), 0.0, slot),
+        )
+
+    @pytest.mark.parametrize("from_deque", [False, True])
+    def test_entry_exactly_at_cutoff_stays_live(self, from_deque):
+        # window_ns = 500: the admission at 1500 ns has its cutoff at
+        # exactly 1000 ns, and the scalar trim keeps an entry there,
+        # whether it is admitted in the run or already in the deque.
+        (scalar_engine, scalar), (batch_engine, batch) = _controllers(_TABULATED)
+        issue = [1000.0, 1250.0, 1500.0]
+        if from_deque:
+            for engine, ctrl in ((scalar_engine, scalar), (batch_engine, batch)):
+                engine.schedule_at(
+                    1000.0,
+                    lambda c=ctrl: c.request(
+                        is_write=False, is_prefetch=False, on_complete=lambda: None
+                    ),
+                )
+                engine.run()
+            issue = issue[1:]
+        for t in issue:
+            scalar_engine.schedule_at(
+                t,
+                lambda: scalar.request(
+                    is_write=False, is_prefetch=False, on_complete=lambda: None
+                ),
+            )
+        scalar_engine.run()
+        admit, latency = batch.plan_batch(np.array(issue))
+        batch.commit_batch(np.array(issue), admit, latency)
+        assert batch.stats.latency_sum_ns == scalar.stats.latency_sum_ns
+        assert list(batch._recent) == list(scalar._recent)
+        assert len(batch._recent) == 3
+
+    def test_empty_run(self):
+        _, (_, ctrl) = _controllers(_TABULATED)
+        ctrl.request(is_write=False, is_prefetch=False, on_complete=lambda: None)
+        ctrl.engine.run()
+        before = (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+        admit, latency = ctrl.plan_batch(np.empty(0, dtype=np.float64))
+        assert admit.shape == latency.shape == (0,)
+        ctrl.commit_batch(np.empty(0), admit, latency)
+        assert before == (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+
+
 class TestLatencyModelBatch:
     """latency_ns_batch is elementwise bit-identical to latency_ns."""
 
@@ -277,6 +483,46 @@ class TestFillBatch:
         assert batch_cache.fills == scalar_cache.fills
         assert batch_cache.evictions == scalar_cache.evictions
         assert batch_cache.dirty_evictions == scalar_cache.dirty_evictions == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(0, 60), min_size=1, max_size=6),
+        crowd=st.integers(0, 12),
+    )
+    def test_resident_table_tracks_sets(self, seed, sizes, crowd):
+        """The maintained probe table equals the sorted tags after every fill.
+
+        ``crowd`` extra lines land in set 0 of the first batch, so that
+        set overflows within one batch (lines filled, then evicted by
+        the same batch) whenever ``crowd`` exceeds the free ways.
+        """
+        rng = np.random.default_rng(seed)
+        batch_cache, scalar_cache = _fresh_cache("batch"), _fresh_cache("scalar")
+        batch_cache.probe_batch(np.zeros(1, dtype=np.uint64))  # build the table
+        pool = rng.permutation(np.arange(1, 4096))
+        crowded = np.arange(1, crowd + 1) * batch_cache.num_sets
+        pool = pool[~np.isin(pool, crowded)]
+        used = 0
+        for i, size in enumerate(sizes):
+            lines = pool[used : used + size]
+            used += size
+            if i == 0:
+                lines = np.concatenate([crowded, lines])
+            lines = (lines * 64).astype(np.uint64)
+            batch_cache.fill_batch(lines)
+            for line in lines.tolist():
+                scalar_cache.fill(int(line))
+            tags = [tag for ways in batch_cache._sets for tag, _ in ways]
+            assert batch_cache._resident_cache is not None
+            assert np.array_equal(
+                batch_cache._resident_cache, np.sort(np.array(tags, dtype=np.uint64))
+            )
+            assert batch_cache._sets == scalar_cache._sets
+            assert batch_cache.evictions == scalar_cache.evictions
+            probe = (rng.choice(np.arange(1, 4096), 64) * 64).astype(np.uint64)
+            want = [scalar_cache.probe(int(line)) for line in probe.tolist()]
+            assert batch_cache.probe_batch(probe).tolist() == want
 
     def test_dirty_victim_raises(self):
         cache = _fresh_cache()

@@ -153,3 +153,67 @@ class TestEvictionOrder:
             live.observe(line)
         assert replayed.snapshot() == live.snapshot()
         assert list(replayed.snapshot()[0]) == list(live.snapshot()[0])
+
+
+#: Line addresses over 48 pages: three times the default 16 stream
+#: slots, so a run opens many fresh streams, evicts, and revisits
+#: pages with short in-page steps that train and emit.
+_WIDE_LINES = st.lists(
+    st.tuples(st.integers(0, 47), st.integers(0, 63)).map(
+        lambda pl: pl[0] * 4096 + pl[1] * 64
+    ),
+    min_size=0,
+    max_size=300,
+)
+
+
+class TestReplayParity:
+    """observe_replay against sequential observe() on a 16-stream table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefix=_WIDE_LINES, suffix=_WIDE_LINES)
+    def test_matches_sequential_observe(self, prefix, suffix):
+        live = StreamPrefetcher(64)
+        for line in prefix:
+            live.observe(line)
+        replayed = StreamPrefetcher(64)
+        replayed.restore(live.snapshot())
+        stop = replayed.observe_replay(np.array(suffix, dtype=np.uint64))
+        emitting = None
+        for i, line in enumerate(suffix):
+            if live.observe(line):
+                emitting = i
+                break
+        assert stop == emitting
+        assert replayed.snapshot() == live.snapshot()
+        assert list(replayed.snapshot()[0]) == list(live.snapshot()[0])
+
+    def test_fresh_pages_overflow_full_table(self):
+        # 40 fresh pages into a full table: every old stream and the
+        # first 24 new ones are evicted, in touch order.
+        live = StreamPrefetcher(64)
+        replayed = StreamPrefetcher(64)
+        for page in range(100, 116):
+            live.observe(page * 4096)
+        replayed.restore(live.snapshot())
+        lines = [page * 4096 + 64 for page in range(40)]
+        assert replayed.observe_replay(np.array(lines, dtype=np.uint64)) is None
+        for line in lines:
+            assert live.observe(line) == []
+        assert replayed.snapshot() == live.snapshot()
+        assert list(replayed.snapshot()[0]) == list(range(24, 40))
+
+    def test_repeat_page_emits_at_its_index(self):
+        # A stream trained before the run emits on its next unit step,
+        # after fresh pages have already been opened in the run.
+        live = StreamPrefetcher(64)
+        for i in range(3):
+            live.observe(7 * 4096 + i * 64)
+        replayed = StreamPrefetcher(64)
+        replayed.restore(live.snapshot())
+        lines = [page * 4096 for page in range(20, 25)] + [7 * 4096 + 3 * 64]
+        assert replayed.observe_replay(np.array(lines, dtype=np.uint64)) == 5
+        for line in lines[:5]:
+            assert live.observe(line) == []
+        assert live.observe(lines[5])
+        assert replayed.snapshot() == live.snapshot()

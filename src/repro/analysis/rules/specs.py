@@ -88,10 +88,9 @@ def check_machine(
             Severity.ERROR,
         )
 
-    # Eq. 2 ceiling at the machine's best-case (least-loaded) latency.
-    latencies = [machine.memory.idle_latency_ns]
-    latencies.extend(lat for _, lat in machine.latency_calibration)
-    lat_min = min(latencies)
+    # Eq. 2 ceiling at the machine's best-case (least-loaded) latency:
+    # the lowest point of its latency curve.
+    lat_min = min(lat for _, lat in machine.latency_calibration)
     if lat_min > 0 and machine.l2.mshrs > 0:
         ceiling = machine.max_bw_from_mshrs(2, lat_min)
         achievable = machine.memory.achievable_bw_bytes

@@ -22,14 +22,13 @@ of the paper's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import OptimizationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import LatencyModel
-from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState, lookup_effect
 from ..perfmodel.runtime import RuntimeModel, RuntimePrediction
+from ..perfmodel.solver import Curve
 from .classify import Classification
 from .recipe import RecipeContext
 
@@ -138,7 +137,7 @@ class Advisor:
         workload: "Workload",
         machine: MachineSpec,
         *,
-        curve: Optional[Union[LatencyModel, LatencyProfile]] = None,
+        curve: Optional[Curve] = None,
         max_iterations: int = 8,
         fast: bool = False,
     ) -> None:

@@ -56,7 +56,6 @@ def a64fx() -> MachineSpec:
         vector_bits=512,
         mem_technology="HBM2",
         peak_bw_gbs=1024.0,
-        idle_latency_ns=140.0,
         achievable_fraction=0.80,
         latency_calibration=A64FX_LATENCY_CALIBRATION,
         # 48 cores x 1.8 GHz x 32 DP flops/cycle (2x 512-bit FMA pipes)

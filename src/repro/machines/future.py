@@ -64,7 +64,6 @@ def hbm2e_concept() -> MachineSpec:
         vector_bits=512,
         mem_technology="HBM2e",
         peak_bw_gbs=1600.0,
-        idle_latency_ns=130.0,
         achievable_fraction=0.85,
         latency_calibration=HBM2E_LATENCY_CALIBRATION,
         peak_gflops=64 * 2.4 * 32,
@@ -91,7 +90,6 @@ def hbm3_concept() -> MachineSpec:
         vector_bits=512,
         mem_technology="HBM3",
         peak_bw_gbs=3200.0,
-        idle_latency_ns=120.0,
         achievable_fraction=0.85,
         latency_calibration=HBM3_LATENCY_CALIBRATION,
         peak_gflops=64 * 2.6 * 32,

@@ -58,7 +58,6 @@ def knights_landing_7250() -> MachineSpec:
         vector_bits=512,
         mem_technology="MCDRAM",
         peak_bw_gbs=400.0,
-        idle_latency_ns=160.0,
         achievable_fraction=0.87,
         latency_calibration=KNL_LATENCY_CALIBRATION,
         # 64 used cores x 1.4 GHz x 32 DP flops/cycle = 2867 GF/s, the

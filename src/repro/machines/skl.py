@@ -52,7 +52,6 @@ def skylake_8160() -> MachineSpec:
         vector_bits=512,
         mem_technology="DDR4",
         peak_bw_gbs=128.0,
-        idle_latency_ns=80.0,
         achievable_fraction=0.87,
         latency_calibration=SKL_LATENCY_CALIBRATION,
         # 24 cores x 2.1 GHz x 32 DP flops/cycle (2x 512-bit FMA pipes)

@@ -27,7 +27,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ProfileError
+from ..memory.latency_model import TabulatedLatencyModel
 from ..units import gb_per_s, ghz, ns, to_gb_per_s, to_ghz
 
 
@@ -104,7 +105,6 @@ class MemorySpec:
 
     technology: str
     peak_bw_bytes: float
-    idle_latency_ns: float
     #: Fraction of theoretical peak reachable by streaming kernels;
     #: the paper's "peak achievable (streams) bandwidth".
     achievable_fraction: float = 0.87
@@ -113,8 +113,6 @@ class MemorySpec:
     def __post_init__(self) -> None:
         if self.peak_bw_bytes <= 0:
             raise ConfigurationError("peak bandwidth must be positive")
-        if self.idle_latency_ns <= 0:
-            raise ConfigurationError("idle latency must be positive")
         if not 0.0 < self.achievable_fraction <= 1.0:
             raise ConfigurationError(
                 f"achievable fraction must be in (0, 1], got {self.achievable_fraction}"
@@ -131,11 +129,14 @@ class MachineSpec:
     """A complete machine model (one paper Table III row).
 
     The latency *curve* (loaded latency as a function of bandwidth
-    utilization) is described by ``latency_calibration`` — a tuple of
+    utilization) is the required ``latency_calibration`` — a tuple of
     ``(utilization, latency_ns)`` control points fitted to the values
-    the paper quotes across Tables IV–IX.  :mod:`repro.memory` turns
-    these into the machine's canonical
-    :class:`~repro.memory.latency_model.LatencyModel`.
+    the paper quotes across Tables IV–IX.  It is the machine's only
+    latency source: :func:`~repro.memory.latency_model.model_for_machine`
+    turns it into a
+    :class:`~repro.memory.latency_model.TabulatedLatencyModel`, whose
+    first point is the idle latency.  Points that do not form a valid
+    curve raise :class:`~repro.errors.ConfigurationError` here.
     """
 
     name: str
@@ -148,6 +149,8 @@ class MachineSpec:
     l2: CacheSpec
     vector: VectorSpec
     memory: MemorySpec
+    #: (utilization, latency_ns) control points of the loaded-latency curve.
+    latency_calibration: Tuple[Tuple[float, float], ...]
     #: Streams the L2 hardware prefetcher can track concurrently, per core.
     prefetch_streams: int = 16
     #: Whether the hardware prefetcher is aggressive enough that software
@@ -156,8 +159,6 @@ class MachineSpec:
     hw_prefetcher_aggressive: bool = False
     #: Cores actually used in runs (paper uses 64 of KNL's 68).
     cores_used: Optional[int] = None
-    #: (utilization, latency_ns) control points of the loaded-latency curve.
-    latency_calibration: Tuple[Tuple[float, float], ...] = ()
     #: Peak double-precision GFLOP/s for the whole socket (roofline top).
     peak_gflops: float = 0.0
     #: Where counter-visible "memory traffic" begins: "l3_miss" on parts
@@ -183,11 +184,10 @@ class MachineSpec:
             raise ConfigurationError(
                 "memory_traffic_boundary must be 'l3_miss' or 'l2_miss'"
             )
-        for u, lat in self.latency_calibration:
-            if not 0.0 <= u <= 1.05:
-                raise ConfigurationError(f"calibration utilization {u} out of range")
-            if lat <= 0:
-                raise ConfigurationError(f"calibration latency {lat} must be positive")
+        try:
+            TabulatedLatencyModel(self.latency_calibration)
+        except ProfileError as exc:
+            raise ConfigurationError(f"latency_calibration: {exc}") from exc
 
     # -- derived quantities -------------------------------------------------
 
@@ -264,7 +264,6 @@ def make_machine(
     vector_bits: int,
     mem_technology: str,
     peak_bw_gbs: float,
-    idle_latency_ns: float,
     achievable_fraction: float,
     latency_calibration: Sequence[Tuple[float, float]],
     peak_gflops: float,
@@ -289,7 +288,6 @@ def make_machine(
         memory=MemorySpec(
             technology=mem_technology,
             peak_bw_bytes=gb_per_s(peak_bw_gbs),
-            idle_latency_ns=idle_latency_ns,
             achievable_fraction=achievable_fraction,
         ),
         prefetch_streams=prefetch_streams,

@@ -6,7 +6,6 @@ memory controller that *uses* these models lives in :mod:`repro.sim`.
 
 from .latency_model import (
     LatencyModel,
-    QueueingLatencyModel,
     TabulatedLatencyModel,
     model_for_machine,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "LatencyModel",
     "LatencyProfile",
     "ProfilePoint",
-    "QueueingLatencyModel",
     "TabulatedLatencyModel",
     "model_for_machine",
 ]

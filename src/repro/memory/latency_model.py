@@ -3,26 +3,19 @@
 The paper's method hinges on *loaded* memory latency — "the observed
 latency increases as bandwidth utilization increases and can be 2x or
 more than the idle latency at peak bandwidth utilization" (Section
-III-B).  Two model classes are provided:
+III-B).  :class:`TabulatedLatencyModel` is the one model class: monotone
+piecewise-linear interpolation through calibration control points.  Every
+machine carries its control points (:mod:`repro.machines` fitted them to
+every (bandwidth, latency) pair the paper quotes), so the simulator's
+memory controller, the X-Mem substitute, and the analytic solver all see
+one curve per machine.
 
-:class:`TabulatedLatencyModel`
-    Monotone piecewise-linear interpolation through calibration control
-    points.  This is the canonical per-machine model: the control points
-    in :mod:`repro.machines` were fitted to every (bandwidth, latency)
-    pair the paper quotes, so the simulator's memory controller, the
-    X-Mem substitute, and the analytic solver all see one consistent
-    curve per machine.
-
-:class:`QueueingLatencyModel`
-    A smooth M/M/1-flavoured curve
-    ``lat(u) = idle * (1 + alpha*u + beta*u**gamma / (1 - min(u, cap)))``
-    used for theory demonstrations, synthetic machines, and property
-    tests (it is monotone by construction for non-negative parameters).
-
-Both expose ``latency_ns(utilization)``; utilization is a fraction of
-theoretical peak bandwidth in ``[0, 1]``.  Queries slightly above 1 are
-clamped (counter jitter on real systems produces >100 % readings), but
-far out-of-range queries raise.
+:class:`LatencyModel` is the protocol the curve satisfies, and so do the
+calibrated :class:`~repro.perfmodel.queueing.QueueingParams`:
+``latency_ns(utilization)`` with utilization a fraction of theoretical
+peak bandwidth in ``[0, 1]``.  The tabulated model clamps queries
+slightly above 1 (counter jitter on real systems produces >100 %
+readings), but far out-of-range queries raise.
 """
 
 from __future__ import annotations
@@ -214,66 +207,10 @@ class TabulatedLatencyModel:
         return np.clip(np.interp(u, utils, lats), lats[0], lats[-1])
 
 
-@dataclass(frozen=True)
-class QueueingLatencyModel:
-    """Smooth queueing-shaped loaded-latency curve.
+def model_for_machine(machine) -> TabulatedLatencyModel:
+    """The latency curve of a :class:`~repro.machines.MachineSpec`.
 
-    ``lat(u) = idle * (1 + alpha*u + beta * u**gamma / (1 - min(u, cap)))``
-
-    * ``alpha`` — linear contention growth (bank conflicts, row misses),
-    * ``beta``/``gamma`` — queueing blow-up near saturation,
-    * ``cap`` — utilization at which the queueing term stops growing
-      (keeps the curve finite at u=1; real controllers throttle).
+    Built from the machine's calibration points, which the spec already
+    validated; its ``idle_latency_ns`` is the machine's idle latency.
     """
-
-    idle_ns: float
-    alpha: float = 0.3
-    beta: float = 0.15
-    gamma: float = 3.0
-    cap: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.idle_ns <= 0:
-            raise ProfileError("idle latency must be positive")
-        if self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
-            raise ProfileError("queueing parameters must be non-negative")
-        if not 0.0 < self.cap < 1.0:
-            raise ProfileError(f"cap must be in (0, 1), got {self.cap}")
-
-    @property
-    def idle_latency_ns(self) -> float:
-        """Latency at zero load."""
-        return self.idle_ns
-
-    def latency_ns(self, utilization: float) -> float:
-        """Queueing-curve loaded latency at ``utilization``."""
-        u = _check_utilization(utilization)
-        queue_u = min(u, self.cap)
-        growth = self.alpha * u + self.beta * (queue_u**self.gamma) / (1.0 - queue_u)
-        return self.idle_ns * (1.0 + growth)
-
-    def latency_ns_batch(self, utilization: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`latency_ns` (bit-identical scalar replay).
-
-        Deliberately loops rather than using ``np.power``: numpy's pow
-        special-cases small integer exponents (``u*u*u``) while Python's
-        ``**`` always calls libm ``pow``, and the two can differ in the
-        last ulp — which would break the fast path's bit-identity
-        contract.  The queueing model is only used for synthetic
-        machines, so the loop is not a measured bottleneck.
-        """
-        return np.array(
-            [self.latency_ns(float(u)) for u in utilization.tolist()],
-            dtype=np.float64,
-        )
-
-
-def model_for_machine(machine) -> LatencyModel:
-    """The canonical latency model for a :class:`~repro.machines.MachineSpec`.
-
-    Uses the machine's fitted calibration points when present, otherwise
-    a generic queueing curve anchored at the machine's idle latency.
-    """
-    if machine.latency_calibration:
-        return TabulatedLatencyModel(machine.latency_calibration)
-    return QueueingLatencyModel(idle_ns=machine.memory.idle_latency_ns)
+    return TabulatedLatencyModel(machine.latency_calibration)

@@ -5,10 +5,10 @@ to be computed only once per processor"; the JSON profiles under
 :mod:`repro.memory.profile` already honor that.  This module extends the
 same measured-once property to *every* simulation the pipeline runs: a
 :func:`~repro.sim.hierarchy.run_trace` call is fully determined by its
-``(machine, config, trace, latency model, repro version)`` inputs, so
-its :class:`~repro.sim.stats.SimStats` can be memoized under a stable
-SHA-256 digest of those inputs and replayed bit-for-bit on the next
-invocation.
+``(machine, config, trace, repro version)`` inputs (the machine carries
+its latency curve), so its :class:`~repro.sim.stats.SimStats` can be
+memoized under a stable SHA-256 digest of those inputs and replayed
+bit-for-bit on the next invocation.
 
 Digest stability rules
 ----------------------
@@ -128,7 +128,6 @@ def digest_for(
     trace: ColumnarTrace,
     config: SimConfig,
     *,
-    latency_model: Any = None,
     max_events: int = 50_000_000,
 ) -> str:
     """Stable digest of one simulation's complete physical inputs.
@@ -138,25 +137,15 @@ def digest_for(
     never walks the trace in Python.
 
     Raises :class:`~repro.errors.CacheKeyError` when an input (e.g. a
-    hand-written latency-model object) cannot be canonicalized; callers
-    should then run uncached rather than risk a wrong key.
+    config field holding an arbitrary object) cannot be canonicalized;
+    callers should then run uncached rather than risk a wrong key.
     """
-    if latency_model is None:
-        # run_trace derives the model from the machine's calibration,
-        # which is already part of the config payload.
-        model_payload: Any = "machine-default"
-    else:
-        model_payload = {
-            "class": type(latency_model).__name__,
-            "params": _canonical(latency_model),
-        }
     return stable_digest(
         {
             "schema": SCHEMA_VERSION,
             "repro_version": __version__,
             "config": _canonical(config),
             "trace": trace_digest(trace),
-            "latency_model": model_payload,
             "max_events": max_events,
         }
     )
@@ -380,7 +369,6 @@ def cached_run_trace(
     trace: ColumnarTrace,
     config: SimConfig,
     *,
-    latency_model: Any = None,
     max_events: int = 50_000_000,
     cache: Optional[SimCache] = None,
 ) -> SimStats:
@@ -398,28 +386,18 @@ def cached_run_trace(
     unsanitized runs produced.
     """
     if sanitize_enabled():
-        return run_trace(
-            trace, config, latency_model=latency_model, max_events=max_events
-        )
+        return run_trace(trace, config, max_events=max_events)
     handle = cache if cache is not None else get_cache()
     if not handle.enabled:
-        return run_trace(
-            trace, config, latency_model=latency_model, max_events=max_events
-        )
+        return run_trace(trace, config, max_events=max_events)
     try:
-        digest = digest_for(
-            trace, config, latency_model=latency_model, max_events=max_events
-        )
+        digest = digest_for(trace, config, max_events=max_events)
     except CacheKeyError:
-        return run_trace(
-            trace, config, latency_model=latency_model, max_events=max_events
-        )
+        return run_trace(trace, config, max_events=max_events)
     stats = handle.load(digest)
     if stats is not None:
         return stats
-    stats = run_trace(
-        trace, config, latency_model=latency_model, max_events=max_events
-    )
+    stats = run_trace(trace, config, max_events=max_events)
     handle.store(digest, stats)
     return stats
 

@@ -19,7 +19,7 @@ The output rows are directly comparable to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.classify import Classification
 from ..core.mlp import MlpResult
@@ -27,10 +27,9 @@ from ..core.recipe import Benefit, Recipe, RecipeContext, RecipeDecision
 from ..core.report import CaseStudyRow
 from ..errors import ExperimentError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import LatencyModel
-from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState, kind_of_step
 from .runtime import RuntimeModel, RuntimePrediction
+from .solver import Curve
 
 if TYPE_CHECKING:  # pragma: no cover - break the workloads<->core cycle
     from ..workloads.base import Workload
@@ -106,7 +105,7 @@ class CaseStudyRunner:
         workload: Workload,
         machine: MachineSpec,
         *,
-        curve: Optional[Union[LatencyModel, LatencyProfile]] = None,
+        curve: Optional[Curve] = None,
     ) -> None:
         self.workload = workload
         self.machine = machine
@@ -199,7 +198,7 @@ def run_case_study(
     workload: Workload,
     machines: Sequence[MachineSpec],
     *,
-    curves: Optional[Dict[str, Union[LatencyModel, LatencyProfile]]] = None,
+    curves: Optional[Dict[str, Curve]] = None,
 ) -> List[CaseStudyResult]:
     """Full paper-table reproduction: all machines, paper row order."""
     results: List[CaseStudyResult] = []

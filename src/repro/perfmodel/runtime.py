@@ -18,16 +18,14 @@ the paper's own CoMD rows satisfy speedup ≈ bandwidth ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import LatencyModel
-from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState
 from ..units import to_gb_per_s
 from .queueing import QueueingParams, solve_operating_point_fast, state_eligibility
-from .solver import SolvedPoint, solve_operating_point
+from .solver import Curve, SolvedPoint, solve_operating_point
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class RuntimeModel:
         self,
         machine: MachineSpec,
         *,
-        curve: Optional[Union[LatencyModel, LatencyProfile]] = None,
+        curve: Optional[Curve] = None,
         fast: bool = False,
         params: Optional[QueueingParams] = None,
     ) -> None:

@@ -27,9 +27,9 @@ reaches ``K`` and solves the quadratic there exactly: with
 
 whose root is ``t = 2C / (B + sqrt(B^2 + 4*peak*q*C))`` — Hill's point
 in *Three Other Models of Computer System Performance*: Little's law
-over a queueing curve is a closed-form problem.  A curve without
-segments (the smooth :class:`~repro.memory.latency_model.QueueingLatencyModel`
-of synthetic machines) is one segment, bisected to float resolution.
+over a queueing curve is a closed-form problem.  Those three are the
+only curves the solver accepts; anything else raises
+:class:`~repro.errors.ConfigurationError`.
 
 If ``K >= cap * lat(cap)`` the demand saturates the ceiling even at the
 top of the curve: bandwidth is capped and latency is *backed out* of
@@ -43,22 +43,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import (
-    LatencyModel,
-    TabulatedLatencyModel,
-    model_for_machine,
-)
+from ..memory.latency_model import TabulatedLatencyModel, model_for_machine
 from ..memory.profile import LatencyProfile
 from ..units import GIGA, NANO, to_gb_per_s
+
+if TYPE_CHECKING:
+    from .queueing import QueueingParams
 
 #: One piece of a latency curve, ``(u0, u1, a, q, r)``: on ``[u0, u1]``
 #: the latency is ``(a + q*(u - u0)) / (1 - r*u)``.
 Segment = Tuple[float, float, float, float, float]
+
+#: The curve kinds the solver accepts.
+Curve = Union[TabulatedLatencyModel, LatencyProfile, "QueueingParams"]
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,12 @@ def _chords(points: Sequence[Tuple[float, float]]) -> List[Segment]:
 
 
 def _curve_view(
-    machine: MachineSpec, curve: Optional[Union[LatencyModel, LatencyProfile]]
-) -> Tuple[float, float, Callable[[float], float], Optional[List[Segment]]]:
+    machine: MachineSpec, curve: Optional[Curve]
+) -> Tuple[float, float, Callable[[float], float], List[Segment]]:
     """``(peak, cap, latency at bandwidth, segments)`` of one curve.
 
-    Segments are ``None`` for a curve with no piecewise form.
+    Raises :class:`~repro.errors.ConfigurationError` for a curve that
+    is none of the three kinds, or that was made for another machine.
     """
     from .queueing import UTILIZATION_CAP, QueueingParams  # it imports this module
 
@@ -132,7 +135,6 @@ def _curve_view(
             _chords(points),
         )
     model = curve
-    segments: Optional[List[Segment]] = None
     if isinstance(model, TabulatedLatencyModel):
         segments = _chords(model.points)
     elif isinstance(model, QueueingParams):
@@ -142,30 +144,19 @@ def _curve_view(
             (0.0, u_top, l0, model.contention_ns - l0, 1.0),
             (u_top, math.inf, model.latency_ns(u_top), 0.0, 0.0),
         ]
+    else:
+        raise ConfigurationError(
+            "curve must be a TabulatedLatencyModel, LatencyProfile or "
+            f"QueueingParams, got {type(curve).__name__}"
+        )
     return peak, cap, lambda bw: model.latency_ns(min(1.0, bw / peak)), segments
 
 
 def _root(
-    k: float,
-    peak: float,
-    top: float,
-    latency: Callable[[float], float],
-    segments: Optional[List[Segment]],
+    k: float, peak: float, top: float, segments: List[Segment]
 ) -> Tuple[float, int]:
     """Utilization in ``[0, top]`` where ``peak*u*lat(u) = K``, and the
     number of segments examined."""
-    if segments is None:
-        # No piecewise form: one segment [0, top], bisected until the
-        # bracket cannot shrink further.
-        lo, hi = 0.0, top
-        mid = 0.5 * hi
-        while lo < mid < hi:
-            if peak * mid * latency(mid * peak) >= k:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        return mid, 1
     for examined, (u0, u1, a, q, r) in enumerate(segments, 1):
         hi = min(u1, top)
         if hi >= top or peak * hi * (a + q * (hi - u0)) >= k * (1.0 - r * hi):
@@ -183,7 +174,7 @@ def solve_operating_point(
     demand_mlp: float,
     binding_level: int,
     *,
-    curve: Optional[Union[LatencyModel, LatencyProfile]] = None,
+    curve: Optional[Curve] = None,
     cores: Optional[int] = None,
 ) -> SolvedPoint:
     """Solve the Little's-law fixed point for one workload state.
@@ -197,11 +188,12 @@ def solve_operating_point(
     binding_level:
         Which MSHR file (1 or 2) bounds the in-flight requests.
     curve:
-        Loaded-latency source: a model, a measured profile, or
-        calibrated :class:`~repro.perfmodel.queueing.QueueingParams`
+        Loaded-latency source: a tabulated model, a measured profile,
+        or calibrated :class:`~repro.perfmodel.queueing.QueueingParams`
         (which also supply peak and ceiling).  Defaults to the
         machine's calibrated model.  A profile or calibration made for
-        another machine raises :class:`~repro.errors.ConfigurationError`.
+        another machine, or any other kind of curve, raises
+        :class:`~repro.errors.ConfigurationError`.
     cores:
         Active cores (defaults to the machine's loaded-run count).
     """
@@ -219,7 +211,7 @@ def solve_operating_point(
     if k >= cap * latency(cap):
         bw = cap  # demand exceeds what the cap admits even at top latency
     else:
-        u, examined = _root(k, peak, cap / peak, latency, segments)
+        u, examined = _root(k, peak, cap / peak, segments)
         bw = min(u * peak, cap)
 
     lat = latency(bw)

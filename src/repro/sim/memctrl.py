@@ -35,7 +35,7 @@ from typing import Callable, Deque, Optional, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..memory.latency_model import LatencyModel
+from ..memory.latency_model import TabulatedLatencyModel
 from ..units import GIGA, ns
 from .engine import Engine
 from .stats import MemoryStats
@@ -133,7 +133,7 @@ class MemoryController:
     def __init__(
         self,
         engine: Engine,
-        latency_model: LatencyModel,
+        latency_model: TabulatedLatencyModel,
         *,
         peak_bw_bytes: float,
         achievable_fraction: float,
@@ -310,18 +310,9 @@ class MemoryController:
         utils = live / self._window_s / self.peak_bw_bytes
         np.minimum(utils, 1.0, out=utils)
         # The admission recurrence never depends on latency values, so
-        # the curve is consulted once for the whole run.  Models expose
-        # latency_ns_batch with a bit-identity guarantee; anything else
-        # falls back to elementwise scalar calls.
-        latency_batch = getattr(self.latency_model, "latency_ns_batch", None)
-        if latency_batch is not None:
-            latency = np.asarray(latency_batch(utils), dtype=np.float64)
-        else:
-            latency_of = self.latency_model.latency_ns
-            latency = np.array(
-                [latency_of(u) for u in utils.tolist()], dtype=np.float64
-            )
-        return admit, latency
+        # the curve is consulted once for the whole run, through its
+        # bit-identical latency_ns_batch.
+        return admit, self.latency_model.latency_ns_batch(utils)
 
     def commit_batch(
         self, issue_ns: np.ndarray, admit: np.ndarray, latency: np.ndarray

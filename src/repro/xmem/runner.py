@@ -10,10 +10,12 @@ parallelism — this does not require root privileges)".
 The runner simulates a small machine slice per load level, records the
 achieved bandwidth and the average loaded latency observed at the
 memory controller, and assembles the samples into a
-:class:`~repro.memory.profile.LatencyProfile`.  Because the simulated
-controller's latency comes from the machine's calibrated curve, the
-measured profile recovers that curve (plus admission-queueing effects
-near saturation) — closing the characterize→analyze loop end to end.
+:class:`~repro.memory.profile.LatencyProfile`.  The simulated
+controller's latency comes from the machine's calibrated curve, but the
+measured profile does not reproduce it: on skl it reads up to 58% above
+the calibrated curve (188 vs 119 ns at utilization 0.74, 97 vs 80 ns at
+idle).  ROADMAP.md's open item "Close the Eq. 2 loop on our own
+simulator" tracks the gap.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Ablation library functions (repro.experiments.ablation)."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.rules.specs import check_machine
 from repro.core import recipe as recipe_module
 from repro.experiments import (
     DEFAULT_THRESHOLDS,
@@ -11,6 +14,7 @@ from repro.experiments import (
     threshold_sweep,
 )
 from repro.machines import get_machine
+from repro.memory import model_for_machine
 
 
 class TestThresholdSweep:
@@ -45,6 +49,25 @@ class TestCurvePerturbation:
         assert get_machine("skl").latency_calibration[0][1] == pytest.approx(
             original[0][1]
         )
+
+    def test_idle_latency_follows_scaled_curve(self):
+        # Idle latency has one source, the curve's first point, so the
+        # scaled context doubles it and SPEC003's Eq. 2 ceiling uses it.
+        # With 8 L2 MSHRs, skl's 111 GB/s achievable bandwidth fits the
+        # ceiling at 80 ns (154 GB/s) but not at 160 ns (77 GB/s).
+        def narrowed(machine):
+            return dataclasses.replace(
+                machine, l2=dataclasses.replace(machine.l2, mshrs=8)
+            )
+
+        idle = model_for_machine(get_machine("skl")).idle_latency_ns
+        assert list(check_machine(narrowed(get_machine("skl")))) == []
+        with scaled_latency_curves(2.0):
+            scaled = get_machine("skl")
+            assert model_for_machine(scaled).idle_latency_ns == 2.0 * idle
+            found = list(check_machine(narrowed(scaled)))
+        assert [v.rule_id for v in found] == ["SPEC003"]
+        assert f"/ {2.0 * idle:.0f} ns" in found[0].message
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.machines import (
     mshr_bound_fraction,
     paper_machines,
 )
+from repro.memory import model_for_machine
 from repro.perfmodel import solve_operating_point
 
 
@@ -41,7 +42,8 @@ class TestMshrBoundRegime:
         file - which is why the paper calls the regime 'upcoming'."""
         for machine in paper_machines():
             fraction = mshr_bound_fraction(
-                machine, loaded_latency_ns=machine.memory.idle_latency_ns * 1.4
+                machine,
+                loaded_latency_ns=model_for_machine(machine).idle_latency_ns * 1.4,
             )
             assert fraction > 0.8
 

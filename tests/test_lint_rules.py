@@ -350,8 +350,7 @@ class _StubCache:
 
 
 class _StubMemory:
-    def __init__(self, idle_latency_ns, achievable_bw_bytes):
-        self.idle_latency_ns = idle_latency_ns
+    def __init__(self, achievable_bw_bytes):
         self.achievable_bw_bytes = achievable_bw_bytes
 
 
@@ -364,7 +363,7 @@ class _StubMachine:
         mshrs=16,
         line_bytes=64,
         cores=4,
-        idle_latency_ns=100.0,
+        idle_ns=100.0,
         achievable_bw_bytes=10e9,
     ):
         self.name = "stub"
@@ -372,8 +371,12 @@ class _StubMachine:
         self.l2 = _StubCache(2, mshrs)
         self.line_bytes = line_bytes
         self.active_cores = cores
-        self.memory = _StubMemory(idle_latency_ns, achievable_bw_bytes)
-        self.latency_calibration = ()
+        self.memory = _StubMemory(achievable_bw_bytes)
+        # The curve's idle point is the SPEC003 best-case latency.
+        self.latency_calibration = (
+            (0.0, idle_ns),
+            (1.0, 2.0 * idle_ns),
+        )
 
     def max_bw_from_mshrs(self, level, latency_ns):
         return self.active_cores * self.l2.mshrs * self.line_bytes / (

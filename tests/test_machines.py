@@ -50,12 +50,12 @@ class TestVectorSpec:
 
 class TestMemorySpec:
     def test_achievable_bandwidth(self):
-        mem = MemorySpec("DDR4", 128e9, 80.0, achievable_fraction=0.87)
+        mem = MemorySpec("DDR4", 128e9, achievable_fraction=0.87)
         assert mem.achievable_bw_bytes == pytest.approx(111.36e9)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
-            MemorySpec("DDR4", 128e9, 80.0, achievable_fraction=1.5)
+            MemorySpec("DDR4", 128e9, achievable_fraction=1.5)
 
 
 class TestPaperMachines:
@@ -133,3 +133,24 @@ class TestRegistry:
     def test_cores_used_validation(self, skl):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(skl, cores_used=100)
+
+
+class TestLatencyCalibrationRequired:
+    """Every spec carries a valid curve; a bad one is rejected at build."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (),
+            ((0.0, 80.0),),
+            ((0.0, 120.0), (0.5, 100.0), (1.0, 150.0)),
+        ],
+        ids=["empty", "one-point", "decreasing"],
+    )
+    def test_invalid_curve_rejected(self, skl, points):
+        with pytest.raises(ConfigurationError, match="latency_calibration"):
+            dataclasses.replace(skl, latency_calibration=points)
+
+    def test_calibration_has_no_default(self, skl):
+        fields = {f.name: f for f in dataclasses.fields(skl)}
+        assert fields["latency_calibration"].default is dataclasses.MISSING

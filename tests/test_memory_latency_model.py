@@ -1,4 +1,4 @@
-"""Loaded-latency models: tabulated curves and the queueing form."""
+"""Loaded-latency models: the tabulated curve and its scalar lookup."""
 
 import math
 
@@ -18,7 +18,6 @@ from repro.machines import (
 from repro.memory import (
     LatencyProfile,
     ProfilePoint,
-    QueueingLatencyModel,
     TabulatedLatencyModel,
     model_for_machine,
 )
@@ -108,36 +107,6 @@ class TestPaperLatencyPoints:
         # latency at peak bandwidth utilization".
         model = model_for_machine(a64fx)
         assert model.latency_ns(1.0) >= 2.0 * model.idle_latency_ns
-
-
-class TestQueueingModel:
-    def test_idle_at_zero_load(self):
-        model = QueueingLatencyModel(idle_ns=100.0)
-        assert model.latency_ns(0.0) == pytest.approx(100.0)
-
-    def test_monotone(self):
-        model = QueueingLatencyModel(idle_ns=100.0)
-        lats = [model.latency_ns(u / 20) for u in range(21)]
-        assert lats == sorted(lats)
-
-    def test_finite_at_saturation(self):
-        model = QueueingLatencyModel(idle_ns=100.0)
-        assert model.latency_ns(1.0) < 1e6
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ProfileError):
-            QueueingLatencyModel(idle_ns=100.0, cap=1.0)
-
-    def test_rejects_negative_params(self):
-        with pytest.raises(ProfileError):
-            QueueingLatencyModel(idle_ns=100.0, alpha=-0.1)
-
-    def test_model_for_machine_without_calibration(self, skl):
-        import dataclasses
-
-        bare = dataclasses.replace(skl, latency_calibration=())
-        model = model_for_machine(bare)
-        assert model.idle_latency_ns == pytest.approx(skl.memory.idle_latency_ns)
 
 
 # -- the scalar lookup against numpy ---------------------------------------------

@@ -15,29 +15,12 @@ from repro.core import (
     RecipeContext,
 )
 from repro.machines import get_machine
-from repro.memory import LatencyProfile, QueueingLatencyModel, TabulatedLatencyModel
+from repro.memory import LatencyProfile, TabulatedLatencyModel
 from repro.optim import TransformEffect, WorkloadState
 
 MACHINES = {name: get_machine(name) for name in ("skl", "knl", "a64fx")}
 
 utils = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-class TestQueueingModelProperties:
-    @given(
-        idle=st.floats(min_value=10.0, max_value=500.0),
-        u1=utils,
-        u2=utils,
-    )
-    def test_monotone(self, idle, u1, u2):
-        model = QueueingLatencyModel(idle_ns=idle)
-        lo, hi = sorted((u1, u2))
-        assert model.latency_ns(hi) >= model.latency_ns(lo)
-
-    @given(idle=st.floats(min_value=10.0, max_value=500.0), u=utils)
-    def test_never_below_idle(self, idle, u):
-        model = QueueingLatencyModel(idle_ns=idle)
-        assert model.latency_ns(u) >= idle
 
 
 class TestTabulatedModelProperties:

@@ -32,10 +32,7 @@ from hypothesis import strategies as st
 from repro.errors import ProfileDomainError, SimulationError
 from repro.machines import get_machine
 from repro.machines.spec import CacheSpec
-from repro.memory.latency_model import (
-    QueueingLatencyModel,
-    TabulatedLatencyModel,
-)
+from repro.memory.latency_model import TabulatedLatencyModel
 from repro.sim import ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
 from repro.sim.engine import Engine
@@ -162,7 +159,21 @@ def _controllers(latency_model):
 _TABULATED = TabulatedLatencyModel(
     [(0.0, 80.0), (0.3, 95.0), (0.7, 160.0), (1.0, 310.0)]
 )
-_QUEUEING = QueueingLatencyModel(idle_ns=90.0)
+#: A steep knee: nine points, two of them closer than the 1e-9 merge
+#: spacing (merged into one vertical step at u = 0.85).
+_KNEE = TabulatedLatencyModel(
+    [
+        (0.0, 90.0),
+        (0.2, 92.0),
+        (0.4, 97.0),
+        (0.6, 108.0),
+        (0.75, 130.0),
+        (0.85, 190.0),
+        (0.85 + 5e-10, 320.0),
+        (0.9, 600.0),
+        (1.0, 650.0),
+    ]
+)
 
 
 class TestMemctrlBatchEquivalence:
@@ -173,7 +184,7 @@ class TestMemctrlBatchEquivalence:
         seed=st.integers(0, 2**16),
         n=st.integers(1, 40),
         burst=st.booleans(),
-        model=st.sampled_from([_TABULATED, _QUEUEING]),
+        model=st.sampled_from([_TABULATED, _KNEE]),
     )
     def test_matches_scalar_requests(self, seed, n, burst, model):
         rng = np.random.default_rng(seed)
@@ -434,7 +445,7 @@ class TestLatencyModelBatch:
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(1, 64),
-        model=st.sampled_from([_TABULATED, _QUEUEING]),
+        model=st.sampled_from([_TABULATED, _KNEE]),
     )
     def test_elementwise_identical(self, seed, n, model):
         rng = np.random.default_rng(seed)
@@ -444,7 +455,7 @@ class TestLatencyModelBatch:
         assert got.tolist() == want
 
     def test_domain_errors_match_scalar(self):
-        for model in (_TABULATED, _QUEUEING):
+        for model in (_TABULATED, _KNEE):
             with pytest.raises(ProfileDomainError):
                 model.latency_ns_batch(np.array([0.2, 1.2]))
             with pytest.raises(ProfileDomainError):

@@ -113,15 +113,6 @@ class TestPinnedOperatingPoints:
         assert point.latency_ns == pytest.approx(lat, rel=1e-8)
         assert point.bandwidth_capped is capped
 
-    def test_smooth_curve_is_one_bisected_segment(self):
-        # No calibration points: the smooth queueing model, which has no
-        # piecewise form, is solved inside the single [0, cap] bracket.
-        spec = dataclasses.replace(get_machine("skl"), latency_calibration=())
-        point = solve_operating_point(spec, 5.0, 1)
-        assert point.iterations == 1
-        assert not point.bandwidth_capped
-        assert point.residual < 1e-9
-
 
 class TestCurveOwnership:
     @pytest.mark.parametrize("kind", ["profile", "params"])
@@ -129,6 +120,18 @@ class TestCurveOwnership:
         knl_curve = _curve(kind, get_machine("knl"))
         with pytest.raises(ConfigurationError, match="knl"):
             solve_operating_point(get_machine("skl"), 5.0, 1, curve=knl_curve)
+
+    def test_rejects_duck_typed_curve(self):
+        # A curve with a latency_ns method but no piecewise form is not
+        # solved; only the three segment-backed kinds are.
+        class _Smooth:
+            idle_latency_ns = 80.0
+
+            def latency_ns(self, utilization):
+                return 80.0 * (1.0 + utilization)
+
+        with pytest.raises(ConfigurationError, match="_Smooth"):
+            solve_operating_point(get_machine("skl"), 5.0, 1, curve=_Smooth())
 
 
 class TestMetamorphic:

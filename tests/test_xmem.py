@@ -77,7 +77,8 @@ class TestCharacterization:
         assert truth * 0.95 <= measured <= truth * 1.5
 
     def test_idle_latency_near_machine_idle(self, xmem_skl_profile, skl):
-        assert xmem_skl_profile.idle_latency_ns <= 1.6 * skl.memory.idle_latency_ns
+        idle_ns = model_for_machine(skl).idle_latency_ns
+        assert xmem_skl_profile.idle_latency_ns <= 1.6 * idle_ns
 
     def test_measurement_and_levels(self, knl):
         runner = XMemRunner(knl, XMemConfig(levels=3, accesses_per_thread=800))

@@ -6,6 +6,10 @@ Runs the command ``BENCHMARK.json`` declares on each workload with
 number is the benchmark's own, host-speed normalized; this script times
 nothing.  Run ``python3 benchmarks/record_trajectory.py`` (no arguments);
 it exits 1 if a run fails, reports ``correct: false`` or lacks a metric.
+
+A point is labelled with ``HEAD``'s SHA and ``"dirty": true`` when the
+working tree differs from ``HEAD`` (ignoring the trajectory file
+itself): the numbers then belong to uncommitted code, not to that SHA.
 """
 
 from __future__ import annotations
@@ -21,13 +25,25 @@ TRAJECTORY = REPO_ROOT / "BENCH_perfbench.json"
 SEED = 1
 
 
-def _git_sha() -> str:
-    argv = ["git", "rev-parse", "HEAD"]
+def _git(*args: str) -> str | None:
+    """Standard output of one git command in the repo, or None if it fails."""
     try:
-        run = subprocess.run(argv, cwd=REPO_ROOT, capture_output=True, text=True)
+        run = subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True
+        )
     except OSError:
-        return "unknown"
-    return run.stdout.strip() if run.returncode == 0 else "unknown"
+        return None
+    return run.stdout if run.returncode == 0 else None
+
+
+def is_dirty(porcelain: str) -> bool:
+    """Does ``git status --porcelain`` list a path besides the trajectory file?"""
+    for line in porcelain.splitlines():
+        # "XY path", or "XY old -> new" for a rename; odd names are quoted.
+        path = line[3:].split(" -> ")[-1].strip('"')
+        if path and path != TRAJECTORY.name:
+            return True
+    return False
 
 
 def last_json(stdout: str) -> dict | None:
@@ -40,8 +56,14 @@ def last_json(stdout: str) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
-def assemble(spec: dict, sha: str, date: str, outputs: dict) -> tuple[dict, list]:
-    """The point and its failed runs, from workload -> (trace 0, trace 1) stdout."""
+def assemble(
+    spec: dict, sha: str, date: str, outputs: dict, dirty: bool | None = False
+) -> tuple[dict, list]:
+    """The point and its failed runs, from workload -> (trace 0, trace 1) stdout.
+
+    ``dirty`` says whether the measured tree had uncommitted changes
+    (None: unknown).
+    """
     workloads, failures = {}, []
     for name, stdouts in outputs.items():
         entry = {"correct": True, "attempted": 0, "failed": 0}
@@ -57,7 +79,8 @@ def assemble(spec: dict, sha: str, date: str, outputs: dict) -> tuple[dict, list
             entry["failed"] += result.get("failed", 0)
             entry[kind] = metrics
         workloads[name] = entry
-    return {"git_sha": sha, "date": date, "workloads": workloads}, failures
+    point = {"git_sha": sha, "dirty": dirty, "date": date, "workloads": workloads}
+    return point, failures
 
 
 def load_history(path: Path) -> list:
@@ -106,11 +129,16 @@ def _run(spec: dict, workload: str, trace: int) -> str:
 def main() -> int:
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
+    # The tree as measured: read before the runs, which may leave files.
+    sha = (_git("rev-parse", "HEAD") or "unknown").strip()
+    status = _git("status", "--porcelain")
+    dirty = None if status is None else is_dirty(status)
     outputs = {name: [_run(spec, name, trace) for trace in (0, 1)] for name in names}
     date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    point, failures = assemble(spec, _git_sha(), date, outputs)
+    point, failures = assemble(spec, sha, date, outputs, dirty)
     append_point(TRAJECTORY, point)
-    print(f"recorded {point['git_sha'][:12]} -> {TRAJECTORY.name}")
+    label = " (uncommitted changes)" if dirty else ""
+    print(f"recorded {sha[:12]}{label} -> {TRAJECTORY.name}")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0

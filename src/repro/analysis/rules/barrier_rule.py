@@ -10,12 +10,12 @@ in that window silently observes pre-batch LRU order.  ``probe_batch``
 is exempt (membership-only by contract), but scalar reads are not:
 
 * **BARRIER001** — a scalar residency read (``.probe(...)``,
-  ``.resident_lines()``, ``.resident_pages``, or a direct ``._sets`` /
-  ``._pages`` peek) whose receiver is not provably flushed on **every**
-  path from function entry.  A receiver is flushed by ``.flush_batch()``
-  or by the self-flushing mutators ``.access()`` / ``.fill()`` /
-  ``.invalidate()``; the fact is killed by ``.touch_batch()`` and by
-  rebinding the receiver's root name.
+  ``.resident_lines()``, ``.lru_state()``, ``.resident_pages``, or a
+  direct ``._sets`` / ``._pages`` peek) whose receiver is not provably
+  flushed on **every** path from function entry.  A receiver is
+  flushed by ``.flush_batch()`` or by the self-flushing mutators
+  ``.access()`` / ``.fill()`` / ``.invalidate()``; the fact is killed
+  by ``.touch_batch()`` and by rebinding the receiver's root name.
 
 The check is a forward must-facts dataflow pass (branches intersect,
 loop bodies run to a conservative two-pass fixpoint, ``except``
@@ -43,7 +43,7 @@ _FLUSHING_CALLS = frozenset({"flush_batch", "access", "fill", "invalidate"})
 _STALING_CALLS = frozenset({"touch_batch"})
 
 #: Scalar residency reads spelled as method calls.
-_READ_CALLS = frozenset({"probe", "resident_lines"})
+_READ_CALLS = frozenset({"probe", "resident_lines", "lru_state"})
 
 #: Scalar residency reads spelled as attribute access.
 _READ_ATTRS = frozenset({"resident_pages", "_sets", "_pages"})
@@ -122,8 +122,9 @@ class BarrierRule(Rule):
     prefix = "BARRIER"
     name = "replay-barrier"
     description = (
-        "scalar residency reads (.probe/.resident_lines/.resident_pages) in "
-        "repro.sim must be preceded by flush_batch() on all paths (BARRIER001)"
+        "scalar residency reads (.probe/.resident_lines/.lru_state/"
+        ".resident_pages) in repro.sim must be preceded by flush_batch() "
+        "on all paths (BARRIER001)"
     )
 
     def applies_to(self, path: Path) -> bool:

@@ -323,7 +323,11 @@ class CacheReplayChecker:
     runs with scalar :meth:`~repro.sim.cache.CacheArray.access`
     semantics over a snapshot taken *before* the first queued run, and
     requires the array's actual post-flush state to match exactly —
-    order, tags, and dirty bits.  After each ``fill_batch`` it also
+    order, tags, and dirty bits.  Both sides are ordered ``(tag,
+    dirty)`` lists from :meth:`~repro.sim.cache.CacheArray.lru_state`
+    (the array's dict sets compare equal in any order), and the replay
+    scans those lists, independently of the array's dict operations.
+    After each ``fill_batch`` it also
     checks the resident table ``fill_batch`` keeps (:meth:`on_fill`).
     """
 
@@ -339,7 +343,7 @@ class CacheReplayChecker:
     def on_touch(self, line_addrs: Any, writes: Any) -> None:
         """A verified all-hit run was queued for deferred replay."""
         if self._snapshot is None:
-            self._snapshot = [list(ways) for ways in self.array._sets]
+            self._snapshot = self.array.lru_state()
         self._runs.append((line_addrs.tolist(), writes.tolist()))
 
     def on_fill(self) -> None:
@@ -351,7 +355,7 @@ class CacheReplayChecker:
         self.checks += 1
         want = np.sort(
             np.asarray(
-                [tag for ways in array._sets for tag, _ in ways], dtype=np.uint64
+                [tag for ways in array._sets for tag in ways], dtype=np.uint64
             )
         )
         if not np.array_equal(table, want):
@@ -388,10 +392,11 @@ class CacheReplayChecker:
                     )
                     return
         self.checks += 1
-        if reference != array._sets:
+        actual = array.lru_state()
+        if reference != actual:
             diff_sets = [
                 idx
-                for idx, (want, got) in enumerate(zip(reference, array._sets))
+                for idx, (want, got) in enumerate(zip(reference, actual))
                 if want != got
             ]
             self.runner.violate(

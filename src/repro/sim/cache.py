@@ -1,10 +1,17 @@
 """Set-associative cache arrays with true LRU replacement.
 
-Only the tag arrays are modeled (no data).  The cache tracks dirtiness so
-evictions of written lines produce writeback traffic — the paper notes
-its bandwidth counters miss L3 writebacks and estimates them with
+Only the tag arrays are modeled (no data).  The cache tracks dirtiness
+so evictions of written lines produce writeback traffic — the paper
+notes its bandwidth counters miss L3 writebacks and estimates them with
 heuristics; our simulator counts them exactly, which is one of the
 "simulator as counter oracle" advantages documented in DESIGN.md.
+
+Each set is a plain ``dict`` of ``line -> dirty`` whose insertion order
+is the LRU order (first key = least recently used).  A hit or refill is
+one ``pop`` plus a re-insert, the victim is the first key, and a
+presence probe is one ``in``: C-level dict operations, no Python scan
+over the ways.  Dict equality ignores order, so compare two arrays'
+LRU state through :meth:`CacheArray.lru_state`, never through ``_sets``.
 
 Besides the scalar per-access API the array exposes a **vectorized probe
 surface** (:meth:`CacheArray.probe_batch` / :meth:`CacheArray.touch_batch`)
@@ -52,8 +59,10 @@ class CacheArray:
         self.num_sets = spec.num_sets
         self.ways = spec.associativity
         self.line_bytes = spec.line_bytes
-        # Per set: list of (line_addr, dirty) in LRU order (front = LRU).
-        self._sets: List[List[Tuple[int, bool]]] = [[] for _ in range(self.num_sets)]
+        # Per set: line_addr -> dirty, insertion order = LRU order
+        # (first key = LRU).  Compare sets via lru_state(): dict
+        # equality ignores order.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         # Sorted resident-line table for probe_batch; None = stale.
         # Only fills and invalidations change membership (hits merely
         # reorder): scalar fill/invalidate drop the table, fill_batch
@@ -91,10 +100,18 @@ class CacheArray:
 
     def probe(self, line_addr: int) -> bool:
         """Is the line present? (No LRU update — use :meth:`access`.)"""
-        idx = self._set_index(line_addr)
-        return any(tag == line_addr for tag, _ in self._sets[idx])
+        return line_addr in self._sets[self._set_index(line_addr)]
 
-    def access(self, line_addr: int, *, write: bool = False) -> bool:
+    def lru_state(self) -> List[List[Tuple[int, bool]]]:
+        """Every set's ``(line_addr, dirty)`` pairs in LRU order (front = LRU).
+
+        The order-sensitive view of the tag array, for comparing two
+        arrays (dict ``==`` would ignore LRU order).  Reads the raw
+        state: queued :meth:`touch_batch` runs are not applied.
+        """
+        return [list(ways.items()) for ways in self._sets]
+
+    def access(self, line_addr: int, write: bool = False) -> bool:
         """Look up a line; on hit, update LRU (and dirty bit for writes).
 
         Returns True on hit, False on miss.  Misses do not install the
@@ -105,14 +122,13 @@ class CacheArray:
         if write:
             self.maybe_dirty = True
         ways = self._sets[(line_addr // self.line_bytes) % self.num_sets]
-        for i, (tag, dirty) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                ways.append((line_addr, dirty or write))
-                return True
-        return False
+        dirty = ways.pop(line_addr, None)
+        if dirty is None:
+            return False
+        ways[line_addr] = dirty or write
+        return True
 
-    def fill(self, line_addr: int, *, dirty: bool = False) -> Optional[int]:
+    def fill(self, line_addr: int, dirty: bool = False) -> Optional[int]:
         """Install a line; returns the evicted *dirty* line address, if any.
 
         Clean evictions return None (no writeback traffic).  Filling a
@@ -122,23 +138,21 @@ class CacheArray:
             self.flush_batch()
         if dirty:
             self.maybe_dirty = True
-        idx = self._set_index(line_addr)
-        ways = self._sets[idx]
-        for i, (tag, was_dirty) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                ways.append((line_addr, was_dirty or dirty))
-                return None
+        ways = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        was_dirty = ways.pop(line_addr, None)
+        if was_dirty is not None:
+            ways[line_addr] = was_dirty or dirty
+            return None
         self.fills += 1
         self._resident_cache = None
         victim_writeback: Optional[int] = None
         if len(ways) >= self.ways:
-            victim_addr, victim_dirty = ways.pop(0)
+            victim_addr = next(iter(ways))
             self.evictions += 1
-            if victim_dirty:
+            if ways.pop(victim_addr):
                 self.dirty_evictions += 1
                 victim_writeback = victim_addr
-        ways.append((line_addr, dirty))
+        ways[line_addr] = dirty
         return victim_writeback
 
     def fill_batch(self, line_addrs: np.ndarray) -> None:
@@ -148,7 +162,7 @@ class CacheArray:
         every line is currently absent, no line appears twice, and the
         array holds no dirty line (``maybe_dirty`` is False), so no
         eviction can produce a writeback.  Under those conditions the
-        scalar :meth:`fill`'s presence scan always misses and its victim
+        scalar :meth:`fill`'s presence check always misses and its victim
         is always clean, so this reduces to the pure install/evict loop
         — same ``fills``/``evictions`` counters, same final LRU state.
         A dirty victim raises (the caller's precondition was violated).
@@ -171,14 +185,14 @@ class CacheArray:
         for line, idx in zip(line_addrs.tolist(), set_indices):
             ways = sets[idx]
             if len(ways) >= ways_max:
-                victim_addr, victim_dirty = ways.pop(0)
-                if victim_dirty:
+                victim_addr = next(iter(ways))
+                if ways.pop(victim_addr):
                     raise SimulationError(
                         f"{self.name}: fill_batch evicted dirty line "
                         f"{hex(victim_addr)} (clean-array precondition violated)"
                     )
                 victims.append(victim_addr)
-            ways.append((line, False))
+            ways[line] = False
         self.evictions += len(victims)
         table = self._resident_cache
         if table is not None:
@@ -209,7 +223,7 @@ class CacheArray:
         """
         table = self._resident_cache
         if table is None:
-            resident = [tag for ways in self._sets for tag, _ in ways]
+            resident = [tag for ways in self._sets for tag in ways]
             table = np.sort(np.asarray(resident, dtype=np.uint64))
             self._resident_cache = table
         if not len(table):
@@ -276,30 +290,21 @@ class CacheArray:
         written = (
             set(line_addrs[writes].tolist()) if writes.any() else frozenset()
         )
-        touched = set(last_order)
-        per_set: Dict[int, List[int]] = {}
+        # Re-inserting each touched line in last-touch order leaves every
+        # set as its untouched lines (old relative order) followed by its
+        # touched lines in last-touch order.
+        sets = self._sets
         set_indices = (last_order_arr // self.line_bytes % self.num_sets).tolist()
         for set_idx, line in zip(set_indices, last_order):
-            per_set.setdefault(set_idx, []).append(line)
-        for set_idx, lines_in_set in per_set.items():
-            ways = self._sets[set_idx]
-            old_dirty: Dict[int, bool] = {}
-            kept: List[Tuple[int, bool]] = []
-            for tag, dirty in ways:
-                if tag in touched:
-                    old_dirty[tag] = dirty
-                else:
-                    kept.append((tag, dirty))
-            if len(old_dirty) != len(lines_in_set):
-                missing = [hex(li) for li in lines_in_set if li not in old_dirty]
+            ways = sets[set_idx]
+            dirty = ways.pop(line, None)
+            if dirty is None:
+                missing = [hex(li) for li in last_order if not self.probe(li)]
                 raise SimulationError(
                     f"{self.name}: touch_batch on non-resident line(s) "
                     f"{', '.join(missing)}"
                 )
-            kept.extend(
-                (line, old_dirty[line] or line in written) for line in lines_in_set
-            )
-            self._sets[set_idx] = kept
+            ways[line] = dirty or line in written
         if self._sanitizer is not None:
             self._sanitizer.on_flush()
 
@@ -307,14 +312,11 @@ class CacheArray:
         """Drop a line if present; returns whether it was present."""
         if self._pending:
             self.flush_batch()
-        idx = self._set_index(line_addr)
-        ways = self._sets[idx]
-        for i, (tag, _) in enumerate(ways):
-            if tag == line_addr:
-                del ways[i]
-                self._resident_cache = None
-                return True
-        return False
+        ways = self._sets[self._set_index(line_addr)]
+        if ways.pop(line_addr, None) is None:
+            return False
+        self._resident_cache = None
+        return True
 
     def resident_lines(self) -> int:
         """Total lines currently resident (for tests)."""

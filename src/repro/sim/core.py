@@ -64,11 +64,6 @@ class ThreadContext:
     stall_start_ns: float = 0.0
     done: bool = False
 
-    @property
-    def exhausted(self) -> bool:
-        """Has the thread issued its whole trace?"""
-        return self.next_idx >= len(self.trace)
-
 
 class ThreadDriver:
     """Drives one thread's trace through the hierarchy."""
@@ -181,10 +176,7 @@ class ThreadDriver:
         # their completion must not decrement in_flight.
         on_complete = self._on_complete if is_demand else self._on_prefetch_done
         issued = self.hierarchy.issue_access(
-            core_id=ctx.core_id,
-            addr=self._addrs[i],
-            kind=self._kinds[i],
-            on_complete=on_complete,
+            ctx.core_id, self._addrs[i], self._kinds[i], on_complete
         )
         if not issued:
             # L1 MSHR file full: record stall and retry when one frees.
@@ -611,7 +603,7 @@ class ThreadDriver:
 
     def _maybe_finish(self) -> None:
         ctx = self.ctx
-        if not ctx.done and ctx.exhausted and ctx.in_flight == 0:
+        if not ctx.done and ctx.next_idx >= self._n and ctx.in_flight == 0:
             self._finish()
 
     def _finish(self) -> None:

@@ -29,6 +29,7 @@ immediately (no MSHR is held for them).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import repeat
 from typing import Callable, Deque, Optional, Tuple
 
@@ -197,7 +198,6 @@ class MemoryController:
 
     def request(
         self,
-        *,
         is_write: bool,
         is_prefetch: bool,
         on_complete: Callable[[], None],
@@ -228,37 +228,45 @@ class MemoryController:
 
             on_complete = _audited_complete
 
-        def _admit() -> None:
-            self._note_admission(self.engine.now, self.line_bytes)
-            # utilization() at the admission time, without its second
-            # deque walk: _note_admission just trimmed with the same
-            # cutoff and left the deque non-empty.
-            util = self._recent_bytes / self._window_s / self.peak_bw_bytes
-            if util > 1.0:
-                util = 1.0
-            latency = self.latency_model.latency_ns(util)
-            if is_prefetch:
-                self.stats.prefetch_bytes += self.line_bytes
-            elif is_write:
-                self.stats.demand_write_bytes += self.line_bytes
-            else:
-                self.stats.demand_read_bytes += self.line_bytes
-            self.stats.requests += 1
-            recorded = latency
-            if self._faults is not None and self._faults.fires(
-                "time_skew", str(seq)
-            ):
-                # Injected telemetry skew: the *recorded* latency drifts
-                # from the physical one the completion is scheduled
-                # with, so occupancy no longer equals rate x latency.
-                recorded = latency * (
-                    1.0 + self._faults.param("time_skew", "skew", 0.5)
-                )
-            self.stats.latency_sum_ns += recorded + (admit - now)
-            self.stats.latency_count += 1
-            self.engine.schedule(latency, on_complete)
+        self.engine.schedule_at(
+            admit,
+            partial(self._admit, admit - now, seq, is_write, is_prefetch, on_complete),
+        )
 
-        self.engine.schedule_at(admit, _admit)
+    def _admit(
+        self,
+        queued_ns: float,
+        seq: int,
+        is_write: bool,
+        is_prefetch: bool,
+        on_complete: Callable[[], None],
+    ) -> None:
+        """Admission event of one :meth:`request`: record it, schedule completion."""
+        self._note_admission(self.engine.now, self.line_bytes)
+        # utilization() at the admission time, without its second
+        # deque walk: _note_admission just trimmed with the same
+        # cutoff and left the deque non-empty.
+        util = self._recent_bytes / self._window_s / self.peak_bw_bytes
+        if util > 1.0:
+            util = 1.0
+        latency = self.latency_model.latency_ns(util)
+        stats = self.stats
+        if is_prefetch:
+            stats.prefetch_bytes += self.line_bytes
+        elif is_write:
+            stats.demand_write_bytes += self.line_bytes
+        else:
+            stats.demand_read_bytes += self.line_bytes
+        stats.requests += 1
+        recorded = latency
+        if self._faults is not None and self._faults.fires("time_skew", str(seq)):
+            # Injected telemetry skew: the *recorded* latency drifts
+            # from the physical one the completion is scheduled
+            # with, so occupancy no longer equals rate x latency.
+            recorded = latency * (1.0 + self._faults.param("time_skew", "skew", 0.5))
+        stats.latency_sum_ns += recorded + queued_ns
+        stats.latency_count += 1
+        self.engine.schedule(latency, on_complete)
 
     # -- closed-form batch service (batch-stepping miss fast path) --------------
 

@@ -591,6 +591,17 @@ class TestBarrierRule:
         result = _lint("BARRIER", SIM / "h.py", text)
         assert [v.rule_id for v in result.violations] == ["BARRIER001"] * 2
 
+    def test_lru_state_read_guarded(self):
+        text = (
+            "def order(core):\n"
+            "    return core.l1_array.lru_state()\n"
+            "def flushed(core):\n"
+            "    core.l1_array.flush_batch()\n"
+            "    return core.l1_array.lru_state()\n"
+        )
+        result = _lint("BARRIER", SIM / "h.py", text)
+        assert [(v.rule_id, v.line) for v in result.violations] == [("BARRIER001", 2)]
+
     def test_batch_machinery_files_exempt(self):
         text = (
             "def probe(self, t):\n"

@@ -132,3 +132,32 @@ def test_assemble_flags_missing_result_and_metric(recorder):
         "crashed per_layer",
         "partial end_to_end",
     ]
+
+
+@pytest.mark.parametrize(
+    "porcelain, dirty",
+    [
+        ("", False),
+        (" M BENCH_perfbench.json\n", False),
+        (" M src/repro/sim/cache.py\n", True),
+        (" M BENCH_perfbench.json\n?? notes.txt\n", True),
+        ("R  old.py -> new.py\n", True),
+        ('?? "odd name.py"\n', True),
+        ("R  BENCH_perfbench.json -> moved.json\n", True),
+    ],
+)
+def test_is_dirty_ignores_only_the_trajectory_file(recorder, porcelain, dirty):
+    assert recorder.is_dirty(porcelain) is dirty
+
+
+def test_assemble_records_dirty_flag(recorder):
+    outputs = {
+        "w": (
+            _stdout(True, {"wall_s": 1.0, "ok_frac": 1.0}),
+            _stdout(True, {"sim.events": 1}),
+        )
+    }
+    clean, _ = recorder.assemble(SPEC, "abc", "d", outputs)
+    dirty, _ = recorder.assemble(SPEC, "abc", "d", outputs, dirty=True)
+    assert clean["dirty"] is False and dirty["dirty"] is True
+    assert dirty["git_sha"] == "abc"

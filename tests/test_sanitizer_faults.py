@@ -112,6 +112,50 @@ def test_replay_skip_trips_batch_replay_check():
     assert "diverged" in message
 
 
+class _SwapBeforeCheck:
+    """A replay checker whose array has set 0's two LRU-most lines swapped.
+
+    The swap happens after ``flush_batch`` replayed the queued runs and
+    before the wrapped checker compares: membership and dirty bits stay
+    exact, only the LRU order is wrong.
+    """
+
+    def __init__(self, checker):
+        self.checker = checker
+
+    def on_touch(self, line_addrs, writes):
+        self.checker.on_touch(line_addrs, writes)
+
+    def on_flush(self):
+        ways = self.checker.array._sets[0]
+        first, second, *rest = ways.items()
+        ways.clear()
+        ways.update([second, first, *rest])
+        self.checker.on_flush()
+
+
+def test_swapped_lru_order_trips_batch_replay_check():
+    spec = CacheSpec(
+        level=1, size_bytes=4096, line_bytes=64, mshrs=10, associativity=8
+    )
+    array = CacheArray(spec, "t.L1")
+    runner = _CapturingRunner()
+    array._sanitizer = _SwapBeforeCheck(CacheReplayChecker(array, runner))
+
+    lines = [i * array.num_sets * array.line_bytes for i in range(array.ways)]
+    for line in lines:
+        array.fill(line)
+    array.touch_batch(np.array(lines[-2:], dtype=np.int64), np.zeros(2, dtype=bool))
+    array.flush_batch()
+
+    # Same lines, same dirty bits: only an order-sensitive compare sees it.
+    assert set(array._sets[0]) == set(lines)
+    assert runner.calls, "sanitizer did not notice the swapped LRU order"
+    invariant, message = runner.calls[0]
+    assert invariant == "batch-replay"
+    assert "diverged" in message
+
+
 def _table_cache():
     spec = CacheSpec(
         level=1, size_bytes=4096, line_bytes=64, mshrs=10, associativity=8

@@ -241,7 +241,7 @@ class TestCacheProbeSurface:
         batch_cache.flush_batch()
         for line, write in zip(lines[:k].tolist(), writes[:k].tolist()):
             assert scalar_cache.access(int(line), write=bool(write))
-        assert batch_cache._sets == scalar_cache._sets
+        assert batch_cache.lru_state() == scalar_cache.lru_state()
 
     def test_touch_batch_deferred_replay_accumulates(self):
         """Multiple queued runs replay as one concatenated sequence."""
@@ -260,7 +260,7 @@ class TestCacheProbeSurface:
         # No explicit flush: the next scalar access must replay first.
         probe_line = int(lines[0])
         assert batch_cache.access(probe_line) == scalar_cache.access(probe_line)
-        assert batch_cache._sets == scalar_cache._sets
+        assert batch_cache.lru_state() == scalar_cache.lru_state()
 
     def test_touch_batch_rejects_non_resident(self):
         from repro.errors import SimulationError

@@ -490,7 +490,7 @@ class TestFillBatch:
         batch_cache.fill_batch(lines)
         for line in lines.tolist():
             assert scalar_cache.fill(int(line)) is None
-        assert batch_cache._sets == scalar_cache._sets
+        assert batch_cache.lru_state() == scalar_cache.lru_state()
         assert batch_cache.fills == scalar_cache.fills
         assert batch_cache.evictions == scalar_cache.evictions
         assert batch_cache.dirty_evictions == scalar_cache.dirty_evictions == 0
@@ -524,12 +524,12 @@ class TestFillBatch:
             batch_cache.fill_batch(lines)
             for line in lines.tolist():
                 scalar_cache.fill(int(line))
-            tags = [tag for ways in batch_cache._sets for tag, _ in ways]
+            tags = [tag for ways in batch_cache._sets for tag in ways]
             assert batch_cache._resident_cache is not None
             assert np.array_equal(
                 batch_cache._resident_cache, np.sort(np.array(tags, dtype=np.uint64))
             )
-            assert batch_cache._sets == scalar_cache._sets
+            assert batch_cache.lru_state() == scalar_cache.lru_state()
             assert batch_cache.evictions == scalar_cache.evictions
             probe = (rng.choice(np.arange(1, 4096), 64) * 64).astype(np.uint64)
             want = [scalar_cache.probe(int(line)) for line in probe.tolist()]

@@ -8,6 +8,11 @@ reproduced inline below, byte-for-byte equivalent in *shape* to the
 pre-columnar code (same statistical structure, same per-access JSON
 canonical form), so the comparison stays honest as the live code
 evolves.
+
+The mini-app extractors get the same guard: the array-built
+``extract_trace`` of the six perfbench apps must beat the per-access
+recording loops they replaced (kept inline below) by at least 3x, with
+identical trace digests.
 """
 
 import hashlib
@@ -19,7 +24,24 @@ import numpy as np
 
 from conftest import pedantic_once
 
-from repro.sim.coltrace import ColumnarThreadTrace, ColumnarTrace, trace_digest
+from repro.apps import (
+    AddressSpace,
+    ComdApp,
+    HpcgApp,
+    IsxApp,
+    MinighostApp,
+    PennantApp,
+    SnapApp,
+    partition,
+)
+from repro.machines import get_machine
+from repro.sim.coltrace import (
+    AccessColumns,
+    ColumnarThreadTrace,
+    ColumnarTrace,
+    columnar_trace,
+    trace_digest,
+)
 from repro.sim.trace import Access, AccessKind
 from repro.workloads.generators import random_updates, spawn_thread_generator
 
@@ -27,6 +49,7 @@ THREADS = 4
 ACCESSES = 50_000
 LINE = 64
 SPEEDUP_FLOOR = 5.0
+APP_SPEEDUP_FLOOR = 3.0
 
 
 # -- legacy baseline (the pre-columnar implementation, kept inline) -------------
@@ -135,3 +158,210 @@ def test_zero_copy_digest_scales(benchmark, printed):
     assert len(digest) == 64
     # 17 MB of arrays must digest in well under a second (observed ~20 ms).
     assert mean_s < 1.0
+
+
+# -- mini-app extraction: per-access recorder (legacy, inline) vs arrays --------
+
+#: perfbench's full-size apps: constructor kwargs, extract_trace kwargs.
+APPS = {
+    "isx": (IsxApp, {"keys_per_thread": 1000}, {}),
+    "hpcg": (HpcgApp, {"n": 8}, {"max_rows": 150}),
+    "pennant": (PennantApp, {}, {"max_corners": 1750}),
+    "comd": (ComdApp, {"particles": 400}, {}),
+    "minighost": (MinighostApp, {}, {"max_cells": 400}),
+    "snap": (SnapApp, {}, {"max_cells": 120}),
+}
+
+
+class _LegacyRecorder:
+    """The old ``TraceRecorder``: one Python call per access."""
+
+    def __init__(self, space):
+        # Every app array holds 8-byte elements.
+        self.base = {name: int(space.addr(name, 0)) for name in space.arrays()}
+        self.addr, self.kind, self.gap = [], [], []
+
+    def _record(self, array, index, kind, gap):
+        self.addr.append(self.base[array] + int(index) * 8)
+        self.kind.append(kind)
+        self.gap.append(gap)
+
+    def load(self, array, index, gap):
+        self._record(array, index, 0, gap)
+
+    def store(self, array, index, gap):
+        self._record(array, index, 1, gap)
+
+    def prefetch_l2(self, array, index):
+        self._record(array, index, 3, 0.5)
+
+
+def _legacy_space(*arrays):
+    space = AddressSpace()
+    for name, length in arrays:
+        space.add(name, length, 8)
+    return space
+
+
+def _legacy_isx(app):
+    space = _legacy_space(("keys", len(app.keys)), ("counts", app.buckets))
+    for start, end in partition(len(app.keys), app.threads):
+        rec = _LegacyRecorder(space)
+        for i in range(start, end):
+            key = int(app.keys[i])
+            rec.load("keys", i, 1.0)
+            rec.load("counts", key, 12.0)
+            rec.store("counts", key, 1.0)
+        yield rec
+
+
+def _legacy_hpcg(app, max_rows):
+    space = _legacy_space(
+        ("row_ptr", len(app.row_ptr)), ("col_idx", len(app.col_idx)),
+        ("values", len(app.values)), ("x", app.rows), ("y", app.rows),
+    )
+    for start, end in partition(min(app.rows, max_rows), app.threads):
+        rec = _LegacyRecorder(space)
+        for row in range(start, end):
+            rec.load("row_ptr", row, 1.0)
+            for k in range(int(app.row_ptr[row]), int(app.row_ptr[row + 1])):
+                rec.load("values", k, 2.0)
+                rec.load("col_idx", k, 1.0)
+                rec.load("x", int(app.col_idx[k]), 1.0)
+            rec.store("y", row, 1.0)
+        yield rec
+
+
+def _legacy_pennant(app, max_corners):
+    space = _legacy_space(
+        ("map_corner_point", app.corners), ("map_corner_zone", app.corners),
+        ("point_x", app.points), ("zone_x", app.zones), ("zone_div", app.zones),
+    )
+    for start, end in partition(min(app.corners, max_corners), app.threads):
+        rec = _LegacyRecorder(space)
+        for c in range(start, end):
+            rec.load("map_corner_point", c, 1.0)
+            rec.load("map_corner_zone", c, 1.0)
+            rec.load("point_x", int(app.map_corner_point[c]), 8.0)
+            rec.load("zone_x", int(app.map_corner_zone[c]), 8.0)
+            rec.store("zone_div", int(app.map_corner_zone[c]), 1.0)
+        yield rec
+
+
+def _legacy_comd(app):
+    space = _legacy_space(("pos", app.particles * 3), ("force", app.particles * 3))
+    for start, end in partition(app.particles, app.threads):
+        rec = _LegacyRecorder(space)
+        for p in range(start, end):
+            rec.load("pos", 3 * p, 2.0)
+            for q in app._neighbors(p):
+                rec.load("pos", 3 * q, 28.0)
+            rec.store("force", 3 * p, 2.0)
+        yield rec
+
+
+def _legacy_minighost(app, max_cells):
+    cells = app.nx * app.ny * app.nz
+    space = _legacy_space(("grid", cells), ("out", cells))
+    z_interior = list(range(1, app.nz - 1))
+    emitted = 0
+    for start, end in partition(len(z_interior), app.threads):
+        rec = _LegacyRecorder(space)
+        for zi in z_interior[start:end]:
+            for y in range(1, app.ny - 1):
+                for x in range(1, app.nx - 1):
+                    if emitted >= max_cells:
+                        break
+                    for dz in (-1, 0, 1):
+                        for dy in (-1, 0, 1):
+                            for dx in (-1, 0, 1):
+                                index = app._index(zi + dz, y + dy, x + dx)
+                                rec.load("grid", index, 1.5)
+                    rec.store("out", app._index(zi, y, x), 1.0)
+                    emitted += 1
+        yield rec
+
+
+def _legacy_snap(app, max_cells):
+    cells = app.ny * app.nx
+    space = _legacy_space(("psi", cells * app.nang), ("source", cells), ("sigma", cells))
+    emitted = 0
+    for start, end in partition(app.ny, app.threads):
+        rec = _LegacyRecorder(space)
+        for y in range(start, end):
+            for x in range(app.nx):
+                if emitted >= max_cells:
+                    break
+                rec.load("source", y * app.nx + x, 1.0)
+                rec.load("sigma", y * app.nx + x, 1.0)
+                for a in range(app.nang):
+                    if x > 0:
+                        rec.load("psi", (y * app.nx + x - 1) * app.nang + a, 3.0)
+                    if y > 0:
+                        rec.load("psi", ((y - 1) * app.nx + x) * app.nang + a, 3.0)
+                    rec.store("psi", (y * app.nx + x) * app.nang + a, 1.0)
+                emitted += 1
+        yield rec
+
+
+_LEGACY = {
+    "isx": _legacy_isx,
+    "hpcg": _legacy_hpcg,
+    "pennant": _legacy_pennant,
+    "comd": _legacy_comd,
+    "minighost": _legacy_minighost,
+    "snap": _legacy_snap,
+}
+_ROUTINES = {
+    "isx": "count_local_keys",
+    "hpcg": "ComputeSPMV_ref",
+    "pennant": "setCornerDiv",
+    "comd": "eamForce",
+    "minighost": "mg_stencil_3d27pt",
+    "snap": "dim3_sweep",
+}
+
+
+def _legacy_extract_all(apps, line_bytes):
+    digests = {}
+    for name, app in apps.items():
+        recorders = _LEGACY[name](app, **APPS[name][2])
+        trace = columnar_trace(
+            [
+                AccessColumns(
+                    np.array(r.addr, dtype=np.int64),
+                    np.array(r.kind, dtype=np.uint8),
+                    np.array(r.gap, dtype=np.float64),
+                )
+                for r in recorders
+            ],
+            routine=_ROUTINES[name],
+            line_bytes=line_bytes,
+        )
+        digests[name] = trace_digest(trace)
+    return digests
+
+
+def _array_extract_all(apps, machine):
+    return {
+        name: trace_digest(app.extract_trace(machine, **APPS[name][2]))
+        for name, app in apps.items()
+    }
+
+
+def test_array_app_extraction_beats_per_access_recorder(benchmark, printed):
+    skl = get_machine("skl")
+    apps = {name: cls(**kwargs) for name, (cls, kwargs, _) in APPS.items()}
+    legacy_s = _best_of(lambda: _legacy_extract_all(apps, skl.line_bytes))
+    array_s = _best_of(lambda: _array_extract_all(apps, skl), repeats=7)
+    digests = pedantic_once(benchmark, _array_extract_all, apps, skl)
+    speedup = legacy_s / array_s
+    if "app-extract" not in printed:
+        printed.add("app-extract")
+        print(
+            f"\nmini-app extract+digest (six perfbench apps, skl): "
+            f"per-access {legacy_s * 1e3:.1f} ms, "
+            f"array-built {array_s * 1e3:.1f} ms = {speedup:.1f}x"
+        )
+    assert digests == _legacy_extract_all(apps, skl.line_bytes)
+    assert speedup >= APP_SPEEDUP_FLOOR

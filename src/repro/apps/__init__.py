@@ -8,7 +8,7 @@ numerical results, and extract the kernels' actual address streams for
 the simulator.
 """
 
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from .common import AddressSpace, partition
 from .comd_app import ComdApp
 from .dgemm_app import DgemmApp
 from .hpcg_app import HpcgApp, build_27pt_csr
@@ -26,8 +26,6 @@ __all__ = [
     "MinighostApp",
     "PennantApp",
     "SnapApp",
-    "TraceRecorder",
     "build_27pt_csr",
-    "build_trace",
     "partition",
 ]

@@ -13,6 +13,7 @@ MLP-increasing optimization has headroom.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import LOAD, STORE, AddressSpace, partition, slot_columns
 
 
 @dataclass
@@ -129,15 +130,42 @@ class ComdApp:
         space.add("pos", self.particles * 3, 8)
         space.add("force", self.particles * 3, 8)
 
-        recorders = []
-        for start, end in partition(self.particles, self.threads):
-            rec = TraceRecorder(space, default_gap=pair_gap)
-            for p in range(start, end):
-                rec.load("pos", 3 * p, gap=2.0)
-                for q in self._neighbors(p):
-                    rec.load("pos", 3 * q, gap=pair_gap)
-                rec.store("force", 3 * p, gap=2.0)
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="eamForce", line_bytes=machine.line_bytes
+        # Link cells as arrays: each particle's cell, the particles
+        # grouped by cell in index order (a stable sort), and per
+        # particle its 27 neighbour cells in _neighbors' (dx, dy, dz)
+        # order.  Row p of the slot matrix is p's pos load, the
+        # neighbour-cell members (padded to the fullest cell, self-pair
+        # and padding masked off), then p's force store.
+        n = self.cells_per_dim
+        cell = np.minimum((self.pos / self.box * n).astype(int), n - 1)
+        flat = (cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]
+        by_cell = np.argsort(flat, kind="stable")
+        members = np.bincount(flat, minlength=n**3)
+        first = np.cumsum(members) - members
+        shifts = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+        around = (cell[:, None, :] + shifts) % n
+        around = (around[..., 0] * n + around[..., 1]) * n + around[..., 2]
+        slot = np.arange(members.max())
+        member = first[around][..., None] + slot
+        q = by_cell[np.minimum(member, self.particles - 1)]
+        p = np.arange(self.particles)
+        pair = (slot < members[around][..., None]) & (q != p[:, None, None])
+        slots = np.column_stack(
+            [
+                space.addr("pos", 3 * p),
+                space.addr("pos", 3 * q.reshape(self.particles, -1)),
+                space.addr("force", 3 * p),
+            ]
+        )
+        present = np.ones_like(slots, dtype=bool)
+        present[:, 1:-1] = pair.reshape(self.particles, -1)
+        kinds = (LOAD,) * (slots.shape[1] - 1) + (STORE,)
+        gaps = (2.0,) + (pair_gap,) * (slots.shape[1] - 2) + (2.0,)
+
+        threads = [
+            slot_columns(slots[start:end], kinds, gaps, present[start:end])
+            for start, end in partition(self.particles, self.threads)
+        ]
+        return columnar_trace(
+            threads, routine="eamForce", line_bytes=machine.line_bytes
         )

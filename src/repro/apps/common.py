@@ -2,22 +2,27 @@
 
 Each module in :mod:`repro.apps` *implements* one paper application at
 reduced scale — real data structures, verifiable numerical results —
-and extracts the kernel's **actual address stream** while running it.
-This is one rung more faithful than the statistical generators in
+and extracts the kernel's **actual address stream**.  This is one rung
+more faithful than the statistical generators in
 :mod:`repro.workloads`: the gather indices are the real column indices
 of a real sparse matrix, the bucket addresses come from the real keys,
 and so on.
 
-Two pieces are shared:
+The streams are built from whole-array passes over the app's own index
+arrays, never one Python call per access.  Three pieces are shared:
 
 * :class:`AddressSpace` — lays the app's arrays out in a flat virtual
   address space (region-aligned so different arrays never share cache
-  lines), and turns ``(array, element_index)`` into byte addresses;
-* :class:`TraceRecorder` — collects the kernel's loads/stores/prefetch
-  hints in order as plain address/kind/gap columns, which
-  :func:`build_trace` packages as a simulator
-  :class:`~repro.sim.coltrace.ColumnarTrace`, one thread per recorder
-  (the apps partition their iteration spaces the way the real ones do).
+  lines), and turns ``(array, element_index)`` into byte addresses,
+  for one index or a whole index array at once;
+* :func:`slot_columns` — reads a per-element slot matrix (the addresses
+  each loop iteration touches, in program order) out as one thread's
+  address/kind/gap columns;
+* :func:`partition` — the contiguous per-thread split of an iteration
+  space (the apps partition their loops the way the real ones do).
+
+:func:`~repro.sim.coltrace.columnar_trace` packages the per-thread
+columns as a simulator trace, thread ids in partition order.
 """
 
 from __future__ import annotations
@@ -25,23 +30,19 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..errors import ConfigurationError
-from ..sim.coltrace import (
-    GAP_DTYPE,
-    KIND_CODES,
-    KIND_DTYPE,
-    ColumnarThreadTrace,
-    ColumnarTrace,
-)
+from ..sim.coltrace import GAP_DTYPE, KIND_CODES, KIND_DTYPE, AccessColumns
 from ..sim.trace import AccessKind
 
 #: Array regions are aligned to this boundary (keeps sets disjoint).
 REGION_ALIGN = 16 * 1024 * 1024
 
-_LOAD = KIND_CODES[AccessKind.LOAD]
-_STORE = KIND_CODES[AccessKind.STORE]
-_SWPF_L2 = KIND_CODES[AccessKind.SWPF_L2]
+#: Kind codes of the slots the apps emit.
+LOAD = KIND_CODES[AccessKind.LOAD]
+STORE = KIND_CODES[AccessKind.STORE]
+SWPF_L2 = KIND_CODES[AccessKind.SWPF_L2]
 
 
 class AddressSpace:
@@ -64,80 +65,39 @@ class AddressSpace:
         regions = (span + REGION_ALIGN - 1) // REGION_ALIGN + 1
         self._next_base += regions * REGION_ALIGN
 
-    def addr(self, name: str, index: int) -> int:
-        """Byte address of ``name[index]``."""
+    def addr(self, name: str, index: ArrayLike) -> np.ndarray:
+        """``int64`` byte addresses of ``name[index]``, shaped like ``index``."""
         try:
-            return self._bases[name] + int(index) * self._itemsize[name]
+            base, itemsize = self._bases[name], self._itemsize[name]
         except KeyError:
             raise ConfigurationError(f"unknown array {name!r}") from None
+        return base + np.asarray(index, dtype=np.int64) * itemsize
 
     def arrays(self) -> Tuple[str, ...]:
         """Registered array names."""
         return tuple(self._bases)
 
 
-class TraceRecorder:
-    """Collects a kernel's access stream for one thread."""
+def slot_columns(
+    addr: np.ndarray,
+    kinds: Sequence[int],
+    gaps: Sequence[float],
+    mask: Optional[np.ndarray] = None,
+) -> AccessColumns:
+    """One thread's accesses from a per-element slot matrix.
 
-    def __init__(self, space: AddressSpace, *, default_gap: float = 2.0) -> None:
-        self.space = space
-        self.default_gap = default_gap
-        self._addrs: List[int] = []
-        self._kinds: List[int] = []
-        self._gaps: List[float] = []
-
-    def _record(self, addr: int, kind: int, gap: float) -> None:
-        self._addrs.append(addr)
-        self._kinds.append(kind)
-        self._gaps.append(gap)
-
-    def load(self, array: str, index: int, *, gap: Optional[float] = None) -> None:
-        """Record a demand load of ``array[index]``."""
-        self._record(
-            self.space.addr(array, index),
-            _LOAD,
-            self.default_gap if gap is None else gap,
-        )
-
-    def store(self, array: str, index: int, *, gap: Optional[float] = None) -> None:
-        """Record a demand store to ``array[index]``."""
-        self._record(
-            self.space.addr(array, index),
-            _STORE,
-            self.default_gap if gap is None else gap,
-        )
-
-    def prefetch_l2(self, array: str, index: int) -> None:
-        """Record an L2-targeted software prefetch of ``array[index]``."""
-        self._record(self.space.addr(array, index), _SWPF_L2, 0.5)
-
-    def to_thread(self, thread_id: int) -> ColumnarThreadTrace:
-        """Package the recorded stream as one thread's trace."""
-        return ColumnarThreadTrace(
-            thread_id,
-            np.array(self._addrs, dtype=np.int64),
-            np.array(self._kinds, dtype=KIND_DTYPE),
-            np.array(self._gaps, dtype=GAP_DTYPE),
-        )
-
-    def __len__(self) -> int:
-        return len(self._addrs)
-
-
-def build_trace(
-    recorders: Sequence[TraceRecorder],
-    *,
-    routine: str,
-    line_bytes: int,
-) -> ColumnarTrace:
-    """Assemble per-thread recorders into a simulator trace."""
-    if not recorders:
-        raise ConfigurationError("need at least one recorder")
-    return ColumnarTrace(
-        threads=tuple(rec.to_thread(i) for i, rec in enumerate(recorders)),
-        routine=routine,
-        line_bytes=line_bytes,
-    )
+    ``addr`` is ``(elements, slots)``: row ``i`` holds the addresses
+    element ``i`` touches, in program order.  ``kinds`` and ``gaps``
+    give each slot's kind code and gap.  The rows are read out in order,
+    so element ``i``'s accesses come before element ``i + 1``'s.
+    ``mask`` (same shape as ``addr``) drops the slots an element does
+    not execute; their addresses are never used.
+    """
+    kind = np.broadcast_to(np.asarray(kinds, KIND_DTYPE), addr.shape)
+    gap = np.broadcast_to(np.asarray(gaps, GAP_DTYPE), addr.shape)
+    if mask is None:
+        return AccessColumns(addr.reshape(-1), kind.reshape(-1), gap.reshape(-1))
+    return AccessColumns(addr[mask], kind[mask], gap[mask])
 
 
 def partition(n: int, parts: int) -> List[Tuple[int, int]]:

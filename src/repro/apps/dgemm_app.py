@@ -23,8 +23,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import LOAD, STORE, AddressSpace, partition, slot_columns
 
 
 @dataclass
@@ -89,24 +89,27 @@ class DgemmApp:
         space.add("c", n * n, 8)
         line_elems = max(1, machine.line_bytes // 8)
 
-        tiles = []
-        for ii in range(0, n, bs):
-            for kk in range(0, n, bs):
-                for jj in range(0, n, bs):
-                    tiles.append((ii, kk, jj))
+        # Tiles in (ii, kk, jj) loop order; per tile, the A and B line
+        # touches interleaved row by row, then the C line stores.
+        tiles = np.indices((n // bs,) * 3).reshape(3, -1) * bs
         if max_tiles is not None:
-            tiles = tiles[: max_tiles * self.threads]
+            tiles = tiles[:, : max_tiles * self.threads]
+        ii, kk, jj = tiles
+        lines = (
+            np.arange(bs)[:, None] * n + np.arange(0, bs, line_elems)
+        ).reshape(-1)
+        ab = np.stack(
+            [
+                space.addr("a", (ii * n + kk)[:, None] + lines),
+                space.addr("b", (kk * n + jj)[:, None] + lines),
+            ],
+            axis=2,
+        ).reshape(len(ii), 2 * len(lines))
+        slots = np.column_stack([ab, space.addr("c", (ii * n + jj)[:, None] + lines)])
+        kinds = (LOAD,) * ab.shape[1] + (STORE,) * len(lines)
 
-        recorders = []
-        for start, end in partition(len(tiles), self.threads):
-            rec = TraceRecorder(space, default_gap=fma_gap_cycles)
-            for ii, kk, jj in tiles[start:end]:
-                for r in range(bs):
-                    for col in range(0, bs, line_elems):
-                        rec.load("a", (ii + r) * n + kk + col, gap=fma_gap_cycles)
-                        rec.load("b", (kk + r) * n + jj + col, gap=fma_gap_cycles)
-                for r in range(bs):
-                    for col in range(0, bs, line_elems):
-                        rec.store("c", (ii + r) * n + jj + col, gap=fma_gap_cycles)
-            recorders.append(rec)
-        return build_trace(recorders, routine="dgemm", line_bytes=machine.line_bytes)
+        threads = [
+            slot_columns(slots[start:end], kinds, (fma_gap_cycles,) * len(kinds))
+            for start, end in partition(len(ii), self.threads)
+        ]
+        return columnar_trace(threads, routine="dgemm", line_bytes=machine.line_bytes)

@@ -18,8 +18,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import LOAD, STORE, AddressSpace, partition, slot_columns
 
 
 def build_27pt_csr(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,7 +99,7 @@ class HpcgApp:
         fma_gap_cycles: float = 2.0,
     ) -> ColumnarTrace:
         """Real per-row access stream: value/index streams + x gathers."""
-        rows = self.rows if max_rows is None else min(self.rows, max_rows)
+        rows = self.rows if max_rows is None else max(0, min(self.rows, max_rows))
         space = AddressSpace()
         space.add("row_ptr", len(self.row_ptr), 8)
         space.add("col_idx", len(self.col_idx), 8)
@@ -107,17 +107,31 @@ class HpcgApp:
         space.add("x", self.rows, 8)
         space.add("y", self.rows, 8)
 
-        recorders = []
-        for start, end in partition(rows, self.threads):
-            rec = TraceRecorder(space, default_gap=fma_gap_cycles)
-            for row in range(start, end):
-                rec.load("row_ptr", row, gap=1.0)
-                for k in range(int(self.row_ptr[row]), int(self.row_ptr[row + 1])):
-                    rec.load("values", k, gap=fma_gap_cycles)
-                    rec.load("col_idx", k, gap=1.0)
-                    rec.load("x", int(self.col_idx[k]), gap=1.0)
-                rec.store("y", row, gap=1.0)
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="ComputeSPMV_ref", line_bytes=machine.line_bytes
+        # One row of slots per CSR row: the row_ptr load, a (values,
+        # col_idx, x[col]) triple per stored entry, the y store.  Rows
+        # shorter than the longest mask off their unused triples.
+        row = np.arange(rows)
+        lens = np.diff(self.row_ptr[: rows + 1])
+        j = np.arange(lens.max(initial=0))
+        k = self.row_ptr[:rows, None] + j
+        stored = j < lens[:, None]
+        col = self.col_idx[np.minimum(k, len(self.col_idx) - 1)]
+        triples = np.stack(
+            [space.addr("values", k), space.addr("col_idx", k), space.addr("x", col)],
+            axis=2,
+        ).reshape(rows, 3 * len(j))
+        slots = np.column_stack(
+            [space.addr("row_ptr", row), triples, space.addr("y", row)]
+        )
+        present = np.ones_like(slots, dtype=bool)
+        present[:, 1:-1] = np.repeat(stored, 3, axis=1)
+        kinds = (LOAD,) + (LOAD,) * triples.shape[1] + (STORE,)
+        gaps = (1.0,) + (fma_gap_cycles, 1.0, 1.0) * len(j) + (1.0,)
+
+        threads = [
+            slot_columns(slots[start:end], kinds, gaps, present[start:end])
+            for start, end in partition(rows, self.threads)
+        ]
+        return columnar_trace(
+            threads, routine="ComputeSPMV_ref", line_bytes=machine.line_bytes
         )

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace, concat_columns
+from .common import LOAD, STORE, SWPF_L2, AddressSpace, partition, slot_columns
 
 
 @dataclass
@@ -88,18 +88,33 @@ class IsxApp:
         space = AddressSpace()
         space.add("keys", len(self.keys), 8)
         space.add("counts", self.buckets, 8)
+        kinds, gaps = (LOAD, LOAD, STORE), (1.0, update_gap_cycles, 1.0)
 
-        recorders = []
+        threads = []
         for start, end in partition(len(self.keys), self.threads):
-            rec = TraceRecorder(space, default_gap=update_gap_cycles)
-            for i in range(start, end):
-                key = int(self.keys[i])
-                if l2_prefetch and i + prefetch_distance < end:
-                    rec.prefetch_l2("counts", int(self.keys[i + prefetch_distance]))
-                rec.load("keys", i, gap=1.0)
-                rec.load("counts", key, gap=update_gap_cycles)
-                rec.store("counts", key, gap=1.0)
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="count_local_keys", line_bytes=machine.line_bytes
+            i = np.arange(start, end)
+            bucket = space.addr("counts", self.keys[start:end])
+            slots = np.stack([space.addr("keys", i), bucket, bucket], axis=1)
+            if not l2_prefetch:
+                threads.append(slot_columns(slots, kinds, gaps))
+                continue
+            # Key i prefetches key i + distance's bucket while that key
+            # is still in this thread's range: a four-slot head, then
+            # the last ``prefetch_distance`` keys without a prefetch.
+            head = min(max(end - prefetch_distance - start, 0), end - start)
+            ahead = space.addr("counts", self.keys[i[:head] + prefetch_distance])
+            threads.append(
+                concat_columns(
+                    [
+                        slot_columns(
+                            np.column_stack([ahead, slots[:head]]),
+                            (SWPF_L2,) + kinds,
+                            (0.5,) + gaps,
+                        ),
+                        slot_columns(slots[head:], kinds, gaps),
+                    ]
+                )
+            )
+        return columnar_trace(
+            threads, routine="count_local_keys", line_bytes=machine.line_bytes
         )

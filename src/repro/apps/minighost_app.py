@@ -11,6 +11,7 @@ hardware prefetcher feasts on) plus the output store stream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import LOAD, STORE, AddressSpace, partition, slot_columns
 
 
 @dataclass
@@ -86,34 +87,39 @@ class MinighostApp:
         max_cells: Optional[int] = None,
         flop_gap_cycles: float = 1.5,
     ) -> ColumnarTrace:
-        """Real loop-nest access stream, z-planes partitioned by thread."""
+        """Real loop-nest access stream, z-planes partitioned by thread.
+
+        ``max_cells`` is one budget shared by all threads and spent in
+        thread order, so thread 0 consumes it first: at 400 cells of the
+        default grid, thread 0 holds all 11200 accesses and thread 1
+        none.  Splitting it per thread would change the traces (and
+        every cached simulation keyed on them).
+        """
         space = AddressSpace()
         cells = self.nx * self.ny * self.nz
         space.add("grid", cells, 8)
         space.add("out", cells, 8)
 
-        z_interior = list(range(1, self.nz - 1))
-        recorders = []
-        emitted = 0
-        budget = max_cells if max_cells is not None else cells
-        for start, end in partition(len(z_interior), self.threads):
-            rec = TraceRecorder(space, default_gap=flop_gap_cycles)
-            for zi in z_interior[start:end]:
-                for y in range(1, self.ny - 1):
-                    for x in range(1, self.nx - 1):
-                        if emitted >= budget:
-                            break
-                        for dz in (-1, 0, 1):
-                            for dy in (-1, 0, 1):
-                                for dx in (-1, 0, 1):
-                                    rec.load(
-                                        "grid",
-                                        self._index(zi + dz, y + dy, x + dx),
-                                        gap=flop_gap_cycles,
-                                    )
-                        rec.store("out", self._index(zi, y, x), gap=1.0)
-                        emitted += 1
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="mg_stencil_3d27pt", line_bytes=machine.line_bytes
+        # Interior cells in loop-nest order, 27 neighbour loads (dz, dy,
+        # dx) then the store per cell.  Threads own contiguous z-plane
+        # blocks; the budget counts cells in that same global order.
+        z, y, x = np.indices((self.nz - 2, self.ny - 2, self.nx - 2)) + 1
+        budget = max(max_cells if max_cells is not None else cells, 0)
+        center = self._index(z, y, x).reshape(-1)[:budget]
+        stencil = np.array(
+            [self._index(*d) for d in itertools.product((-1, 0, 1), repeat=3)]
+        )
+        slots = np.column_stack(
+            [space.addr("grid", center[:, None] + stencil), space.addr("out", center)]
+        )
+        kinds = (LOAD,) * len(stencil) + (STORE,)
+        gaps = (flop_gap_cycles,) * len(stencil) + (1.0,)
+
+        plane = (self.ny - 2) * (self.nx - 2)
+        threads = [
+            slot_columns(slots[start * plane : end * plane], kinds, gaps)
+            for start, end in partition(self.nz - 2, self.threads)
+        ]
+        return columnar_trace(
+            threads, routine="mg_stencil_3d27pt", line_bytes=machine.line_bytes
         )

@@ -18,8 +18,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import LOAD, STORE, AddressSpace, partition, slot_columns
 
 
 @dataclass
@@ -101,18 +101,29 @@ class PennantApp:
         space.add("zone_div", self.zones, 8)
 
         corners = (
-            self.corners if max_corners is None else min(self.corners, max_corners)
+            self.corners
+            if max_corners is None
+            else max(0, min(self.corners, max_corners))
         )
-        recorders = []
-        for start, end in partition(corners, self.threads):
-            rec = TraceRecorder(space, default_gap=gap)
-            for c in range(start, end):
-                rec.load("map_corner_point", c, gap=1.0)  # streaming index read
-                rec.load("map_corner_zone", c, gap=1.0)
-                rec.load("point_x", int(self.map_corner_point[c]), gap=gap)
-                rec.load("zone_x", int(self.map_corner_zone[c]), gap=gap)
-                rec.store("zone_div", int(self.map_corner_zone[c]), gap=1.0)
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="setCornerDiv", line_bytes=machine.line_bytes
+        c = np.arange(corners)
+        point = self.map_corner_point[:corners]
+        zone = self.map_corner_zone[:corners]
+        slots = np.stack(
+            [
+                space.addr("map_corner_point", c),  # streaming index reads
+                space.addr("map_corner_zone", c),
+                space.addr("point_x", point),
+                space.addr("zone_x", zone),
+                space.addr("zone_div", zone),
+            ],
+            axis=1,
+        )
+        kinds = (LOAD, LOAD, LOAD, LOAD, STORE)
+        gaps = (1.0, 1.0, gap, gap, 1.0)
+        threads = [
+            slot_columns(slots[start:end], kinds, gaps)
+            for start, end in partition(corners, self.threads)
+        ]
+        return columnar_trace(
+            threads, routine="setCornerDiv", line_bytes=machine.line_bytes
         )

@@ -21,8 +21,15 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..sim.coltrace import ColumnarTrace
-from .common import AddressSpace, TraceRecorder, build_trace, partition
+from ..sim.coltrace import ColumnarTrace, columnar_trace
+from .common import (
+    LOAD,
+    STORE,
+    SWPF_L2,
+    AddressSpace,
+    partition,
+    slot_columns,
+)
 
 
 @dataclass
@@ -96,6 +103,13 @@ class SnapApp:
         prefetch (SNAP's paper signature).  ``sw_prefetch`` issues the
         directive-style prefetches for the *next* cell's flux ahead of
         the current burst.
+
+        ``max_cells`` is one budget shared by all threads and spent in
+        thread order, so thread 0 consumes it first: at 120 cells of the
+        default sweep, thread 0 holds all 16128 accesses and thread 1
+        none (248 and none at 12 cells of a 6 x 4 x 8 sweep).  Splitting
+        it per thread would change the traces (and every cached
+        simulation keyed on them).
         """
         space = AddressSpace()
         cells = self.ny * self.nx
@@ -103,33 +117,53 @@ class SnapApp:
         space.add("source", cells, 8)
         space.add("sigma", cells, 8)
 
-        def flat(y: int, x: int, a: int = 0) -> int:
-            return (y * self.nx + x) * self.nang + a
+        # One row of slots per cell in row-major order: the source and
+        # sigma loads, the next cell's prefetches, then per angle the
+        # two upstream flux loads and the store.  Edge cells mask off
+        # the upstream loads they lack (and the prefetch past the row).
+        # Threads own contiguous row blocks (SNAP's spatial
+        # decomposition); the budget counts cells in that global order.
+        budget = max(max_cells if max_cells is not None else cells, 0)
+        y, x = (
+            axis.reshape(-1)[:budget] for axis in np.indices((self.ny, self.nx))
+        )
+        cell = y * self.nx + x
+        ahead = np.arange(0, self.nang, 8)
+        angle = np.arange(self.nang)
+        flux = np.stack(
+            [
+                space.addr("psi", (cell - 1)[:, None] * self.nang + angle),
+                space.addr("psi", (cell - self.nx)[:, None] * self.nang + angle),
+                space.addr("psi", cell[:, None] * self.nang + angle),
+            ],
+            axis=2,
+        ).reshape(len(cell), 3 * self.nang)
+        slots = np.column_stack(
+            [
+                space.addr("source", cell),
+                space.addr("sigma", cell),
+                space.addr("psi", (cell + 1)[:, None] * self.nang + ahead),
+                flux,
+            ]
+        )
+        present = np.ones_like(slots, dtype=bool)
+        present[:, 2 : 2 + len(ahead)] = (sw_prefetch & (x + 1 < self.nx))[:, None]
+        present[:, 2 + len(ahead) :] = np.tile(
+            np.stack([x > 0, y > 0, np.ones_like(x, dtype=bool)], axis=1),
+            self.nang,
+        )
+        kinds = (LOAD, LOAD) + (SWPF_L2,) * len(ahead) + (LOAD, LOAD, STORE) * self.nang
+        gaps = (1.0, 1.0) + (0.5,) * len(ahead) + (3.0, 3.0, 1.0) * self.nang
 
-        # Per-thread: contiguous row blocks (SNAP's spatial decomposition).
-        budget = max_cells if max_cells is not None else cells
-        emitted = 0
-        recorders = []
-        for start, end in partition(self.ny, self.threads):
-            rec = TraceRecorder(space, default_gap=3.0)
-            for y in range(start, end):
-                for x in range(self.nx):
-                    if emitted >= budget:
-                        break
-                    rec.load("source", y * self.nx + x, gap=1.0)
-                    rec.load("sigma", y * self.nx + x, gap=1.0)
-                    if sw_prefetch and x + 1 < self.nx:
-                        # Prefetch next cell's flux burst one cell ahead.
-                        for a in range(0, self.nang, 8):
-                            rec.prefetch_l2("psi", flat(y, x + 1, a))
-                    for a in range(self.nang):
-                        if x > 0:
-                            rec.load("psi", flat(y, x - 1, a), gap=3.0)
-                        if y > 0:
-                            rec.load("psi", flat(y - 1, x, a), gap=3.0)
-                        rec.store("psi", flat(y, x, a), gap=1.0)
-                    emitted += 1
-            recorders.append(rec)
-        return build_trace(
-            recorders, routine="dim3_sweep", line_bytes=machine.line_bytes
+        threads = [
+            slot_columns(
+                slots[start * self.nx : end * self.nx],
+                kinds,
+                gaps,
+                present[start * self.nx : end * self.nx],
+            )
+            for start, end in partition(self.ny, self.threads)
+        ]
+        return columnar_trace(
+            threads, routine="dim3_sweep", line_bytes=machine.line_bytes
         )

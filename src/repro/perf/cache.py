@@ -144,7 +144,7 @@ def digest_for(
         {
             "schema": SCHEMA_VERSION,
             "repro_version": __version__,
-            "config": _canonical(config),
+            "config": config,
             "trace": trace_digest(trace),
             "max_events": max_events,
         }

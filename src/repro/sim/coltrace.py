@@ -1,6 +1,6 @@
 """Columnar (structure-of-arrays) traces: the simulator's workload format.
 
-Every producer — the workload generators, the mini-app recorders, the
+Every producer — the workload generators, the mini-app extractors, the
 X-Mem kernels and :func:`trace_from_addresses` — emits this one
 representation, and the simulator, the perf cache and the trace files
 consume it.  Per thread a trace is three parallel numpy arrays

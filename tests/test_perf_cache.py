@@ -75,6 +75,44 @@ class TestDigestStability:
         t2, c2 = build()
         assert digest_for(t1, c1) == digest_for(t2, c2)
 
+    #: ``digest_for`` of one throughput trace per paper machine and config
+    #: variant.  These are the sim-cache file names: a change here re-keys
+    #: every cached simulation, which only a ``SCHEMA_VERSION`` or version
+    #: bump may do.
+    PINNED = {
+        ("skl", "plain"): "e03838e64088ab652fddd21f64a781158f451c59231671e3ff60b0c4618db43a",
+        ("skl", "tlb-nopf-nobatch"): "c860bad9d3a034845438bf84fd673505ba79cd43b41a823d79ef1680fb5b175f",
+        ("skl", "l3"): "385ce30309a9c942811731cf5b211986d9f6dd4695752c0f303b79c8aa784248",
+        ("knl", "plain"): "cd8dfa75aa7614d38a20cd43e1df01bc95b4c0ecf558118f16c0af15e8a6caa5",
+        ("knl", "tlb-nopf-nobatch"): "f047aea6566c080e05dc54b5133fc9e494e83cb4045acd4a603c5f96bd47d30d",
+        ("knl", "l3"): "585a4fa296173c605179e78db60636eabee7101ef7b6a14e999468a87e6a6a39",
+        ("a64fx", "plain"): "d9759d6247ff564a7ac61fd7a3ab71a9f3593fa5830625af39395e73cb0a33dc",
+        ("a64fx", "tlb-nopf-nobatch"): "5b59404f49e85591b7b2f502a6f2763d0a0b1f086b0b57509278c3af2057311f",
+        ("a64fx", "l3"): "f57fb206ed5db8fe492ead66d8e72fad4ec7be27cbbde29c0d31c83e59ed417f",
+    }
+    VARIANTS = {
+        "plain": {},
+        "tlb-nopf-nobatch": {
+            "tlb_entries": 64,
+            "hw_prefetch": False,
+            "batch": False,
+            "batch_miss": False,
+        },
+        "l3": {"l3_enabled": True},
+    }
+
+    @pytest.mark.parametrize("machine, variant", sorted(PINNED))
+    def test_digest_pinned(self, machine, variant):
+        spec = get_machine(machine)
+        trace = throughput_trace(
+            threads=2,
+            accesses_per_thread=300,
+            line_bytes=spec.line_bytes,
+            gap_cycles=20.0,
+        )
+        config = SimConfig(machine=spec, sim_cores=2, **self.VARIANTS[variant])
+        assert digest_for(trace, config) == self.PINNED[machine, variant]
+
     @pytest.mark.parametrize(
         "override",
         [

@@ -1,8 +1,8 @@
 """RES — resilience hygiene: no silent exception swallows.
 
 The pipeline has one sanctioned place to absorb failure: the
-:mod:`repro.resilience` package, whose fault injector damages files
-and drops samples on purpose.  Everywhere else — the
+:mod:`repro.resilience` package, whose fault injector damages
+sim-cache entries on purpose.  Everywhere else — the
 :func:`repro.perf.parallel.fan_out` pool included, where an item's
 exception propagates unchanged — a handler that catches a broad
 exception class and silently discards it hides exactly the failures

@@ -74,7 +74,7 @@ class ComparisonRow:
 def render_data_quality(issues: Sequence[DataQualityIssue]) -> str:
     """Render a degraded-mode ingestion report.
 
-    A census line (``3 issue(s): 2 skipped-row, 1 nan-bandwidth``)
+    A census line (``3 issue(s): 1 bad-cell, 2 skipped-row``)
     followed by one indented line per issue, so a report built from
     imperfect data carries its caveats with it.  Empty input renders
     the all-clear line.

@@ -133,7 +133,7 @@ def quality_widened_errors(
     """Widen the error budget to reflect degraded-mode ingestion.
 
     Every :class:`~repro.resilience.quality.DataQualityIssue` that
-    survived ingestion (skipped rows, dropped samples, NaN counters)
+    survived ingestion (skipped rows, bad cells, missing or NaN counters)
     adds :data:`QUALITY_ERROR_PER_ISSUE` to the *bandwidth* relative
     error — the side the degraded counters actually feed — capped at
     :data:`QUALITY_ERROR_CAP`; the profile error is untouched.  Returns

@@ -78,14 +78,12 @@ class CounterSession:
     ) -> Tuple[Optional[CounterReading], List[DataQualityIssue]]:
         """Degraded-mode read: survive bad samples, report what happened.
 
-        Real PMU sessions lose samples (multiplexing gaps) and return
-        NaN (broken counters — the paper cites outright-broken FLOP
-        counters); the ``counter_drop``/``counter_nan`` fault kinds
-        reproduce both.  A dropped sample returns ``(None, [issue])``; a
-        NaN sample returns the reading with a ``nan-counter`` issue so
-        callers can substitute and widen.  An unsupported event is
-        *also* degraded to ``(None, [missing-counter issue])`` — the
-        strict :meth:`read` raises instead.
+        Real PMU sessions return NaN (broken counters — the paper cites
+        outright-broken FLOP counters): a NaN sample returns the reading
+        with a ``nan-counter`` issue so callers can substitute and
+        widen.  An unsupported event is degraded to ``(None,
+        [missing-counter issue])`` — the strict :meth:`read` raises
+        instead.
         """
         issues: List[DataQualityIssue] = []
         native = self._supported.get(event)
@@ -98,22 +96,7 @@ class CounterSession:
                 )
             )
             return None, issues
-        from ..resilience.faults import get_injector
-
-        injector = get_injector()
-        key = f"{self.vendor}:{event.value}"
-        if injector.active and injector.drops_sample(key):
-            issues.append(
-                DataQualityIssue(
-                    kind="dropped-sample",
-                    location=event.value,
-                    detail="sample dropped (injected counter_drop fault)",
-                )
-            )
-            return None, issues
         value = self._value(event)
-        if injector.active and injector.nans_sample(key):
-            value = math.nan
         if math.isnan(value):
             issues.append(
                 DataQualityIssue(
@@ -187,7 +170,7 @@ class CounterSession:
         """Degraded-mode :meth:`bandwidth_bytes_per_s`.
 
         Each contributing counter is read through
-        :meth:`read_with_quality`; a dropped or NaN sample contributes
+        :meth:`read_with_quality`; a missing or NaN sample contributes
         zero traffic (an *under*-estimate, like a real multiplexing
         gap) and one :class:`DataQualityIssue`.  Feed the issues to
         :func:`repro.core.uncertainty.quality_widened_errors` so the

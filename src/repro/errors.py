@@ -108,21 +108,3 @@ class CacheKeyError(CacheError):
 
 class ExperimentError(ReproError):
     """An experiment harness failure (missing paper data, bad shape check)."""
-
-
-class ResilienceError(ReproError):
-    """Base class for the resilience layer's own failures."""
-
-
-class FaultInjected(ResilienceError):
-    """A deterministic injected fault fired (``REPRO_FAULTS`` harness).
-
-    Only ever raised on purpose, by :mod:`repro.resilience.faults`, so
-    tests and the CI fault-injection leg can distinguish induced
-    failures from real bugs.
-    """
-
-    def __init__(self, kind: str, key: str) -> None:
-        self.kind = kind
-        self.key = key
-        super().__init__(f"injected fault {kind!r} fired at site {key!r}")

@@ -128,20 +128,15 @@ def from_csv_degraded(
 ) -> Tuple[List[RoutineMeasurement], List[DataQualityIssue]]:
     """Degraded-mode CSV ingestion: collect issues instead of dying.
 
-    Every malformed row (too few columns, non-numeric cell, NaN,
-    out-of-range value) becomes a
+    Every malformed row becomes a
     :class:`~repro.resilience.quality.DataQualityIssue` and the row is
-    skipped; parsing always reaches the end of the input.  The
-    ``counter_drop``/``counter_nan`` fault kinds
-    (:mod:`repro.resilience.faults`) inject exactly these degradations,
-    keyed by line number, so the path stays exercised.
+    skipped; parsing always reaches the end of the input.  A short row
+    is a ``skipped-row`` issue; any other bad row (a non-numeric or
+    NaN cell, an out-of-range value) is a ``bad-cell`` issue.
 
     Raises only when *no* row survives — an all-bad input is a
     configuration problem, not a data-quality one.
     """
-    from ..resilience.faults import get_injector
-
-    injector = get_injector()
     measurements: List[RoutineMeasurement] = []
     issues: List[DataQualityIssue] = []
     reader = csv.reader(io.StringIO(text))
@@ -154,24 +149,6 @@ def from_csv_degraded(
         saw_data = True
         line_num = reader.line_num
         location = f"line {line_num}"
-        if injector.active and injector.drops_sample(f"csv:{line_num}"):
-            issues.append(
-                DataQualityIssue(
-                    kind="dropped-sample",
-                    location=location,
-                    detail="row dropped by injected counter_drop fault",
-                )
-            )
-            continue
-        if injector.active and injector.nans_sample(f"csv:{line_num}"):
-            issues.append(
-                DataQualityIssue(
-                    kind="nan-bandwidth",
-                    location=location,
-                    detail="bandwidth read back as NaN (injected counter_nan)",
-                )
-            )
-            continue
         try:
             measurements.append(_parse_csv_row(row, line_num))
         except ConfigurationError as exc:

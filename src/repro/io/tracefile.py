@@ -67,10 +67,7 @@ def save_trace(
 
     The write is atomic (temp file + rename via
     :func:`repro.io.atomic.atomic_writer`): a crash mid-save leaves the
-    previous trace file — or nothing — never a torn archive.  The
-    ``trace_corrupt``/``trace_truncate`` fault kinds damage the file
-    *after* a successful save so :func:`load_trace`'s digest
-    verification path stays exercised.
+    previous trace file — or nothing — never a torn archive.
     """
     from .atomic import atomic_writer
 
@@ -98,14 +95,6 @@ def save_trace(
     # appends ".npz" to bare string paths).
     with atomic_writer(path) as handle:
         saver(handle, **members)
-
-    from ..resilience.faults import get_injector
-
-    injector = get_injector()
-    if injector.active:
-        key = str(meta["sha256"])
-        injector.maybe_corrupt_file("trace_corrupt", key, path)
-        injector.maybe_corrupt_file("trace_truncate", key, path)
     return meta
 
 

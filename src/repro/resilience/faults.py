@@ -1,41 +1,34 @@
-"""Deterministic, seeded fault injection: every failure path on demand.
+"""Deterministic, seeded sim-cache corruption.
 
-Counter-based analysis has to survive noisy, partial, and malformed
-inputs (Treibig et al.'s HPM best practices; Hill's "other models"
-caveats), and the simulation cache has to survive corrupt entries.
-None of those paths can be trusted unless they are *exercisable*: this module lets tests — and a CI leg — turn each one on
-deterministically.
+The simulation cache has to survive corrupt entries: a damaged entry
+must be a warned miss, quarantined and re-simulated.  That recovery
+path cannot be trusted unless it is *exercisable*, so this module lets
+a test, or a CI leg running the whole suite, damage cache entries right
+after they are stored (:meth:`repro.perf.cache.SimCache.store`).
 
 Spec grammar (``REPRO_FAULTS`` or :func:`configure_faults`)::
 
     spec      := entry (';' entry)*
     entry     := kind [':' param (',' param)*]
     param     := name '=' value
-    kind      := cache_corrupt | cache_truncate | trace_corrupt
-               | trace_truncate | counter_drop | counter_nan
-               | mshr_leak | time_skew | replay_skip
+    kind      := cache_corrupt | cache_truncate
 
-Common params: ``p`` (firing probability per site, default ``1.0``) and
-``seed`` (default ``0``).  ``time_skew`` also takes ``skew`` (relative
-drift of the recorded latency, default ``0.5``).
+Params: ``p`` (firing probability per stored entry, default ``1.0``)
+and ``seed`` (default ``0``).
 
 Example::
 
-    REPRO_FAULTS="cache_corrupt:p=0.1,seed=7;counter_drop:p=0.05,seed=7"
+    REPRO_FAULTS="cache_corrupt:p=0.1,seed=7"
 
 Determinism
 -----------
 Whether a fault fires at a site is a pure function of
-``(kind, seed, site key)``: the decision hashes the key with SHA-256 and
-compares the result against ``p``.  No RNG state is consumed, so firing
-decisions are independent of call order, process boundaries (workers
-inherit the spec through the environment), and the number of other
-sites — a fixed seed reproduces exactly the same failures every run.
-
-Injection sites live in the layers under test (``perf.cache`` stores,
-``io.tracefile`` saves, measurement ingestion, the simulator's MSHR
-files, memory controller and batch replay); each passes a stable key
-(digest, line number, event sequence number).
+``(kind, seed, site key)``: the decision hashes the key (the entry's
+digest) with SHA-256 and compares the result against ``p``.  No RNG
+state is consumed, so firing decisions are independent of call order,
+process boundaries (workers inherit the spec through the environment),
+and the number of other sites — a fixed seed damages exactly the same
+entries every run.
 """
 
 from __future__ import annotations
@@ -43,11 +36,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from ..errors import ConfigurationError, FaultInjected
+from ..errors import ConfigurationError
 
 __all__ = [
     "FAULT_KINDS",
@@ -59,21 +52,7 @@ __all__ = [
 ]
 
 #: Every fault kind the harness knows how to inject.
-#: The last three are *sanitizer-visible* simulator faults: each plants
-#: a bug whose only witness is a reprosan invariant (``mshr_leak`` ->
-#: mshr-balance, ``time_skew`` -> littles-law, ``replay_skip`` ->
-#: batch-replay), proving the sanitizer catches real corruption.
-FAULT_KINDS = (
-    "cache_corrupt",
-    "cache_truncate",
-    "trace_corrupt",
-    "trace_truncate",
-    "counter_drop",
-    "counter_nan",
-    "mshr_leak",
-    "time_skew",
-    "replay_skip",
-)
+FAULT_KINDS = ("cache_corrupt", "cache_truncate")
 
 #: Hash-bucket denominator for the firing decision.
 _BUCKETS = float(1 << 64)
@@ -81,12 +60,11 @@ _BUCKETS = float(1 << 64)
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One armed fault kind: firing probability, seed, extra params."""
+    """One armed fault kind: firing probability and seed."""
 
     kind: str
     p: float = 1.0
     seed: int = 0
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def fires(self, key: str) -> bool:
         """Deterministic draw: does this fault fire at site ``key``?"""
@@ -116,7 +94,6 @@ def parse_fault_spec(spec: str) -> Dict[str, FaultRule]:
                 f"(known: {', '.join(FAULT_KINDS)})"
             )
         p, seed = 1.0, 0
-        params: Dict[str, float] = {}
         for raw_param in raw_params.split(","):
             param = raw_param.strip()
             if not param:
@@ -126,6 +103,10 @@ def parse_fault_spec(spec: str) -> Dict[str, FaultRule]:
             if not sep:
                 raise ConfigurationError(
                     f"fault param {param!r} must be name=value"
+                )
+            if name not in ("p", "seed"):
+                raise ConfigurationError(
+                    f"unknown fault param {name!r} (known: p, seed)"
                 )
             try:
                 number = float(value.strip())
@@ -144,18 +125,16 @@ def parse_fault_spec(spec: str) -> Dict[str, FaultRule]:
                         f"fault probability must be in [0,1], got {number}"
                     )
                 p = number
-            elif name == "seed":
-                seed = int(number)
             else:
-                params[name] = number
+                seed = int(number)
         if kind in rules:
             raise ConfigurationError(f"duplicate fault kind {kind!r} in spec")
-        rules[kind] = FaultRule(kind=kind, p=p, seed=seed, params=params)
+        rules[kind] = FaultRule(kind=kind, p=p, seed=seed)
     return rules
 
 
 class FaultInjector:
-    """The armed fault set, with one helper per injection-site shape."""
+    """The armed fault set and its one injection site."""
 
     __slots__ = ("rules",)
 
@@ -167,37 +146,21 @@ class FaultInjector:
         """Is any fault kind armed at all?"""
         return bool(self.rules)
 
-    def armed(self, kind: str) -> bool:
-        """Is ``kind`` armed (regardless of probability)?"""
-        return kind in self.rules
-
     def fires(self, kind: str, key: str) -> bool:
         """Deterministically decide whether ``kind`` fires at ``key``."""
         rule = self.rules.get(kind)
         return rule is not None and rule.fires(key)
 
-    def param(self, kind: str, name: str, default: float) -> float:
-        """A kind's extra parameter (e.g. ``time_skew``'s ``skew``)."""
-        rule = self.rules.get(kind)
-        if rule is None:
-            return default
-        return float(rule.params.get(name, default))
-
-    # -- injection-site helpers --------------------------------------------------
-
-    def maybe_raise(self, kind: str, key: str) -> None:
-        """Generic site: raise :class:`FaultInjected` when armed + firing."""
-        if self.fires(kind, key):
-            raise FaultInjected(kind, key)
-
     def maybe_corrupt_file(
         self, kind: str, key: str, path: Union[str, Path]
     ) -> bool:
-        """``*_corrupt``/``*_truncate`` site: damage an on-disk artifact.
+        """Damage an on-disk entry in place when ``kind`` fires at ``key``.
 
-        ``*_corrupt`` overwrites a deterministic byte range with garbage
-        derived from the key; ``*_truncate`` cuts the file in half.
-        Returns True when damage was done (tests assert on it).
+        ``cache_corrupt`` overwrites up to 32 bytes inside the file with
+        garbage derived from the key (never past its end);
+        ``cache_truncate`` cuts the file in half.  Returns True when
+        damage was done (tests assert on it); a missing or empty file
+        is left alone.
         """
         if not self.fires(kind, key):
             return False
@@ -206,23 +169,18 @@ class FaultInjector:
             size = path.stat().st_size
         except OSError:
             return False
-        if kind.endswith("truncate"):
+        if size == 0:
+            return False
+        if kind == "cache_truncate":
             with open(path, "r+b") as handle:
                 handle.truncate(size // 2)
             return True
         garbage = hashlib.sha256(f"{kind}:{key}".encode("utf-8")).digest()
+        offset = min(size // 3, max(size - len(garbage), 0))
         with open(path, "r+b") as handle:
-            handle.seek(min(size // 3, max(size - len(garbage), 0)))
-            handle.write(garbage)
+            handle.seek(offset)
+            handle.write(garbage[: size - offset])
         return True
-
-    def drops_sample(self, key: str) -> bool:
-        """``counter_drop`` site: should this sample vanish entirely?"""
-        return self.fires("counter_drop", key)
-
-    def nans_sample(self, key: str) -> bool:
-        """``counter_nan`` site: should this sample read back as NaN?"""
-        return self.fires("counter_nan", key)
 
 
 # -- process-global injector (mirrors the perf.cache handle pattern) -------------
@@ -233,8 +191,7 @@ _global_injector: Optional[FaultInjector] = None
 def get_injector() -> FaultInjector:
     """The process-wide injector, parsed lazily from ``REPRO_FAULTS``.
 
-    An empty/unset spec yields an inert injector whose site helpers are
-    all no-ops, so production code can call them unconditionally.
+    An empty/unset spec yields an inert injector (``active`` is False).
     """
     global _global_injector
     if _global_injector is None:

@@ -22,9 +22,9 @@ __all__ = ["DataQualityIssue", "issue_summary"]
 class DataQualityIssue:
     """One ingestion problem that was survived rather than fatal.
 
-    ``kind`` is a stable machine-readable tag (``skipped-row``,
-    ``bad-cell``, ``nan-bandwidth``, ``out-of-range``,
-    ``missing-counter``, ``dropped-sample``); ``location`` pins it to a
+    ``kind`` is a stable machine-readable tag (``skipped-row`` and
+    ``bad-cell`` from CSV ingestion, ``missing-counter`` and
+    ``nan-counter`` from counter reads); ``location`` pins it to a
     source coordinate (``line 7``, an event name); ``detail`` is the
     human-readable explanation.
     """
@@ -39,7 +39,7 @@ class DataQualityIssue:
 
 
 def issue_summary(issues: Sequence[DataQualityIssue]) -> str:
-    """Compact census line, e.g. ``3 issue(s): 2 skipped-row, 1 nan-bandwidth``."""
+    """Compact census line, e.g. ``3 issue(s): 1 bad-cell, 2 skipped-row``."""
     if not issues:
         return "no data-quality issues"
     counts: dict = {}

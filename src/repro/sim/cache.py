@@ -48,8 +48,6 @@ class CacheArray:
         "evictions",
         "dirty_evictions",
         "_sanitizer",
-        "_faults",
-        "_flushes",
         "maybe_dirty",
     )
 
@@ -83,13 +81,6 @@ class CacheArray:
         self.maybe_dirty = False
         #: Optional sanitizer replay checker (set by RunSanitizer).
         self._sanitizer = None
-        self._flushes = 0
-        # replay_skip is resolved once per array (flush is on the batch
-        # hot path); see MshrFile for the same pattern.
-        from ..resilience.faults import get_injector
-
-        injector = get_injector()
-        self._faults = injector if injector.armed("replay_skip") else None
 
     def line_of(self, addr: int) -> int:
         """Line address (aligned) containing byte ``addr``."""
@@ -263,18 +254,6 @@ class CacheArray:
             return
         pending = self._pending
         self._pending = []
-        self._flushes += 1
-        if self._faults is not None and self._faults.fires(
-            "replay_skip", f"{self.name}:{self._flushes}"
-        ):
-            # Injected replay bug: silently drop the first queued run,
-            # so the aggregate replay no longer matches a scalar
-            # re-execution of the recorded touches.
-            pending = pending[1:]
-            if not pending:
-                if self._sanitizer is not None:
-                    self._sanitizer.on_flush()
-                return
         if len(pending) == 1:
             line_addrs, writes = pending[0]
         else:

@@ -123,18 +123,7 @@ class ThreadDriver:
         self._san = hierarchy.sanitizer
         if self._batch:
             core = hierarchy.cores[context.core_id]
-            # Miss-run batching additionally requires the scalar-only
-            # fault injectors to be unarmed: mshr_leak and time_skew
-            # deliberately corrupt the scalar bookkeeping, and the
-            # closed-form replay does not model them.
-            self._batch_miss = (
-                hierarchy.batch_miss_enabled
-                and hierarchy.memctrl._faults is None
-                and core.l1_mshr._faults is None
-                and core.l2_mshr._faults is None
-            )
-            if hierarchy.batch_miss_enabled and not self._batch_miss:
-                hierarchy.stats.note_batch_fallback("faults")
+            self._batch_miss = hierarchy.batch_miss_enabled
             self._addr_arr = addr_arr
             self._demand_arr = demand_arr
             self._lines_arr = core.l1_array.line_of_batch(addr_arr)

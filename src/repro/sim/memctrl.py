@@ -127,7 +127,6 @@ class MemoryController:
         "_recent",
         "_recent_bytes",
         "_audit",
-        "_faults",
         "_req_seq",
     )
 
@@ -162,12 +161,6 @@ class MemoryController:
         #: Optional sanitizer hook (the RunSanitizer; set when armed).
         self._audit = None
         self._req_seq = 0
-        # time_skew resolution mirrors MshrFile: decided once at
-        # construction so the per-request path stays a None check.
-        from ..resilience.faults import get_injector
-
-        injector = get_injector()
-        self._faults = injector if injector.armed("time_skew") else None
 
     # -- utilization estimate ----------------------------------------------------
 
@@ -230,13 +223,12 @@ class MemoryController:
 
         self.engine.schedule_at(
             admit,
-            partial(self._admit, admit - now, seq, is_write, is_prefetch, on_complete),
+            partial(self._admit, admit - now, is_write, is_prefetch, on_complete),
         )
 
     def _admit(
         self,
         queued_ns: float,
-        seq: int,
         is_write: bool,
         is_prefetch: bool,
         on_complete: Callable[[], None],
@@ -258,13 +250,7 @@ class MemoryController:
         else:
             stats.demand_read_bytes += self.line_bytes
         stats.requests += 1
-        recorded = latency
-        if self._faults is not None and self._faults.fires("time_skew", str(seq)):
-            # Injected telemetry skew: the *recorded* latency drifts
-            # from the physical one the completion is scheduled
-            # with, so occupancy no longer equals rate x latency.
-            recorded = latency * (1.0 + self._faults.param("time_skew", "skew", 0.5))
-        stats.latency_sum_ns += recorded + queued_ns
+        stats.latency_sum_ns += latency + queued_ns
         stats.latency_count += 1
         self.engine.schedule(latency, on_complete)
 
@@ -337,8 +323,6 @@ class MemoryController:
         survive it are appended.  Stats apply the event path's exact
         chained-float arithmetic, and the sanitizer audit is fed
         arrivals and completions merged into event-engine firing order.
-        Callers gate on ``_faults is None``: the injected time-skew path
-        stays scalar-only.
         """
         n = len(issue_ns)
         if n == 0:

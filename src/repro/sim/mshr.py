@@ -58,7 +58,6 @@ class MshrFile:
         "allocations",
         "merges",
         "_audit",
-        "_faults",
         "_staged",
     )
 
@@ -74,13 +73,6 @@ class MshrFile:
         self.merges = 0
         #: Optional sanitizer QueueAudit (set by RunSanitizer).
         self._audit = None
-        # The mshr_leak fault is resolved once per file: release() is a
-        # hot path, so the armed-or-not decision must not re-consult the
-        # global injector per call.
-        from ..resilience.faults import get_injector
-
-        injector = get_injector()
-        self._faults = injector if injector.armed("mshr_leak") else None
         #: Allocations staged by :meth:`allocate_batch`, applied (merged
         #: with their releases in event order) by :meth:`release_batch`.
         self._staged: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -141,15 +133,6 @@ class MshrFile:
 
         Also wakes anyone blocked on a full file (core issue stalls).
         """
-        if self._faults is not None and self._faults.fires(
-            "mshr_leak", f"{self.name}:{line_addr:#x}"
-        ):
-            # Injected leak: hand the entry back (fills still propagate)
-            # but skip every piece of release bookkeeping — the entry
-            # stays resident, the tracker and audit never see the exit.
-            entry = self.entries.get(line_addr)
-            if entry is not None:
-                return entry
         entry = self.entries.pop(line_addr, None)
         if entry is None:
             raise SimulationError(

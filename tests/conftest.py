@@ -43,7 +43,7 @@ def fresh_sim_cache(tmp_path, monkeypatch):
     import os
 
     from repro.perf import cache as cache_module
-    from repro.resilience import configure_faults
+    from repro.resilience.faults import configure_faults
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     # setenv/setattr record the current values, restored at teardown.

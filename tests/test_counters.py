@@ -1,5 +1,6 @@
 """Counter facade: vendor events, Table I visibility, sessions, CrayPat."""
 
+import math
 import random
 
 import pytest
@@ -17,20 +18,6 @@ from repro.counters import (
 )
 from repro.errors import CounterError, CounterUnavailableError
 from repro.sim import SimConfig, run_trace, trace_from_addresses
-
-
-@pytest.fixture(autouse=True)
-def _fault_free_baseline():
-    """This file asserts exact counter values: park any ambient
-    ``REPRO_FAULTS`` spec (CI fault leg) and restore it afterwards."""
-    import os
-
-    from repro.resilience import configure_faults
-
-    ambient = os.environ.get("REPRO_FAULTS")
-    configure_faults(None)
-    yield
-    configure_faults(ambient)
 
 
 def _run(machine, n=600, seed=5, routine="r"):
@@ -173,33 +160,10 @@ class TestDegradedReads:
         assert reading is None
         assert [i.kind for i in issues] == ["missing-counter"]
 
-    def test_injected_drop_loses_the_sample(self, skl):
-        from repro.resilience import configure_faults
-
+    def test_injected_nan_keeps_reading_with_issue(self, skl, monkeypatch):
         session = CounterSession(skl, _run(skl))
-        try:
-            configure_faults("counter_drop:p=1,seed=0")
-            reading, issues = session.read_with_quality(
-                CounterEvent.MEM_READ_LINES
-            )
-        finally:
-            configure_faults(None)
-        assert reading is None
-        assert [i.kind for i in issues] == ["dropped-sample"]
-
-    def test_injected_nan_keeps_reading_with_issue(self, skl):
-        import math
-
-        from repro.resilience import configure_faults
-
-        session = CounterSession(skl, _run(skl))
-        try:
-            configure_faults("counter_nan:p=1,seed=0")
-            reading, issues = session.read_with_quality(
-                CounterEvent.MEM_READ_LINES
-            )
-        finally:
-            configure_faults(None)
+        monkeypatch.setattr(session, "_value", lambda event: math.nan)
+        reading, issues = session.read_with_quality(CounterEvent.MEM_READ_LINES)
         assert reading is not None and math.isnan(reading.value)
         assert [i.kind for i in issues] == ["nan-counter"]
 
@@ -210,31 +174,26 @@ class TestDegradedReads:
         assert issues == []
         assert degraded == strict
 
-    def test_degraded_bandwidth_underestimates_on_drop(self, skl):
-        from repro.resilience import configure_faults
-
+    def test_degraded_bandwidth_underestimates_on_drop(self, skl, monkeypatch):
         session = CounterSession(skl, _run(skl))
         strict = session.bandwidth_bytes_per_s()
-        try:
-            configure_faults("counter_drop:p=1,seed=0")
-            degraded, issues = session.bandwidth_with_quality()
-        finally:
-            configure_faults(None)
-        # Every contributing counter dropped -> traffic under-estimated
-        # (multiplexing-gap semantics), never inflated.
+        # The read-traffic counter goes missing from the vendor's set.
+        supported = dict(session._supported)
+        del supported[CounterEvent.MEM_READ_LINES]
+        monkeypatch.setattr(session, "_supported", supported)
+        degraded, issues = session.bandwidth_with_quality()
+        # The missing counter contributes no traffic: an under-estimate
+        # (multiplexing-gap semantics), never an inflation.
         assert degraded < strict
-        assert issues and all(i.kind == "dropped-sample" for i in issues)
+        assert [i.kind for i in issues] == ["missing-counter"]
 
-    def test_issues_widen_the_error_budget(self, skl):
+    def test_issues_widen_the_error_budget(self, skl, monkeypatch):
         from repro.core import quality_widened_errors
-        from repro.resilience import configure_faults
 
         session = CounterSession(skl, _run(skl))
-        try:
-            configure_faults("counter_nan:p=1,seed=0")
-            _, issues = session.bandwidth_with_quality()
-        finally:
-            configure_faults(None)
+        monkeypatch.setattr(session, "_value", lambda event: math.nan)
+        _, issues = session.bandwidth_with_quality()
+        assert issues and all(i.kind == "nan-counter" for i in issues)
         widened_bw, _ = quality_widened_errors(issues)
         clean_bw, _ = quality_widened_errors([])
         assert widened_bw > clean_bw

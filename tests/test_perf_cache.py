@@ -26,7 +26,7 @@ def _fault_free_baseline(monkeypatch):
     contract (docs/SANITIZER.md), which would zero every counter here."""
     import os
 
-    from repro.resilience import configure_faults
+    from repro.resilience.faults import configure_faults
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     ambient = os.environ.get("REPRO_FAULTS")
@@ -262,7 +262,7 @@ class TestQuarantine:
         # cache_corrupt damages each entry right after store; the next
         # lookup must quarantine it, re-simulate, and agree exactly with
         # the clean result.
-        from repro.resilience import configure_faults
+        from repro.resilience.faults import configure_faults
 
         trace, config = skl_inputs
         clean_cache = SimCache(tmp_path / "clean", enabled=True)

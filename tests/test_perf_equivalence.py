@@ -30,7 +30,7 @@ def _fault_free_baseline(monkeypatch):
     contract (docs/SANITIZER.md), which would zero every counter here."""
     import os
 
-    from repro.resilience import configure_faults
+    from repro.resilience.faults import configure_faults
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     ambient = os.environ.get("REPRO_FAULTS")

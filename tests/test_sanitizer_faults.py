@@ -1,49 +1,70 @@
-"""Sanitizer-visible fault kinds: each planted bug trips its invariant.
+"""Planted simulator bugs: each one trips its sanitizer invariant.
 
-``mshr_leak``, ``time_skew``, and ``replay_skip`` corrupt the simulator
-in ways that are invisible to ordinary assertions — a leaked MSHR entry
+A leaked MSHR entry, a skewed recorded latency and a dropped
+batch-replay run are invisible to ordinary assertions — a leaked entry
 still simulates, a skewed latency still sums, a dropped replay run
-still leaves a structurally valid LRU list.  These tests prove the
-sanitizer is the witness: each fault must surface as a structured
-:class:`~repro.errors.SanitizerError` naming the violated invariant.
+still leaves a structurally valid LRU list.  Each test plants one of
+these bugs by patching the production method it would live in, and
+proves the sanitizer is the witness: the bug must surface as a
+structured :class:`~repro.errors.SanitizerError` (or a checker
+violation) naming the violated invariant.
 """
 
 from __future__ import annotations
 
-import os
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.sanitizer import CacheReplayChecker
 from repro.errors import SanitizerError
 from repro.machines import CacheSpec
-from repro.resilience import configure_faults, parse_fault_spec
+from repro.resilience.faults import FAULT_KINDS
 from repro.sim import SimConfig, run_trace
 from repro.sim.cache import CacheArray
+from repro.sim.memctrl import MemoryController
+from repro.sim.mshr import MshrFile
 from repro.xmem.kernels import throughput_trace
 
 
 @pytest.fixture(autouse=True)
-def _sanitize_and_disarm(monkeypatch):
-    """Sanitize mode on, injector inert, ambient spec restored after."""
-    ambient = os.environ.get("REPRO_FAULTS")
-    configure_faults(None)
+def _sanitize(monkeypatch):
+    """Sanitize mode on for every test."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    yield
-    configure_faults(ambient)
 
 
-def test_sanitizer_fault_kinds_parse():
-    rules = parse_fault_spec("mshr_leak;time_skew:skew=0.25;replay_skip")
-    assert set(rules) == {"mshr_leak", "time_skew", "replay_skip"}
-    assert rules["time_skew"].params["skew"] == 0.25
+def test_fault_injection_stays_out_of_the_simulator():
+    """Only the sim cache reads the fault injector, and only for its own kinds."""
+    assert FAULT_KINDS == ("cache_corrupt", "cache_truncate")
+    package = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        # The package a relative import is resolved against.
+        here = ("repro", *path.parent.relative_to(package).parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = here[: len(here) - node.level + 1] if node.level else ()
+                module = ".".join((*base, node.module or "")).strip(".")
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "repro.resilience.faults" in names:
+                importers.append(path.relative_to(package).as_posix())
+    assert importers == ["perf/cache.py"]
 
 
-def test_mshr_leak_trips_balance_check(skl):
-    # Every release is swallowed; a tiny trace keeps the file from
+def test_mshr_leak_trips_balance_check(skl, monkeypatch):
+    # Every release hands the entry back but skips the bookkeeping, so
+    # the entry stays resident; a tiny trace keeps the file from
     # deadlocking before finalize can audit it.
-    configure_faults("mshr_leak:p=1")
+    monkeypatch.setattr(
+        MshrFile, "release", lambda self, now_ns, line_addr: self.entries[line_addr]
+    )
     trace = throughput_trace(
         threads=1, accesses_per_thread=6, line_bytes=skl.line_bytes
     )
@@ -57,15 +78,24 @@ def test_mshr_leak_trips_balance_check(skl):
     assert any(v.invariant == "mshr-balance" for v in report.violations)
 
 
-def test_time_skew_trips_littles_law(skl):
-    # Telemetry records a skewed latency while physics uses the true
-    # one: L = lambda*W no longer matches the latency sum.
-    configure_faults("time_skew:p=1,skew=0.5")
+def test_time_skew_trips_littles_law(skl, monkeypatch):
+    # Telemetry records a latency 1.5x the one the completion is
+    # scheduled with: L = lambda*W no longer matches the latency sum.
+    # The batch paths are off so every request takes the scalar path.
+    admit = MemoryController._admit
+
+    def skewed_admit(self, queued_ns, *args):
+        before = self.stats.latency_sum_ns
+        admit(self, queued_ns, *args)
+        latency = self.stats.latency_sum_ns - before - queued_ns
+        self.stats.latency_sum_ns += 0.5 * latency
+
+    monkeypatch.setattr(MemoryController, "_admit", skewed_admit)
     trace = throughput_trace(
         threads=2, accesses_per_thread=400, line_bytes=skl.line_bytes
     )
     with pytest.raises(SanitizerError) as err:
-        run_trace(trace, SimConfig(machine=skl, sim_cores=2))
+        run_trace(trace, SimConfig(machine=skl, sim_cores=2, batch=False))
     assert err.value.invariant == "littles-law"
     report = err.value.report
     assert report is not None
@@ -82,11 +112,18 @@ class _CapturingRunner:
         self.calls.append((invariant, message))
 
 
-def test_replay_skip_trips_batch_replay_check():
+def test_replay_skip_trips_batch_replay_check(monkeypatch):
     # Dropping a replay run is only observable when runs alias into the
     # same set *and* are not order-preserving cycles; build exactly
     # that: all ways of set 0, touched once in reversed order.
-    configure_faults("replay_skip:p=1")
+    flush = CacheArray.flush_batch
+
+    def skipping_flush(self):
+        # The planted bug: the first queued run is silently dropped.
+        self._pending = self._pending[1:]
+        flush(self)
+
+    monkeypatch.setattr(CacheArray, "flush_batch", skipping_flush)
     spec = CacheSpec(
         level=1, size_bytes=4096, line_bytes=64, mshrs=10, associativity=8
     )
@@ -104,7 +141,7 @@ def test_replay_skip_trips_batch_replay_check():
     array.touch_batch(
         np.array(lines[4:], dtype=np.int64), np.zeros(len(lines) - 4, dtype=bool)
     )
-    array.flush_batch()  # the armed fault silently drops the first run
+    array.flush_batch()
 
     assert runner.calls, "sanitizer did not notice the dropped replay run"
     invariant, message = runner.calls[0]

@@ -1,8 +1,8 @@
-"""E-P3: the closed-form queueing fast path vs event-engine simulation.
+"""E-P3: the ``--fast`` path vs event-engine simulation.
 
-Guards the headline claim of the ``--fast`` mode: a calibrated analytic
-characterize — the profile *plus* the operating-point solves for every
-paper workload — must answer at least :data:`FAST_SPEEDUP_FLOOR` times
+Guards the headline claim of the ``--fast`` mode: a probe-calibrated
+characterize — the resampled profile *plus* the operating-point solves
+over the probe profile for every paper workload — must answer at least :data:`FAST_SPEEDUP_FLOOR` times
 faster than the uncached event-engine X-Mem sweep it replaces.  The
 floor is a same-host ratio, so host speed cancels out and no
 environment variable overrides it.  ``BENCH_analytic_speedup.json``
@@ -33,15 +33,15 @@ MACHINE = "skl"
 SWEEP = XMemConfig(levels=6, accesses_per_thread=1500, batch=False)
 
 
-def _fast_answer(machine, params):
+def _fast_answer(machine, probes):
     """One complete --fast characterize+advise answer (pure algebra)."""
-    profile = analytic_profile(machine, params)
+    profile = analytic_profile(machine, probes)
     points = [
         solve_operating_point_fast(
             machine,
             w.base_state(machine).demand_mlp,
             w.base_state(machine).binding_level,
-            params=params,
+            curve=probes,
         )
         for w in ALL_WORKLOADS
         if machine.name in w.machines()
@@ -52,13 +52,13 @@ def _fast_answer(machine, params):
 def test_fast_characterize_speedup(benchmark, printed):
     """Analytic --fast answers >= 100x faster than the event engine."""
     machine = get_machine(MACHINE)
-    params = calibrate_from_probes(
+    probes = calibrate_from_probes(
         machine,
         sim_cores=SWEEP.sim_cores,
         accesses_per_thread=SWEEP.accesses_per_thread,
     )
 
-    profile, points = pedantic_once(benchmark, _fast_answer, machine, params)
+    profile, points = pedantic_once(benchmark, _fast_answer, machine, probes)
     fast_s = benchmark.stats.stats.mean
 
     # Time the event engine cache-inert: a warm global cache would make

@@ -8,7 +8,6 @@ utilization — the reliable compute-bound certificate.
 """
 
 from repro.machines import (
-    get_machine,
     hbm2e_concept,
     hbm3_concept,
     mshr_bound_fraction,

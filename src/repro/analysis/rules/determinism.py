@@ -28,7 +28,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from ..core import Rule, Severity, SourceFile, Violation, register
+from ..core import Rule, SourceFile, Violation, register
 
 #: Wall-clock attributes of the ``time`` module.
 _TIME_FUNCS = {

@@ -25,8 +25,8 @@ Commands mirror the paper's workflow:
   mmap-able ``.npz`` file / read one back and summarize it (feed it to
   ``repro simulate --trace FILE``);
 * ``repro advisor --workload isx --machine skl [--fast]`` — run the
-  Figure-1 recipe loop to convergence (``--fast`` answers from the
-  closed-form queueing model, falling back with a stated reason);
+  Figure-1 recipe loop to convergence (``--fast`` tags eligible solves
+  as fast-path answers, falling back with a stated reason);
 * ``repro crossval-analytic`` — the analytic-vs-simulator error table
   backing the ``--fast`` error bounds (docs/QUEUEING.md);
 * ``repro cache stats`` — entry count, bytes, quarantined files, and
@@ -34,10 +34,10 @@ Commands mirror the paper's workflow:
 * ``repro cache gc --max-bytes 500M --max-age 30d`` — evict cache
   entries oldest-first to fit a byte budget and/or age horizon.
 
-``characterize`` and ``analyze`` accept ``--fast`` to answer from the
-calibrated closed form instead of simulating.  The global ``-v`` prints
-solver diagnostics (segments examined, final residual) and, for
-``simulate``, the batch fast path's fallback reasons.
+``characterize`` and ``analyze`` accept ``--fast`` to answer from a
+five-probe latency profile instead of a full X-Mem sweep.  The global
+``-v`` prints solver diagnostics (segments examined, final residual)
+and, for ``simulate``, the batch fast path's fallback reasons.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             from .perfmodel.queueing import analytic_profile, calibrate_from_probes
 
             start = time.perf_counter()
-            params = calibrate_from_probes(machine)
-            profile = analytic_profile(machine, params, levels=args.levels)
+            probes = calibrate_from_probes(machine)
+            profile = analytic_profile(machine, probes, levels=args.levels)
             wall = time.perf_counter() - start
             print(
                 f"latency profile for {machine.name} "
@@ -167,9 +167,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                     f"{point.latency_ns:6.1f} ns"
                 )
             print(
-                f"analytic fast path: {params.probes} cached probe run(s), "
-                f"L0={params.unloaded_latency_ns:.1f} ns, "
-                f"A={params.contention_ns:.1f} ns; {wall:.3f}s wall"
+                f"analytic fast path: {len(probes.points) - 1} cached probe "
+                f"run(s), idle {probes.idle_latency_ns:.1f} ns; "
+                f"{wall:.3f}s wall"
             )
             _print_cache_summary()
             if args.out:
@@ -200,8 +200,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if getattr(args, "fast", False):
         from .perfmodel.queueing import analytic_profile, calibrate_from_probes
 
-        params = calibrate_from_probes(machine)
-        profile = analytic_profile(machine, params)
+        profile = analytic_profile(machine, calibrate_from_probes(machine))
     analyzer = RoutineAnalyzer(machine, profile)
     pattern = AccessPattern(args.pattern)
     classification = Classification(
@@ -677,10 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument(
         "--fast",
         action="store_true",
-        help="answer from the calibrated closed-form queueing model "
-        "(milliseconds instead of a full simulated sweep once the five "
-        "probe runs are in the sim cache; declines with a stated "
-        "reason under --sanitize)",
+        help="answer from five probe runs instead of the full sweep "
+        "(milliseconds once the probe runs are in the sim cache; "
+        "declines with a stated reason under --sanitize)",
     )
     p_char.set_defaults(func=_cmd_characterize)
 
@@ -699,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--fast",
         action="store_true",
-        help="analyze against the calibrated closed-form latency curve "
+        help="analyze against the five-probe latency profile "
         "and report cross-validated (widened) error bars",
     )
     p_an.set_defaults(func=_cmd_analyze)
@@ -871,9 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument(
         "--fast",
         action="store_true",
-        help="solve operating points with the closed-form queueing model "
-        "where eligible; ineligible states fall back to the full solver "
-        "with a stated reason",
+        help="tag eligible operating points as fast-path answers (the "
+        "same solve over the machine's curve); ineligible states fall "
+        "back with a stated reason",
     )
     p_adv.set_defaults(func=_cmd_advisor)
 

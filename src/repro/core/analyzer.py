@@ -17,7 +17,7 @@ when forced, the report is stamped as unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..counters.session import CounterSession
 from ..errors import ConfigurationError, StationarityError

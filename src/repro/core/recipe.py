@@ -28,8 +28,8 @@ experiments check against the paper's observed speedups row by row.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec

@@ -151,10 +151,10 @@ def analytic_widened_errors(
     bandwidth_rel_error: float = 0.03,
     latency_rel_error: float = 0.05,
 ) -> Tuple[float, float]:
-    """Widen the error budget for answers from the ``--fast`` closed form.
+    """Widen the error budget for answers from the ``--fast`` probe profile.
 
-    The analytic queueing model trades simulation time for a documented
-    model error: the cross-validated worst-case deviations
+    Five probe runs in place of a full sweep trade simulation time for a
+    documented model error: the cross-validated worst-case deviations
     (:data:`~repro.perfmodel.queueing.ANALYTIC_BW_ERROR_BOUND` /
     :data:`~repro.perfmodel.queueing.ANALYTIC_LAT_ERROR_BOUND`) are
     added to the respective budgets so ``--fast`` verdicts carry error

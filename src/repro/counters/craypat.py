@@ -16,7 +16,7 @@ so experiments can demonstrate that failure mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import CounterError
 from ..machines.spec import MachineSpec

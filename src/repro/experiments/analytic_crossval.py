@@ -1,17 +1,16 @@
-"""Cross-validation of the closed-form queueing model vs the simulator.
+"""Cross-validation of the ``--fast`` probe profile vs the full sweep.
 
-The ``--fast`` mode answers characterize/advisor queries from the
-calibrated M/M/1-with-ceiling closed form
-(:mod:`repro.perfmodel.queueing`) instead of the discrete-event
-simulator.  This experiment quantifies what that shortcut costs: for
-every paper workload × machine cell it solves the *same* operating-point
-query twice —
+The ``--fast`` mode answers characterize queries from five simulator
+probes (:func:`repro.perfmodel.queueing.calibrate_from_probes`) instead
+of a full X-Mem sweep.  This experiment quantifies what that shortcut
+costs: for every paper workload × machine cell it solves the *same*
+operating-point query twice —
 
 * **reference**: the operating-point solver over the machine's full
   X-Mem-style simulator-measured latency profile (the slow, honest
   route ``--fast`` replaces), and
-* **analytic**: the same solver over the probe-calibrated
-  queueing parameters (a handful of simulator runs, then pure algebra)
+* **analytic**: the same solver over the five-probe profile (a handful
+  of simulator runs, then pure algebra)
 
 — and reports the relative bandwidth / latency / occupancy errors.
 Cells whose fast-path preconditions fail (SMT contention,
@@ -37,7 +36,6 @@ from ..memory.profile import LatencyProfile
 from ..perfmodel.queueing import (
     ANALYTIC_BW_ERROR_BOUND,
     ANALYTIC_LAT_ERROR_BOUND,
-    QueueingParams,
     calibrate_from_probes,
     solve_operating_point_fast,
     state_eligibility,
@@ -86,11 +84,11 @@ class AnalyticCrossValRow:
 def _validate_cell(
     workload: Workload,
     machine: MachineSpec,
-    params: QueueingParams,
+    probes: LatencyProfile,
     profile: LatencyProfile,
     sim_cores: int,
 ) -> AnalyticCrossValRow:
-    """Grade one workload × machine cell (profile/params precomputed)."""
+    """Grade one workload × machine cell (both profiles precomputed)."""
     state = workload.base_state(machine)
     decision = state_eligibility(state)
     if decision.eligible:
@@ -104,7 +102,7 @@ def _validate_cell(
         machine, state.demand_mlp, state.binding_level, curve=profile
     )
     analytic = solve_operating_point_fast(
-        machine, state.demand_mlp, state.binding_level, params=params
+        machine, state.demand_mlp, state.binding_level, curve=probes
     )
     bw_err = (
         abs(analytic.bandwidth_bytes - reference.bandwidth_bytes)
@@ -151,14 +149,14 @@ def crossval_analytic(
         ]
         if not cells:
             continue
-        params = calibrate_from_probes(
+        probes = calibrate_from_probes(
             machine,
             sim_cores=config.sim_cores,
             accesses_per_thread=config.accesses_per_thread,
         )
         profile = XMemRunner(machine, config).characterize()
         rows.extend(
-            _validate_cell(workload, machine, params, profile, config.sim_cores)
+            _validate_cell(workload, machine, probes, profile, config.sim_cores)
             for workload in cells
         )
     return rows

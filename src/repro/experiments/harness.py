@@ -20,10 +20,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.report import CaseStudyRow, ComparisonRow, render_case_study_table
+from ..core.report import ComparisonRow, render_case_study_table
 from ..errors import ExperimentError
 from ..machines.registry import get_machine, paper_machines
-from ..perfmodel.casestudy import SPEEDUP_HELPED, CaseStudyResult, run_case_study
+from ..perfmodel.casestudy import CaseStudyResult, run_case_study
 from ..workloads import get_workload
 from .paperdata import CASE_STUDY_TABLES, TABLE_NUMBER, PaperRow
 

@@ -15,7 +15,7 @@ it yielded (None for terminal rows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..machines.registry import get_machine
 from ..machines.spec import MachineSpec

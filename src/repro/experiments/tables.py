@@ -9,7 +9,7 @@ the derived structures match the paper's rows exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..counters.vendor import table1_matrix
 from ..errors import ExperimentError
@@ -19,7 +19,6 @@ from .paperdata import (
     TABLE1_VISIBILITY,
     TABLE2_APPLICATIONS,
     TABLE3_PLATFORMS,
-    PaperTable1Row,
 )
 
 

@@ -16,7 +16,6 @@ exactly the way CUDA's occupancy calculator does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..errors import ConfigurationError
 from ..units import gb_per_s, ns

@@ -24,7 +24,7 @@ single source of architectural truth.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ProfileError
@@ -132,9 +132,10 @@ class MachineSpec:
     utilization) is the required ``latency_calibration`` — a tuple of
     ``(utilization, latency_ns)`` control points fitted to the values
     the paper quotes across Tables IV–IX.  It is the machine's only
-    latency source: :func:`~repro.memory.latency_model.model_for_machine`
-    turns it into a
-    :class:`~repro.memory.latency_model.TabulatedLatencyModel`, whose
+    latency source: construction turns it into the
+    :class:`~repro.memory.latency_model.TabulatedLatencyModel` held as
+    ``latency_model`` (what
+    :func:`~repro.memory.latency_model.model_for_machine` returns), whose
     first point is the idle latency.  Points that do not form a valid
     curve raise :class:`~repro.errors.ConfigurationError` here.
     """
@@ -185,9 +186,12 @@ class MachineSpec:
                 "memory_traffic_boundary must be 'l3_miss' or 'l2_miss'"
             )
         try:
-            TabulatedLatencyModel(self.latency_calibration)
+            model = TabulatedLatencyModel(self.latency_calibration)
         except ProfileError as exc:
             raise ConfigurationError(f"latency_calibration: {exc}") from exc
+        # Kept as a plain attribute, not a field: equality, hashing,
+        # ``replace`` and cache digests still see only the fields.
+        object.__setattr__(self, "latency_model", model)
 
     # -- derived quantities -------------------------------------------------
 

@@ -10,12 +10,13 @@ every (bandwidth, latency) pair the paper quotes), so the simulator's
 memory controller, the X-Mem substitute, and the analytic solver all see
 one curve per machine.
 
-:class:`LatencyModel` is the protocol the curve satisfies, and so do the
-calibrated :class:`~repro.perfmodel.queueing.QueueingParams`:
+:class:`LatencyModel` is the protocol the curve satisfies:
 ``latency_ns(utilization)`` with utilization a fraction of theoretical
-peak bandwidth in ``[0, 1]``.  The tabulated model clamps queries
-slightly above 1 (counter jitter on real systems produces >100 %
-readings), but far out-of-range queries raise.
+peak bandwidth in ``[0, 1]``.  The solver reads the same curve exactly
+as chords, and so does ``--fast`` unless it is handed a probe profile.
+The tabulated model clamps queries slightly above 1 (counter jitter on
+real systems produces >100 % readings), but far out-of-range queries
+raise.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class TabulatedLatencyModel:
 def model_for_machine(machine) -> TabulatedLatencyModel:
     """The latency curve of a :class:`~repro.machines.MachineSpec`.
 
-    Built from the machine's calibration points, which the spec already
-    validated; its ``idle_latency_ns`` is the machine's idle latency.
+    Built once, when the spec validated its calibration points; its
+    ``idle_latency_ns`` is the machine's idle latency.
     """
-    return TabulatedLatencyModel(machine.latency_calibration)
+    return machine.latency_model

@@ -18,7 +18,7 @@ processor" property (paper footnote 2) holds across sessions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Tuple, Union

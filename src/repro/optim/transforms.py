@@ -29,7 +29,7 @@ predictions can be checked against the steps' measured outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Tuple
 
 from ..core.classify import AccessPattern

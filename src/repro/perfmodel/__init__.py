@@ -1,4 +1,4 @@
-"""Analytic performance model: fixed-point solver, closed-form fast path,
+"""Analytic performance model: fixed-point solver, the ``--fast`` path,
 and case-study driver."""
 
 from .casestudy import (
@@ -9,9 +9,7 @@ from .casestudy import (
 )
 from .queueing import (
     FastPathDecision,
-    QueueingParams,
     analytic_profile,
-    calibrate_from_model,
     calibrate_from_probes,
     solve_operating_point_fast,
     state_eligibility,
@@ -24,13 +22,11 @@ __all__ = [
     "CaseStudyResult",
     "CaseStudyRunner",
     "FastPathDecision",
-    "QueueingParams",
     "RuntimeModel",
     "RuntimePrediction",
     "SPEEDUP_HELPED",
     "SolvedPoint",
     "analytic_profile",
-    "calibrate_from_model",
     "calibrate_from_probes",
     "run_case_study",
     "solve_operating_point",

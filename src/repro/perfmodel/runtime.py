@@ -23,8 +23,7 @@ from typing import Optional
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 from ..optim.transforms import WorkloadState
-from ..units import to_gb_per_s
-from .queueing import QueueingParams, solve_operating_point_fast, state_eligibility
+from .queueing import solve_operating_point_fast, state_eligibility
 from .solver import Curve, SolvedPoint, solve_operating_point
 
 
@@ -36,7 +35,7 @@ class RuntimePrediction:
     point: SolvedPoint
     #: Relative execution time (1.0 ≙ base traffic at base bandwidth).
     time_relative: float
-    #: True when the point came from the closed-form analytic solve.
+    #: True when the point came from the ``--fast`` route.
     solved_fast: bool = False
     #: Why a fast-mode query fell back to the full solver ("" if it
     #: did not fall back).
@@ -73,16 +72,14 @@ class RuntimeModel:
         *,
         curve: Optional[Curve] = None,
         fast: bool = False,
-        params: Optional[QueueingParams] = None,
     ) -> None:
         self.machine = machine
         self.curve = curve
-        #: Answer eligible queries from the closed-form queueing model;
-        #: ineligible states transparently fall back to the full solver
-        #: with the reason recorded on the prediction.
+        #: Route eligible queries through ``solve_operating_point_fast``
+        #: (the same solve over ``curve``, tagged ``solved_fast``);
+        #: ineligible states fall back to the solver with the reason
+        #: recorded on the prediction.
         self.fast = fast
-        #: Calibration for the fast path (defaults to the model fit).
-        self.params = params
 
     def predict(self, state: WorkloadState) -> RuntimePrediction:
         """Solve the state's operating point and derive relative time."""
@@ -100,7 +97,7 @@ class RuntimeModel:
                     self.machine,
                     state.demand_mlp,
                     state.binding_level,
-                    params=self.params,
+                    curve=self.curve,
                 )
                 solved_fast = True
             else:

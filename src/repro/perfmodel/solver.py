@@ -9,26 +9,25 @@ Little's law closes a feedback loop between three quantities:
 
 The consistent operating point is the root of ``BW * lat(BW) = K`` with
 ``K = n * cores * cls * 1e9`` (paper Eq. 2), below the machine's
-achievable-streams ceiling ``cap``.  Every curve the library builds is
-piecewise of one form in utilization ``u = BW / peak``:
+achievable-streams ceiling ``cap``.  Every curve the solver accepts is
+piecewise linear in utilization ``u = BW / peak``: the machine's
+:class:`~repro.memory.latency_model.TabulatedLatencyModel` and any
+:class:`~repro.memory.profile.LatencyProfile` (X-Mem measured, probed
+by ``--fast``, or sampled from a model) are read as chords
 
-    lat(u) = (a + q * (u - u0)) / (1 - r * u)      on [u0, u1]
+    lat(u) = a + q * (u - u0)      on [u0, u1],
 
-— chords (``r = 0``) for :class:`~repro.memory.latency_model.TabulatedLatencyModel`
-and :class:`~repro.memory.profile.LatencyProfile`, and the M/M/1 form
-``L0 + A*u/(1-u)`` (``a = L0, q = A - L0, r = 1``) for
-:class:`~repro.perfmodel.queueing.QueueingParams`.  ``BW * lat`` grows
-with ``u``, so the solver walks the segments to the first whose top
-reaches ``K`` and solves the quadratic there exactly: with
-``u = u0 + t``,
+flat past their first and last points.  ``BW * lat`` grows with ``u``,
+so the solver walks the segments to the first whose top reaches ``K``
+and solves the quadratic there exactly: with ``u = u0 + t``,
 
-    peak*q * t^2 + B * t - C = 0,   B = peak*(a + q*u0) + K*r,
-                                    C = K*(1 - r*u0) - peak*u0*a,
+    peak*q * t^2 + B * t - C = 0,   B = peak*(a + q*u0),
+                                    C = K - peak*u0*a,
 
 whose root is ``t = 2C / (B + sqrt(B^2 + 4*peak*q*C))`` — Hill's point
 in *Three Other Models of Computer System Performance*: Little's law
-over a queueing curve is a closed-form problem.  Those three are the
-only curves the solver accepts; anything else raises
+over a latency curve is a closed-form problem.  Those two are the only
+curves the solver accepts; anything else raises
 :class:`~repro.errors.ConfigurationError`.
 
 If ``K >= cap * lat(cap)`` the demand saturates the ceiling even at the
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError
@@ -52,15 +51,12 @@ from ..memory.latency_model import TabulatedLatencyModel, model_for_machine
 from ..memory.profile import LatencyProfile
 from ..units import GIGA, NANO, to_gb_per_s
 
-if TYPE_CHECKING:
-    from .queueing import QueueingParams
-
-#: One piece of a latency curve, ``(u0, u1, a, q, r)``: on ``[u0, u1]``
-#: the latency is ``(a + q*(u - u0)) / (1 - r*u)``.
-Segment = Tuple[float, float, float, float, float]
+#: One chord of a latency curve, ``(u0, u1, a, q)``: on ``[u0, u1]``
+#: the latency is ``a + q*(u - u0)``.
+Segment = Tuple[float, float, float, float]
 
 #: The curve kinds the solver accepts.
-Curve = Union[TabulatedLatencyModel, LatencyProfile, "QueueingParams"]
+Curve = Union[TabulatedLatencyModel, LatencyProfile]
 
 
 @dataclass(frozen=True)
@@ -93,33 +89,29 @@ class SolvedPoint:
 
 def _chords(points: Sequence[Tuple[float, float]]) -> List[Segment]:
     """Segments of a piecewise-linear ``(u, lat)`` curve, flat past its ends."""
-    segments = [(0.0, points[0][0], points[0][1], 0.0, 0.0)]
+    segments = [(0.0, points[0][0], points[0][1], 0.0)]
     for (u0, l0), (u1, l1) in zip(points, points[1:]):
-        segments.append((u0, u1, l0, (l1 - l0) / (u1 - u0), 0.0))
-    segments.append((points[-1][0], math.inf, points[-1][1], 0.0, 0.0))
+        segments.append((u0, u1, l0, (l1 - l0) / (u1 - u0)))
+    segments.append((points[-1][0], math.inf, points[-1][1], 0.0))
     return segments
 
 
 def _curve_view(
     machine: MachineSpec, curve: Optional[Curve]
-) -> Tuple[float, float, Callable[[float], float], List[Segment]]:
-    """``(peak, cap, latency at bandwidth, segments)`` of one curve.
+) -> Tuple[Callable[[float], float], List[Segment]]:
+    """``(latency at bandwidth, segments)`` of one curve.
 
     Raises :class:`~repro.errors.ConfigurationError` for a curve that
-    is none of the three kinds, or that was made for another machine.
+    is neither kind, or a profile that was made for another machine.
     """
-    from .queueing import UTILIZATION_CAP, QueueingParams  # it imports this module
-
     if curve is None:
         curve = model_for_machine(machine)
-    if isinstance(curve, (LatencyProfile, QueueingParams)):
+    peak = machine.memory.peak_bw_bytes
+    if isinstance(curve, LatencyProfile):
         if curve.machine_name != machine.name:
             raise ConfigurationError(
                 f"curve is for {curve.machine_name!r}, machine is {machine.name!r}"
             )
-    peak = machine.memory.peak_bw_bytes
-    cap = machine.memory.achievable_bw_bytes
-    if isinstance(curve, LatencyProfile):
         profile, top = curve, curve.max_measured_bw_bytes
         # A profile is read at the bandwidth its own peak maps u to,
         # clamped at the highest measured point.
@@ -129,27 +121,25 @@ def _curve_view(
             for p in profile.points
         ]
         return (
-            peak,
-            cap,
             lambda bw: profile.latency_at(min(bw * ratio, top)),
             _chords(points),
         )
-    model = curve
-    if isinstance(model, TabulatedLatencyModel):
-        segments = _chords(model.points)
-    elif isinstance(model, QueueingParams):
-        peak, cap = model.peak_bw_bytes, model.achievable_bw_bytes
-        l0, u_top = model.unloaded_latency_ns, UTILIZATION_CAP
-        segments = [
-            (0.0, u_top, l0, model.contention_ns - l0, 1.0),
-            (u_top, math.inf, model.latency_ns(u_top), 0.0, 0.0),
-        ]
-    else:
+    if not isinstance(curve, TabulatedLatencyModel):
         raise ConfigurationError(
-            "curve must be a TabulatedLatencyModel, LatencyProfile or "
-            f"QueueingParams, got {type(curve).__name__}"
+            "curve must be a TabulatedLatencyModel or LatencyProfile, "
+            f"got {type(curve).__name__}"
         )
-    return peak, cap, lambda bw: model.latency_ns(min(1.0, bw / peak)), segments
+    model = curve
+    return lambda bw: model.latency_ns(min(1.0, bw / peak)), _chords(model.points)
+
+
+def curve_reader(
+    machine: MachineSpec, curve: Optional[Curve] = None
+) -> Callable[[float], float]:
+    """Loaded latency (ns) at a bandwidth (bytes/s), read as the solver
+    reads ``curve`` (the machine's model when ``None``): a profile is
+    flat above its highest measured point, a model above full load."""
+    return _curve_view(machine, curve)[0]
 
 
 def _root(
@@ -157,16 +147,13 @@ def _root(
 ) -> Tuple[float, int]:
     """Utilization in ``[0, top]`` where ``peak*u*lat(u) = K``, and the
     number of segments examined."""
-    for examined, (u0, u1, a, q, r) in enumerate(segments, 1):
+    for examined, (u0, u1, a, q) in enumerate(segments, 1):
         hi = min(u1, top)
-        if hi >= top or peak * hi * (a + q * (hi - u0)) >= k * (1.0 - r * hi):
+        if hi >= top or peak * hi * (a + q * (hi - u0)) >= k:
             break
-    b = peak * (a + q * u0) + k * r
-    c = k * (1.0 - r * u0) - peak * u0 * a
-    # Exactly a perfect square when A = 0 on the M/M/1 segment; the
-    # clamp keeps rounding from taking it below zero.
-    disc = max(b * b + 4.0 * peak * q * c, 0.0)
-    return u0 + 2.0 * c / (b + math.sqrt(disc)), examined
+    b = peak * (a + q * u0)
+    c = k - peak * u0 * a
+    return u0 + 2.0 * c / (b + math.sqrt(b * b + 4.0 * peak * q * c)), examined
 
 
 def solve_operating_point(
@@ -188,11 +175,10 @@ def solve_operating_point(
     binding_level:
         Which MSHR file (1 or 2) bounds the in-flight requests.
     curve:
-        Loaded-latency source: a tabulated model, a measured profile,
-        or calibrated :class:`~repro.perfmodel.queueing.QueueingParams`
-        (which also supply peak and ceiling).  Defaults to the
-        machine's calibrated model.  A profile or calibration made for
-        another machine, or any other kind of curve, raises
+        Loaded-latency source: a tabulated model or a profile
+        (measured, probed or sampled).  Defaults to the machine's
+        calibrated model.  A profile made for another machine, or any
+        other kind of curve, raises
         :class:`~repro.errors.ConfigurationError`.
     cores:
         Active cores (defaults to the machine's loaded-run count).
@@ -202,7 +188,9 @@ def solve_operating_point(
     ncores = cores if cores is not None else machine.active_cores
     if not 0 < ncores <= machine.cores:
         raise ConfigurationError(f"cores must be in 1..{machine.cores}")
-    peak, cap, latency, segments = _curve_view(machine, curve)
+    peak = machine.memory.peak_bw_bytes
+    cap = machine.memory.achievable_bw_bytes
+    latency, segments = _curve_view(machine, curve)
 
     n = min(demand_mlp, float(machine.mshr_limit(binding_level)))
     cls = machine.line_bytes

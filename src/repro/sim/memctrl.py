@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import repeat
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Tuple
 
 import numpy as np
 

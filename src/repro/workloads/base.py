@@ -24,11 +24,11 @@ table structure: each entry is ``(source_steps, step_applied)`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..core.classify import AccessPattern
-from ..errors import ConfigurationError, OptimizationError
+from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 from ..optim.transforms import EffectTable, WorkloadState, lookup_effect
 from ..sim.coltrace import ColumnarTrace

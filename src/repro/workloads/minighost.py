@@ -21,7 +21,6 @@ differ instructively:
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from ..core.classify import AccessPattern

@@ -21,7 +21,7 @@ simulator" tracks the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ProfileError
 from ..machines.spec import MachineSpec
@@ -117,23 +117,29 @@ class XMemRunner:
         return fan_out(self.measure_level, gaps, jobs=jobs)
 
     def characterize(self, *, jobs: Optional[int] = None) -> LatencyProfile:
-        """Produce this machine's measured LatencyProfile.
-
-        An explicit near-zero-load anchor (idle latency) is added so the
-        profile's domain starts at zero bandwidth.
-        """
-        measurements = self.sweep(jobs=jobs)
-        samples: List[Tuple[float, float]] = [
-            (m.bandwidth_bytes, m.latency_ns) for m in measurements
-        ]
-        idle = min(m.latency_ns for m in measurements)
-        samples.append((0.0, idle))
-        return LatencyProfile.from_samples(
-            self.machine.name,
-            self.machine.memory.peak_bw_bytes,
-            samples,
-            source="xmem",
+        """Produce this machine's measured LatencyProfile."""
+        return profile_from_measurements(
+            self.machine, self.sweep(jobs=jobs), source="xmem"
         )
+
+
+def profile_from_measurements(
+    machine: MachineSpec, measurements: Sequence[XMemMeasurement], *, source: str
+) -> LatencyProfile:
+    """Build measured load levels into a machine's LatencyProfile.
+
+    An explicit near-zero-load anchor (the lowest measured latency) is
+    added so the profile's domain starts at zero bandwidth, and the
+    samples are rectified to a non-decreasing curve
+    (:meth:`~repro.memory.profile.LatencyProfile.from_samples`).
+    """
+    samples: List[Tuple[float, float]] = [
+        (m.bandwidth_bytes, m.latency_ns) for m in measurements
+    ]
+    samples.append((0.0, min(m.latency_ns for m in measurements)))
+    return LatencyProfile.from_samples(
+        machine.name, machine.memory.peak_bw_bytes, samples, source=source
+    )
 
 
 def characterize_machine(

@@ -22,6 +22,14 @@ from repro.xmem.runner import XMemConfig, XMemRunner
 
 LIGHT = XMemConfig(levels=6, accesses_per_thread=1200)
 
+#: (bandwidth, latency) relative errors of the LIGHT skl rows: the
+#: five-probe profile against the six-level sweep.
+PINNED_ERRORS = {
+    "isx": (0.00995770309160723, 0.010057856237760813),
+    "comd": (0.0051973500454306565, 0.00522450361955501),
+    "minighost": (0.01623823367503246, 0.01650626628405545),
+}
+
 
 @pytest.fixture(scope="module")
 def rows(skl):
@@ -50,6 +58,11 @@ class TestCrossValTable:
             assert row.fallback_reason == ""
             assert row.bandwidth_rel_error <= ANALYTIC_BW_ERROR_BOUND
             assert row.latency_rel_error <= ANALYTIC_LAT_ERROR_BOUND
+
+    def test_pinned_errors(self, rows):
+        for row in rows:
+            errors = (row.bandwidth_rel_error, row.latency_rel_error)
+            assert errors == pytest.approx(PINNED_ERRORS[row.workload], rel=1e-9)
 
     def test_table_ok(self, rows):
         assert table_ok(rows)

@@ -102,13 +102,17 @@ class TestAnalyzeFast:
 
 class TestAdvisor:
     def test_fast_route_is_reported(self, capsys):
-        code = main(
-            ["-v", "advisor", "--machine", "skl", "--workload", "isx", "--fast"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "solved analytically (closed-form fast path)" in out
-        assert "solver: 1 segment(s) examined, final residual" in out
+        args = ["-v", "advisor", "--machine", "skl", "--workload", "isx"]
+        assert main([*args, "--fast"]) == 0
+        fast = capsys.readouterr().out
+        assert "solved analytically (closed-form fast path)" in fast
+        assert main(args) == 0
+        slow = capsys.readouterr().out
+        # The fast route is the same solve: same segments, same residual.
+        diagnostics = [line for line in fast.splitlines() if "solver:" in line]
+        assert diagnostics and diagnostics == [
+            line for line in slow.splitlines() if "solver:" in line
+        ]
 
     def test_slow_route_without_fast(self, capsys):
         code = main(

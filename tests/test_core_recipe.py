@@ -1,7 +1,5 @@
 """The Figure-1 recipe engine: every branch of the flowchart."""
 
-import pytest
-
 from repro.core import (
     AccessPattern,
     Benefit,

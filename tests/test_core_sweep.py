@@ -11,7 +11,7 @@ from repro.core import (
     utilization_where_mshrs_bind,
 )
 from repro.errors import ConfigurationError
-from repro.machines import get_machine, hbm3_concept
+from repro.machines import hbm3_concept
 
 
 class TestOperatingCurve:

@@ -8,7 +8,6 @@ import pytest
 from repro.counters import (
     CounterEvent,
     CounterSession,
-    LATENCY_THRESHOLDS,
     RoutineProfile,
     Visibility,
     events_supported,

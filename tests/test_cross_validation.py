@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    CrossValidationRow,
     cross_validate,
     render_cross_validation,
 )

@@ -12,7 +12,7 @@ Two pipelines, neither of which touches any calibrated table data:
 import pytest
 
 from repro.core import OptimizationKind, RecipeContext, RoutineAnalyzer
-from repro.counters import CounterSession, RoutineProfile
+from repro.counters import RoutineProfile
 from repro.sim import SimConfig, run_trace
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec

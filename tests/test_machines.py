@@ -11,7 +11,6 @@ from repro.machines import (
     VectorSpec,
     get_machine,
     machine_names,
-    make_machine,
     paper_machines,
     register_machine,
 )

@@ -1,7 +1,6 @@
 """Coverage for smaller corners across the library."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from repro.apps import AddressSpace, partition
 from repro.counters.events import CounterEvent, VENDOR_EVENTS
 from repro.counters.vendor import _weaker, Visibility
-from repro.errors import ConfigurationError
 from repro.memory import TabulatedLatencyModel
 from repro.sim import Engine, MemoryController
 from repro.sim.stats import MemoryStats

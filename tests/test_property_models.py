@@ -12,7 +12,6 @@ from repro.core import (
     MlpCalculator,
     OptimizationKind,
     Recipe,
-    RecipeContext,
 )
 from repro.machines import get_machine
 from repro.memory import LatencyProfile, TabulatedLatencyModel

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.roofline import (
-    ExtendedRoofline,
     Roofline,
     RooflinePoint,
     extended_roofline_for,

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError, TraceError
 from repro.sim import (
     AccessColumns,
     AccessKind,
-    Hierarchy,
     SimConfig,
     columnar_trace,
     run_trace,

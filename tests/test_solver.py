@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.machines.registry import get_machine, machine_names
 from repro.memory.latency_model import TabulatedLatencyModel, model_for_machine
-from repro.perfmodel.queueing import analytic_profile, calibrate_from_model
+from repro.perfmodel.queueing import analytic_profile
 from repro.perfmodel.solver import solve_operating_point
 
 MACHINES = tuple(machine_names())
-CURVES = ("model", "profile", "params")
+CURVES = ("model", "profile")
 
 demands = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
 levels = st.sampled_from([1, 2])
@@ -29,9 +29,7 @@ def _curve(kind, machine):
     """The curve of one kind for ``machine`` (``None`` = its own model)."""
     if kind == "model":
         return None
-    if kind == "profile":
-        return analytic_profile(machine)
-    return calibrate_from_model(machine)
+    return analytic_profile(machine)
 
 
 def _latency_at(kind, machine, curve):
@@ -40,9 +38,7 @@ def _latency_at(kind, machine, curve):
         model = model_for_machine(machine)
         peak = machine.memory.peak_bw_bytes
         return lambda bw: model.latency_ns(bw / peak)
-    if kind == "profile":
-        return lambda bw: curve.latency_at(min(bw, curve.max_measured_bw_bytes))
-    return curve.latency_at_bandwidth
+    return lambda bw: curve.latency_at(min(bw, curve.max_measured_bw_bytes))
 
 
 class TestSolverEquation:
@@ -80,27 +76,21 @@ class TestSolverEquation:
 
 
 #: Operating points at the machine's active cores: an uncapped L1-bound
-#: demand and a saturating L2-bound one (a64fx's own curve stays below
-#: its ceiling even there).
+#: demand and a saturating L2-bound one (a64fx's curve stays below its
+#: ceiling even there).  The profile is the model sampled at 12 levels.
 PINNED = [
     ("skl", "model", 5.0, 1, 72830996288.35916, 105.4496079251403, False),
     ("skl", "model", 1e4, 2, 111360000000.0, 220.68965517241378, True),
-    ("skl", "profile", 5.0, 1, 75757480603.15848, 101.37612731463304, False),
+    ("skl", "profile", 5.0, 1, 72742233235.69875, 105.57828180934904, False),
     ("skl", "profile", 1e4, 2, 111360000000.0, 220.68965517241378, True),
-    ("skl", "params", 5.0, 1, 75925333681.40459, 101.15200847977425, False),
-    ("skl", "params", 1e4, 2, 111360000000.0, 220.68965517241378, True),
     ("knl", "model", 5.0, 1, 112398410396.18478, 182.2089825270126, False),
     ("knl", "model", 1e4, 2, 348000000000.0, 376.64367816091954, True),
-    ("knl", "profile", 5.0, 1, 122751787320.24506, 166.84074787135376, False),
+    ("knl", "profile", 5.0, 1, 112417366030.39651, 182.17825877954135, False),
     ("knl", "profile", 1e4, 2, 348000000000.0, 376.64367816091954, True),
-    ("knl", "params", 5.0, 1, 122771318736.02048, 166.81420558578841, False),
-    ("knl", "params", 1e4, 2, 348000000000.0, 376.64367816091954, True),
     ("a64fx", "model", 5.0, 1, 377982082080.84106, 162.5473876219243, False),
     ("a64fx", "model", 1e4, 2, 815432863998.4131, 301.3859394518658, False),
-    ("a64fx", "profile", 5.0, 1, 378447325229.6448, 162.34756041665037, False),
-    ("a64fx", "profile", 1e4, 2, 819200000000.0, 300.0, True),
-    ("a64fx", "params", 5.0, 1, 378575028133.39233, 162.29279647833738, False),
-    ("a64fx", "params", 1e4, 2, 819200000000.0, 300.0, True),
+    ("a64fx", "profile", 5.0, 1, 377907504590.1366, 162.57946522293963, False),
+    ("a64fx", "profile", 1e4, 2, 815382422670.2489, 301.4045841154815, False),
 ]
 
 
@@ -115,7 +105,7 @@ class TestPinnedOperatingPoints:
 
 
 class TestCurveOwnership:
-    @pytest.mark.parametrize("kind", ["profile", "params"])
+    @pytest.mark.parametrize("kind", ["profile"])
     def test_rejects_another_machines_curve(self, kind):
         knl_curve = _curve(kind, get_machine("knl"))
         with pytest.raises(ConfigurationError, match="knl"):
@@ -123,7 +113,7 @@ class TestCurveOwnership:
 
     def test_rejects_duck_typed_curve(self):
         # A curve with a latency_ns method but no piecewise form is not
-        # solved; only the three segment-backed kinds are.
+        # solved; only the two chord-backed kinds are.
         class _Smooth:
             idle_latency_ns = 80.0
 

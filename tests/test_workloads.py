@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import AccessPattern
 from repro.errors import ConfigurationError
 from repro.optim import validate_sequence
 from repro.sim import SimConfig, run_trace

@@ -21,7 +21,6 @@ import pytest
 from conftest import pedantic_once
 
 from repro.machines import get_machine
-from repro.memory import model_for_machine
 from repro.perf.cache import SimCache, cached_run_trace, digest_for
 from repro.sim import SimConfig, run_trace
 from repro.xmem.kernels import resident_trace, scatter_trace, throughput_trace
@@ -176,7 +175,7 @@ def test_digest_cost_is_cheap_relative_to_simulation(benchmark):
 
 
 def _numpy_latency_ns(model, utilization):
-    """The tabulated lookup as written against numpy: the speed reference."""
+    """The curve lookup as written against numpy: the speed reference."""
     utils = np.array([p[0] for p in model.points])
     lats = np.array([p[1] for p in model.points])
     value = float(np.interp(min(utilization, 1.0), utils, lats))
@@ -199,7 +198,7 @@ def _best_times(lookups, utils, repeats=15):
 @pytest.mark.parametrize("machine_name", ["skl", "knl", "a64fx"])
 def test_latency_lookup_speedup(printed, machine_name):
     """Per-admission latency lookup: >= 4x over the np.interp reference."""
-    model = model_for_machine(get_machine(machine_name))
+    model = get_machine(machine_name).latency_model
     utils = np.random.default_rng(19).uniform(0.0, 1.0, 1000).tolist()
     assert [model.latency_ns(u) for u in utils] == [
         _numpy_latency_ns(model, u) for u in utils

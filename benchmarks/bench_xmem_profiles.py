@@ -26,8 +26,9 @@ def test_xmem_characterization(benchmark, printed, machine_name):
     if key not in printed:
         printed.add(key)
         print(f"\nX-Mem profile for {machine.describe()}")
-        for point in profile.points:
-            print(f"  {point.bandwidth_gbs:8.1f} GB/s -> {point.latency_ns:6.1f} ns")
+        for u, latency in profile.points:
+            bandwidth_gbs = u * profile.peak_bw_bytes / 1e9
+            print(f"  {bandwidth_gbs:8.1f} GB/s -> {latency:6.1f} ns")
     saturated = profile.latency_at(profile.max_measured_bw_bytes)
     assert saturated > 1.4 * profile.idle_latency_ns
     assert profile.max_measured_bw_bytes > 0.7 * machine.memory.achievable_bw_bytes

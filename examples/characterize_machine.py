@@ -27,10 +27,9 @@ def main() -> None:
             machine, XMemConfig(levels=10, accesses_per_thread=2500)
         )
         print(f"  {'bandwidth':>12s}  {'loaded latency':>15s}")
-        for point in profile.points:
-            print(
-                f"  {point.bandwidth_gbs:9.1f} GB/s  {point.latency_ns:11.1f} ns"
-            )
+        for u, latency in profile.points:
+            bandwidth_gbs = u * profile.peak_bw_bytes / 1e9
+            print(f"  {bandwidth_gbs:9.1f} GB/s  {latency:11.1f} ns")
         knee = profile.latency_at(profile.max_measured_bw_bytes)
         print(
             f"  idle {profile.idle_latency_ns:.0f} ns -> saturated {knee:.0f} ns "

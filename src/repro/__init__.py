@@ -4,7 +4,8 @@ Little's Law" (ISPASS 2022).
 Public API highlights
 ---------------------
 * :mod:`repro.machines` — the paper's Table III platforms.
-* :mod:`repro.memory` — loaded-latency models and per-machine profiles.
+* :mod:`repro.memory` — the loaded-latency curve class (calibrated and
+  measured).
 * :mod:`repro.sim` — trace-driven cache/MSHR simulator (counter oracle).
 * :mod:`repro.xmem` — X-Mem-style characterization (profile measurement).
 * :mod:`repro.core` — the paper's contribution: Little's-law MLP,

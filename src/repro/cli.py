@@ -135,6 +135,17 @@ def _cmd_machines(_: argparse.Namespace) -> int:
     return 0
 
 
+def _print_profile(profile: "object") -> None:
+    """One line per curve point, in GB/s: what ``characterize`` prints."""
+    print(
+        f"latency profile for {profile.machine_name} "
+        f"({len(profile.points)} samples, source={profile.source})"
+    )
+    for u, latency in profile.points:
+        bw = to_gb_per_s(u * profile.peak_bw_bytes)
+        print(f"  {bw:8.1f} GB/s -> {latency:6.1f} ns")
+
+
 def _cmd_characterize(args: argparse.Namespace) -> int:
     import time
 
@@ -157,15 +168,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             probes = calibrate_from_probes(machine)
             profile = analytic_profile(machine, probes, levels=args.levels)
             wall = time.perf_counter() - start
-            print(
-                f"latency profile for {machine.name} "
-                f"({len(profile.points)} samples, source={profile.source})"
-            )
-            for point in profile.points:
-                print(
-                    f"  {point.bandwidth_gbs:8.1f} GB/s -> "
-                    f"{point.latency_ns:6.1f} ns"
-                )
+            _print_profile(profile)
             print(
                 f"analytic fast path: {len(probes.points) - 1} cached probe "
                 f"run(s), idle {probes.idle_latency_ns:.1f} ns; "
@@ -180,12 +183,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     profile = characterize_machine(machine, config, jobs=args.jobs)
     wall = time.perf_counter() - start
-    print(
-        f"latency profile for {machine.name} "
-        f"({len(profile.points)} samples, source={profile.source})"
-    )
-    for point in profile.points:
-        print(f"  {point.bandwidth_gbs:8.1f} GB/s -> {point.latency_ns:6.1f} ns")
+    _print_profile(profile)
     print(f"characterized in {wall:.2f}s wall")
     _print_cache_summary()
     if args.out:

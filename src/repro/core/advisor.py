@@ -28,7 +28,6 @@ from ..errors import OptimizationError
 from ..machines.spec import MachineSpec
 from ..optim.transforms import WorkloadState, lookup_effect
 from ..perfmodel.runtime import RuntimeModel, RuntimePrediction
-from ..perfmodel.solver import Curve
 from .classify import Classification
 from .recipe import RecipeContext
 
@@ -137,13 +136,12 @@ class Advisor:
         workload: "Workload",
         machine: MachineSpec,
         *,
-        curve: Optional[Curve] = None,
         max_iterations: int = 8,
         fast: bool = False,
     ) -> None:
         self.workload = workload
         self.machine = machine
-        self.model = RuntimeModel(machine, curve=curve, fast=fast)
+        self.model = RuntimeModel(machine, fast=fast)
         self.recipe = Recipe(machine)
         self.max_iterations = max_iterations
 

@@ -5,7 +5,8 @@ This is the paper's central measurement pipeline (Figure 1, top half):
 1. read the routine's observed bandwidth from portable counters
    (CrayPat substitute, :mod:`repro.counters`),
 2. look up the loaded latency at that bandwidth on the machine's
-   once-measured X-Mem profile,
+   once-measured latency profile (an X-Mem sweep, or by default the
+   machine's calibrated curve itself),
 3. apply Little's law (Equation 2) to get the average MSHR-queue
    occupancy per core.
 
@@ -20,7 +21,6 @@ from typing import Optional
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import model_for_machine
 from ..memory.profile import LatencyProfile
 from ..units import gb_per_s, to_gb_per_s
 from .littles_law import mlp_from_bandwidth
@@ -61,9 +61,10 @@ class MlpCalculator:
     machine:
         The host machine's spec (core count, line size, peak bandwidth).
     profile:
-        The machine's loaded-latency profile.  If omitted, the profile
-        is derived from the machine's calibrated latency model — the
-        paper's workflow uses a measured X-Mem profile, and
+        The machine's loaded-latency profile.  If omitted, it is the
+        machine's calibrated curve (``machine.latency_model``), the one
+        the simulator and the solver read — the paper's workflow uses
+        a measured X-Mem profile, and
         :func:`repro.xmem.characterize_machine` produces one.
     cores:
         Cores the measured routine ran on; defaults to the machine's
@@ -79,9 +80,7 @@ class MlpCalculator:
         cores: Optional[int] = None,
     ) -> None:
         self.machine = machine
-        self.profile = profile or LatencyProfile.from_model(
-            machine.name, machine.memory.peak_bw_bytes, model_for_machine(machine)
-        )
+        self.profile = profile or machine.latency_model
         if self.profile.machine_name != machine.name:
             raise ConfigurationError(
                 f"profile is for {self.profile.machine_name!r}, "

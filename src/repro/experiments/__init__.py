@@ -26,13 +26,11 @@ from .harness import (
     BW_TOLERANCE,
     KNOWN_EXCEPTIONS,
     N_AVG_TOLERANCE,
-    RecipeScore,
     RowComparison,
     SPEEDUP_TOLERANCE,
     TableReproduction,
     reproduce_all_tables,
     reproduce_table,
-    score_recipe,
 )
 from .intro_snap import (
     IntroSnapReproduction,
@@ -93,7 +91,6 @@ __all__ = [
     "LatencyCounterDemo",
     "N_AVG_TOLERANCE",
     "PaperRow",
-    "RecipeScore",
     "RowComparison",
     "SPEEDUP_TOLERANCE",
     "StallMigration",
@@ -113,5 +110,4 @@ __all__ = [
     "reproduce_stall_migration",
     "reproduce_table",
     "rows_for",
-    "score_recipe",
 ]

@@ -30,7 +30,7 @@ from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
 from ..sim.hierarchy import SimConfig
 from ..units import to_gb_per_s
 from ..workloads.generators import random_updates, spawn_thread_generator
-from .harness import RecipeScore, reproduce_all_tables, score_recipe
+from .figure1 import Figure1Reproduction, reproduce_figure1
 
 ThresholdSetting = Tuple[float, float, float]
 
@@ -67,14 +67,15 @@ def threshold_sweep(
         (0.95, 0.78, 0.93),
         (0.95, 0.86, 0.93),
     ),
-) -> Dict[ThresholdSetting, RecipeScore]:
-    """Recipe score at each threshold setting (defaults bracket ours)."""
+) -> Dict[ThresholdSetting, Figure1Reproduction]:
+    """Figure-1 recipe score at each threshold setting (defaults bracket
+    ours)."""
     return {tuple(s): _scored(tuple(s)) for s in settings}
 
 
-def _scored(setting: ThresholdSetting) -> RecipeScore:
+def _scored(setting: ThresholdSetting) -> Figure1Reproduction:
     with _recipe_thresholds(setting):
-        return score_recipe()
+        return reproduce_figure1()
 
 
 _CALIBRATION_MODULES = {
@@ -125,18 +126,15 @@ class PerturbationResult:
 
 
 def latency_curve_perturbation(scale: float) -> PerturbationResult:
-    """Re-run all tables with curves scaled by ``scale``; count rows
+    """Re-score Figure 1 with curves scaled by ``scale``; count rows
     whose recipe verdict is still fine (agreeing or a known exception)."""
     with scaled_latency_curves(scale):
-        total = stable = 0
-        for table in reproduce_all_tables().values():
-            for comparison in table.comparisons:
-                if comparison.result.speedup is None:
-                    continue
-                total += 1
-                if comparison.recipe_ok or comparison.known_exception is not None:
-                    stable += 1
-    return PerturbationResult(scale=scale, stable_rows=stable, total_rows=total)
+        fig1 = reproduce_figure1()
+    return PerturbationResult(
+        scale=scale,
+        stable_rows=fig1.agreeing + fig1.known_exceptions,
+        total_rows=fig1.total,
+    )
 
 
 @dataclass(frozen=True)

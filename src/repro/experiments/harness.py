@@ -249,39 +249,3 @@ def reproduce_all_tables(
 
     names = list(CASE_STUDY_TABLES)
     return dict(zip(names, fan_out(reproduce_table, names, jobs=jobs)))
-
-
-@dataclass(frozen=True)
-class RecipeScore:
-    """Aggregate recipe-validation score across all tables (Figure 1)."""
-
-    total_rows: int
-    agree: int
-    known_exceptions: int
-    disagree: int
-
-    @property
-    def accuracy_excluding_exceptions(self) -> float:
-        """Agreement rate over rows not covered by documented caveats."""
-        denom = self.total_rows - self.known_exceptions
-        return self.agree / denom if denom else 1.0
-
-
-def score_recipe() -> RecipeScore:
-    """How often the recipe's benefit prediction matched the outcome."""
-    total = agree = excepted = 0
-    for name, table in reproduce_all_tables().items():
-        for c in table.comparisons:
-            if c.result.speedup is None:
-                continue
-            total += 1
-            if c.recipe_ok:
-                agree += 1
-            elif c.known_exception is not None:
-                excepted += 1
-    return RecipeScore(
-        total_rows=total,
-        agree=agree,
-        known_exceptions=excepted,
-        disagree=total - agree - excepted,
-    )

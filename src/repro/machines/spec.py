@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ProfileError
-from ..memory.latency_model import TabulatedLatencyModel
+from ..memory.profile import LatencyProfile
 from ..units import gb_per_s, ghz, ns, to_gb_per_s, to_ghz
 
 
@@ -133,10 +133,10 @@ class MachineSpec:
     ``(utilization, latency_ns)`` control points fitted to the values
     the paper quotes across Tables IV–IX.  It is the machine's only
     latency source: construction turns it into the
-    :class:`~repro.memory.latency_model.TabulatedLatencyModel` held as
-    ``latency_model`` (what
-    :func:`~repro.memory.latency_model.model_for_machine` returns), whose
-    first point is the idle latency.  Points that do not form a valid
+    :class:`~repro.memory.profile.LatencyProfile` held as
+    ``latency_model`` (``source="calibration"``), whose first point is
+    the idle latency; the simulator, the solver and the default Eq. 2
+    analyzer all read that one object.  Points that do not form a valid
     curve raise :class:`~repro.errors.ConfigurationError` here.
     """
 
@@ -186,7 +186,12 @@ class MachineSpec:
                 "memory_traffic_boundary must be 'l3_miss' or 'l2_miss'"
             )
         try:
-            model = TabulatedLatencyModel(self.latency_calibration)
+            model = LatencyProfile(
+                self.name,
+                self.memory.peak_bw_bytes,
+                self.latency_calibration,
+                source="calibration",
+            )
         except ProfileError as exc:
             raise ConfigurationError(f"latency_calibration: {exc}") from exc
         # Kept as a plain attribute, not a field: equality, hashing,

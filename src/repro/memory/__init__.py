@@ -1,20 +1,9 @@
-"""Memory-system models: loaded-latency curves and per-machine profiles.
+"""Memory-system models: the loaded-latency curve class.
 
 This package is pure modeling (no simulation state): the discrete-event
-memory controller that *uses* these models lives in :mod:`repro.sim`.
+memory controller that *uses* these curves lives in :mod:`repro.sim`.
 """
 
-from .latency_model import (
-    LatencyModel,
-    TabulatedLatencyModel,
-    model_for_machine,
-)
-from .profile import LatencyProfile, ProfilePoint
+from .profile import LatencyProfile
 
-__all__ = [
-    "LatencyModel",
-    "LatencyProfile",
-    "ProfilePoint",
-    "TabulatedLatencyModel",
-    "model_for_machine",
-]
+__all__ = ["LatencyProfile"]

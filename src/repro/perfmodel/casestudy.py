@@ -27,9 +27,9 @@ from ..core.recipe import Benefit, Recipe, RecipeContext, RecipeDecision
 from ..core.report import CaseStudyRow
 from ..errors import ExperimentError
 from ..machines.spec import MachineSpec
+from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState, kind_of_step
 from .runtime import RuntimeModel, RuntimePrediction
-from .solver import Curve
 
 if TYPE_CHECKING:  # pragma: no cover - break the workloads<->core cycle
     from ..workloads.base import Workload
@@ -105,7 +105,7 @@ class CaseStudyRunner:
         workload: Workload,
         machine: MachineSpec,
         *,
-        curve: Optional[Curve] = None,
+        curve: Optional[LatencyProfile] = None,
     ) -> None:
         self.workload = workload
         self.machine = machine
@@ -197,14 +197,11 @@ class CaseStudyRunner:
 def run_case_study(
     workload: Workload,
     machines: Sequence[MachineSpec],
-    *,
-    curves: Optional[Dict[str, Curve]] = None,
 ) -> List[CaseStudyResult]:
     """Full paper-table reproduction: all machines, paper row order."""
     results: List[CaseStudyResult] = []
     for machine in machines:
         if machine.name not in workload.machines():
             continue
-        curve = (curves or {}).get(machine.name)
-        results.extend(CaseStudyRunner(workload, machine, curve=curve).run())
+        results.extend(CaseStudyRunner(workload, machine).run())
     return results

@@ -8,14 +8,15 @@ point over it is a closed-form problem
 of a piecewise-linear curve as a quadratic).  ``--fast`` therefore
 needs no simulation at query time, only a curve:
 
-* the machine's calibrated model (the default for advisor and
+* the machine's calibrated curve (the default for advisor and
   runtime queries, so a fast solve equals the solver route), or
 * :func:`calibrate_from_probes` — the measured route: five X-Mem
   load levels built into a :class:`~repro.memory.profile.LatencyProfile`
-  by the same code :meth:`~repro.xmem.runner.XMemRunner.characterize`
-  uses.  Each probe is memoized in the :mod:`repro.perf.cache`
-  SimStats store, so a machine's probes are simulated once and a warm
-  calibration is five cache hits.
+  (the class of the calibrated curve too) by the same code
+  :meth:`~repro.xmem.runner.XMemRunner.characterize` uses.  Each
+  probe is memoized in the :mod:`repro.perf.cache` SimStats store, so
+  a machine's probes are simulated once and a warm calibration is five
+  cache hits.
 
 :func:`analytic_profile` resamples either curve over ``[0, ceiling]``;
 that is what ``characterize --fast`` prints.  Not every query suits
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 from ..memory.profile import LatencyProfile
-from .solver import Curve, curve_reader, solve_operating_point
+from .solver import curve_reader, solve_operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.coltrace import ColumnarTrace
@@ -59,8 +60,8 @@ DEFAULT_PROBE_GAPS: Tuple[float, ...] = (360.0, 120.0, 40.0, 12.0, 2.0)
 #: table; CI re-runs the table and fails if any eligible cell exceeds
 #: them).  They also widen the ``--fast`` error bars via
 #: :func:`repro.core.uncertainty.analytic_widened_errors`.
-ANALYTIC_BW_ERROR_BOUND = 0.15
-ANALYTIC_LAT_ERROR_BOUND = 0.15
+ANALYTIC_BW_ERROR_BOUND = 0.05
+ANALYTIC_LAT_ERROR_BOUND = 0.05
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ solve_operating_point_fast = solve_operating_point
 
 def analytic_profile(
     machine: MachineSpec,
-    curve: Optional[Curve] = None,
+    curve: Optional[LatencyProfile] = None,
     *,
     levels: int = 12,
 ) -> LatencyProfile:
@@ -124,11 +125,11 @@ def analytic_profile(
 
     This is what ``characterize --fast`` returns: the same
     :class:`~repro.memory.profile.LatencyProfile` artifact the X-Mem
-    sweep produces, read from ``curve`` (the machine's model when
-    ``None``) in microseconds instead of simulated in seconds.  The
-    curve is read as the solver reads it, flat above a profile's top
-    point, so a probe profile that stops short of the achievable
-    ceiling still spans it.  ``source`` is stamped ``"analytic"``.
+    sweep produces, read from ``curve`` (the machine's calibrated one
+    when ``None``) in microseconds instead of simulated in seconds.  The
+    curve is read as the solver reads it, flat above its top point, so
+    a probe profile that stops short of the achievable ceiling still
+    spans it.  ``source`` is stamped ``"analytic"``.
     """
     if levels < 2:
         raise ConfigurationError("need at least two profile levels")

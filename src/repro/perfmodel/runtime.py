@@ -22,9 +22,10 @@ from typing import Optional
 
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
+from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState
 from .queueing import solve_operating_point_fast, state_eligibility
-from .solver import Curve, SolvedPoint, solve_operating_point
+from .solver import SolvedPoint, solve_operating_point
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class RuntimeModel:
         self,
         machine: MachineSpec,
         *,
-        curve: Optional[Curve] = None,
+        curve: Optional[LatencyProfile] = None,
         fast: bool = False,
     ) -> None:
         self.machine = machine

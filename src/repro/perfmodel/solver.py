@@ -9,15 +9,16 @@ Little's law closes a feedback loop between three quantities:
 
 The consistent operating point is the root of ``BW * lat(BW) = K`` with
 ``K = n * cores * cls * 1e9`` (paper Eq. 2), below the machine's
-achievable-streams ceiling ``cap``.  Every curve the solver accepts is
-piecewise linear in utilization ``u = BW / peak``: the machine's
-:class:`~repro.memory.latency_model.TabulatedLatencyModel` and any
-:class:`~repro.memory.profile.LatencyProfile` (X-Mem measured, probed
-by ``--fast``, or sampled from a model) are read as chords
+achievable-streams ceiling ``cap``.  The curve is a
+:class:`~repro.memory.profile.LatencyProfile` — the machine's
+calibrated one (``machine.latency_model``) unless the caller passes an
+X-Mem measured, probed or resampled one — piecewise linear in
+utilization ``u = BW / peak`` and read as its cached chords
+(:attr:`~repro.memory.profile.LatencyProfile.chords`)
 
     lat(u) = a + q * (u - u0)      on [u0, u1],
 
-flat past their first and last points.  ``BW * lat`` grows with ``u``,
+flat past its first and last points.  ``BW * lat`` grows with ``u``,
 so the solver walks the segments to the first whose top reaches ``K``
 and solves the quadratic there exactly: with ``u = u0 + t``,
 
@@ -26,9 +27,8 @@ and solves the quadratic there exactly: with ``u = u0 + t``,
 
 whose root is ``t = 2C / (B + sqrt(B^2 + 4*peak*q*C))`` — Hill's point
 in *Three Other Models of Computer System Performance*: Little's law
-over a latency curve is a closed-form problem.  Those two are the only
-curves the solver accepts; anything else raises
-:class:`~repro.errors.ConfigurationError`.
+over a latency curve is a closed-form problem.  Any other kind of
+curve raises :class:`~repro.errors.ConfigurationError`.
 
 If ``K >= cap * lat(cap)`` the demand saturates the ceiling even at the
 top of the curve: bandwidth is capped and latency is *backed out* of
@@ -42,21 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.littles_law import bandwidth_from_mlp, latency_from_mlp
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
-from ..memory.latency_model import TabulatedLatencyModel, model_for_machine
-from ..memory.profile import LatencyProfile
+from ..memory.profile import LatencyProfile, Segment
 from ..units import GIGA, NANO, to_gb_per_s
-
-#: One chord of a latency curve, ``(u0, u1, a, q)``: on ``[u0, u1]``
-#: the latency is ``a + q*(u - u0)``.
-Segment = Tuple[float, float, float, float]
-
-#: The curve kinds the solver accepts.
-Curve = Union[TabulatedLatencyModel, LatencyProfile]
 
 
 @dataclass(frozen=True)
@@ -87,63 +79,42 @@ class SolvedPoint:
         return to_gb_per_s(self.bandwidth_bytes)
 
 
-def _chords(points: Sequence[Tuple[float, float]]) -> List[Segment]:
-    """Segments of a piecewise-linear ``(u, lat)`` curve, flat past its ends."""
-    segments = [(0.0, points[0][0], points[0][1], 0.0)]
-    for (u0, l0), (u1, l1) in zip(points, points[1:]):
-        segments.append((u0, u1, l0, (l1 - l0) / (u1 - u0)))
-    segments.append((points[-1][0], math.inf, points[-1][1], 0.0))
-    return segments
+def _curve(machine: MachineSpec, curve: Optional[LatencyProfile]) -> LatencyProfile:
+    """``curve``, or the machine's calibrated one when ``None``.
 
-
-def _curve_view(
-    machine: MachineSpec, curve: Optional[Curve]
-) -> Tuple[Callable[[float], float], List[Segment]]:
-    """``(latency at bandwidth, segments)`` of one curve.
-
-    Raises :class:`~repro.errors.ConfigurationError` for a curve that
-    is neither kind, or a profile that was made for another machine.
+    Raises :class:`~repro.errors.ConfigurationError` for anything that
+    is not a :class:`~repro.memory.profile.LatencyProfile`, or a curve
+    that was made for another machine.
     """
     if curve is None:
-        curve = model_for_machine(machine)
-    peak = machine.memory.peak_bw_bytes
-    if isinstance(curve, LatencyProfile):
-        if curve.machine_name != machine.name:
-            raise ConfigurationError(
-                f"curve is for {curve.machine_name!r}, machine is {machine.name!r}"
-            )
-        profile, top = curve, curve.max_measured_bw_bytes
-        # A profile is read at the bandwidth its own peak maps u to,
-        # clamped at the highest measured point.
-        ratio = profile.peak_bw_bytes / peak
-        points = [
-            (p.bandwidth_bytes / profile.peak_bw_bytes, p.latency_ns)
-            for p in profile.points
-        ]
-        return (
-            lambda bw: profile.latency_at(min(bw * ratio, top)),
-            _chords(points),
-        )
-    if not isinstance(curve, TabulatedLatencyModel):
+        return machine.latency_model
+    if not isinstance(curve, LatencyProfile):
         raise ConfigurationError(
-            "curve must be a TabulatedLatencyModel or LatencyProfile, "
-            f"got {type(curve).__name__}"
+            f"curve must be a LatencyProfile, got {type(curve).__name__}"
         )
-    model = curve
-    return lambda bw: model.latency_ns(min(1.0, bw / peak)), _chords(model.points)
+    if curve.machine_name != machine.name:
+        raise ConfigurationError(
+            f"curve is for {curve.machine_name!r}, machine is {machine.name!r}"
+        )
+    return curve
 
 
 def curve_reader(
-    machine: MachineSpec, curve: Optional[Curve] = None
+    machine: MachineSpec, curve: Optional[LatencyProfile] = None
 ) -> Callable[[float], float]:
     """Loaded latency (ns) at a bandwidth (bytes/s), read as the solver
-    reads ``curve`` (the machine's model when ``None``): a profile is
-    flat above its highest measured point, a model above full load."""
-    return _curve_view(machine, curve)[0]
+    reads ``curve`` (the machine's calibrated one when ``None``): at
+    ``u = BW / peak`` of the machine, flat above the curve's top point."""
+    return _reader(machine, _curve(machine, curve))
+
+
+def _reader(machine: MachineSpec, curve: LatencyProfile) -> Callable[[float], float]:
+    peak, top = machine.memory.peak_bw_bytes, curve.top_utilization
+    return lambda bw: curve.latency_ns(min(bw / peak, top))
 
 
 def _root(
-    k: float, peak: float, top: float, segments: List[Segment]
+    k: float, peak: float, top: float, segments: Sequence[Segment]
 ) -> Tuple[float, int]:
     """Utilization in ``[0, top]`` where ``peak*u*lat(u) = K``, and the
     number of segments examined."""
@@ -161,7 +132,7 @@ def solve_operating_point(
     demand_mlp: float,
     binding_level: int,
     *,
-    curve: Optional[Curve] = None,
+    curve: Optional[LatencyProfile] = None,
     cores: Optional[int] = None,
 ) -> SolvedPoint:
     """Solve the Little's-law fixed point for one workload state.
@@ -175,10 +146,10 @@ def solve_operating_point(
     binding_level:
         Which MSHR file (1 or 2) bounds the in-flight requests.
     curve:
-        Loaded-latency source: a tabulated model or a profile
-        (measured, probed or sampled).  Defaults to the machine's
-        calibrated model.  A profile made for another machine, or any
-        other kind of curve, raises
+        Loaded-latency curve (measured, probed or resampled).  Defaults
+        to the machine's calibrated one.  A curve made for another
+        machine, or anything but a
+        :class:`~repro.memory.profile.LatencyProfile`, raises
         :class:`~repro.errors.ConfigurationError`.
     cores:
         Active cores (defaults to the machine's loaded-run count).
@@ -190,7 +161,8 @@ def solve_operating_point(
         raise ConfigurationError(f"cores must be in 1..{machine.cores}")
     peak = machine.memory.peak_bw_bytes
     cap = machine.memory.achievable_bw_bytes
-    latency, segments = _curve_view(machine, curve)
+    curve = _curve(machine, curve)
+    latency = _reader(machine, curve)
 
     n = min(demand_mlp, float(machine.mshr_limit(binding_level)))
     cls = machine.line_bytes
@@ -199,7 +171,7 @@ def solve_operating_point(
     if k >= cap * latency(cap):
         bw = cap  # demand exceeds what the cap admits even at top latency
     else:
-        u, examined = _root(k, peak, cap / peak, segments)
+        u, examined = _root(k, peak, cap / peak, curve.chords)
         bw = min(u * peak, cap)
 
     lat = latency(bw)

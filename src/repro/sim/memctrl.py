@@ -3,8 +3,11 @@
 Design (per DESIGN.md §5): the controller enforces the machine's
 bandwidth ceiling by admitting one cache line per ``line_bytes /
 effective_bw`` seconds, and assigns each admitted request a completion
-latency taken from the machine's **calibrated loaded-latency curve** at
-the controller's currently observed utilization.  Consequences:
+latency taken from the machine's **calibrated loaded-latency curve**
+(``machine.latency_model``, the same
+:class:`~repro.memory.profile.LatencyProfile` object the solver and the
+default Eq. 2 analyzer read) at the controller's currently observed
+utilization.  Consequences:
 
 * the X-Mem substitute (:mod:`repro.xmem`) sweeps injection rates
   against this controller and records the mean latency it observes at
@@ -36,7 +39,7 @@ from typing import Callable, Deque, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..memory.latency_model import TabulatedLatencyModel
+from ..memory.profile import LatencyProfile
 from ..units import GIGA, ns
 from .engine import Engine
 from .stats import MemoryStats
@@ -98,7 +101,9 @@ class MemoryController:
     engine:
         The event engine.
     latency_model:
-        Loaded-latency curve (utilization → ns).
+        The machine's calibrated curve (``machine.latency_model``), read
+        by utilization through ``latency_ns``: the slice's utilization
+        is the socket's, so the curve's own socket peak never enters.
     peak_bw_bytes:
         Theoretical peak bandwidth of the *simulated slice* (the
         hierarchy scales socket bandwidth down to the simulated core
@@ -133,7 +138,7 @@ class MemoryController:
     def __init__(
         self,
         engine: Engine,
-        latency_model: TabulatedLatencyModel,
+        latency_model: LatencyProfile,
         *,
         peak_bw_bytes: float,
         achievable_fraction: float,

@@ -10,9 +10,11 @@ parallelism — this does not require root privileges)".
 The runner simulates a small machine slice per load level, records the
 achieved bandwidth and the average loaded latency observed at the
 memory controller, and assembles the samples into a
-:class:`~repro.memory.profile.LatencyProfile`.  The simulated
-controller's latency comes from the machine's calibrated curve, but the
-measured profile does not reproduce it: on skl it reads up to 58% above
+:class:`~repro.memory.profile.LatencyProfile` (``source="xmem"``).  The
+simulated controller's latency comes from the machine's calibrated
+curve, ``machine.latency_model`` — another instance of the same class,
+stored in utilization like this one — but the measured profile does
+not reproduce it: on skl it reads up to 58% above
 the calibrated curve (188 vs 119 ns at utilization 0.74, 97 vs 80 ns at
 idle).  ROADMAP.md's open item "Close the Eq. 2 loop on our own
 simulator" tracks the gap.
@@ -130,7 +132,8 @@ def profile_from_measurements(
 
     An explicit near-zero-load anchor (the lowest measured latency) is
     added so the profile's domain starts at zero bandwidth, and the
-    samples are rectified to a non-decreasing curve
+    samples are rectified to a non-decreasing curve and divided by the
+    machine's peak into utilization points
     (:meth:`~repro.memory.profile.LatencyProfile.from_samples`).
     """
     samples: List[Tuple[float, float]] = [

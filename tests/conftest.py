@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.machines import get_machine
-from repro.memory import LatencyProfile, model_for_machine
 from repro.sim import SimConfig
 
 
@@ -80,14 +79,6 @@ def a64fx():
 @pytest.fixture(scope="session")
 def all_machines(skl, knl, a64fx):
     return (skl, knl, a64fx)
-
-
-@pytest.fixture(scope="session")
-def skl_profile(skl):
-    """Model-derived SKL latency profile (fast, deterministic)."""
-    return LatencyProfile.from_model(
-        skl.name, skl.memory.peak_bw_bytes, model_for_machine(skl)
-    )
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 """MlpCalculator: bandwidth + profile -> the paper's n_avg."""
 
+import numpy as np
 import pytest
 
 from repro.core import MlpCalculator
 from repro.errors import ConfigurationError
+from repro.machines import get_machine, machine_names
 
 
 class TestCalculation:
@@ -31,6 +33,29 @@ class TestCalculation:
     def test_summary_format(self, skl):
         text = MlpCalculator(skl).calculate_gbs(106.9).summary()
         assert "GB/s" in text and "n_avg" in text
+
+
+class TestDefaultProfile:
+    @pytest.mark.parametrize("name", machine_names())
+    def test_reads_the_calibrated_curve_exactly(self, name):
+        """The default Eq. 2 lookup is the curve the simulator and the
+        solver read, bit for bit, not a resampled copy of it."""
+        machine = get_machine(name)
+        curve = machine.latency_model
+        calc = MlpCalculator(machine)
+        assert calc.profile is curve
+        peak = machine.memory.peak_bw_bytes
+        # Both sides of every breakpoint, and skl's knee at u = 0.86.
+        utils = [u for u, _ in curve.points] + [0.86, *np.linspace(0, 1.05, 211)]
+        for bw in sorted({u * peak for u in utils} | {110e9}):
+            got = calc.calculate(bw).latency_ns
+            assert got.hex() == curve.latency_at(bw).hex()
+
+    def test_skl_knee_reads_the_curve(self, skl):
+        # At 110 GB/s (u = 0.86) a 64-point resample read 168 ns.
+        result = MlpCalculator(skl).calculate_gbs(110.0)
+        assert result.latency_ns == pytest.approx(170.0, abs=0.5)
+        assert result.n_avg == pytest.approx(12.19, abs=0.01)
 
 
 class TestMeasuredProfile:

@@ -14,13 +14,12 @@ from repro.experiments import (
     threshold_sweep,
 )
 from repro.machines import get_machine
-from repro.memory import model_for_machine
 
 
 class TestThresholdSweep:
     def test_default_point_is_clean(self):
         scores = threshold_sweep(settings=(DEFAULT_THRESHOLDS,))
-        assert scores[DEFAULT_THRESHOLDS].disagree == 0
+        assert scores[DEFAULT_THRESHOLDS].unexplained_disagreements == 0
 
     def test_thresholds_restored_after_sweep(self):
         before = recipe_module.FULL_RATIO
@@ -31,7 +30,7 @@ class TestThresholdSweep:
         """Sanity: the knob is actually connected."""
         scores = threshold_sweep(settings=((0.30, 0.10, 0.30),))
         score = scores[(0.30, 0.10, 0.30)]
-        assert score.disagree > 0
+        assert score.unexplained_disagreements > 0
 
 
 class TestCurvePerturbation:
@@ -60,11 +59,11 @@ class TestCurvePerturbation:
                 machine, l2=dataclasses.replace(machine.l2, mshrs=8)
             )
 
-        idle = model_for_machine(get_machine("skl")).idle_latency_ns
+        idle = get_machine("skl").latency_model.idle_latency_ns
         assert list(check_machine(narrowed(get_machine("skl")))) == []
         with scaled_latency_curves(2.0):
             scaled = get_machine("skl")
-            assert model_for_machine(scaled).idle_latency_ns == 2.0 * idle
+            assert scaled.latency_model.idle_latency_ns == 2.0 * idle
             found = list(check_machine(narrowed(scaled)))
         assert [v.rule_id for v in found] == ["SPEC003"]
         assert f"/ {2.0 * idle:.0f} ns" in found[0].message

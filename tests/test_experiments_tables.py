@@ -11,8 +11,8 @@ from repro.experiments import (
     CASE_STUDY_TABLES,
     KNOWN_EXCEPTIONS,
     all_structural_checks,
+    reproduce_figure1,
     reproduce_table,
-    score_recipe,
 )
 
 WORKLOADS = list(CASE_STUDY_TABLES)
@@ -163,11 +163,11 @@ class TestHeadlineShapes:
 
 class TestRecipeScore:
     def test_no_unexplained_disagreements(self):
-        score = score_recipe()
-        assert score.disagree == 0
-        assert score.accuracy_excluding_exceptions == pytest.approx(1.0)
+        score = reproduce_figure1()
+        assert score.unexplained_disagreements == 0
+        assert score.accuracy == pytest.approx(1.0)
         # Only the paper-documented contention rows need excusing.
         assert score.known_exceptions <= len(KNOWN_EXCEPTIONS)
 
     def test_substantial_row_count(self):
-        assert score_recipe().total_rows >= 28  # every opt row of Tables IV-IX
+        assert reproduce_figure1().total >= 28  # every opt row of Tables IV-IX

@@ -10,7 +10,6 @@ from repro.machines import (
     mshr_bound_fraction,
     paper_machines,
 )
-from repro.memory import model_for_machine
 from repro.perfmodel import solve_operating_point
 
 
@@ -43,7 +42,7 @@ class TestMshrBoundRegime:
         for machine in paper_machines():
             fraction = mshr_bound_fraction(
                 machine,
-                loaded_latency_ns=model_for_machine(machine).idle_latency_ns * 1.4,
+                loaded_latency_ns=machine.latency_model.idle_latency_ns * 1.4,
             )
             assert fraction > 0.8
 

@@ -1,4 +1,4 @@
-"""Loaded-latency models: the tabulated curve and its scalar lookup."""
+"""The loaded-latency curve class: its lookup, validation and domain."""
 
 import math
 
@@ -15,55 +15,60 @@ from repro.machines import (
     get_machine,
     machine_names,
 )
-from repro.memory import (
-    LatencyProfile,
-    ProfilePoint,
-    TabulatedLatencyModel,
-    model_for_machine,
-)
-from repro.memory.latency_model import interp_scalar
+from repro.memory import LatencyProfile
+from repro.memory.profile import interp_scalar
+
+
+def _curve(points):
+    return LatencyProfile("m", 100e9, tuple(points))
 
 
 class TestTabulatedModel:
     def test_interpolates_between_points(self):
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = _curve([(0.0, 100.0), (1.0, 200.0)])
         assert model.latency_ns(0.5) == pytest.approx(150.0)
 
     def test_clamps_at_calibrated_ends(self):
-        model = TabulatedLatencyModel([(0.1, 100.0), (0.9, 200.0)])
+        model = _curve([(0.1, 100.0), (0.9, 200.0)])
         assert model.latency_ns(0.0) == pytest.approx(100.0)
-        assert model.latency_ns(1.0) == pytest.approx(200.0)
+        assert model.latency_ns(0.94) == pytest.approx(200.0)
+        # The domain is 1.05x the top point, not an absolute 1.05.
+        with pytest.raises(ProfileDomainError):
+            model.latency_ns(1.0)
 
     def test_idle_and_saturated(self):
-        model = TabulatedLatencyModel(SKL_LATENCY_CALIBRATION)
+        model = _curve(SKL_LATENCY_CALIBRATION)
         assert model.idle_latency_ns == pytest.approx(80.0)
         assert model.saturated_latency_ns == pytest.approx(185.0)
 
     def test_slight_overshoot_clamped(self):
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = _curve([(0.0, 100.0), (1.0, 200.0)])
         assert model.latency_ns(1.04) == pytest.approx(200.0)
+        assert model.latency_at(104e9) == pytest.approx(200.0)
 
     def test_far_overshoot_rejected(self):
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = _curve([(0.0, 100.0), (1.0, 200.0)])
         with pytest.raises(ProfileDomainError):
             model.latency_ns(1.5)
+        with pytest.raises(ProfileDomainError):
+            model.latency_at(150e9)
 
     def test_negative_utilization_rejected(self):
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = _curve([(0.0, 100.0), (1.0, 200.0)])
         with pytest.raises(ProfileDomainError):
             model.latency_ns(-0.1)
 
     def test_rejects_single_point(self):
         with pytest.raises(ProfileError):
-            TabulatedLatencyModel([(0.0, 100.0)])
+            _curve([(0.0, 100.0)])
 
     def test_rejects_decreasing_latency(self):
         with pytest.raises(ProfileError):
-            TabulatedLatencyModel([(0.0, 200.0), (1.0, 100.0)])
+            _curve([(0.0, 200.0), (1.0, 100.0)])
 
     def test_rejects_duplicate_utilization(self):
         with pytest.raises(ProfileError):
-            TabulatedLatencyModel([(0.5, 100.0), (0.5, 120.0), (1.0, 150.0)])
+            _curve([(0.5, 100.0), (0.5, 120.0), (1.0, 150.0)])
 
     @pytest.mark.parametrize(
         "calibration",
@@ -71,7 +76,7 @@ class TestTabulatedModel:
         ids=["skl", "knl", "a64fx"],
     )
     def test_paper_calibrations_are_valid_curves(self, calibration):
-        model = TabulatedLatencyModel(calibration)
+        model = _curve(calibration)
         previous = 0.0
         for u in [i / 50 for i in range(51)]:
             lat = model.latency_ns(u)
@@ -83,29 +88,29 @@ class TestPaperLatencyPoints:
     """Spot-check the fitted curves against latencies quoted in tables."""
 
     def test_skl_isx_point(self, skl):
-        model = model_for_machine(skl)
+        model = skl.latency_model
         # ISx base: 106.9 GB/s (84%) -> 145 ns (Table IV).
         assert model.latency_ns(106.9 / 128) == pytest.approx(145, abs=5)
 
     def test_skl_minighost_point(self, skl):
-        model = model_for_machine(skl)
+        model = skl.latency_model
         # MiniGhost base: 92.93 GB/s (73%) -> 117 ns (Table VIII).
         assert model.latency_ns(92.93 / 128) == pytest.approx(117, abs=4)
 
     def test_knl_optimized_isx_point(self, knl):
-        model = model_for_machine(knl)
+        model = knl.latency_model
         # ISx optimized: 344 GB/s (86%) -> 238 ns (Table IV).
         assert model.latency_ns(344 / 400) == pytest.approx(238, abs=6)
 
     def test_a64fx_prefetched_isx_point(self, a64fx):
-        model = model_for_machine(a64fx)
+        model = a64fx.latency_model
         # ISx +l2-pref: 788 GB/s (77%) -> 280 ns (Table IV).
         assert model.latency_ns(788 / 1024) == pytest.approx(280, abs=8)
 
     def test_loaded_latency_can_be_2x_idle(self, a64fx):
         # Paper III-B: loaded latency "can be 2x or more than the idle
         # latency at peak bandwidth utilization".
-        model = model_for_machine(a64fx)
+        model = a64fx.latency_model
         assert model.latency_ns(1.0) >= 2.0 * model.idle_latency_ns
 
 
@@ -113,14 +118,14 @@ class TestPaperLatencyPoints:
 
 
 def _numpy_latency_ns(model, utilization):
-    """The tabulated lookup as written against numpy: the oracle.
+    """The curve lookup as written against numpy: the oracle.
 
     Validation is shared (and checked elsewhere), so only the clamp to
-    1.0 is repeated here.
+    the top point is repeated here.
     """
     utils = np.array([p[0] for p in model.points])
     lats = np.array([p[1] for p in model.points])
-    value = float(np.interp(min(utilization, 1.0), utils, lats))
+    value = float(np.interp(min(utilization, utils[-1]), utils, lats))
     return float(min(max(value, lats[0]), lats[-1]))
 
 
@@ -129,26 +134,25 @@ def _assert_same_bits(got, want):
     assert got.hex() == want.hex()
 
 
-def _tabulated_machine_models():
-    models = {name: model_for_machine(get_machine(name)) for name in machine_names()}
-    return {
-        name: model
-        for name, model in models.items()
-        if isinstance(model, TabulatedLatencyModel)
-    }
-
-
-_MACHINE_MODELS = _tabulated_machine_models()
+_MACHINE_MODELS = {name: get_machine(name).latency_model for name in machine_names()}
 
 
 def _edge_utilizations(model):
-    """Every breakpoint, the floats either side of it, 0, 1 and (1, 1.05]."""
-    edges = {0.0, 1.0, math.nextafter(1.0, 2.0), 1.01, 1.049, 1.05}
+    """Every breakpoint, the floats either side of it, 0, and the
+    overshoot band (top, 1.05 * top]."""
+    top = model.top_utilization
+    limit = top * 1.05
+    edges = {0.0, top, math.nextafter(top, 2.0), top * 1.01, top * 1.049, limit}
     for u, _ in model.points:
         edges.update(
             (u, math.nextafter(u, -math.inf), math.nextafter(u, math.inf))
         )
-    return sorted(u for u in edges if 0.0 <= u <= 1.05)
+    return sorted(u for u in edges if 0.0 <= u <= limit)
+
+
+def _in_domain(model, utils):
+    """``utils`` given as fractions of the curve's domain [0, 1.05 * top]."""
+    return [u * model.top_utilization * 1.05 for u in utils]
 
 
 def _check_lookup(model, utils):
@@ -182,7 +186,7 @@ def _monotone_tables(draw):
         )
     )
     try:
-        return TabulatedLatencyModel(list(zip(utils, lats)))
+        return _curve(list(zip(utils, lats)))
     except ProfileError:
         assume(False)
 
@@ -192,6 +196,9 @@ class TestScalarLookupMatchesNumpy:
 
     def test_every_machine_curve_is_covered(self):
         assert {"skl", "knl", "a64fx", "hbm2e", "hbm3"} <= set(_MACHINE_MODELS)
+        for name, model in _MACHINE_MODELS.items():
+            assert (model.machine_name, model.source) == (name, "calibration")
+            assert model.top_utilization == 1.0
 
     @pytest.mark.parametrize("name", sorted(_MACHINE_MODELS))
     def test_machine_curve_edges(self, name):
@@ -209,10 +216,10 @@ class TestScalarLookupMatchesNumpy:
     @settings(max_examples=120, deadline=None)
     @given(
         model=_monotone_tables(),
-        utils=st.lists(st.floats(0.0, 1.05), max_size=16),
+        utils=st.lists(st.floats(0.0, 1.0), max_size=16),
     )
     def test_random_monotone_tables(self, model, utils):
-        _check_lookup(model, _edge_utilizations(model) + utils)
+        _check_lookup(model, _edge_utilizations(model) + _in_domain(model, utils))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -247,34 +254,38 @@ class TestScalarLookupMatchesNumpy:
         for bad in (math.nan, math.inf, -1e-300, 1.0500001):
             with pytest.raises(ProfileDomainError):
                 model.latency_ns(bad)
+            with pytest.raises(ProfileDomainError):
+                model.latency_ns_batch(np.array([0.5, bad]))
 
 
 def _numpy_latency_at(profile, bandwidth_bytes):
-    bws = np.array([p.bandwidth_bytes for p in profile.points])
-    lats = np.array([p.latency_ns for p in profile.points])
-    return float(np.interp(bandwidth_bytes, bws, lats))
+    """np.interp over the stored points at ``u = BW / peak``."""
+    return _numpy_latency_ns(profile, bandwidth_bytes / profile.peak_bw_bytes)
 
 
 def _check_profile(profile, bandwidths):
     top = profile.max_measured_bw_bytes * 1.05
     edges = {0.0, top, profile.max_measured_bw_bytes}
-    for p in profile.points:
-        b = p.bandwidth_bytes
+    for u, _ in profile.points:
+        b = u * profile.peak_bw_bytes
         edges.update((b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)))
     for bw in sorted(edges) + list(bandwidths):
-        if 0.0 <= bw <= top:
+        if 0.0 <= bw / profile.peak_bw_bytes <= profile.top_utilization * 1.05:
             _assert_same_bits(profile.latency_at(bw), _numpy_latency_at(profile, bw))
 
 
 class TestProfileLookupMatchesNumpy:
-    """LatencyProfile.latency_at shares the helper; same bit-identity."""
+    """latency_at is latency_ns at BW / peak; same bit-identity."""
 
     @pytest.mark.parametrize("name", sorted(_MACHINE_MODELS))
     def test_model_sampled_profiles(self, name):
         machine = get_machine(name)
-        profile = LatencyProfile.from_model(
-            name, machine.memory.peak_bw_bytes, _MACHINE_MODELS[name], samples=37
-        )
+        model = _MACHINE_MODELS[name]
+        peak = machine.memory.peak_bw_bytes
+        samples = [
+            (peak * u, model.latency_ns(u)) for u in np.linspace(0.0, 1.0, 37)
+        ]
+        profile = LatencyProfile.from_samples(name, peak, samples)
         rng = np.random.default_rng(5)
         _check_profile(profile, rng.uniform(0.0, profile.max_measured_bw_bytes, 200))
 
@@ -289,11 +300,15 @@ class TestProfileLookupMatchesNumpy:
         bandwidths=st.lists(st.floats(0.0, 1.1e12), max_size=16),
     )
     def test_random_profiles(self, samples, bandwidths):
-        profile = LatencyProfile.from_samples("skl", 2e12, samples)
+        try:
+            profile = LatencyProfile.from_samples("skl", 2e12, samples)
+        except ProfileError:
+            # Two samples 2e12 * 1e-9 B/s apart or closer are one load
+            # point; all of them that close is no curve.
+            assume(False)
         _check_profile(profile, bandwidths)
 
     def test_integer_samples(self):
-        profile = LatencyProfile(
-            "skl", 128e9, points=(ProfilePoint(0, 80), ProfilePoint(3, 97))
-        )
+        profile = LatencyProfile.from_samples("skl", 128, [(0, 80), (3, 97)])
+        assert profile.points == ((0.0, 80.0), (3 / 128, 97.0))
         _check_profile(profile, [1, 2, 1.5])

@@ -1,57 +1,45 @@
 """LatencyProfile: the once-per-machine characterization artifact."""
 
+import json
+
 import pytest
 
 from repro.errors import ProfileDomainError, ProfileError
-from repro.memory import LatencyProfile, ProfilePoint, model_for_machine
+from repro.memory import LatencyProfile
 
 
 def _simple_profile():
-    return LatencyProfile(
-        machine_name="skl",
-        peak_bw_bytes=128e9,
-        points=(
-            ProfilePoint(0.0, 80.0),
-            ProfilePoint(64e9, 100.0),
-            ProfilePoint(111e9, 170.0),
-        ),
+    return LatencyProfile.from_samples(
+        "skl", 128e9, [(0.0, 80.0), (64e9, 100.0), (111e9, 170.0)]
     )
 
 
 class TestConstruction:
     def test_points_sorted_on_construction(self):
-        profile = LatencyProfile(
-            "skl",
-            128e9,
-            points=(ProfilePoint(64e9, 100.0), ProfilePoint(0.0, 80.0)),
-        )
-        assert profile.points[0].bandwidth_bytes == 0.0
+        profile = LatencyProfile("skl", 128e9, points=((0.5, 100.0), (0.0, 80.0)))
+        assert profile.points == ((0.0, 80.0), (0.5, 100.0))
 
     def test_rejects_single_point(self):
         with pytest.raises(ProfileError):
-            LatencyProfile("skl", 128e9, points=(ProfilePoint(0.0, 80.0),))
+            LatencyProfile("skl", 128e9, points=((0.0, 80.0),))
 
     def test_rejects_decreasing_latency(self):
         with pytest.raises(ProfileError):
-            LatencyProfile(
-                "skl",
-                128e9,
-                points=(ProfilePoint(0.0, 200.0), ProfilePoint(64e9, 100.0)),
-            )
+            LatencyProfile("skl", 128e9, points=((0.0, 200.0), (0.5, 100.0)))
 
     def test_rejects_duplicate_bandwidth(self):
         with pytest.raises(ProfileError):
-            LatencyProfile(
-                "skl",
-                128e9,
-                points=(ProfilePoint(1e9, 80.0), ProfilePoint(1e9, 90.0)),
-            )
+            LatencyProfile.from_samples("skl", 128e9, [(1e9, 80.0), (1e9, 90.0)])
 
     def test_point_validation(self):
         with pytest.raises(ProfileError):
-            ProfilePoint(-1.0, 100.0)
+            LatencyProfile("skl", 128e9, points=((-0.1, 100.0), (0.5, 120.0)))
         with pytest.raises(ProfileError):
-            ProfilePoint(1e9, 0.0)
+            LatencyProfile("skl", 128e9, points=((0.0, 100.0), (1.06, 120.0)))
+        with pytest.raises(ProfileError):
+            LatencyProfile("skl", 128e9, points=((0.0, 0.0), (0.5, 120.0)))
+        with pytest.raises(ProfileError):
+            LatencyProfile("skl", 0.0, points=((0.0, 80.0), (0.5, 120.0)))
 
 
 class TestQueries:
@@ -75,22 +63,19 @@ class TestQueries:
             _simple_profile().latency_at(-1.0)
 
     def test_utilization_of(self):
-        assert _simple_profile().utilization_of(64e9) == pytest.approx(0.5)
+        profile = _simple_profile()
+        assert profile.utilization_of(64e9) == pytest.approx(0.5)
+        assert profile.latency_at(64e9) == profile.latency_ns(0.5)
 
 
 class TestFromModel:
     def test_samples_machine_curve(self, skl):
-        profile = LatencyProfile.from_model(
-            skl.name, skl.memory.peak_bw_bytes, model_for_machine(skl), samples=32
-        )
-        assert len(profile.points) == 32
-        assert profile.latency_at(106.9e9) == pytest.approx(145, abs=6)
-
-    def test_rejects_too_few_samples(self, skl):
-        with pytest.raises(ProfileError):
-            LatencyProfile.from_model(
-                skl.name, skl.memory.peak_bw_bytes, model_for_machine(skl), samples=1
-            )
+        """The machine's calibrated curve is itself a profile."""
+        curve = skl.latency_model
+        assert isinstance(curve, LatencyProfile)
+        assert (curve.machine_name, curve.source) == ("skl", "calibration")
+        assert curve.points == skl.latency_calibration
+        assert curve.latency_at(106.9e9) == pytest.approx(145, abs=6)
 
 
 class TestFromSamples:
@@ -114,15 +99,23 @@ class TestPersistence:
         clone = LatencyProfile.from_json(profile.to_json())
         assert clone.machine_name == profile.machine_name
         assert clone.points == profile.points
+        assert clone == profile
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "skl.json"
         profile = _simple_profile()
         profile.save(path)
         assert LatencyProfile.load(path).latency_at(32e9) == pytest.approx(90.0)
+        point = json.loads(path.read_text())["points"][1]
+        assert point == {"utilization": 0.5, "latency_ns": 100.0}
 
     def test_malformed_json_raises(self):
         with pytest.raises(ProfileError):
             LatencyProfile.from_json("{}")
         with pytest.raises(ProfileError):
             LatencyProfile.from_json("not json at all")
+        # A document with bandwidth points (the older format) is refused.
+        doc = json.loads(_simple_profile().to_json())
+        doc["points"] = [{"bandwidth_bytes": 0.0, "latency_ns": 80.0}] * 2
+        with pytest.raises(ProfileError):
+            LatencyProfile.from_json(json.dumps(doc))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.apps import AddressSpace, partition
 from repro.counters.events import CounterEvent, VENDOR_EVENTS
 from repro.counters.vendor import _weaker, Visibility
-from repro.memory import TabulatedLatencyModel
+from repro.memory import LatencyProfile
 from repro.sim import Engine, MemoryController
 from repro.sim.stats import MemoryStats
 
@@ -74,7 +74,7 @@ class TestVendorWeakerMerge:
 class TestMemoryControllerUtilizationWindow:
     def test_utilization_decays_after_quiet_period(self):
         engine = Engine()
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = LatencyProfile("m", 10e9, ((0.0, 100.0), (1.0, 200.0)))
         mc = MemoryController(
             engine,
             model,
@@ -94,7 +94,7 @@ class TestMemoryControllerUtilizationWindow:
 
     def test_rejects_bad_parameters(self):
         engine = Engine()
-        model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+        model = LatencyProfile("m", 10e9, ((0.0, 100.0), (1.0, 200.0)))
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):

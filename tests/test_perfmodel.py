@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import AccessPattern
 from repro.errors import ConfigurationError
-from repro.memory import model_for_machine
 from repro.optim import TransformEffect, WorkloadState
 from repro.perfmodel import RuntimeModel, solve_operating_point
 
@@ -35,7 +34,7 @@ class TestSolver:
     def test_latency_lies_on_machine_curve_when_uncapped(self, skl):
         point = solve_operating_point(skl, 5.0, 1)
         assert not point.bandwidth_capped
-        model = model_for_machine(skl)
+        model = skl.latency_model
         u = point.bandwidth_bytes / skl.memory.peak_bw_bytes
         assert point.latency_ns == pytest.approx(model.latency_ns(u), rel=1e-3)
 
@@ -58,7 +57,7 @@ class TestSolver:
         assert point.bandwidth_bytes == pytest.approx(
             skl.memory.achievable_bw_bytes, rel=1e-3
         )
-        model = model_for_machine(skl)
+        model = skl.latency_model
         u = point.bandwidth_bytes / skl.memory.peak_bw_bytes
         assert point.latency_ns >= model.latency_ns(u) - 1e-9
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import bandwidth_from_mlp, latency_from_mlp, mlp_from_bandwidth
 from repro.machines import get_machine
-from repro.memory import model_for_machine
 from repro.perfmodel import solve_operating_point
 
 MACHINES = {name: get_machine(name) for name in ("skl", "knl", "a64fx")}
@@ -84,7 +83,7 @@ class TestSolverProperties:
     def test_latency_at_least_curve_value(self, machine_name, demand, level):
         machine = MACHINES[machine_name]
         point = solve_operating_point(machine, demand, level)
-        model = model_for_machine(machine)
+        model = machine.latency_model
         u = min(1.0, point.bandwidth_bytes / machine.memory.peak_bw_bytes)
         assert point.latency_ns >= model.latency_ns(u) - 1e-6
 

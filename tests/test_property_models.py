@@ -1,4 +1,4 @@
-"""Property-based tests on latency models, profiles, and the recipe."""
+"""Property-based tests on latency curves, profiles, and the recipe."""
 
 import math
 
@@ -14,7 +14,7 @@ from repro.core import (
     Recipe,
 )
 from repro.machines import get_machine
-from repro.memory import LatencyProfile, TabulatedLatencyModel
+from repro.memory import LatencyProfile
 from repro.optim import TransformEffect, WorkloadState
 
 MACHINES = {name: get_machine(name) for name in ("skl", "knl", "a64fx")}
@@ -26,7 +26,7 @@ class TestTabulatedModelProperties:
     @st.composite
     def calibrations(draw):
         n = draw(st.integers(min_value=2, max_value=8))
-        # Utilizations on a 1e-6 grid: the model merges control points
+        # Utilizations on a 1e-6 grid: the curve merges points
         # closer than float-safe interpolation spacing, so generating
         # already-separated points keeps every example valid.
         ticks = sorted(
@@ -53,15 +53,17 @@ class TestTabulatedModelProperties:
 
     @given(points=calibrations(), u1=utils, u2=utils)
     def test_interpolation_monotone(self, points, u1, u2):
-        model = TabulatedLatencyModel(points)
-        lo, hi = sorted((u1, u2))
+        model = LatencyProfile("m", 1e9, tuple(points))
+        # Queries as fractions of the domain, [0, 1.05 * top point].
+        domain = model.top_utilization * 1.05
+        lo, hi = sorted((u1 * domain, u2 * domain))
         assert model.latency_ns(hi) >= model.latency_ns(lo) - 1e-9
 
     @given(points=calibrations(), u=utils)
     def test_within_calibrated_range(self, points, u):
-        model = TabulatedLatencyModel(points)
+        model = LatencyProfile("m", 1e9, tuple(points))
         lats = [l for _, l in model.points]
-        value = model.latency_ns(u)
+        value = model.latency_ns(u * model.top_utilization * 1.05)
         assert min(lats) - 1e-9 <= value <= max(lats) + 1e-9
 
 
@@ -77,10 +79,11 @@ class TestProfileProperties:
         )
     )
     def test_from_samples_always_valid(self, samples):
-        bws = [b for b, _ in samples]
-        assume(len(set(bws)) == len(bws))
+        us = [b / 128e9 for b, _ in samples]
+        # Distinct utilizations, not all within the 1e-9 merge spacing.
+        assume(len(set(us)) == len(us) and max(us) - min(us) >= 1e-9)
         profile = LatencyProfile.from_samples("m", 128e9, samples)
-        lats = [p.latency_ns for p in profile.points]
+        lats = [lat for _, lat in profile.points]
         assert lats == sorted(lats)  # rectified to monotone
 
     @given(
@@ -94,10 +97,11 @@ class TestProfileProperties:
         )
     )
     def test_json_roundtrip_preserves_queries(self, samples):
-        bws = [b for b, _ in samples]
-        assume(len(set(bws)) == len(bws))
+        us = [b / 128e9 for b, _ in samples]
+        assume(len(set(us)) == len(us) and max(us) - min(us) >= 1e-9)
         profile = LatencyProfile.from_samples("m", 128e9, samples)
         clone = LatencyProfile.from_json(profile.to_json())
+        assert clone == profile
         probe = profile.max_measured_bw_bytes / 2
         assert math.isclose(
             clone.latency_at(probe), profile.latency_at(probe), rel_tol=1e-12

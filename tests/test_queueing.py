@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProfileError
 from repro.machines.registry import get_machine, machine_names
-from repro.memory.latency_model import model_for_machine
 from repro.perfmodel.queueing import (
     analytic_profile,
     calibrate_from_probes,
@@ -63,7 +62,7 @@ class TestCurveProperties:
     def test_unloaded_latency_matches_machine_model(self, machine):
         spec = get_machine(machine)
         assert _profile(machine).idle_latency_ns == pytest.approx(
-            model_for_machine(spec).latency_ns(0.0)
+            spec.latency_model.latency_ns(0.0)
         )
 
 
@@ -158,7 +157,7 @@ class TestAnalyticProfile:
         assert profile.source == "analytic"
         assert profile.machine_name == "skl"
         assert len(profile.points) == 12
-        assert profile.idle_latency_ns == model_for_machine(spec).idle_latency_ns
+        assert profile.idle_latency_ns == spec.latency_model.idle_latency_ns
 
     def test_profile_levels_validated(self):
         with pytest.raises(ConfigurationError):
@@ -174,9 +173,9 @@ class TestAnalyticProfile:
         cap = spec.memory.achievable_bw_bytes
         assert probes.max_measured_bw_bytes < cap
         profile = analytic_profile(spec, probes)
-        assert profile.points[0].bandwidth_bytes == 0.0
+        assert profile.points[0][0] == 0.0
         assert profile.max_measured_bw_bytes == pytest.approx(cap)
-        assert profile.points[-1].latency_ns == probes.points[-1].latency_ns
+        assert profile.saturated_latency_ns == probes.saturated_latency_ns
         assert profile.idle_latency_ns == probes.idle_latency_ns
 
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.memory import TabulatedLatencyModel
+from repro.memory import LatencyProfile
 from repro.sim import Engine, MemoryController
 from repro.sim.stats import MemoryStats
 
 
 def _controller(engine, peak=10e9, achievable=1.0, line=64):
-    model = TabulatedLatencyModel([(0.0, 100.0), (1.0, 200.0)])
+    model = LatencyProfile("m", peak, ((0.0, 100.0), (1.0, 200.0)))
     return MemoryController(
         engine,
         model,

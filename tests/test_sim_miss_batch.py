@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.errors import ProfileDomainError, SimulationError
 from repro.machines import get_machine
 from repro.machines.spec import CacheSpec
-from repro.memory.latency_model import TabulatedLatencyModel
+from repro.memory import LatencyProfile
 from repro.sim import ColumnarTrace, SimConfig, run_trace
 from repro.sim.cache import CacheArray
 from repro.sim.engine import Engine
@@ -156,13 +156,15 @@ def _controllers(latency_model):
     return make(), make()
 
 
-_TABULATED = TabulatedLatencyModel(
-    [(0.0, 80.0), (0.3, 95.0), (0.7, 160.0), (1.0, 310.0)]
+_TABULATED = LatencyProfile(
+    "m", 100e9, ((0.0, 80.0), (0.3, 95.0), (0.7, 160.0), (1.0, 310.0))
 )
 #: A steep knee: nine points, two of them closer than the 1e-9 merge
 #: spacing (merged into one vertical step at u = 0.85).
-_KNEE = TabulatedLatencyModel(
-    [
+_KNEE = LatencyProfile(
+    "m",
+    100e9,
+    (
         (0.0, 90.0),
         (0.2, 92.0),
         (0.4, 97.0),
@@ -172,7 +174,7 @@ _KNEE = TabulatedLatencyModel(
         (0.85 + 5e-10, 320.0),
         (0.9, 600.0),
         (1.0, 650.0),
-    ]
+    ),
 )
 
 
@@ -245,7 +247,7 @@ class _RecordingController(MemoryController):
 
 
 class _RecordingModel:
-    """Latency model wrapper recording every scalar lookup, in order."""
+    """Curve wrapper recording every scalar lookup, in order."""
 
     def __init__(self, inner):
         self.inner = inner

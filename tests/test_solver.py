@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.machines.registry import get_machine, machine_names
-from repro.memory.latency_model import TabulatedLatencyModel, model_for_machine
+from repro.memory import LatencyProfile
 from repro.perfmodel.queueing import analytic_profile
 from repro.perfmodel.solver import solve_operating_point
 
@@ -32,13 +32,12 @@ def _curve(kind, machine):
     return analytic_profile(machine)
 
 
-def _latency_at(kind, machine, curve):
-    """``curve(BW)``: the loaded latency the curve reads at a bandwidth."""
-    if kind == "model":
-        model = model_for_machine(machine)
-        peak = machine.memory.peak_bw_bytes
-        return lambda bw: model.latency_ns(bw / peak)
-    return lambda bw: curve.latency_at(min(bw, curve.max_measured_bw_bytes))
+def _latency_at(machine, curve):
+    """``curve(BW)``: the loaded latency the curve reads at a bandwidth,
+    at ``u = BW / peak`` and flat above its top point."""
+    curve = curve or machine.latency_model
+    peak = machine.memory.peak_bw_bytes
+    return lambda bw: curve.latency_ns(min(bw / peak, curve.top_utilization))
 
 
 class TestSolverEquation:
@@ -53,7 +52,7 @@ class TestSolverEquation:
     def test_defining_equation(self, machine, kind, demand, level, all_cores):
         spec = get_machine(machine)
         curve = _curve(kind, spec)
-        latency_at = _latency_at(kind, spec, curve)
+        latency_at = _latency_at(spec, curve)
         cores = spec.active_cores if all_cores else 1
         point = solve_operating_point(spec, demand, level, curve=curve, cores=cores)
 
@@ -113,7 +112,7 @@ class TestCurveOwnership:
 
     def test_rejects_duck_typed_curve(self):
         # A curve with a latency_ns method but no piecewise form is not
-        # solved; only the two chord-backed kinds are.
+        # solved; only a LatencyProfile, with its chords, is.
         class _Smooth:
             idle_latency_ns = 80.0
 
@@ -152,8 +151,27 @@ class TestMetamorphic:
     @settings(max_examples=100, deadline=None)
     def test_slower_memory_never_raises_bandwidth(self, machine, demand, level, factor):
         spec = get_machine(machine)
-        model = model_for_machine(spec)
-        slower = TabulatedLatencyModel([(u, lat * factor) for u, lat in model.points])
+        model = spec.latency_model
+        slower = LatencyProfile(
+            spec.name,
+            model.peak_bw_bytes,
+            tuple((u, lat * factor) for u, lat in model.points),
+        )
         base = solve_operating_point(spec, demand, level, curve=model)
         slow = solve_operating_point(spec, demand, level, curve=slower)
         assert slow.bandwidth_bytes <= base.bandwidth_bytes * (1 + 1e-12)
+
+
+class TestChordCache:
+    @pytest.mark.parametrize("kind", CURVES)
+    def test_chords_built_once_and_reused(self, kind):
+        spec = get_machine("skl")
+        curve = _curve(kind, spec) or spec.latency_model
+        vars(curve).pop("chords", None)
+        first = solve_operating_point(spec, 5.0, 1, curve=curve)
+        chords = vars(curve)["chords"]
+        assert len(chords) == len(curve.points) + 1
+        second = solve_operating_point(spec, 5.0, 1, curve=curve)
+        solve_operating_point(spec, 9.0, 2, curve=curve)
+        assert vars(curve)["chords"] is chords
+        assert repr(first) == repr(second)

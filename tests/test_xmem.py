@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ProfileError, TraceError
-from repro.memory import model_for_machine
 from repro.xmem import (
     XMemConfig,
     XMemRunner,
@@ -59,7 +58,7 @@ class TestCharacterization:
         # Reaches a large fraction of achievable bandwidth.
         assert profile.max_measured_bw_bytes > 0.8 * skl.memory.achievable_bw_bytes
         # Monotone by construction.
-        lats = [p.latency_ns for p in profile.points]
+        lats = [lat for _, lat in profile.points]
         assert lats == sorted(lats)
 
     def test_measured_curve_tracks_calibrated_curve(self, xmem_skl_profile, skl):
@@ -68,7 +67,7 @@ class TestCharacterization:
         At mid-load the measured latency matches the machine's calibrated
         curve; near saturation admission queueing adds measured delay on
         top (a real-measurement artifact, also present in X-Mem)."""
-        model = model_for_machine(skl)
+        model = skl.latency_model
         mid_bw = 0.5 * skl.memory.peak_bw_bytes
         measured = xmem_skl_profile.latency_at(mid_bw)
         truth = model.latency_ns(0.5)
@@ -77,7 +76,7 @@ class TestCharacterization:
         assert truth * 0.95 <= measured <= truth * 1.5
 
     def test_idle_latency_near_machine_idle(self, xmem_skl_profile, skl):
-        idle_ns = model_for_machine(skl).idle_latency_ns
+        idle_ns = skl.latency_model.idle_latency_ns
         assert xmem_skl_profile.idle_latency_ns <= 1.6 * idle_ns
 
     def test_measurement_and_levels(self, knl):

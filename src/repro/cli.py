@@ -35,9 +35,14 @@ Commands mirror the paper's workflow:
   entries oldest-first to fit a byte budget and/or age horizon.
 
 ``characterize`` and ``analyze`` accept ``--fast`` to answer from a
-five-probe latency profile instead of a full X-Mem sweep.  The global
-``-v`` prints solver diagnostics (segments examined, final residual)
-and, for ``simulate``, the batch fast path's fallback reasons.
+five-probe latency profile instead of a full X-Mem sweep.  Only the
+simulation-backed commands (``characterize``, ``simulate``,
+``crossval-analytic``) take ``--jobs/-j``, ``--no-cache`` and
+``--sanitize`` and print a ``sim cache:`` line; ``reproduce``,
+``recipe-score`` and ``advisor`` solve the analytic model and run no
+simulation.  The global ``-v`` prints solver diagnostics (segments
+examined, final residual) and, for ``simulate``, the batch fast path's
+fallback reasons.
 """
 
 from __future__ import annotations
@@ -275,10 +280,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .experiments.harness import reproduce_table_timed
-    from .perf.parallel import fan_out
+    from .experiments.harness import reproduce_table
 
-    _apply_perf_flags(args)
     if args.json:
         from .experiments.export import export_json
 
@@ -292,14 +295,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         names = list(CASE_STUDY_TABLES)
     else:
         names = [args.table]
-    timed = fan_out(reproduce_table_timed, names, jobs=args.jobs)
     ok = True
-    for entry in timed:
-        print(entry.table.render())
-        print(entry.summary())
+    for name in names:
+        table = reproduce_table(name)
+        print(table.render())
         print()
-        ok = ok and entry.table.all_ok
-    _print_cache_summary()
+        ok = ok and table.all_ok
     print("overall:", "all rows within tolerance" if ok else "SOME ROWS OUT OF BAND")
     return 0 if ok else 1
 
@@ -488,7 +489,6 @@ def _cmd_advisor(args: argparse.Namespace) -> int:
     from .core.advisor import Advisor
     from .workloads import get_workload
 
-    _apply_perf_flags(args)
     machine = get_machine(args.machine)
     workload = get_workload(args.workload)
     result = Advisor(workload, machine, fast=args.fast).run()
@@ -718,9 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ing.set_defaults(func=_cmd_ingest)
 
-    p_rep = sub.add_parser(
-        "reproduce", help="regenerate paper tables", parents=[perf_flags]
-    )
+    p_rep = sub.add_parser("reproduce", help="regenerate paper tables")
     p_rep.add_argument(
         "--table",
         default="all",
@@ -854,9 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=_cmd_recipe_score)
 
     p_adv = sub.add_parser(
-        "advisor",
-        help="run the Figure-1 recipe loop to convergence",
-        parents=[perf_flags],
+        "advisor", help="run the Figure-1 recipe loop to convergence"
     )
     p_adv.add_argument("--machine", required=True, choices=machine_names())
     p_adv.add_argument(

@@ -15,8 +15,11 @@ that loop over a workload model:
 4. stop when the recipe says stop, nothing realizable remains, or an
    iteration cap is reached.
 
-The result records the full trajectory, mirroring the "Source" columns
-of the paper's tables.
+Every version is built, solved and judged by
+:class:`~repro.perfmodel.casestudy.CaseStudyRunner`, the evaluator that
+regenerates the paper tables, so a trajectory step and a table row for
+the same version agree on every number.  The result records the full
+trajectory, mirroring the "Source" columns of the paper's tables.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import OptimizationError
 from ..machines.spec import MachineSpec
-from ..optim.transforms import WorkloadState, lookup_effect
-from ..perfmodel.runtime import RuntimeModel, RuntimePrediction
-from .classify import Classification
-from .recipe import RecipeContext
+from .recipe import RecipeDecision
 
-if TYPE_CHECKING:  # pragma: no cover - break the workloads<->core cycle
+if TYPE_CHECKING:  # pragma: no cover - break the optim/perfmodel<->core cycles
+    from ..optim.transforms import WorkloadState
+    from ..perfmodel.runtime import RuntimePrediction
     from ..workloads.base import Workload
-from .mlp import MlpResult
-from .recipe import Recipe, RecipeDecision, Recommendation
-from .optimizations import OptimizationKind
 
 #: Keep a transform only if it is predicted to clear this speedup.
 KEEP_THRESHOLD = 1.04
@@ -101,33 +100,6 @@ class AdvisorResult:
         return "\n".join(lines)
 
 
-def _step_for_recommendation(
-    rec: Recommendation, state: WorkloadState, machine: MachineSpec
-) -> Optional[str]:
-    """Translate a recipe recommendation into a named transform step."""
-    kind = rec.kind
-    if kind is OptimizationKind.VECTORIZATION:
-        return "vectorize"
-    if kind is OptimizationKind.SMT:
-        next_ways = state.smt_ways * 2
-        if next_ways > machine.smt_ways:
-            return None
-        return f"smt{next_ways}"
-    if kind is OptimizationKind.SW_PREFETCH_L2:
-        return "l2_prefetch"
-    if kind is OptimizationKind.SW_PREFETCH_L1:
-        return "sw_prefetch"
-    if kind is OptimizationKind.LOOP_TILING:
-        return "loop_tiling"
-    if kind is OptimizationKind.LOOP_FUSION:
-        return "loop_fusion"
-    if kind is OptimizationKind.LOOP_DISTRIBUTION:
-        return "loop_distribution"
-    if kind is OptimizationKind.UNROLL_AND_JAM:
-        return "unroll_and_jam"
-    return None
-
-
 class Advisor:
     """Runs the recipe loop automatically over a workload model."""
 
@@ -139,87 +111,67 @@ class Advisor:
         max_iterations: int = 8,
         fast: bool = False,
     ) -> None:
+        # Imported here: perfmodel imports core, whose package init
+        # imports this module.
+        from ..perfmodel.casestudy import CaseStudyRunner
+        from ..perfmodel.runtime import RuntimeModel
+
         self.workload = workload
         self.machine = machine
-        self.model = RuntimeModel(machine, fast=fast)
-        self.recipe = Recipe(machine)
+        self.runner = CaseStudyRunner(
+            workload, machine, model=RuntimeModel(machine, fast=fast)
+        )
         self.max_iterations = max_iterations
 
-    def _decide(self, state: WorkloadState, pred: RuntimePrediction) -> RecipeDecision:
-        classification = Classification(
-            pattern=state.pattern,
-            prefetch_fraction=1.0 - state.random_fraction,
-            rationale="workload model",
-        )
-        mlp = MlpResult(
-            bandwidth_bytes=pred.point.bandwidth_bytes,
-            utilization=pred.point.bandwidth_bytes / self.machine.memory.peak_bw_bytes,
-            latency_ns=pred.point.latency_ns,
-            n_avg=pred.point.n_observed,
-            n_total=pred.point.n_observed * self.machine.active_cores,
-            cores=self.machine.active_cores,
-            line_bytes=self.machine.line_bytes,
-        )
-        context = RecipeContext(
-            applied=frozenset(state.applied_kinds),
-            smt_ways_used=state.smt_ways,
-        )
-        return self.recipe.decide(mlp, classification, context)
+    def _take(
+        self, applied: Tuple[str, ...], decision: RecipeDecision
+    ) -> Optional[AdvisorStep]:
+        """The first recommended step the workload admits that clears
+        :data:`KEEP_THRESHOLD`; the others are tried and rolled back."""
+        from ..optim.transforms import step_for_kind  # optim imports core
+
+        runner = self.runner
+        state = runner.state(applied)
+        before = runner.predict(applied)
+        for rec in decision.recommendations:
+            if not rec.benefit.expects_speedup:
+                continue
+            step = step_for_kind(rec.kind, state, self.machine.smt_ways)
+            if step is None or step in applied:
+                continue
+            try:
+                after = runner.predict(applied + (step,))
+            except OptimizationError:
+                continue  # code structure does not admit this transform
+            speedup = after.speedup_over(before)
+            if speedup >= KEEP_THRESHOLD:
+                return AdvisorStep(state.label, step, decision, speedup, after)
+        return None
 
     def run(self) -> AdvisorResult:
         """Iterate measure → recommend → apply until the recipe stops."""
-        state = self.workload.base_state(self.machine)
-        prediction = self.model.predict(state)
+        runner = self.runner
+        applied: Tuple[str, ...] = ()
         steps: List[AdvisorStep] = []
         stop_reason = "iteration cap reached"
 
         for _ in range(self.max_iterations):
-            decision = self._decide(state, prediction)
+            decision = runner.decide(applied)
             if decision.stop:
                 stop_reason = "recipe says stop"
                 break
-
-            accepted = False
-            for rec in decision.recommendations:
-                if not rec.benefit.expects_speedup:
-                    continue
-                step = _step_for_recommendation(rec, state, self.machine)
-                if step is None or step in state.applied:
-                    continue
-                try:
-                    effect = lookup_effect(
-                        self.workload.effects, step, self.machine.name
-                    )
-                except OptimizationError:
-                    continue  # code structure does not admit this transform
-                candidate = effect.apply(state, step)
-                candidate_pred = self.model.predict(candidate)
-                speedup = candidate_pred.speedup_over(prediction)
-                if speedup < KEEP_THRESHOLD:
-                    continue  # tried it, rolled it back
-                steps.append(
-                    AdvisorStep(
-                        source_label=state.label,
-                        step=step,
-                        decision=decision,
-                        predicted_speedup=speedup,
-                        prediction_after=candidate_pred,
-                    )
-                )
-                state, prediction = candidate, candidate_pred
-                accepted = True
-                break
-
-            if not accepted:
+            taken = self._take(applied, decision)
+            if taken is None:
                 stop_reason = "no realizable recommendation pays off"
                 break
-        final_decision = self._decide(state, prediction)
+            steps.append(taken)
+            applied += (taken.step,)
         return AdvisorResult(
             workload=self.workload.name,
             machine=self.machine.name,
             steps=tuple(steps),
-            final_state=state,
-            final_decision=final_decision,
+            final_state=runner.state(applied),
+            final_decision=runner.decide(applied),
             stop_reason=stop_reason,
-            final_prediction=prediction,
+            final_prediction=runner.predict(applied),
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import CounterUnavailableError
 from ..machines.spec import MachineSpec
@@ -142,7 +142,7 @@ class CounterSession:
 
     # -- derived, vendor-portable bandwidth ----------------------------------------
 
-    def bandwidth_bytes_per_s(self, *, include_writeback_heuristic: bool = True) -> float:
+    def bandwidth_bytes_per_s(self) -> float:
         """Observed memory bandwidth the way CrayPat derives it.
 
         On x86 the L3-miss counters exclude writebacks, so (as the paper
@@ -151,22 +151,9 @@ class CounterSession:
         """
         if self.stats.elapsed_ns <= 0:
             return 0.0
-        line = self.machine.line_bytes
-        seconds = ns(self.stats.elapsed_ns)
-        reads = self.read(CounterEvent.MEM_READ_LINES).value * line
-        if self.supports(CounterEvent.MEM_WRITE_LINES):
-            writes = self.read(CounterEvent.MEM_WRITE_LINES).value * line
-        elif include_writeback_heuristic:
-            # Writebacks scale with dirty L2 evictions; estimate them as
-            # a fraction of read traffic using L2 store locality.
-            writes = self.stats.memory.demand_write_bytes
-        else:
-            writes = 0.0
-        return (reads + writes) / seconds
+        return self._traffic_bytes_per_s(lambda event: self.read(event).value)
 
-    def bandwidth_with_quality(
-        self, *, include_writeback_heuristic: bool = True
-    ) -> Tuple[float, List[DataQualityIssue]]:
+    def bandwidth_with_quality(self) -> Tuple[float, List[DataQualityIssue]]:
         """Degraded-mode :meth:`bandwidth_bytes_per_s`.
 
         Each contributing counter is read through
@@ -178,8 +165,6 @@ class CounterSession:
         """
         if self.stats.elapsed_ns <= 0:
             return 0.0, []
-        line = self.machine.line_bytes
-        seconds = ns(self.stats.elapsed_ns)
         issues: List[DataQualityIssue] = []
 
         def lines_of(event: CounterEvent) -> float:
@@ -189,14 +174,19 @@ class CounterSession:
                 return 0.0
             return reading.value
 
+        return self._traffic_bytes_per_s(lines_of), issues
+
+    def _traffic_bytes_per_s(self, lines_of: Callable[[CounterEvent], float]) -> float:
+        """Reads + writes over the run, each counter read via ``lines_of``."""
+        line = self.machine.line_bytes
         reads = lines_of(CounterEvent.MEM_READ_LINES) * line
         if self.supports(CounterEvent.MEM_WRITE_LINES):
             writes = lines_of(CounterEvent.MEM_WRITE_LINES) * line
-        elif include_writeback_heuristic:
-            writes = self.stats.memory.demand_write_bytes
         else:
-            writes = 0.0
-        return (reads + writes) / seconds, issues
+            # No write counter (SKL's L3-miss events): the heuristic
+            # writeback estimate is the run's demand-write traffic.
+            writes = self.stats.memory.demand_write_bytes
+        return (reads + writes) / ns(self.stats.elapsed_ns)
 
     # -- the misleading load-latency counter ----------------------------------------
 

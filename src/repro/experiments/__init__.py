@@ -20,7 +20,12 @@ from .cross_validation import (
     cross_validate,
     render_cross_validation,
 )
-from .figure1 import DecisionTrace, Figure1Reproduction, reproduce_figure1
+from .figure1 import (
+    DecisionTrace,
+    Figure1Reproduction,
+    figure1_from_tables,
+    reproduce_figure1,
+)
 from .figure2 import Figure2Reproduction, reproduce_figure2
 from .harness import (
     BW_TOLERANCE,
@@ -102,6 +107,7 @@ __all__ = [
     "check_table1",
     "check_table2",
     "check_table3",
+    "figure1_from_tables",
     "reproduce_all_tables",
     "reproduce_figure1",
     "reproduce_figure2",

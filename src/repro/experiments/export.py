@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from .figure1 import reproduce_figure1
+from .figure1 import figure1_from_tables
 from .figure2 import reproduce_figure2
 from .harness import TableReproduction, reproduce_all_tables
 
@@ -59,44 +59,40 @@ def table_to_dict(table: TableReproduction) -> Dict[str, Any]:
     }
 
 
-def figures_to_dict() -> Dict[str, Any]:
-    """Figures 1 and 2 as plain dicts."""
-    fig1 = reproduce_figure1()
+def full_reproduction_dict() -> Dict[str, Any]:
+    """Everything: all six tables plus both figures.
+
+    The tables are reproduced once; Figure 1 is read off them.
+    """
+    tables = reproduce_all_tables()
+    fig1 = figure1_from_tables(tables)
     fig2 = reproduce_figure2()
     return {
-        "figure1": {
-            "total_rows": fig1.total,
-            "agreeing": fig1.agreeing,
-            "known_exceptions": fig1.known_exceptions,
-            "unexplained_disagreements": fig1.unexplained_disagreements,
-            "accuracy": fig1.accuracy,
+        "tables": {name: table_to_dict(table) for name, table in tables.items()},
+        "figures": {
+            "figure1": {
+                "total_rows": fig1.total,
+                "agreeing": fig1.agreeing,
+                "known_exceptions": fig1.known_exceptions,
+                "unexplained_disagreements": fig1.unexplained_disagreements,
+                "accuracy": fig1.accuracy,
+            },
+            "figure2": {
+                "peak_bw_gbs": fig2.extended.roofline.peak_bw_gbs,
+                "peak_gflops": fig2.extended.roofline.peak_gflops,
+                "l1_ceiling_bw_gbs": round(fig2.l1_ceiling_bw_gbs, 1),
+                "base_pinned_by_ceiling": fig2.base_pinned_by_ceiling,
+                "optimized_breaks_ceiling": fig2.optimized_breaks_ceiling,
+                "series": [
+                    {
+                        "intensity": round(x, 4),
+                        "classic_gflops": round(classic, 2),
+                        "extended_gflops": round(extended, 2),
+                    }
+                    for x, classic, extended in fig2.series
+                ],
+            },
         },
-        "figure2": {
-            "peak_bw_gbs": fig2.extended.roofline.peak_bw_gbs,
-            "peak_gflops": fig2.extended.roofline.peak_gflops,
-            "l1_ceiling_bw_gbs": round(fig2.l1_ceiling_bw_gbs, 1),
-            "base_pinned_by_ceiling": fig2.base_pinned_by_ceiling,
-            "optimized_breaks_ceiling": fig2.optimized_breaks_ceiling,
-            "series": [
-                {
-                    "intensity": round(x, 4),
-                    "classic_gflops": round(classic, 2),
-                    "extended_gflops": round(extended, 2),
-                }
-                for x, classic, extended in fig2.series
-            ],
-        },
-    }
-
-
-def full_reproduction_dict() -> Dict[str, Any]:
-    """Everything: all six tables plus both figures."""
-    return {
-        "tables": {
-            name: table_to_dict(table)
-            for name, table in reproduce_all_tables().items()
-        },
-        "figures": figures_to_dict(),
     }
 
 

@@ -1,22 +1,21 @@
 """Experiment E-F1: paper Figure 1 — the recipe as a decision procedure.
 
-Figure 1 is a flowchart, so its reproduction is behavioural: walk every
-case-study row through :class:`repro.core.recipe.Recipe` and record the
-decision path (binding queue, occupancy verdict, bandwidth verdict,
-recommendation, expected benefit) next to the observed outcome.  The
-aggregate accuracy — how often "recipe expects benefit" matched
-"optimization helped" — is the headline number of the whole paper.
+Figure 1 is a flowchart, so its reproduction is behavioural: every
+optimization row of the reproduced Tables IV-IX already carries the
+recipe's decision path (binding queue, occupancy verdict, bandwidth
+verdict, expected benefit) next to the observed outcome, so
+:func:`figure1_from_tables` reads the traces off the tables and runs no
+case study of its own.  The aggregate accuracy — how often "recipe
+expects benefit" matched "optimization helped" — is the headline number
+of the whole paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from ..machines.registry import paper_machines
-from ..perfmodel.casestudy import SPEEDUP_HELPED, run_case_study
-from ..workloads import ALL_WORKLOADS
-from .harness import KNOWN_EXCEPTIONS
+from .harness import TableReproduction, reproduce_all_tables
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,19 @@ class Figure1Reproduction:
         return "\n".join(lines)
 
 
-def reproduce_figure1() -> Figure1Reproduction:
-    """Walk every case-study row through the recipe."""
-    machines = paper_machines()
+def figure1_from_tables(
+    tables: Mapping[str, TableReproduction]
+) -> Figure1Reproduction:
+    """Read every optimization row of Tables IV-IX as a decision trace."""
     traces: List[DecisionTrace] = []
-    for workload in ALL_WORKLOADS:
-        for res in run_case_study(workload, machines):
+    for table in tables.values():
+        for comparison in table.comparisons:
+            res = comparison.result
             if res.step is None or res.speedup is None or res.recipe_benefit is None:
                 continue
-            exception = KNOWN_EXCEPTIONS.get(
-                (workload.name, res.machine, res.source_label, res.step)
-            )
             traces.append(
                 DecisionTrace(
-                    workload=workload.name,
+                    workload=res.workload,
                     machine=res.machine,
                     source=res.source_label,
                     step=res.step,
@@ -127,8 +125,13 @@ def reproduce_figure1() -> Figure1Reproduction:
                     expected_benefit=res.recipe_benefit.name,
                     expects_speedup=res.recipe_benefit.expects_speedup,
                     observed_speedup=res.speedup,
-                    helped=res.speedup >= SPEEDUP_HELPED,
-                    known_exception=exception,
+                    helped=bool(res.helped),
+                    known_exception=comparison.known_exception,
                 )
             )
     return Figure1Reproduction(traces=tuple(traces))
+
+
+def reproduce_figure1() -> Figure1Reproduction:
+    """Reproduce Tables IV-IX and walk their rows through the recipe."""
+    return figure1_from_tables(reproduce_all_tables())

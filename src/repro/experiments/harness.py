@@ -16,7 +16,6 @@ checks* DESIGN.md §4 commits to:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -188,64 +187,6 @@ def reproduce_table(workload_name: str) -> TableReproduction:
     )
 
 
-@dataclass(frozen=True)
-class TimedTableReproduction:
-    """A reproduced table plus its execution cost (for CLI summaries)."""
-
-    table: TableReproduction
-    wall_s: float
-    #: Sim-cache traffic attributable to this table (a
-    #: :class:`repro.perf.cache.CacheCounters` delta; all-zero means the
-    #: table ran zero simulations).
-    cache_hits: int
-    cache_misses: int
-
-    def summary(self) -> str:
-        """The ``repro reproduce`` one-liner for this table."""
-        if self.cache_hits == 0 and self.cache_misses == 0:
-            sims = "0 simulations"
-        else:
-            sims = (
-                f"{self.cache_hits} sim(s) from cache, "
-                f"{self.cache_misses} simulated"
-            )
-        return (
-            f"table {self.table.table_number} ({self.table.workload}): "
-            f"{self.wall_s:.2f}s wall, {sims}"
-        )
-
-
-def reproduce_table_timed(workload_name: str) -> TimedTableReproduction:
-    """Reproduce one table, recording wall-clock and sim-cache traffic.
-
-    Picklable by name so :func:`repro.perf.parallel.fan_out` can run
-    tables in worker processes while each still reports its own cost.
-    """
-    from ..perf.cache import get_cache
-
-    counters = get_cache().counters
-    before = counters.snapshot()
-    start = time.perf_counter()
-    table = reproduce_table(workload_name)
-    delta = counters.diff(before)
-    return TimedTableReproduction(
-        table=table,
-        wall_s=time.perf_counter() - start,
-        cache_hits=delta.hits,
-        cache_misses=delta.misses,
-    )
-
-
-def reproduce_all_tables(
-    *, jobs: Optional[int] = None
-) -> Dict[str, TableReproduction]:
-    """Reproduce Tables IV-IX.
-
-    Tables are independent; ``jobs > 1`` reproduces them in worker
-    processes (:func:`repro.perf.parallel.fan_out`) without changing
-    the table order or any row.
-    """
-    from ..perf.parallel import fan_out
-
-    names = list(CASE_STUDY_TABLES)
-    return dict(zip(names, fan_out(reproduce_table, names, jobs=jobs)))
+def reproduce_all_tables() -> Dict[str, TableReproduction]:
+    """Reproduce Tables IV-IX, in paper order."""
+    return {name: reproduce_table(name) for name in CASE_STUDY_TABLES}

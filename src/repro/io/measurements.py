@@ -32,7 +32,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.analyzer import AnalysisReport, RoutineAnalyzer
 from ..counters.events import CounterEvent, VENDOR_EVENTS
@@ -92,6 +92,31 @@ def _parse_csv_row(
         raise ConfigurationError(f"line {line_num}: {exc}") from exc
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _data_rows(text: str) -> Iterator[Tuple[List[str], int]]:
+    """``(cells, 1-based line number)`` of every CSV data row.
+
+    Blank lines and ``#`` comments are skipped, and so is a header row
+    (non-numeric second column) met before any data row.
+    """
+    reader = csv.reader(io.StringIO(text))
+    saw_data = False
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if not saw_data and len(row) >= 3 and not _is_number(row[1]):
+            continue  # header row
+        saw_data = True
+        yield row, reader.line_num
+
+
 def from_csv(text: str) -> List[RoutineMeasurement]:
     """Parse ``routine,bandwidth_gbs,prefetch_fraction`` rows (strict).
 
@@ -102,25 +127,10 @@ def from_csv(text: str) -> List[RoutineMeasurement]:
     number and the offending cell; use :func:`from_csv_degraded` to
     survive bad rows instead.
     """
-    measurements: List[RoutineMeasurement] = []
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if not measurements and len(row) >= 3 and not _is_number(row[1]):
-            continue  # header row
-        measurements.append(_parse_csv_row(row, reader.line_num))
+    measurements = [_parse_csv_row(row, line) for row, line in _data_rows(text)]
     if not measurements:
         raise ConfigurationError("no measurement rows found")
     return measurements
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def from_csv_degraded(
@@ -139,15 +149,7 @@ def from_csv_degraded(
     """
     measurements: List[RoutineMeasurement] = []
     issues: List[DataQualityIssue] = []
-    reader = csv.reader(io.StringIO(text))
-    saw_data = False
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if not saw_data and len(row) >= 3 and not _is_number(row[1]):
-            continue  # header row
-        saw_data = True
-        line_num = reader.line_num
+    for row, line_num in _data_rows(text):
         location = f"line {line_num}"
         try:
             measurements.append(_parse_csv_row(row, line_num))

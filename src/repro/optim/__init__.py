@@ -1,6 +1,13 @@
-"""Optimization transforms: workload states and effect application."""
+"""Optimization transforms: workload states and effect application.
 
-from .pipeline import OptimizationPipeline, recipe_context_for, validate_sequence
+A :class:`WorkloadState` is one version of a routine; a workload's
+effect table of :class:`TransformEffect` entries turns it into the next
+version (:meth:`repro.workloads.base.Workload.state_for` replays a step
+sequence).  :data:`STEP_INFO` names every step with its recipe
+:class:`~repro.core.optimizations.OptimizationKind` and paper label;
+:func:`kind_of_step` and :func:`step_for_kind` read it both ways.
+"""
+
 from .transforms import (
     STEP_INFO,
     EffectTable,
@@ -9,17 +16,16 @@ from .transforms import (
     kind_of_step,
     label_of_step,
     lookup_effect,
+    step_for_kind,
 )
 
 __all__ = [
     "EffectTable",
-    "OptimizationPipeline",
     "STEP_INFO",
     "TransformEffect",
     "WorkloadState",
     "kind_of_step",
     "label_of_step",
     "lookup_effect",
-    "recipe_context_for",
-    "validate_sequence",
+    "step_for_kind",
 ]

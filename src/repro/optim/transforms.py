@@ -58,6 +58,30 @@ def kind_of_step(step: str) -> OptimizationKind:
         raise OptimizationError(f"unknown optimization step {step!r}") from None
 
 
+#: Recipe kind -> the one named step that realizes it (``STEP_INFO``
+#: inverted); SMT has a step per thread count instead.
+_STEP_OF_KIND: Mapping[OptimizationKind, str] = {
+    kind: step
+    for step, (kind, _) in STEP_INFO.items()
+    if kind is not OptimizationKind.SMT
+}
+
+
+def step_for_kind(
+    kind: OptimizationKind, state: WorkloadState, max_smt_ways: int
+) -> Optional[str]:
+    """Named step that realizes ``kind`` on ``state`` (inverse of
+    :func:`kind_of_step`).
+
+    SMT doubles the state's thread count; ``None`` when that exceeds
+    ``max_smt_ways``.
+    """
+    if kind is OptimizationKind.SMT:
+        ways = 2 * state.smt_ways
+        return f"smt{ways}" if ways <= max_smt_ways else None
+    return _STEP_OF_KIND[kind]
+
+
 def label_of_step(step: str) -> str:
     """Paper-style label fragment for a step ('vect', '2-ht', ...)."""
     try:

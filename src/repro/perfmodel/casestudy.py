@@ -27,7 +27,6 @@ from ..core.recipe import Benefit, Recipe, RecipeContext, RecipeDecision
 from ..core.report import CaseStudyRow
 from ..errors import ExperimentError
 from ..machines.spec import MachineSpec
-from ..memory.profile import LatencyProfile
 from ..optim.transforms import WorkloadState, kind_of_step
 from .runtime import RuntimeModel, RuntimePrediction
 
@@ -74,12 +73,18 @@ class CaseStudyResult:
         return self.recipe_benefit.expects_speedup
 
     @property
+    def helped(self) -> Optional[bool]:
+        """Did the step's (model) speedup reach :data:`SPEEDUP_HELPED`?"""
+        if self.speedup is None:
+            return None
+        return self.speedup >= SPEEDUP_HELPED
+
+    @property
     def recipe_agrees(self) -> Optional[bool]:
         """Did the recipe's expectation match the (model) outcome?"""
-        if self.speedup is None or self.recipe_benefit is None:
+        if self.helped is None or self.recipe_benefit is None:
             return None
-        helped = self.speedup >= SPEEDUP_HELPED
-        return self.recipe_expects_benefit == helped
+        return self.recipe_expects_benefit == self.helped
 
     def to_table_row(self, peak_bw_gbs: float) -> CaseStudyRow:
         """Convert to a paper-style table row."""
@@ -98,29 +103,47 @@ class CaseStudyResult:
 
 
 class CaseStudyRunner:
-    """Runs a workload's full experiment plan on one machine."""
+    """Runs a workload's full experiment plan on one machine.
+
+    Every version (a tuple of applied steps) is built, solved and
+    judged by the recipe through this one object, and each once:
+    :meth:`state`, :meth:`predict` and :meth:`decide` (the Figure-1
+    flowchart) memoize per version.  The paper tables (:meth:`run`) and the iterative
+    :class:`~repro.core.advisor.Advisor` both walk it.  ``model``
+    defaults to the machine's calibrated curve on the full solver.
+    """
 
     def __init__(
         self,
         workload: Workload,
         machine: MachineSpec,
         *,
-        curve: Optional[LatencyProfile] = None,
+        model: Optional[RuntimeModel] = None,
     ) -> None:
         self.workload = workload
         self.machine = machine
-        self.model = RuntimeModel(machine, curve=curve)
+        self.model = model if model is not None else RuntimeModel(machine)
         self.recipe = Recipe(machine)
         self._state_cache: Dict[Tuple[str, ...], WorkloadState] = {}
         self._pred_cache: Dict[Tuple[str, ...], RuntimePrediction] = {}
+        self._decision_cache: Dict[Tuple[str, ...], RecipeDecision] = {}
 
-    # -- state/prediction memoization -------------------------------------------
+    # -- one version: state, prediction, decision ---------------------------------
 
     def state(self, steps: Sequence[str]) -> WorkloadState:
-        """Memoized workload state after ``steps``."""
+        """Memoized workload state after ``steps``: the memoized state
+        one step shorter, with the last step applied.
+
+        Raises :class:`~repro.errors.OptimizationError` when the
+        workload's effect table does not admit a step.
+        """
         key = tuple(steps)
         if key not in self._state_cache:
-            self._state_cache[key] = self.workload.state_for(self.machine, key)
+            self._state_cache[key] = (
+                self.workload.apply_step(self.state(key[:-1]), key[-1])
+                if key
+                else self.workload.base_state(self.machine)
+            )
         return self._state_cache[key]
 
     def predict(self, steps: Sequence[str]) -> RuntimePrediction:
@@ -130,6 +153,43 @@ class CaseStudyRunner:
             self._pred_cache[key] = self.model.predict(self.state(key))
         return self._pred_cache[key]
 
+    def decide(self, steps: Sequence[str]) -> RecipeDecision:
+        """Memoized recipe verdict on the version after ``steps``.
+
+        The version's predicted operating point stands in for the
+        measured one (Eq. 2's inputs), and its access pattern and
+        applied steps for the classification and the Source column.
+        """
+        key = tuple(steps)
+        if key not in self._decision_cache:
+            self._decision_cache[key] = self._decide(key)
+        return self._decision_cache[key]
+
+    def _decide(self, steps: Tuple[str, ...]) -> RecipeDecision:
+        state = self.state(steps)
+        point = self.predict(steps).point
+        machine = self.machine
+        classification = Classification(
+            pattern=state.pattern,
+            prefetch_fraction=1.0 - state.random_fraction,
+            rationale=f"workload model: {state.pattern.value} "
+            f"(random fraction {state.random_fraction:.0%})",
+        )
+        mlp = MlpResult(
+            bandwidth_bytes=point.bandwidth_bytes,
+            utilization=point.bandwidth_bytes / machine.memory.peak_bw_bytes,
+            latency_ns=point.latency_ns,
+            n_avg=point.n_observed,
+            n_total=point.n_observed * machine.active_cores,
+            cores=machine.active_cores,
+            line_bytes=machine.line_bytes,
+        )
+        context = RecipeContext(
+            applied=frozenset(state.applied_kinds),
+            smt_ways_used=state.smt_ways,
+        )
+        return self.recipe.decide(mlp, classification, context)
+
     # -- running -------------------------------------------------------------------
 
     def run_row(
@@ -138,21 +198,7 @@ class CaseStudyRunner:
         """Evaluate one planned experiment row."""
         source = tuple(source_steps)
         pred = self.predict(source)
-        state = self.state(source)
-
-        classification = Classification(
-            pattern=state.pattern,
-            prefetch_fraction=1.0 - state.random_fraction,
-            rationale=f"workload model: {state.pattern.value} "
-            f"(random fraction {state.random_fraction:.0%})",
-        )
-        mlp = self._mlp_result(pred)
-        context = RecipeContext(
-            applied=frozenset(state.applied_kinds),
-            smt_ways_used=state.smt_ways,
-        )
-        decision = self.recipe.decide(mlp, classification, context)
-
+        decision = self.decide(source)
         speedup: Optional[float] = None
         benefit: Optional[Benefit] = None
         if step is not None:
@@ -162,7 +208,7 @@ class CaseStudyRunner:
         return CaseStudyResult(
             workload=self.workload.name,
             machine=self.machine.name,
-            source_label=state.label,
+            source_label=self.state(source).label,
             prediction=pred,
             step=step,
             speedup=speedup,
@@ -178,20 +224,6 @@ class CaseStudyRunner:
                 f"{self.workload.name} has no plan for {self.machine.name}"
             )
         return [self.run_row(source, step) for source, step in plan]
-
-    # -- helpers --------------------------------------------------------------------
-
-    def _mlp_result(self, pred: RuntimePrediction) -> MlpResult:
-        machine = self.machine
-        return MlpResult(
-            bandwidth_bytes=pred.point.bandwidth_bytes,
-            utilization=pred.point.bandwidth_bytes / machine.memory.peak_bw_bytes,
-            latency_ns=pred.point.latency_ns,
-            n_avg=pred.point.n_observed,
-            n_total=pred.point.n_observed * machine.active_cores,
-            cores=machine.active_cores,
-            line_bytes=machine.line_bytes,
-        )
 
 
 def run_case_study(

@@ -118,12 +118,16 @@ class Workload:
             demand_mlp=cal.demand_mlp,
         )
 
+    def apply_step(self, state: WorkloadState, step: str) -> WorkloadState:
+        """``state`` with one more step applied, through this workload's
+        effect table (a machine-specific entry wins)."""
+        return lookup_effect(self.effects, step, state.machine_name).apply(state, step)
+
     def state_for(self, machine: MachineSpec, steps: Sequence[str]) -> WorkloadState:
         """State after applying ``steps`` in order to the base version."""
         state = self.base_state(machine)
         for step in steps:
-            effect = lookup_effect(self.effects, step, machine.name)
-            state = effect.apply(state, step)
+            state = self.apply_step(state, step)
         return state
 
     def row_plan(self, machine_name: str) -> RowPlan:

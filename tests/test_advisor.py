@@ -82,3 +82,62 @@ class TestMechanics:
             for machine in paper_machines():
                 result = Advisor(workload, machine).run()
                 assert result.stop_reason != "iteration cap reached"
+
+
+#: Every paper cell's trajectory on the solver and on ``--fast``:
+#: (workload, machine, fast) -> (steps, cumulative speedup, stop reason).
+#: Speedups are compared exactly, so any change in how a version is
+#: built, solved or judged shows up here.
+PINNED_TRAJECTORIES = {
+    ("isx", "skl", False): ((), 1.0, "recipe says stop"),
+    ("isx", "skl", True): ((), 1.0, "recipe says stop"),
+    ("isx", "knl", False): (("l2_prefetch",), 1.5866102707772576, "recipe says stop"),
+    ("isx", "knl", True): (("l2_prefetch",), 1.5866102707772576, "recipe says stop"),
+    ("isx", "a64fx", False): (("l2_prefetch",), 1.311437158766082, "recipe says stop"),
+    ("isx", "a64fx", True): (("l2_prefetch",), 1.311437158766082, "recipe says stop"),
+    ("hpcg", "skl", False): ((), 1.0, "no realizable recommendation pays off"),
+    ("hpcg", "skl", True): ((), 1.0, "no realizable recommendation pays off"),
+    ("hpcg", "knl", False): (("vectorize", "smt2"), 1.5079653163958981, "no realizable recommendation pays off"),
+    ("hpcg", "knl", True): (("vectorize", "smt2"), 1.5079653163958981, "no realizable recommendation pays off"),
+    ("hpcg", "a64fx", False): (("vectorize",), 1.7085558511429575, "recipe says stop"),
+    ("hpcg", "a64fx", True): (("vectorize",), 1.7085558511429575, "recipe says stop"),
+    ("pennant", "skl", False): (("vectorize", "smt2"), 2.7558569356221763, "no realizable recommendation pays off"),
+    ("pennant", "skl", True): (("vectorize", "smt2"), 2.7558569356221763, "no realizable recommendation pays off"),
+    ("pennant", "knl", False): (("vectorize", "smt2"), 6.944868018127127, "no realizable recommendation pays off"),
+    ("pennant", "knl", True): (("vectorize", "smt2"), 6.944868018127127, "no realizable recommendation pays off"),
+    ("pennant", "a64fx", False): (("vectorize",), 3.836041078013552, "no realizable recommendation pays off"),
+    ("pennant", "a64fx", True): (("vectorize",), 3.836041078013552, "no realizable recommendation pays off"),
+    ("comd", "skl", False): (("vectorize", "smt2"), 1.6758247090268565, "no realizable recommendation pays off"),
+    ("comd", "skl", True): (("vectorize", "smt2"), 1.6758247090268565, "no realizable recommendation pays off"),
+    ("comd", "knl", False): (("vectorize", "smt2", "smt4"), 2.5545680470248917, "no realizable recommendation pays off"),
+    ("comd", "knl", True): (("vectorize", "smt2", "smt4"), 2.5545680470248917, "no realizable recommendation pays off"),
+    ("comd", "a64fx", False): (("vectorize",), 1.249229182475289, "no realizable recommendation pays off"),
+    ("comd", "a64fx", True): (("vectorize",), 1.249229182475289, "no realizable recommendation pays off"),
+    ("minighost", "skl", False): (("loop_tiling",), 1.143783608681402, "recipe says stop"),
+    ("minighost", "skl", True): (("loop_tiling",), 1.143783608681402, "recipe says stop"),
+    ("minighost", "knl", False): (("loop_tiling",), 1.4421676636269147, "no realizable recommendation pays off"),
+    ("minighost", "knl", True): (("loop_tiling",), 1.4421676636269147, "no realizable recommendation pays off"),
+    ("minighost", "a64fx", False): (("loop_tiling",), 1.4945790090315336, "no realizable recommendation pays off"),
+    ("minighost", "a64fx", True): (("loop_tiling",), 1.4945790090315336, "no realizable recommendation pays off"),
+    ("snap", "skl", False): ((), 1.0, "no realizable recommendation pays off"),
+    ("snap", "skl", True): ((), 1.0, "no realizable recommendation pays off"),
+    ("snap", "knl", False): (("smt2", "sw_prefetch"), 1.2541639496705501, "no realizable recommendation pays off"),
+    ("snap", "knl", True): (("smt2", "sw_prefetch"), 1.2541639496705501, "no realizable recommendation pays off"),
+    ("snap", "a64fx", False): (("sw_prefetch",), 1.121836834731996, "no realizable recommendation pays off"),
+    ("snap", "a64fx", True): (("sw_prefetch",), 1.121836834731996, "no realizable recommendation pays off"),
+}
+
+
+class TestPinnedTrajectories:
+    @pytest.mark.parametrize(
+        "cell", list(PINNED_TRAJECTORIES), ids=lambda c: "/".join(map(str, c))
+    )
+    def test_trajectory_unchanged(self, cell):
+        workload, machine, fast = cell
+        result = _run(workload, machine, fast=fast)
+        got = (
+            tuple(s.step for s in result.steps),
+            result.cumulative_speedup,
+            result.stop_reason,
+        )
+        assert got == PINNED_TRAJECTORIES[cell]

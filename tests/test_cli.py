@@ -101,6 +101,23 @@ class TestParser:
         )
         assert args.batch is True and args.batch_miss is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce"],
+            ["advisor", "--machine", "skl", "--workload", "isx"],
+        ],
+        ids=["reproduce", "advisor"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--no-cache"], ["--sanitize"]],
+        ids=["jobs", "no-cache", "sanitize"],
+    )
+    def test_analytic_commands_take_no_simulator_flags(self, argv, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + flag)
+
     @pytest.mark.parametrize("command", ["characterize", "reproduce"])
     @pytest.mark.parametrize(
         "flag",

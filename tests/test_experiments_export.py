@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.export import (
     export_json,
-    figures_to_dict,
     full_reproduction_dict,
     table_to_dict,
 )
@@ -64,9 +63,24 @@ class TestFullExport:
         assert doc == json.loads(text)
         assert "tables" in doc
 
-    def test_figures_to_dict_shape(self):
-        figures = figures_to_dict()
-        assert figures["figure1"]["accuracy"] == 1.0
+    def test_figures_to_dict_shape(self, full):
+        assert full["figures"]["figure1"]["accuracy"] == 1.0
+
+    def test_each_case_study_runs_once(self, monkeypatch):
+        """Figure 1 is read off the tables: 18 runner passes, not 36."""
+        from repro.perfmodel import CaseStudyRunner
+
+        calls = []
+        run = CaseStudyRunner.run
+
+        def counted(self):
+            calls.append((self.workload.name, self.machine.name))
+            return run(self)
+
+        monkeypatch.setattr(CaseStudyRunner, "run", counted)
+        full_reproduction_dict()
+        assert len(calls) == 18
+        assert len(set(calls)) == 18
 
 
 class TestCliJsonFlag:

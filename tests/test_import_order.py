@@ -28,7 +28,6 @@ SUBPACKAGES = [
     "repro.tma",
     "repro.workloads",
     "repro.workloads.generators",
-    "repro.optim.pipeline",
     "repro.cli",
     "repro.xmem",
 ]

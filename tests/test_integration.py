@@ -99,11 +99,11 @@ class TestTablesWithMeasuredProfile:
 
     def test_isx_skl_rows_with_measured_curve(self, skl, xmem_skl_profile):
         from repro.experiments import rows_for
-        from repro.perfmodel import CaseStudyRunner
+        from repro.perfmodel import CaseStudyRunner, RuntimeModel
         from repro.workloads import get_workload
 
         runner = CaseStudyRunner(
-            get_workload("isx"), skl, curve=xmem_skl_profile
+            get_workload("isx"), skl, model=RuntimeModel(skl, curve=xmem_skl_profile)
         )
         results = runner.run()
         paper_rows = rows_for("isx", "skl")
@@ -117,10 +117,12 @@ class TestTablesWithMeasuredProfile:
                 assert result.speedup < 1.08
 
     def test_recipe_verdict_stable_under_measured_curve(self, skl, xmem_skl_profile):
-        from repro.perfmodel import CaseStudyRunner
+        from repro.perfmodel import CaseStudyRunner, RuntimeModel
         from repro.workloads import get_workload
 
-        runner = CaseStudyRunner(get_workload("isx"), skl, curve=xmem_skl_profile)
+        runner = CaseStudyRunner(
+            get_workload("isx"), skl, model=RuntimeModel(skl, curve=xmem_skl_profile)
+        )
         base = runner.run_row((), "vectorize")
         assert base.recipe_benefit is not None
         assert not base.recipe_benefit.expects_speedup  # still "stop"

@@ -1,19 +1,20 @@
-"""Optimization transforms and pipelines."""
+"""Optimization transforms, step sequences and per-version decisions."""
 
 import pytest
 
 from repro.core import AccessPattern, OptimizationKind
 from repro.errors import OptimizationError
 from repro.optim import (
-    OptimizationPipeline,
     TransformEffect,
     WorkloadState,
     kind_of_step,
     label_of_step,
     lookup_effect,
-    recipe_context_for,
-    validate_sequence,
+    step_for_kind,
 )
+from repro.perfmodel import CaseStudyRunner
+from repro.workloads import get_workload
+from repro.workloads.base import MachineCalibration, Workload
 
 
 def _state(**overrides):
@@ -44,6 +45,12 @@ class TestStepMapping:
     def test_labels(self):
         assert label_of_step("smt2") == "2-ht"
         assert label_of_step("loop_tiling") == "tiling"
+
+    @pytest.mark.parametrize("kind", list(OptimizationKind), ids=lambda k: k.value)
+    def test_every_kind_round_trips(self, kind, knl):
+        """The advisor's step for a recipe kind maps back to that kind."""
+        state = _state(machine_name="knl")
+        assert kind_of_step(step_for_kind(kind, state, knl.smt_ways)) is kind
 
 
 class TestWorkloadState:
@@ -126,44 +133,82 @@ class TestLookup:
             lookup_effect({}, "vectorize", "skl")
 
 
+def _workload(effects):
+    return Workload(
+        name="w",
+        routine="k",
+        description="",
+        problem_size="",
+        pattern=AccessPattern.RANDOM,
+        random_fraction=0.9,
+        calibrations={"skl": MachineCalibration(5.0, 1, ())},
+        effects=effects,
+    )
+
+
 class TestPipeline:
-    def test_run_returns_all_states(self):
-        pipeline = OptimizationPipeline(
+    """Step sequences replayed by ``Workload.state_for`` and judged by
+    ``CaseStudyRunner.decide``."""
+
+    def test_run_returns_all_states(self, skl):
+        workload = _workload(
             {
                 "vectorize": TransformEffect(demand_factor=2.0),
                 "smt2": TransformEffect(demand_factor=1.5, smt_ways=2),
             }
         )
-        states = pipeline.run(_state(), ["vectorize", "smt2"])
+        steps = ("vectorize", "smt2")
+        states = [workload.state_for(skl, steps[:i]) for i in range(3)]
         assert [s.label for s in states] == ["base", "+ vect", "+ vect, 2-ht"]
         assert states[-1].demand_mlp == pytest.approx(15.0)
 
-    def test_pairs(self):
-        pipeline = OptimizationPipeline({"vectorize": TransformEffect()})
-        pairs = list(pipeline.pairs(_state(), ["vectorize"]))
-        assert len(pairs) == 1
-        before, step, after = pairs[0]
-        assert before.label == "base" and step == "vectorize"
+    def test_pairs(self, knl):
+        """Each version is its predecessor with one more effect applied:
+        the advisor's candidates and the tables' rows are one state."""
+        workload = get_workload("isx")
+        steps = ("vectorize", "smt2", "l2_prefetch")
+        for i, step in enumerate(steps):
+            before = workload.state_for(knl, steps[:i])
+            after = lookup_effect(workload.effects, step, "knl").apply(before, step)
+            assert workload.state_for(knl, steps[: i + 1]) == after
 
-    def test_recipe_context_for(self):
-        state = _state(applied=("vectorize", "smt2"), smt_ways=2)
-        ctx = recipe_context_for(state)
-        assert OptimizationKind.VECTORIZATION in ctx.applied
-        assert ctx.smt_ways_used == 2
+    def test_recipe_context_for(self, knl):
+        """The decision sees the version's applied steps and SMT ways."""
+        decision = CaseStudyRunner(get_workload("comd"), knl).decide(
+            ("vectorize", "smt2")
+        )
+        kinds = [rec.kind for rec in decision.recommendations]
+        assert OptimizationKind.VECTORIZATION not in kinds
+        smt = decision.recommendations[kinds.index(OptimizationKind.SMT)]
+        assert "4-way SMT" in smt.reason
 
 
 class TestSequenceValidation:
-    def test_valid_sequence(self):
-        validate_sequence(["vectorize", "smt2", "smt4"])
+    """``Workload.state_for`` rejects sequences no effect table admits;
+    the advisor builds SMT steps in order."""
 
-    def test_duplicate_rejected(self):
+    EFFECTS = {
+        "vectorize": TransformEffect(),
+        "smt2": TransformEffect(smt_ways=2),
+        "smt4": TransformEffect(smt_ways=4),
+    }
+
+    def test_valid_sequence(self, skl):
+        state = _workload(self.EFFECTS).state_for(skl, ["vectorize", "smt2", "smt4"])
+        assert state.applied == ("vectorize", "smt2", "smt4")
+
+    def test_duplicate_rejected(self, skl):
         with pytest.raises(OptimizationError):
-            validate_sequence(["vectorize", "vectorize"])
+            _workload(self.EFFECTS).state_for(skl, ["vectorize", "vectorize"])
+
+    def test_unknown_step_rejected(self, skl):
+        with pytest.raises(OptimizationError):
+            _workload(self.EFFECTS).state_for(skl, ["warp_drive"])
 
     def test_smt4_requires_smt2(self):
-        with pytest.raises(OptimizationError):
-            validate_sequence(["smt4"])
-
-    def test_unknown_step_rejected(self):
-        with pytest.raises(OptimizationError):
-            validate_sequence(["warp_drive"])
+        """The advisor's SMT step doubles the thread count, so smt4
+        follows smt2; the machine's SMT ways cap it."""
+        smt = OptimizationKind.SMT
+        assert step_for_kind(smt, _state(), 4) == "smt2"
+        assert step_for_kind(smt, _state(smt_ways=2), 4) == "smt4"
+        assert step_for_kind(smt, _state(smt_ways=2), 2) is None

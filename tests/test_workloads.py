@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optim import validate_sequence
+from repro.machines import get_machine
 from repro.sim import SimConfig, run_trace
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.base import TraceSpec
@@ -25,9 +25,13 @@ class TestInventory:
     @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
     def test_row_plans_are_valid_sequences(self, workload):
         for machine_name in workload.machines():
+            machine = get_machine(machine_name)
             for source_steps, step in workload.row_plan(machine_name):
                 steps = list(source_steps) + ([step] if step else [])
-                validate_sequence(steps)
+                # Raises on unknown or repeated steps.
+                assert workload.state_for(machine, steps).applied == tuple(steps)
+                if "smt4" in steps:
+                    assert "smt2" in steps[: steps.index("smt4")]
 
     def test_unknown_machine_calibration(self):
         with pytest.raises(ConfigurationError):

@@ -117,12 +117,14 @@ def append_point(path: Path, entry: dict) -> None:
     path.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def _run(spec: dict, workload: str, trace: int) -> str:
-    """Standard output of one benchmark run."""
-    argv = [*spec["command"], "--workload", workload, "--seed", str(SEED)]
+def run_benchmark(
+    spec: dict, workload: str, trace: int, *, seed: int = SEED, root: Path = REPO_ROOT
+) -> str:
+    """Standard output of one benchmark run in the checkout at ``root``."""
+    argv = [*spec["command"], "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     print(" ".join(argv), flush=True)
-    run = subprocess.run(argv, cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True)
+    run = subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True)
     return run.stdout
 
 
@@ -133,7 +135,9 @@ def main() -> int:
     sha = (_git("rev-parse", "HEAD") or "unknown").strip()
     status = _git("status", "--porcelain")
     dirty = None if status is None else is_dirty(status)
-    outputs = {name: [_run(spec, name, trace) for trace in (0, 1)] for name in names}
+    outputs = {
+        name: [run_benchmark(spec, name, trace) for trace in (0, 1)] for name in names
+    }
     date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     point, failures = assemble(spec, sha, date, outputs, dirty)
     append_point(TRAJECTORY, point)

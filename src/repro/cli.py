@@ -283,6 +283,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.harness import reproduce_table
 
     if args.json:
+        if args.table != "all":
+            print(
+                "error: --json writes every table; it cannot be combined "
+                f"with --table {args.table}",
+                file=sys.stderr,
+            )
+            return 2
         from .experiments.export import export_json
 
         export_json(args.json)
@@ -725,7 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "isx", "hpcg", "pennant", "comd", "minighost", "snap"],
     )
     p_rep.add_argument(
-        "--json", help="write the full reproduction (tables + figures) as JSON"
+        "--json",
+        help="write the full reproduction (every table + figures) as JSON; "
+        "only with --table all",
     )
     p_rep.set_defaults(func=_cmd_reproduce)
 

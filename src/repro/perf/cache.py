@@ -57,6 +57,7 @@ from typing import Any, Iterator, Optional, Tuple, Union
 from .. import __version__
 from ..analysis.sanitizer import sanitize_enabled
 from ..errors import CacheKeyError
+from ..machines.spec import MachineSpec
 from ..sim.coltrace import ColumnarTrace, trace_digest
 from ..sim.hierarchy import SimConfig, run_trace
 from ..sim.stats import SimStats
@@ -88,14 +89,34 @@ TALLIES_FILE = "tallies.jsonl"
 
 # -- canonical digests ----------------------------------------------------------
 
+#: Instances of these keep their canonical form beside their fields
+#: after the first digest.  Both are frozen dataclasses whose fields
+#: hold only immutable values (nested frozen specs, tuples, numbers,
+#: strings), and neither writes a field after ``__post_init__``, so an
+#: instance's form cannot change once computed.  The memo is per
+#: instance, never keyed by value: ``l1_hit_cycles=4`` and ``4.0``
+#: compare equal but digest differently.  The memo is read with
+#: ``getattr``, never through ``__dict__``: touching ``__dict__``
+#: materializes it, and CPython then loads every attribute of the
+#: instance on a slower path, about 3x per load.
+_MEMOIZED = (MachineSpec, SimConfig)
+_MEMO_ATTR = "_canonical_form"
+
 
 def _canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to plain JSON types with deterministic structure."""
+    """Reduce ``obj`` to plain JSON types with deterministic structure.
+
+    The form of a :data:`_MEMOIZED` instance is shared between calls;
+    callers serialize it and must not mutate it.
+    """
+    if isinstance(obj, _MEMOIZED):
+        form = getattr(obj, _MEMO_ATTR, None)
+        if form is None:
+            form = _canonical_fields(obj)
+            object.__setattr__(obj, _MEMO_ATTR, form)
+        return form
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        return _canonical_fields(obj)
     if isinstance(obj, enum.Enum):
         return _canonical(obj.value)
     if isinstance(obj, dict):
@@ -107,6 +128,13 @@ def _canonical(obj: Any) -> Any:
     raise CacheKeyError(
         f"cannot canonicalize {type(obj).__name__} for a stable cache digest"
     )
+
+
+def _canonical_fields(obj: Any) -> dict:
+    """A dataclass instance as a dict of its fields' canonical forms."""
+    return {
+        f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+    }
 
 
 def stable_digest(payload: Any) -> str:

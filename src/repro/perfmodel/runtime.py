@@ -120,7 +120,3 @@ class RuntimeModel:
             solved_fast=solved_fast,
             fallback_reason=fallback_reason,
         )
-
-    def speedup(self, before: WorkloadState, after: WorkloadState) -> float:
-        """Predicted speedup of applying a transform (before → after)."""
-        return self.predict(after).speedup_over(self.predict(before))

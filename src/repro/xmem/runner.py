@@ -73,6 +73,17 @@ class XMemRunner:
         self.config = config or XMemConfig()
         if self.config.sim_cores > machine.active_cores:
             raise ProfileError("sim_cores exceeds machine cores")
+        # Every load level simulates under the same config (only the
+        # trace's gap varies), so it is built, and its cache-key form
+        # computed, once per runner.
+        self.sim_config = SimConfig(
+            machine=machine,
+            sim_cores=self.config.sim_cores,
+            threads_per_core=1,
+            window_per_core=self.config.window_per_core,
+            hw_prefetch=self.config.hw_prefetch,
+            batch=self.config.batch,
+        )
 
     def measure_level(self, gap_cycles: float) -> XMemMeasurement:
         """Run one load level and return its (bandwidth, latency) sample."""
@@ -85,15 +96,7 @@ class XMemRunner:
             gap_cycles=gap_cycles,
             routine=f"xmem_gap{gap_cycles:.0f}",
         )
-        sim_cfg = SimConfig(
-            machine=self.machine,
-            sim_cores=cfg.sim_cores,
-            threads_per_core=1,
-            window_per_core=cfg.window_per_core,
-            hw_prefetch=cfg.hw_prefetch,
-            batch=cfg.batch,
-        )
-        stats = cached_run_trace(trace, sim_cfg)
+        stats = cached_run_trace(trace, self.sim_config)
         slice_fraction = cfg.sim_cores / self.machine.active_cores
         socket_bw = stats.bandwidth_bytes_per_s() / slice_fraction
         return XMemMeasurement(

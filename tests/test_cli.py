@@ -78,6 +78,14 @@ class TestReproduce:
         assert "Table VII" in out
         assert "within tolerance" in out
 
+    def test_json_with_one_table_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "out.json"
+        code = main(["reproduce", "--table", "isx", "--json", str(out_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--table isx" in err
+        assert not out_path.exists()
+
     def test_figure2(self, capsys):
         assert main(["figure2"]) == 0
         assert "L1-MSHR ceiling" in capsys.readouterr().out

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machines import get_machine
 from repro.perf.cache import (
@@ -144,6 +147,78 @@ class TestDigestStability:
         t1 = trace_from_addresses([[0, 64]], line_bytes=skl.line_bytes, gap_cycles=1.0)
         t2 = trace_from_addresses([[0, 64]], line_bytes=skl.line_bytes, gap_cycles=2.0)
         assert digest_for(t1, config) != digest_for(t2, config)
+
+
+_MEMO_TRACE = trace_from_addresses(
+    [[0, 64, 4096], [1 << 20]], routine="memo", line_bytes=64, gap_cycles=3.0
+)
+
+
+@st.composite
+def _sim_configs(draw):
+    """A valid ``SimConfig`` on a fresh paper machine, as (name, kwargs)."""
+    name = draw(st.sampled_from(["skl", "knl", "a64fx"]))
+    smt_ways = get_machine(name).smt_ways
+    threads = draw(st.integers(1, smt_ways))
+    cycles = st.one_of(st.integers(1, 80), st.floats(0.5, 80.0))
+    kwargs = {
+        "sim_cores": draw(st.integers(1, 4)),
+        "threads_per_core": threads,
+        "window_per_core": draw(st.integers(threads, 48)),
+        "l1_hit_cycles": draw(cycles),
+        "l2_hit_cycles": draw(cycles),
+        "l3_hit_cycles": draw(cycles),
+        "hw_prefetch": draw(st.booleans()),
+        "prefetch_degree": draw(st.integers(1, 4)),
+        "tlb_entries": draw(st.sampled_from([0, 16, 64])),
+        "l3_enabled": draw(st.booleans()),
+        "batch": draw(st.booleans()),
+        "batch_miss": draw(st.booleans()),
+    }
+    return name, kwargs
+
+
+class TestCanonicalMemo:
+    """Machines and configs keep their canonical form per instance; the
+    memo must give exactly the digest a fresh walk of the fields gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sim_configs())
+    def test_memoized_digest_is_exact(self, drawn):
+        name, kwargs = drawn
+        config = SimConfig(machine=get_machine(name), **kwargs)
+        first = digest_for(_MEMO_TRACE, config)
+        assert digest_for(_MEMO_TRACE, config) == first
+        copy = dataclasses.replace(config, machine=get_machine(name))
+        assert digest_for(_MEMO_TRACE, copy) == first
+        # The memoized form serializes like the plain field dict, which
+        # no memo ever serves (JSON tells 4 from 4.0; == would not).
+        assert stable_digest(config) == stable_digest(dataclasses.asdict(config))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _sim_configs(),
+        st.sampled_from(["l1_hit_cycles", "l2_hit_cycles", "l3_hit_cycles"]),
+        st.integers(1, 80),
+        st.booleans(),
+    )
+    def test_int_and_float_twins_digest_differently(
+        self, drawn, field_name, value, int_first
+    ):
+        name, kwargs = drawn
+        twins = [
+            SimConfig(machine=get_machine(name), **{**kwargs, field_name: v})
+            for v in (value, float(value))
+        ]
+        assert twins[0] == twins[1]  # equal by value ...
+        order = twins if int_first else twins[::-1]
+        digests = [digest_for(_MEMO_TRACE, c) for c in order]
+        assert digests[0] != digests[1]  # ... but never one cache entry
+
+    def test_pickled_config_keeps_its_digest(self, skl_inputs):
+        trace, config = skl_inputs
+        digest = digest_for(trace, config)
+        assert digest_for(trace, pickle.loads(pickle.dumps(config))) == digest
 
 
 class TestSimCacheStore:

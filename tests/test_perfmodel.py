@@ -100,14 +100,15 @@ class TestRuntimeModel:
         expected = (
             pred_after.point.bandwidth_bytes / pred_base.point.bandwidth_bytes
         ) / 1.2
-        assert model.speedup(base, after) == pytest.approx(expected, rel=1e-9)
+        assert pred_after.speedup_over(pred_base) == pytest.approx(expected, rel=1e-9)
 
     def test_traffic_reduction_speeds_up_at_cap(self, skl):
         """Tiling at saturated bandwidth: speedup = traffic ratio."""
         model = RuntimeModel(skl)
         base = _state(binding_level=2, demand_mlp=20.0, pattern=AccessPattern.STREAMING)
         tiled = TransformEffect(traffic_factor=0.7).apply(base, "loop_tiling")
-        assert model.speedup(base, tiled) == pytest.approx(1.0 / 0.7, rel=1e-3)
+        speedup = model.predict(tiled).speedup_over(model.predict(base))
+        assert speedup == pytest.approx(1.0 / 0.7, rel=1e-3)
 
     def test_machine_mismatch_rejected(self, skl):
         with pytest.raises(ConfigurationError):

@@ -774,7 +774,7 @@ class RunSanitizer:
                 f"issued_total {issued} != trace accesses "
                 f"{self.expected_accesses}",
             )
-        for name, level in (("l1", stats.l1), ("l2", stats.l2), ("l3", stats.l3)):
+        for name, level in (("l1", stats.l1), ("l2", stats.l2)):
             if level.accesses != level.hits + level.misses:
                 self.violate(
                     "stats-conserve",

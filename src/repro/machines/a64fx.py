@@ -61,7 +61,6 @@ def a64fx() -> MachineSpec:
         # 48 cores x 1.8 GHz x 32 DP flops/cycle (2x 512-bit FMA pipes)
         peak_gflops=48 * 1.8 * 32,
         prefetch_streams=16,
-        memory_traffic_boundary="l2_miss",
         l1_assoc=4,
         l2_assoc=16,
     )

@@ -68,7 +68,6 @@ def hbm2e_concept() -> MachineSpec:
         latency_calibration=HBM2E_LATENCY_CALIBRATION,
         peak_gflops=64 * 2.4 * 32,
         prefetch_streams=24,
-        memory_traffic_boundary="l2_miss",
     )
 
 
@@ -94,7 +93,6 @@ def hbm3_concept() -> MachineSpec:
         latency_calibration=HBM3_LATENCY_CALIBRATION,
         peak_gflops=64 * 2.6 * 32,
         prefetch_streams=24,
-        memory_traffic_boundary="l2_miss",
     )
 
 

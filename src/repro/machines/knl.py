@@ -64,7 +64,6 @@ def knights_landing_7250() -> MachineSpec:
         # horizontal roof in paper Figure 2.
         peak_gflops=64 * 1.4 * 32,
         prefetch_streams=16,
-        memory_traffic_boundary="l2_miss",
         l1_assoc=8,
         l2_assoc=16,
     )

@@ -7,7 +7,8 @@ Parameters:
 * 10 L1 MSHRs (line-fill buffers) and 16 L2 MSHRs per core [34],
 * AVX-512 with gather/scatter and mask predication,
 * 2-way hyperthreading, 64 B cache lines,
-* traffic past the L3 is what the OFFCORE_RESPONSE/L3_MISS counters see.
+* traffic past the L3 is what the OFFCORE_RESPONSE/L3_MISS counters see;
+  the simulator has no L3, so its memory traffic is L2 misses.
 
 The ``latency_calibration`` control points reconstruct the loaded-latency
 curve from every (bandwidth, latency) pair the paper quotes for SKL across
@@ -58,7 +59,6 @@ def skylake_8160() -> MachineSpec:
         peak_gflops=24 * 2.1 * 32,
         prefetch_streams=16,
         hw_prefetcher_aggressive=True,
-        memory_traffic_boundary="l3_miss",
         l1_assoc=8,
         l2_assoc=16,
     )

@@ -39,15 +39,15 @@ class CacheSpec:
     Attributes
     ----------
     level:
-        1 for L1D, 2 for L2.  (L3, where present, only matters as the
-        boundary past which traffic counts as "memory"; see
-        :attr:`MachineSpec.memory_traffic_boundary`.)
+        1 for L1D, 2 for L2.  The simulated hierarchy has no L3: L2
+        misses are memory traffic on every machine.
     size_bytes:
         Capacity per core (private caches) or per tile.
     line_bytes:
         Cache line size.  All levels of one machine share it.
     mshrs:
-        Miss Status Handling Registers at this level, per core.
+        Miss Status Handling Registers at this level, per core (at
+        least 1).
     associativity:
         Set associativity, used by the trace simulator.
     """
@@ -59,16 +59,16 @@ class CacheSpec:
     associativity: int = 8
 
     def __post_init__(self) -> None:
-        if self.level not in (1, 2, 3):
-            raise ConfigurationError(f"cache level must be 1..3, got {self.level}")
+        if self.level not in (1, 2):
+            raise ConfigurationError(f"cache level must be 1 or 2, got {self.level}")
         if self.size_bytes <= 0 or self.line_bytes <= 0:
             raise ConfigurationError("cache size and line size must be positive")
         if self.size_bytes % self.line_bytes:
             raise ConfigurationError(
                 f"cache size {self.size_bytes} not a multiple of line {self.line_bytes}"
             )
-        if self.mshrs < 0:
-            raise ConfigurationError(f"mshrs must be >= 0, got {self.mshrs}")
+        if self.mshrs < 1:
+            raise ConfigurationError(f"mshrs must be >= 1, got {self.mshrs}")
         if self.associativity <= 0:
             raise ConfigurationError("associativity must be positive")
 
@@ -162,9 +162,6 @@ class MachineSpec:
     cores_used: Optional[int] = None
     #: Peak double-precision GFLOP/s for the whole socket (roofline top).
     peak_gflops: float = 0.0
-    #: Where counter-visible "memory traffic" begins: "l3_miss" on parts
-    #: with an L3 (SKL), "l2_miss" on parts without (KNL, A64FX).
-    memory_traffic_boundary: str = "l3_miss"
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
@@ -180,10 +177,6 @@ class MachineSpec:
         if self.cores_used is not None and not 0 < self.cores_used <= self.cores:
             raise ConfigurationError(
                 f"cores_used must be in 1..{self.cores}, got {self.cores_used}"
-            )
-        if self.memory_traffic_boundary not in ("l3_miss", "l2_miss"):
-            raise ConfigurationError(
-                "memory_traffic_boundary must be 'l3_miss' or 'l2_miss'"
             )
         try:
             model = LatencyProfile(
@@ -278,7 +271,6 @@ def make_machine(
     peak_gflops: float,
     prefetch_streams: int = 16,
     cores_used: Optional[int] = None,
-    memory_traffic_boundary: str = "l3_miss",
     l1_assoc: int = 8,
     l2_assoc: int = 16,
     hw_prefetcher_aggressive: bool = False,
@@ -303,6 +295,5 @@ def make_machine(
         cores_used=cores_used,
         latency_calibration=tuple((float(u), float(l)) for u, l in latency_calibration),
         peak_gflops=peak_gflops,
-        memory_traffic_boundary=memory_traffic_boundary,
         hw_prefetcher_aggressive=hw_prefetcher_aggressive,
     )

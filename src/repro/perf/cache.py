@@ -75,7 +75,11 @@ from ..sim.stats import SimStats
 #: v4: batched miss retirement — SimConfig gained ``batch_miss`` and
 #: SimStats gained ``batch_miss_accesses``/``batch_fallbacks``; v3
 #: entries lack the new stats fields and must not be replayed.
-SCHEMA_VERSION = 4
+#: v5: no L3 — SimStats lost ``l3``, SimConfig lost its L3, hit-latency,
+#: prefetcher-tuning and page-size fields and MachineSpec lost its
+#: counter-boundary field; v4 entries carry a stats field ``from_dict``
+#: no longer reads.
+SCHEMA_VERSION = 5
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 
@@ -94,8 +98,8 @@ TALLIES_FILE = "tallies.jsonl"
 #: hold only immutable values (nested frozen specs, tuples, numbers,
 #: strings), and neither writes a field after ``__post_init__``, so an
 #: instance's form cannot change once computed.  The memo is per
-#: instance, never keyed by value: ``l1_hit_cycles=4`` and ``4.0``
-#: compare equal but digest differently.  The memo is read with
+#: instance, never keyed by value: machines with ``peak_gflops=4`` and
+#: ``4.0`` compare equal but digest differently.  The memo is read with
 #: ``getattr``, never through ``__dict__``: touching ``__dict__``
 #: materializes it, and CPython then loads every attribute of the
 #: instance on a slower path, about 3x per load.

@@ -265,7 +265,7 @@ class ColumnarThreadTrace:
     @property
     def accesses(self) -> Tuple[Access, ...]:
         """Lazy read-only ``Access`` view; built on first use, then cached."""
-        cached = self.__dict__.get("_accesses")
+        cached = getattr(self, "_accesses", None)
         if cached is None:
             kinds = KINDS_BY_CODE
             cached = tuple(
@@ -284,7 +284,7 @@ class ColumnarThreadTrace:
         materialization: the driver then indexes ints, shared
         ``AccessKind`` singletons, and floats.  Cached per thread trace.
         """
-        cols = self.__dict__.get("_issue_columns")
+        cols = getattr(self, "_issue_columns", None)
         if cols is None:
             kinds = KINDS_BY_CODE
             cols = (

@@ -231,8 +231,6 @@ class SimStats:
     elapsed_ns: float = 0.0
     l1: LevelStats = field(default_factory=LevelStats)
     l2: LevelStats = field(default_factory=LevelStats)
-    #: Shared LLC statistics (all zero unless the L3 model is enabled).
-    l3: LevelStats = field(default_factory=LevelStats)
     memory: MemoryStats = field(default_factory=MemoryStats)
     cores: List[CoreStats] = field(default_factory=list)
     l1_occupancy: List[OccupancyTracker] = field(default_factory=list)
@@ -349,7 +347,6 @@ class SimStats:
             elapsed_ns=doc["elapsed_ns"],
             l1=LevelStats(**doc["l1"]),
             l2=LevelStats(**doc["l2"]),
-            l3=LevelStats(**doc["l3"]),
             memory=MemoryStats(**doc["memory"]),
             cores=[CoreStats(**c) for c in doc["cores"]],
             l1_occupancy=[OccupancyTracker(**t) for t in doc["l1_occupancy"]],

@@ -23,16 +23,18 @@ class TestCacheSpec:
         assert cache.num_sets == 64
 
     def test_rejects_bad_level(self):
-        with pytest.raises(ConfigurationError):
-            CacheSpec(4, 32 * 1024, 64, 10)
+        for level in (0, 3, 4):
+            with pytest.raises(ConfigurationError):
+                CacheSpec(level, 32 * 1024, 64, 10)
 
     def test_rejects_size_not_multiple_of_line(self):
         with pytest.raises(ConfigurationError):
             CacheSpec(1, 1000, 64, 10)
 
     def test_rejects_negative_mshrs(self):
-        with pytest.raises(ConfigurationError):
-            CacheSpec(1, 32 * 1024, 64, -1)
+        for mshrs in (-1, 0):
+            with pytest.raises(ConfigurationError):
+                CacheSpec(1, 32 * 1024, 64, mshrs)
 
 
 class TestVectorSpec:

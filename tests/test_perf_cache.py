@@ -83,15 +83,12 @@ class TestDigestStability:
     #: every cached simulation, which only a ``SCHEMA_VERSION`` or version
     #: bump may do.
     PINNED = {
-        ("skl", "plain"): "e03838e64088ab652fddd21f64a781158f451c59231671e3ff60b0c4618db43a",
-        ("skl", "tlb-nopf-nobatch"): "c860bad9d3a034845438bf84fd673505ba79cd43b41a823d79ef1680fb5b175f",
-        ("skl", "l3"): "385ce30309a9c942811731cf5b211986d9f6dd4695752c0f303b79c8aa784248",
-        ("knl", "plain"): "cd8dfa75aa7614d38a20cd43e1df01bc95b4c0ecf558118f16c0af15e8a6caa5",
-        ("knl", "tlb-nopf-nobatch"): "f047aea6566c080e05dc54b5133fc9e494e83cb4045acd4a603c5f96bd47d30d",
-        ("knl", "l3"): "585a4fa296173c605179e78db60636eabee7101ef7b6a14e999468a87e6a6a39",
-        ("a64fx", "plain"): "d9759d6247ff564a7ac61fd7a3ab71a9f3593fa5830625af39395e73cb0a33dc",
-        ("a64fx", "tlb-nopf-nobatch"): "5b59404f49e85591b7b2f502a6f2763d0a0b1f086b0b57509278c3af2057311f",
-        ("a64fx", "l3"): "f57fb206ed5db8fe492ead66d8e72fad4ec7be27cbbde29c0d31c83e59ed417f",
+        ("skl", "plain"): "31d21d2c715fedb565aeef5b9c8db7de6338ee492601f619dcdb8db5f3a9c1fd",
+        ("skl", "tlb-nopf-nobatch"): "07b46f82a46b1e7ac698039e5a788a6ffdf68a725b59574d343452d11c1183c7",
+        ("knl", "plain"): "ae272212b63b7b6c923c98679e58e264cea31b257747bb8694e3a18cb0976f8c",
+        ("knl", "tlb-nopf-nobatch"): "578510b2c4dbf8737979922207b98926ce9021b92b8aa2d8aeca9e0dff0fc3fd",
+        ("a64fx", "plain"): "f0ca9d06c16a8e5fa8c44c3ae3c4cfd1ac370524c6c464bce69670ac5fd1dca5",
+        ("a64fx", "tlb-nopf-nobatch"): "580bdfdf60df6bfdfdd1442c263057a9ce481ba3e711924c494623a58d08be4a",
     }
     VARIANTS = {
         "plain": {},
@@ -101,7 +98,6 @@ class TestDigestStability:
             "batch": False,
             "batch_miss": False,
         },
-        "l3": {"l3_enabled": True},
     }
 
     @pytest.mark.parametrize("machine, variant", sorted(PINNED))
@@ -122,7 +118,7 @@ class TestDigestStability:
             {"sim_cores": 1},
             {"window_per_core": 8},
             {"hw_prefetch": False},
-            {"l1_hit_cycles": 5.0},
+            {"batch_miss": False},
             {"tlb_entries": 64},
         ],
     )
@@ -160,18 +156,12 @@ def _sim_configs(draw):
     name = draw(st.sampled_from(["skl", "knl", "a64fx"]))
     smt_ways = get_machine(name).smt_ways
     threads = draw(st.integers(1, smt_ways))
-    cycles = st.one_of(st.integers(1, 80), st.floats(0.5, 80.0))
     kwargs = {
         "sim_cores": draw(st.integers(1, 4)),
         "threads_per_core": threads,
         "window_per_core": draw(st.integers(threads, 48)),
-        "l1_hit_cycles": draw(cycles),
-        "l2_hit_cycles": draw(cycles),
-        "l3_hit_cycles": draw(cycles),
         "hw_prefetch": draw(st.booleans()),
-        "prefetch_degree": draw(st.integers(1, 4)),
         "tlb_entries": draw(st.sampled_from([0, 16, 64])),
-        "l3_enabled": draw(st.booleans()),
         "batch": draw(st.booleans()),
         "batch_miss": draw(st.booleans()),
     }
@@ -198,8 +188,8 @@ class TestCanonicalMemo:
     @settings(max_examples=40, deadline=None)
     @given(
         _sim_configs(),
-        st.sampled_from(["l1_hit_cycles", "l2_hit_cycles", "l3_hit_cycles"]),
-        st.integers(1, 80),
+        st.sampled_from(["frequency_hz", "peak_gflops"]),
+        st.integers(1, 10**10),
         st.booleans(),
     )
     def test_int_and_float_twins_digest_differently(
@@ -207,7 +197,10 @@ class TestCanonicalMemo:
     ):
         name, kwargs = drawn
         twins = [
-            SimConfig(machine=get_machine(name), **{**kwargs, field_name: v})
+            SimConfig(
+                machine=dataclasses.replace(get_machine(name), **{field_name: v}),
+                **kwargs,
+            )
             for v in (value, float(value))
         ]
         assert twins[0] == twins[1]  # equal by value ...

@@ -1,8 +1,8 @@
 """Combination stress: every simulator feature on at once, invariants hold.
 
 Hypothesis drives random traces through the hierarchy with SMT, the
-TLB, the shared L3, hardware prefetch, and software prefetch hints all
-enabled simultaneously — the configurations unit tests exercise only in
+TLB, hardware prefetch, and software prefetch hints all enabled
+simultaneously — the configurations unit tests exercise only in
 isolation.  The invariants: runs terminate, every access retires,
 occupancies respect capacities, byte accounting balances, and Little's
 law holds at the memory controller.
@@ -62,10 +62,9 @@ def _mixed_trace(seed: int, n: int, threads: int, swpf_share: float) -> Columnar
     swpf_share=st.floats(0.0, 0.3),
     window=st.integers(2, 20),
     tlb_entries=st.sampled_from([0, 32, 128]),
-    l3=st.booleans(),
 )
 def test_all_features_together(
-    seed, n, threads_per_core, swpf_share, window, tlb_entries, l3
+    seed, n, threads_per_core, swpf_share, window, tlb_entries
 ):
     threads = 2 * threads_per_core
     trace = _mixed_trace(seed, n, threads, swpf_share)
@@ -75,7 +74,6 @@ def test_all_features_together(
         threads_per_core=threads_per_core,
         window_per_core=max(window, threads_per_core),
         tlb_entries=tlb_entries,
-        l3_enabled=l3,
     )
     stats = run_trace(trace, cfg)
 

@@ -16,7 +16,7 @@ the event engine.  Exercised four ways:
 * end-to-end fingerprint equivalence and full engagement on the cold
   scatter workload (the regime the fast path targets);
 * fallback diagnosability: the ``batch_fallbacks`` reason counters for
-  SMT, L3, and non-drainable handoffs;
+  SMT and non-drainable handoffs;
 * config plumbing: ``batch_miss=False`` restricts batching to all-hit
   runs without changing results;
 * pinned engagement: exact ``(events_fired, batch_accesses,
@@ -624,21 +624,6 @@ class TestMissBatchEndToEnd:
         )
         assert stats.batch_accesses == 0
         assert stats.batch_fallbacks.get("smt") == 1
-
-    def test_l3_fallback_reason_recorded(self):
-        machine = get_machine("skl")
-        trace = _scatter(machine, accesses=600)
-        stats = run_trace(
-            trace,
-            SimConfig(
-                machine=machine,
-                sim_cores=1,
-                window_per_core=12,
-                batch=True,
-                l3_enabled=True,
-            ),
-        )
-        assert stats.batch_fallbacks.get("l3") == 1
 
     def test_fallback_counters_are_not_semantic(self):
         machine = get_machine("skl")

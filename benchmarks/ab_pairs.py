@@ -52,6 +52,23 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def resolve_commit(rev: str) -> str:
+    """Full SHA of the commit ``rev`` names; raises if it names none."""
+    return _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+
+
+def checkout_sides(base_sha: str, tmp: Path) -> dict:
+    """Clone ``base_sha`` and copy the working tree into fresh dirs under ``tmp``.
+
+    Returns the two roots as ``{"base": ..., "new": ...}``.
+    """
+    roots = {"base": tmp / "base", "new": tmp / "new"}
+    _git("clone", "--quiet", "--no-checkout", str(REPO_ROOT), str(roots["base"]))
+    _git("checkout", "--quiet", base_sha, cwd=roots["base"])
+    copy_working_tree(roots["new"])
+    return roots
+
+
 def iqr(values: list) -> float:
     """Distance between the first and third quartiles (0 for one value)."""
     if len(values) < 2:
@@ -96,16 +113,13 @@ def main(argv: list | None = None) -> int:
     p.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
     args = p.parse_args(argv)
 
-    base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
+    base_sha = resolve_commit(args.base)
     # The tree as measured: read before the runs, which may leave files.
     head = _git("rev-parse", "HEAD").strip()
     dirty = is_dirty(_git("status", "--porcelain"))
     pairs, failed = [], 0
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        roots = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
-        _git("clone", "--quiet", "--no-checkout", str(REPO_ROOT), str(roots["base"]))
-        _git("checkout", "--quiet", base_sha, cwd=roots["base"])
-        copy_working_tree(roots["new"])
+        roots = checkout_sides(base_sha, Path(tmp))
         for i, seed in enumerate(args.seeds):
             order = ("base", "new") if i % 2 == 0 else ("new", "base")
             result = {

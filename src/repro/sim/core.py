@@ -73,6 +73,8 @@ class ThreadDriver:
         "engine",
         "ctx",
         "core_stats",
+        "_core",
+        "_line_bytes",
         "_addrs",
         "_kinds",
         "_demand",
@@ -103,6 +105,8 @@ class ThreadDriver:
         self.engine = hierarchy.engine
         self.ctx = context
         self.core_stats = core_stats
+        core = self._core = hierarchy.cores[context.core_id]
+        self._line_bytes = core.l1_array.line_bytes
         freq_ghz = hierarchy.machine.frequency_ghz
         trace = context.trace
         self._addrs, self._kinds, self._gaps = trace.issue_columns()
@@ -122,7 +126,6 @@ class ThreadDriver:
         self._l2_hit_ns = hierarchy._l2_hit_ns
         self._san = hierarchy.sanitizer
         if self._batch:
-            core = hierarchy.cores[context.core_id]
             self._batch_miss = hierarchy.batch_miss_enabled
             self._addr_arr = addr_arr
             self._demand_arr = demand_arr
@@ -164,20 +167,21 @@ class ThreadDriver:
         # Prefetches are non-blocking: they never enter the window, so
         # their completion must not decrement in_flight.
         on_complete = self._on_complete if is_demand else self._on_prefetch_done
+        addr = self._addrs[i]
+        line = (addr // self._line_bytes) * self._line_bytes
         issued = self.hierarchy.issue_access(
-            ctx.core_id, self._addrs[i], self._kinds[i], on_complete
+            self._core, addr, line, self._kinds[i], on_complete
         )
         if not issued:
             # L1 MSHR file full: record stall and retry when one frees.
             if not ctx.waiting_mshr:
                 ctx.waiting_mshr = True
                 ctx.stall_start_ns = self.engine.now
-            self.hierarchy.l1_mshr(ctx.core_id).wait_for_free(self._retry_after_mshr)
+            self._core.l1_mshr.wait_for_free(self._retry_after_mshr)
             return
 
-        now = self.engine.now
         if ctx.waiting_window or ctx.waiting_mshr:
-            stall = now - ctx.stall_start_ns
+            stall = self.engine.now - ctx.stall_start_ns
             if ctx.waiting_mshr:
                 self.core_stats.l1_mshr_stall_ns += stall
                 self.hierarchy.stats.l1.mshr_full_stalls += 1
@@ -249,7 +253,7 @@ class ThreadDriver:
         if ctx.waiting_window or ctx.waiting_mshr or ctx.in_flight != 0:
             return 0
         hierarchy = self.hierarchy
-        core = hierarchy.cores[ctx.core_id]
+        core = self._core
         if core.l1_mshr.entries or core.l2_mshr.entries or core.walks_in_flight:
             return 0
         stats = hierarchy.stats

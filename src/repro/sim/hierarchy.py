@@ -18,8 +18,9 @@ Request flow (per demand access)::
                ├─ L2 hit ──────────────▶ fill L1, free L1 MSHR, complete
                ├─ L2 MSHR merge (incl. in-flight prefetch = "late hit")
                ├─ L2 MSHR full ────────▶ demand waits (backpressure)
-               └─ allocate L2 MSHR ──▶ memory controller
-                        └─ loaded-latency completion ▶ fill L2, fill L1 …
+               └─ allocate L2 MSHR ──▶ memory controller (FIFO slot and
+                        │                 loaded latency fixed on request)
+                        └─ one event at slot + latency ▶ fill L2, fill L1 …
 
 Software prefetches to L2 (``AccessKind.SWPF_L2``) skip the L1 MSHR file
 entirely — this is the mechanism behind the paper's ISx optimization,
@@ -228,10 +229,6 @@ class Hierarchy:
 
     # -- plumbing helpers -------------------------------------------------------
 
-    def l1_mshr(self, core_id: int) -> MshrFile:
-        """Core ``core_id``'s L1 MSHR file."""
-        return self.cores[core_id].l1_mshr
-
     def thread_finished(self) -> None:
         """Bookkeeping callback: one thread completed its trace."""
         self._threads_remaining -= 1
@@ -240,22 +237,22 @@ class Hierarchy:
 
     def issue_access(
         self,
-        core_id: int,
+        core: _CoreSlice,
         addr: int,
+        line: int,
         kind: AccessKind,
         on_complete: Callable[[], None],
     ) -> bool:
         """Issue one access; returns False if the L1 MSHR file is full.
 
         Takes the access fields directly (no ``Access`` object) so the
-        core's array-indexed issue loop stays allocation-free.
+        core's array-indexed issue loop stays allocation-free: the
+        driver passes its own core slice and the access's ``line``
+        (``core.l1_array.line_of(addr)``, computed inline).
         ``on_complete`` fires when the access retires from the core's
         perspective (data in L1 for demand; immediately for software
         prefetches, which are non-blocking).
         """
-        core = self.cores[core_id]
-        line = core.l1_array.line_of(addr)
-
         # Address translation first: a TLB miss issues a page-walk
         # memory read, and the demand access proceeds only once the PTE
         # arrives.  Walk traffic lands in the demand-read bandwidth

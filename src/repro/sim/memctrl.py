@@ -26,13 +26,14 @@ utilization.  Consequences:
 
 Utilization is estimated over a sliding window of recently admitted
 bytes.  Writebacks consume admission slots (bandwidth) but complete
-immediately (no MSHR is held for them).
+immediately (no MSHR is held for them).  Admission is FIFO, so each
+request's slot, latency and completion time are settled when it is
+made; a request costs the engine one event, its completion.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from itertools import repeat
 from typing import Callable, Deque, Tuple
 
@@ -91,6 +92,10 @@ def _admissions(issue_ns: np.ndarray, next_free: float, slot: float) -> np.ndarr
             admit[exact] = issue_ns[exact]
             exact += 1
     return admit
+
+
+def _no_op() -> None:
+    """Event body of a writeback's admission: it only advances time."""
 
 
 class MemoryController:
@@ -178,7 +183,14 @@ class MemoryController:
             self._recent_bytes -= old
 
     def utilization(self, now_ns: float) -> float:
-        """Recent-bytes utilization of theoretical peak, in [0, 1]."""
+        """Recent-bytes utilization of theoretical peak, in [0, 1].
+
+        Counts every admission in the deque at or after ``now_ns -
+        window_ns``.  Admissions are noted when the request is made, so
+        mid-run the deque also holds slots already granted for the
+        future (``admit > now_ns``); they count too.  Once the event
+        queue drains, every noted admission lies in the past.
+        """
         cutoff = now_ns - self.window_ns
         while self._recent and self._recent[0][0] < cutoff:
             _, old = self._recent.popleft()
@@ -187,10 +199,6 @@ class MemoryController:
             return 0.0
         rate = self._recent_bytes / self._window_s
         return min(1.0, rate / self.peak_bw_bytes)
-
-    def current_latency_ns(self, now_ns: float) -> float:
-        """Loaded latency the next admitted request would see."""
-        return self.latency_model.latency_ns(self.utilization(now_ns))
 
     # -- request service -----------------------------------------------------------
 
@@ -202,9 +210,12 @@ class MemoryController:
     ) -> None:
         """Service one cache-line request.
 
-        Admission waits for a bandwidth slot; completion fires
-        ``on_complete`` after the loaded latency at the admission-time
-        utilization.
+        The controller is a FIFO: ``admit = max(now, next_free)`` rises
+        strictly from one request to the next, so the request's slot,
+        its loaded latency and its completion time are all fixed the
+        moment it is made.  :meth:`_admit` settles the admission at once
+        and schedules ``on_complete`` at ``admit + latency``, the one
+        engine event of the request.
         """
         now = self.engine.now
         admit = max(now, self._next_free_ns)
@@ -215,7 +226,7 @@ class MemoryController:
         audit = self._audit
         if audit is not None:
             # Audit the full system time (arrival -> completion); the
-            # wrap observes only — the schedule calls below are
+            # wrap observes only — the schedule call in _admit is
             # unchanged, so event ordering and the fingerprint are too.
             audit.memctrl_enter(now, seq, "request")
             inner_complete = on_complete
@@ -226,20 +237,24 @@ class MemoryController:
 
             on_complete = _audited_complete
 
-        self.engine.schedule_at(
-            admit,
-            partial(self._admit, admit - now, is_write, is_prefetch, on_complete),
-        )
+        self._admit(admit - now, admit, is_write, is_prefetch, on_complete)
 
     def _admit(
         self,
         queued_ns: float,
+        admit_ns: float,
         is_write: bool,
         is_prefetch: bool,
         on_complete: Callable[[], None],
     ) -> None:
-        """Admission event of one :meth:`request`: record it, schedule completion."""
-        self._note_admission(self.engine.now, self.line_bytes)
+        """Record one admission at ``admit_ns`` and schedule its completion.
+
+        Exact although it runs at request time, not at ``admit_ns``:
+        admissions rise strictly in request order, so the deque holds
+        exactly the admissions at or before ``admit_ns``, trimmed at the
+        same cutoff, and the stats adds happen in admission order.
+        """
+        self._note_admission(admit_ns, self.line_bytes)
         # utilization() at the admission time, without its second
         # deque walk: _note_admission just trimmed with the same
         # cutoff and left the deque non-empty.
@@ -257,7 +272,7 @@ class MemoryController:
         stats.requests += 1
         stats.latency_sum_ns += latency + queued_ns
         stats.latency_count += 1
-        self.engine.schedule(latency, on_complete)
+        self.engine.schedule_at(admit_ns + latency, on_complete)
 
     # -- closed-form batch service (batch-stepping miss fast path) --------------
 
@@ -276,8 +291,10 @@ class MemoryController:
           :func:`_admissions`;
         * utilization replays :meth:`_note_admission`'s sliding window
           in one ``searchsorted``: the deque's times followed by the
-          run's admissions are time-ordered (the planner only runs with
-          an empty event queue, so every admission already in the deque
+          run's admissions are time-ordered (admissions are noted when
+          requested, but each one still has its completion or writeback
+          event at or after its slot; the planner only runs with an
+          empty event queue, so every admission already in the deque
           happened at or before the first issue), and cutoffs never
           decrease, so the live entries at admission ``i`` are the
           suffix of ``[deque; admit[:i+1]]`` at or after
@@ -286,8 +303,8 @@ class MemoryController:
           the peak in the scalar order.
 
         Returns ``(admit, latency)``; each completion time is ``admit +
-        latency`` — the same single float add the engine performs when
-        scheduling the completion from the admission event.  The caller
+        latency`` — the same single float add :meth:`_admit` performs
+        when it schedules the completion.  The caller
         commits a (possibly truncated) prefix via :meth:`commit_batch`
         once its run cuts are final.
         """
@@ -381,7 +398,13 @@ class MemoryController:
                     audit.memctrl_exit(float(times[idx]), int(seqs[idx]))
 
     def writeback(self) -> None:
-        """Consume bandwidth for a dirty-line writeback (fire and forget)."""
+        """Consume bandwidth for a dirty-line writeback (fire and forget).
+
+        The admission is noted when the writeback is made, like a
+        request's, so the deque stays time-ordered.  One no-op event at
+        the admission time keeps a trailing writeback inside the run's
+        end time.
+        """
         now = self.engine.now
         admit = max(now, self._next_free_ns)
         self._next_free_ns = admit + self.slot_ns
@@ -390,9 +413,7 @@ class MemoryController:
         if audit is not None:
             audit.writebacks += 1
 
-        def _admit() -> None:
-            self._note_admission(self.engine.now, self.line_bytes)
-            self.stats.demand_write_bytes += self.line_bytes
-            self.stats.requests += 1
-
-        self.engine.schedule_at(admit, _admit)
+        self._note_admission(admit, self.line_bytes)
+        self.stats.demand_write_bytes += self.line_bytes
+        self.stats.requests += 1
+        self.engine.schedule_at(admit, _no_op)

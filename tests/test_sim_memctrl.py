@@ -51,7 +51,7 @@ class TestLatency:
     def test_current_latency_reflects_recent_traffic(self):
         engine = Engine()
         mc = _controller(engine)
-        assert mc.current_latency_ns(0.0) == pytest.approx(100.0)
+        assert mc.latency_model.latency_ns(mc.utilization(0.0)) == pytest.approx(100.0)
 
 
 class TestBandwidthCap:

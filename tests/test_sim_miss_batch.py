@@ -650,7 +650,7 @@ def _pin_cases():
             threads=4, accesses_per_thread=2000, line_bytes=skl.line_bytes
         ),
         dict(machine=skl, sim_cores=4),
-        (8416, 6203, 0),
+        (6779, 6203, 0),
         id="resident-skl-4core",
     )
     for hw_prefetch in (False, True):
@@ -669,9 +669,9 @@ def _pin_cases():
             id=f"scatter-knl-prefetch{int(hw_prefetch)}",
         )
     for miss_rate, store_rate, expected in (
-        (0.3, 0.2, (6532, 0, 0)),
-        (0.02, 0.2, (3572, 569, 0)),
-        (0.02, 0.0, (2764, 959, 750)),
+        (0.3, 0.2, (5699, 0, 0)),
+        (0.02, 0.2, (3340, 569, 0)),
+        (0.02, 0.0, (2543, 959, 750)),
     ):
         yield pytest.param(
             lambda mr=miss_rate, sr=store_rate: _mixed_trace(

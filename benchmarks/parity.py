@@ -11,9 +11,10 @@ with both batch paths off.  It diffs the ``SimStats.to_dict()``
 documents field by field and prints one line per difference.  It exits
 1 on any difference and 0 when every simulation is identical.
 
-Run ``python3 benchmarks/parity.py [--base REV] [--seed 1] [--size full]
-[--sanitize]`` (``--base`` defaults to ``HEAD``; ``--sanitize`` runs
-both sides under ``REPRO_SANITIZE=1``).  Each side runs in a child
+Run ``python3 benchmarks/parity.py [--base REV] [--seed 1] [--sanitize]``
+(``--base`` defaults to ``HEAD``; ``--sanitize`` runs both sides under
+``REPRO_SANITIZE=1``).  The op lists are built at perfbench's full
+size, the size the benchmark runs.  Each side runs in a child
 process that imports ``repro`` and perfbench's ``workloads`` from its
 own checkout, with the sim cache off.  A full-size check takes about
 20 s on a 2-vCPU container, longer sanitized.
@@ -36,7 +37,7 @@ from ab_pairs import checkout_sides, resolve_commit
 from record_trajectory import REPO_ROOT
 
 
-def collect(root: Path, seed: int, size: str, tmp: Path) -> list:
+def collect(root: Path, seed: int, tmp: Path) -> list:
     """Every simulation of the ``sim_cold`` and ``sim_batch`` ops under ``root``.
 
     One entry per simulation and batch mode: ``{"op", "sim", "batch",
@@ -50,7 +51,7 @@ def collect(root: Path, seed: int, size: str, tmp: Path) -> list:
     from repro.sim import run_trace
 
     configure_cache(cache_dir=tmp / "cache", enabled=False)
-    bench = wl.Bench(seed=seed, size=wl.SIZES[size], tmp=tmp, tracer=Tracer(False))
+    bench = wl.Bench(seed=seed, size=wl.SIZES["full"], tmp=tmp, tracer=Tracer(False))
     bench.probes = Probes(bench.tracer, bench.recorder)
     bench.probes.install()
     try:
@@ -66,7 +67,9 @@ def collect(root: Path, seed: int, size: str, tmp: Path) -> list:
                     (False, run_trace(record.trace, off)),
                 ):
                     doc = stats.to_dict()
-                    runs.append({"op": op.op_id, "sim": k, "batch": batch, "stats": doc})
+                    runs.append(
+                        {"op": op.op_id, "sim": k, "batch": batch, "stats": doc}
+                    )
     finally:
         bench.probes.remove()
     return runs
@@ -120,7 +123,6 @@ def main(argv: list | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--size", choices=("full", "tiny"), default="full")
     p.add_argument("--sanitize", action="store_true", help="run under REPRO_SANITIZE=1")
     # Child mode: collect one side's runs into a JSON file.
     p.add_argument("--side", type=Path, help=argparse.SUPPRESS)
@@ -129,7 +131,7 @@ def main(argv: list | None = None) -> int:
 
     if args.side is not None:
         with tempfile.TemporaryDirectory(prefix="parity-side-") as tmp:
-            runs = collect(args.side, args.seed, args.size, Path(tmp))
+            runs = collect(args.side, args.seed, Path(tmp))
         args.out.write_text(json.dumps(runs))
         return 0
 
@@ -144,7 +146,7 @@ def main(argv: list | None = None) -> int:
         for side, root in roots.items():
             out = Path(tmp) / f"{side}.json"
             child = [sys.executable, str(Path(__file__).resolve()), "--side", str(root)]
-            child += ["--out", str(out), "--seed", str(args.seed), "--size", args.size]
+            child += ["--out", str(out), "--seed", str(args.seed)]
             subprocess.run(child, cwd=root, env=env, check=True)
             runs[side] = json.loads(out.read_text())
 
@@ -158,7 +160,7 @@ def main(argv: list | None = None) -> int:
     verdict = f"{len(lines)} difference(s)" if lines else "identical"
     print(
         f"parity vs {base_sha[:12]}{mode}: {len(runs['new'])} runs "
-        f"(seed {args.seed}, {args.size}), {verdict}"
+        f"(seed {args.seed}), {verdict}"
     )
     return 1 if lines else 0
 

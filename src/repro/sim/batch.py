@@ -166,6 +166,7 @@ def conflict_free(
     check: np.ndarray,
     fill_sets: np.ndarray,
     fill_times: np.ndarray,
+    num_sets: int,
 ) -> np.ndarray:
     """Snapshot-validity check against in-run fills.
 
@@ -174,28 +175,19 @@ def conflict_free(
     landed in its set: a fill can evict the line a planned hit relies
     on.  ``check`` marks the positions that need the guarantee;
     ``fill_sets``/``fill_times`` describe every fill the run would
-    perform.  Conservative: any same-set fill at or before ``t[j]``
-    invalidates ``j``, whether or not it actually evicts.  Fills from
-    accesses after ``j`` land strictly after ``t[j]`` (service latency
-    is positive), so the per-set minimum over *all* fills is exact for
-    the prefix.
+    perform, in an array of ``num_sets`` sets.  Conservative: any
+    same-set fill at or before ``t[j]`` invalidates ``j``, whether or
+    not it actually evicts.  Fills from accesses after ``j`` land
+    strictly after ``t[j]`` (service latency is positive), so the
+    per-set minimum over *all* fills is exact for the prefix.
     """
-    ok = np.ones(len(t), dtype=bool)
     if not len(fill_sets) or not check.any():
-        return ok
-    order = np.argsort(fill_sets, kind="stable")
-    sorted_sets = fill_sets[order]
-    sorted_times = fill_times[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_sets[1:] != sorted_sets[:-1]]
-    )
-    uniq = sorted_sets[starts]
-    earliest = np.minimum.reduceat(sorted_times, starts)
-    pos = np.searchsorted(uniq, set_idx)
-    np.minimum(pos, len(uniq) - 1, out=pos)
-    has_fill = uniq[pos] == set_idx
-    first_fill = np.where(has_fill, earliest[pos], np.inf)
-    return ~check | (t < first_fill)
+        return np.ones(len(t), dtype=bool)
+    # Earliest fill per set, dense over the array's sets (a set with no
+    # fill keeps +inf).
+    earliest = np.full(num_sets, np.inf)
+    np.minimum.at(earliest, fill_sets, fill_times)
+    return ~check | (t < earliest[set_idx])
 
 
 def first_duplicate(values: np.ndarray) -> int:
@@ -208,11 +200,14 @@ def first_duplicate(values: np.ndarray) -> int:
     n = len(values)
     if n < 2:
         return n
+    # A plain sort settles the common no-duplicate case; only a hit
+    # needs the stable argsort that maps duplicates back to positions.
+    sorted_values = np.sort(values)
+    if not (sorted_values[1:] == sorted_values[:-1]).any():
+        return n
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
     dup = sorted_values[1:] == sorted_values[:-1]
-    if not dup.any():
-        return n
     return int(order[1:][dup].min())
 
 
@@ -227,7 +222,12 @@ def first_member(t: np.ndarray, boundaries: np.ndarray) -> int:
     """
     if not len(boundaries):
         return len(t)
-    mask = np.isin(t, boundaries)
+    # Membership by binary search in the sorted boundaries: the same
+    # ``==`` test as ``np.isin``, without its per-call set machinery.
+    sorted_b = np.sort(boundaries)
+    pos = np.searchsorted(sorted_b, t)
+    np.minimum(pos, len(sorted_b) - 1, out=pos)
+    mask = sorted_b[pos] == t
     if not mask.any():
         return len(t)
     return int(np.argmax(mask))

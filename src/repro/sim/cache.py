@@ -159,10 +159,9 @@ class CacheArray:
         A dirty victim raises (the caller's precondition was violated).
 
         The sorted resident table :meth:`probe_batch` reads is kept
-        current rather than dropped: the victims that were resident
-        before the run are deleted (found by ``searchsorted``), and the
-        installed lines that survive the run are merged in — a line
-        filled and then evicted within the run ends up in neither.
+        current rather than dropped: the installed lines are merged in
+        and every victim is deleted (found by ``searchsorted``), so a
+        line filled and then evicted within the run ends up absent.
         """
         if self._pending:
             self.flush_batch()
@@ -305,24 +304,17 @@ class CacheArray:
 def _merge_fills(table: np.ndarray, lines: np.ndarray, victims: List[int]) -> np.ndarray:
     """Sorted resident table after installing ``lines`` and evicting ``victims``.
 
-    Every victim is either an old resident (present in ``table``) or a
-    line installed earlier in the same run (present in ``lines``, which
-    are absent from ``table``); ``searchsorted`` finds each in its own
-    array and ``np.delete`` drops it.  numpy's stable sort is a timsort
-    for 64-bit keys, so sorting the concatenation of the two sorted
-    arrays is a linear merge.
+    ``lines`` are absent from ``table``, so the two merge without
+    duplicates, and every victim (an old resident, or a line installed
+    earlier in the same run) occurs exactly once in the merge, where
+    ``searchsorted`` finds it.  numpy's stable sort is a timsort for
+    64-bit keys, so sorting the concatenation of the two sorted arrays
+    is a linear merge.
     """
-    new = np.sort(lines)
-    if victims:
-        gone = np.sort(np.asarray(victims, dtype=table.dtype))
-        if len(table):
-            pos = np.searchsorted(table, gone)
-            np.minimum(pos, len(table) - 1, out=pos)
-            old = table[pos] == gone
-            table = np.delete(table, pos[old])
-            gone = gone[~old]
-        if len(gone):
-            new = np.delete(new, np.searchsorted(new, gone))
-    merged = np.concatenate([table, new])
+    merged = np.concatenate([table, np.sort(lines)])
     merged.sort(kind="stable")
+    if victims:
+        keep = np.ones(len(merged), dtype=bool)
+        keep[np.searchsorted(merged, np.asarray(victims, dtype=merged.dtype))] = False
+        merged = merged[keep]
     return merged

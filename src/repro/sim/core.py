@@ -74,7 +74,6 @@ class ThreadDriver:
         "ctx",
         "core_stats",
         "_core",
-        "_line_bytes",
         "_addrs",
         "_kinds",
         "_demand",
@@ -106,7 +105,6 @@ class ThreadDriver:
         self.ctx = context
         self.core_stats = core_stats
         core = self._core = hierarchy.cores[context.core_id]
-        self._line_bytes = core.l1_array.line_bytes
         freq_ghz = hierarchy.machine.frequency_ghz
         trace = context.trace
         self._addrs, self._kinds, self._gaps = trace.issue_columns()
@@ -167,10 +165,8 @@ class ThreadDriver:
         # Prefetches are non-blocking: they never enter the window, so
         # their completion must not decrement in_flight.
         on_complete = self._on_complete if is_demand else self._on_prefetch_done
-        addr = self._addrs[i]
-        line = (addr // self._line_bytes) * self._line_bytes
         issued = self.hierarchy.issue_access(
-            self._core, addr, line, self._kinds[i], on_complete
+            self._core, self._addrs[i], self._kinds[i], on_complete
         )
         if not issued:
             # L1 MSHR file full: record stall and retry when one frees.
@@ -327,7 +323,10 @@ class ThreadDriver:
 
             l1_sets = core.l1_array.set_index_batch(lines)
             r = run_length(
-                conflict_free(t, l1_sets, hit, l1_sets[miss_pos], f1_miss)
+                conflict_free(
+                    t, l1_sets, hit, l1_sets[miss_pos], f1_miss,
+                    core.l1_array.num_sets,
+                )
             )
             if r < cut:
                 cut = r
@@ -336,7 +335,10 @@ class ThreadDriver:
             l2_check = np.zeros(k, dtype=bool)
             l2_check[l2h_pos] = True
             r = run_length(
-                conflict_free(t, l2_sets, l2_check, l2_sets[l2m_pos], c)
+                conflict_free(
+                    t, l2_sets, l2_check, l2_sets[l2m_pos], c,
+                    core.l2_array.num_sets,
+                )
             )
             if r < cut:
                 cut = r

@@ -239,20 +239,19 @@ class Hierarchy:
         self,
         core: _CoreSlice,
         addr: int,
-        line: int,
         kind: AccessKind,
         on_complete: Callable[[], None],
     ) -> bool:
-        """Issue one access; returns False if the L1 MSHR file is full.
+        """Issue one access on ``core``; returns False if its L1 MSHRs are full.
 
         Takes the access fields directly (no ``Access`` object) so the
-        core's array-indexed issue loop stays allocation-free: the
-        driver passes its own core slice and the access's ``line``
-        (``core.l1_array.line_of(addr)``, computed inline).
-        ``on_complete`` fires when the access retires from the core's
-        perspective (data in L1 for demand; immediately for software
-        prefetches, which are non-blocking).
+        core's array-indexed issue loop stays allocation-free; the
+        driver passes its own core slice.  ``on_complete`` fires when
+        the access retires from the core's perspective (data in L1 for
+        demand; immediately for software prefetches, which are
+        non-blocking).
         """
+        line = core.l1_array.line_of(addr)
         # Address translation first: a TLB miss issues a page-walk
         # memory read, and the demand access proceeds only once the PTE
         # arrives.  Walk traffic lands in the demand-read bandwidth

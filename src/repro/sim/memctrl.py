@@ -215,7 +215,9 @@ class MemoryController:
         its loaded latency and its completion time are all fixed the
         moment it is made.  :meth:`_admit` settles the admission at once
         and schedules ``on_complete`` at ``admit + latency``, the one
-        engine event of the request.
+        engine event of the request.  The completion's tie-break
+        sequence number is drawn now, not at the slot: see
+        :meth:`_admit` for the one ordering this changes.
         """
         now = self.engine.now
         admit = max(now, self._next_free_ns)
@@ -249,10 +251,23 @@ class MemoryController:
     ) -> None:
         """Record one admission at ``admit_ns`` and schedule its completion.
 
-        Exact although it runs at request time, not at ``admit_ns``:
-        admissions rise strictly in request order, so the deque holds
-        exactly the admissions at or before ``admit_ns``, trimmed at the
-        same cutoff, and the stats adds happen in admission order.
+        The admission itself is exact although it runs at request time,
+        not at ``admit_ns``: admissions rise strictly in request order,
+        so the deque holds exactly the admissions at or before
+        ``admit_ns``, trimmed at the same cutoff, and the stats adds
+        happen in admission order.  The completion lands at the same
+        float time as when an event at ``admit_ns`` scheduled it.
+
+        Its tie-break sequence number does not: it is drawn at request
+        time, so it precedes every event scheduled between the request
+        and ``admit_ns``.  An event of that kind (the issuing core's next
+        attempt, say) that lands at exactly ``admit + latency`` now fires
+        after the completion, where it used to fire before it; a load of
+        a line an L2 prefetch has in flight then hits in the L2 instead
+        of merging as a late prefetch hit.  Only an exact float tie does
+        this; none occurs in the benchmark's simulations (see
+        ``benchmarks/parity.py``), and ``tests/test_sim_admission.py``
+        pins a constructed one.
         """
         self._note_admission(admit_ns, self.line_bytes)
         # utilization() at the admission time, without its second

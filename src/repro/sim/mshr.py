@@ -177,7 +177,8 @@ class MshrFile:
                 raise SimulationError(
                     f"{self.name}: batch allocation times must be nondecreasing"
                 )
-            if len(np.unique(line_addrs)) != n:
+            sorted_lines = np.sort(line_addrs)
+            if (sorted_lines[1:] == sorted_lines[:-1]).any():
                 raise SimulationError(
                     f"{self.name}: duplicate line in batch allocation"
                 )
@@ -218,7 +219,11 @@ class MshrFile:
             raise SimulationError(
                 f"{self.name}: batch release at or before its allocation"
             )
-        if len(np.intersect1d(alloc_times, times_ns)):
+        order = np.argsort(times_ns, kind="stable")
+        release_t = times_ns[order]
+        pos = np.searchsorted(release_t, alloc_times)
+        np.minimum(pos, n - 1, out=pos)
+        if (release_t[pos] == alloc_times).any():
             raise SimulationError(
                 f"{self.name}: allocation/release time collision in batch"
             )
@@ -226,8 +231,7 @@ class MshrFile:
             raise SimulationError(
                 f"{self.name}: batch release with stalled waiters pending"
             )
-        order = np.argsort(times_ns, kind="stable")
-        merged_t = np.concatenate([alloc_times, times_ns[order]])
+        merged_t = np.concatenate([alloc_times, release_t])
         merged_delta = np.empty(2 * n, dtype=np.int64)
         merged_delta[:n] = 1
         merged_delta[n:] = -1

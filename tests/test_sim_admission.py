@@ -7,9 +7,12 @@ completion time are fixed when the request is made, and
 ``request`` scheduled an admission event at the slot time and that
 event noted the admission, read the curve and scheduled the completion.
 Every observable must match, and the event count must drop by exactly
-one per admission made through ``request``.
+one per admission made through ``request``.  The one exception is an
+exact float tie, pinned below: the completion's tie-break sequence
+number is now drawn at request time, not at the slot.
 """
 
+import math
 import os
 import random
 from functools import partial
@@ -169,3 +172,54 @@ def test_conflict_trace_reaches_writebacks_and_batches():
         assert stats.memory.requests - stats.memory.latency_count > 0
         stats = _check_equivalent(6, 308, 1, 1, 0.0, 0.995, True, True)
         assert stats.batch_miss_accesses > 0
+
+
+def _prefetch_then_load(gap_cycles):
+    """An L2 software prefetch of one line, then a load of the same line."""
+    swpf, load = (KIND_CODES[k] for k in (AccessKind.SWPF_L2, AccessKind.LOAD))
+    run = AccessColumns(
+        np.array([0x10000, 0x10000]),
+        np.array([swpf, load]),
+        np.array([0.0, gap_cycles]),
+    )
+    return columnar_trace([run], routine="tie", line_bytes=SKL.line_bytes)
+
+
+def test_exact_tie_with_next_issue_fires_completion_first():
+    # The prefetch's request is made at t=0 on an idle controller.  The
+    # load's issue attempt, scheduled right after that request, lands
+    # at exactly the request's completion time, admit + latency.  With
+    # an admission event the completion's sequence number was drawn at
+    # the slot, after the attempt's, so the load found the prefetch in
+    # flight (a late prefetch hit).  Drawn at request time, it comes
+    # first, and the load hits in the L2.  Nudged off the tie, both
+    # forms agree.
+    config = SimConfig(
+        machine=SKL, sim_cores=1, batch=False, hw_prefetch=False, tlb_entries=0
+    )
+    with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "0"}):
+        probe = Hierarchy(config)
+        fired = []
+        probe.memctrl.request(False, True, lambda: fired.append(probe.engine.now))
+        probe.engine.run()
+        (completion_ns,) = fired
+
+        freq = SKL.frequency_ghz
+        gap = completion_ns * freq
+        while gap / freq != completion_ns:
+            gap = math.nextafter(gap, math.inf if gap / freq < completion_ns else 0.0)
+        tied = _prefetch_then_load(gap)
+        one = Hierarchy(config).run(tied)
+        two, controller = run_two_event(tied, config)
+        assert controller.scalar_admissions == 1
+        assert (two.l2.late_prefetch_hits, two.l2.hits) == (1, 0)
+        assert (one.l2.late_prefetch_hits, one.l2.hits) == (0, 1)
+
+        later = gap
+        while later / freq <= completion_ns:
+            later = math.nextafter(later, math.inf)
+        untied = _prefetch_then_load(later)
+        one = Hierarchy(config).run(untied)
+        two, _ = run_two_event(untied, config)
+        assert one.fingerprint() == two.fingerprint()
+        assert (one.l2.late_prefetch_hits, one.l2.hits) == (0, 1)

@@ -9,7 +9,10 @@ every simulation of the benchmark's ``sim_cold`` and ``sim_batch`` op
 lists twice: once as the op configures it (batch paths on) and once
 with both batch paths off.  It diffs the ``SimStats.to_dict()``
 documents field by field and prints one line per difference.  It exits
-1 on any difference and 0 when every simulation is identical.
+1 on any difference and 0 when every simulation is identical.  It also
+prints each side's host-side tallies summed over its runs (events
+fired, wakeups run in place, batched accesses, batch fallbacks by
+reason): information only, they never decide the exit code.
 
 Run ``python3 benchmarks/parity.py [--base REV] [--seed 1] [--sanitize]``
 (``--base`` defaults to ``HEAD``; ``--sanitize`` runs both sides under
@@ -28,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
@@ -119,6 +123,28 @@ def diff_runs(base: list, new: list, ignored: Iterable[str]) -> list:
     return lines
 
 
+#: Host-side count fields :func:`tallies` sums (absent counts as 0).
+TALLY_FIELDS = (
+    "events_fired",
+    "wakeups_in_place",
+    "batch_accesses",
+    "batch_miss_accesses",
+)
+
+
+def tallies(runs: list) -> dict:
+    """One side's host-side tallies, summed over its :func:`collect` runs."""
+    total = dict.fromkeys(TALLY_FIELDS, 0)
+    fallbacks: Counter = Counter()
+    for run in runs:
+        stats = run["stats"]
+        for field in TALLY_FIELDS:
+            total[field] += stats.get(field, 0)
+        fallbacks.update(stats.get("batch_fallbacks", {}))
+    total["batch_fallbacks"] = dict(sorted(fallbacks.items()))
+    return total
+
+
 def main(argv: list | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
@@ -156,6 +182,8 @@ def main(argv: list | None = None) -> int:
     lines = diff_runs(runs["base"], runs["new"], _NON_SEMANTIC_FIELDS)
     for line in lines:
         print(line)
+    for side in ("base", "new"):
+        print(f"{side} tallies: {json.dumps(tallies(runs[side]))}")
     mode = " under REPRO_SANITIZE=1" if args.sanitize else ""
     verdict = f"{len(lines)} difference(s)" if lines else "identical"
     print(

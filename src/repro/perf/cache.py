@@ -105,6 +105,9 @@ TALLIES_FILE = "tallies.jsonl"
 #: instance on a slower path, about 3x per load.
 _MEMOIZED = (MachineSpec, SimConfig)
 _MEMO_ATTR = "_canonical_form"
+#: A config's serialized form, kept beside its canonical form by
+#: :func:`digest_for` (read with ``getattr`` too).
+_MEMO_JSON_ATTR = "_canonical_json"
 
 
 def _canonical(obj: Any) -> Any:
@@ -141,18 +144,18 @@ def _canonical_fields(obj: Any) -> dict:
     }
 
 
+def _dumps(form: Any) -> str:
+    """The canonical JSON text of an already canonical form."""
+    return json.dumps(form, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def stable_digest(payload: Any) -> str:
     """SHA-256 hex digest of ``payload`` in canonical JSON form.
 
     Dict key order never matters: serialization sorts keys at every
     nesting level.
     """
-    doc = json.dumps(
-        _canonical(payload),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    doc = _dumps(_canonical(payload))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -172,15 +175,26 @@ def digest_for(
     config field holding an arbitrary object) cannot be canonicalized;
     callers should then run uncached rather than risk a wrong key.
     """
-    return stable_digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "repro_version": __version__,
-            "config": config,
-            "trace": trace_digest(trace),
-            "max_events": max_events,
-        }
+    # The bytes stable_digest would hash for the document {"schema",
+    # "repro_version", "config", "trace", "max_events"}: "config" sorts
+    # first, so the document is the config's serialized form, which the
+    # config keeps after its first digest, spliced ahead of the others.
+    config_json = getattr(config, _MEMO_JSON_ATTR, None)
+    if config_json is None:
+        config_json = _dumps(_canonical(config))
+        object.__setattr__(config, _MEMO_JSON_ATTR, config_json)
+    rest = _dumps(
+        _canonical(
+            {
+                "schema": SCHEMA_VERSION,
+                "repro_version": __version__,
+                "trace": trace_digest(trace),
+                "max_events": max_events,
+            }
+        )
     )
+    doc = '{"config":' + config_json + "," + rest[1:]
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 # -- the cache proper -----------------------------------------------------------

@@ -255,9 +255,6 @@ class ThreadDriver:
         stats = hierarchy.stats
         engine = self.engine
 
-        stop = min(self._n, start + BATCH_LOOKAHEAD)
-        lines = self._lines_arr[start:stop]
-        hit = core.l1_array.probe_batch(lines)
         misses_allowed = False
         if self._batch_miss:
             if engine.pending():
@@ -266,6 +263,27 @@ class ThreadDriver:
                 stats.note_batch_fallback("dirty")
             else:
                 misses_allowed = True
+        if not misses_allowed:
+            # Only a run of demand L1 hits can engage.  Settle its first
+            # MIN_BATCH accesses with scalar probes before the numpy work
+            # below, declining exactly where that work would.  A probe
+            # reads membership only, which queued touches leave exact.
+            end = start + MIN_BATCH
+            l1 = core.l1_array
+            if (
+                end > self._n
+                or not all(self._demand[start:end])
+                or not all(
+                    l1.probe(line)  # repro: noqa[BARRIER001]
+                    for line in self._lines_arr[start:end].tolist()
+                )
+            ):
+                self._skip_until = start + BATCH_BACKOFF
+                return 0
+
+        stop = min(self._n, start + BATCH_LOOKAHEAD)
+        lines = self._lines_arr[start:stop]
+        hit = core.l1_array.probe_batch(lines)
         ok = self._demand_arr[start:stop]
         if not misses_allowed:
             ok = ok & hit

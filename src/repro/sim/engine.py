@@ -12,12 +12,20 @@ it is written for CPython speed: ``__slots__``, a plain integer
 sequence counter, and method-local bindings of the heap primitives.
 The optimizations are observationally invisible — the ``(time, seq)``
 ordering contract is unchanged bit-for-bit.
+
+Zero-delay wakeups (the waiters an L1 fill releases) go through
+:meth:`Engine.wake`, which runs them in place, without a heap round
+trip, whenever they would have been the next events to fire anyway:
+no queued event is due at the current instant.  Otherwise it schedules
+them.  Either way they run in the same order against every other
+event; a wakeup run in place is counted in
+:attr:`Engine.wakeups_in_place`, not in :attr:`Engine.events_fired`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -29,7 +37,15 @@ _INF = float("inf")
 class Engine:
     """Deterministic discrete-event loop with ns time."""
 
-    __slots__ = ("_queue", "_seq", "_now", "_running", "_events_fired", "_sanitizer")
+    __slots__ = (
+        "_queue",
+        "_seq",
+        "_now",
+        "_running",
+        "_events_fired",
+        "_in_place",
+        "_sanitizer",
+    )
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callback]] = []
@@ -37,6 +53,7 @@ class Engine:
         self._now = 0.0
         self._running = False
         self._events_fired = 0
+        self._in_place = 0
         #: Optional :class:`repro.analysis.sanitizer.RunSanitizer` hook;
         #: when set, every fired event's time is invariant-checked.
         self._sanitizer = None
@@ -50,6 +67,11 @@ class Engine:
     def events_fired(self) -> int:
         """Total events executed so far (for loop-bound guards)."""
         return self._events_fired
+
+    @property
+    def wakeups_in_place(self) -> int:
+        """Callbacks :meth:`wake` ran in place instead of scheduling."""
+        return self._in_place
 
     def schedule(self, delay_ns: float, callback: Callback) -> None:
         """Schedule ``callback`` to run ``delay_ns`` from now."""
@@ -73,6 +95,27 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (time_ns, seq, callback))
+
+    def wake(self, callbacks: Sequence[Callback]) -> None:
+        """Fire ``callbacks`` as if each were scheduled with zero delay, in order.
+
+        The caller must be an event that does nothing else after this
+        call.  While the engine runs and no queued event is due at the
+        current instant (the queue is empty or its head lies later),
+        the callbacks would be the next events to fire, in this order,
+        and anything one of them schedules would draw a later sequence
+        number than all of them.  So they run here at once, and are
+        counted in :attr:`wakeups_in_place` instead of
+        :attr:`events_fired`.  Otherwise each is scheduled.
+        """
+        queue = self._queue
+        if self._running and not (queue and queue[0][0] <= self._now):
+            self._in_place += len(callbacks)
+            for callback in callbacks:
+                callback()
+            return
+        for callback in callbacks:
+            self.schedule(0.0, callback)
 
     def run(
         self,

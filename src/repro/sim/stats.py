@@ -31,13 +31,15 @@ from typing import Any, Dict, List
 
 #: SimStats fields excluded from :meth:`SimStats.fingerprint` — execution
 #: artifacts that legitimately differ between bit-identical simulations:
-#: wall-clock cost is a host property, and the engine event count /
-#: batch-stepped access counts / fallback tallies describe *how* the run
-#: was executed (the batch fast path collapses many per-access events
-#: into vectorized steps) rather than what the simulated machine did.
+#: wall-clock cost is a host property, and the engine event and in-place
+#: wakeup counts / batch-stepped access counts / fallback tallies
+#: describe *how* the run was executed (the batch fast path collapses
+#: many per-access events into vectorized steps) rather than what the
+#: simulated machine did.
 _NON_SEMANTIC_FIELDS = (
     "wall_s",
     "events_fired",
+    "wakeups_in_place",
     "batch_accesses",
     "batch_miss_accesses",
     "batch_fallbacks",
@@ -241,6 +243,11 @@ class SimStats:
     #: (excluded from :meth:`fingerprint`): the batch fast path performs
     #: the same physics with far fewer events.
     events_fired: int = 0
+    #: Zero-delay wakeups the engine ran in place instead of firing as
+    #: events (:meth:`repro.sim.engine.Engine.wake`); not counted in
+    #: :attr:`events_fired`.  Execution observable, excluded from
+    #: :meth:`fingerprint`.
+    wakeups_in_place: int = 0
     #: Accesses retired through the batch-stepping fast path (execution
     #: observable, excluded from :meth:`fingerprint`; 0 on the pure
     #: event path).
@@ -354,6 +361,7 @@ class SimStats:
             hw_prefetches_issued=doc["hw_prefetches_issued"],
             sw_prefetches_issued=doc["sw_prefetches_issued"],
             events_fired=doc.get("events_fired", 0),
+            wakeups_in_place=doc.get("wakeups_in_place", 0),
             batch_accesses=doc.get("batch_accesses", 0),
             batch_miss_accesses=doc.get("batch_miss_accesses", 0),
             batch_fallbacks=dict(doc.get("batch_fallbacks", {})),

@@ -78,3 +78,17 @@ def test_missing_simulation_is_reported(parity):
         "b#0 batch=on: no such simulation on the new side",
         "c#0 batch=on: no such simulation on the base side",
     ]
+
+
+def test_tallies_sum_each_side(parity):
+    runs = [
+        _run("a", True, batch_accesses=5, batch_fallbacks={"tie": 1, "dirty": 2}),
+        _run("a", False, wakeups_in_place=3, batch_fallbacks={"tie": 4}),
+    ]
+    assert parity.tallies(runs) == {
+        "events_fired": 40,
+        "wakeups_in_place": 3,
+        "batch_accesses": 5,
+        "batch_miss_accesses": 0,
+        "batch_fallbacks": {"dirty": 2, "tie": 5},
+    }

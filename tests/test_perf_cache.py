@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import __version__
 from repro.machines import get_machine
 from repro.perf.cache import (
+    SCHEMA_VERSION,
     SimCache,
     cached_run_trace,
     digest_for,
     stable_digest,
 )
 from repro.sim import SimConfig, run_trace, trace_from_addresses
+from repro.sim.coltrace import trace_digest
 from repro.xmem.kernels import throughput_trace
 
 
@@ -207,6 +210,26 @@ class TestCanonicalMemo:
         order = twins if int_first else twins[::-1]
         digests = [digest_for(_MEMO_TRACE, c) for c in order]
         assert digests[0] != digests[1]  # ... but never one cache entry
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sim_configs(), st.sampled_from([50_000_000, 1, 10**12]))
+    def test_digest_for_hashes_the_stable_digest_document(self, drawn, max_events):
+        # digest_for splices the JSON a config keeps after its first
+        # digest into its document: the bytes must stay stable_digest's,
+        # on the first lookup and on warm ones.
+        name, kwargs = drawn
+        config = SimConfig(machine=get_machine(name), **kwargs)
+        expected = stable_digest(
+            {
+                "schema": SCHEMA_VERSION,
+                "repro_version": __version__,
+                "config": dataclasses.replace(config),
+                "trace": trace_digest(_MEMO_TRACE),
+                "max_events": max_events,
+            }
+        )
+        for _ in range(2):
+            assert digest_for(_MEMO_TRACE, config, max_events=max_events) == expected
 
     def test_pickled_config_keeps_its_digest(self, skl_inputs):
         trace, config = skl_inputs

@@ -109,3 +109,55 @@ class TestRunLimits:
             engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.events_fired == 5
+
+
+class TestWake:
+    """``Engine.wake`` fires zero-delay callbacks in place only when exact."""
+
+    @staticmethod
+    def _fill(engine, order):
+        def fill():
+            order.append("fill")
+            engine.wake([lambda: order.append("w1"), lambda: order.append("w2")])
+
+        return fill
+
+    def test_runs_in_place_when_nothing_else_is_due(self):
+        engine = Engine()
+        order = []
+        engine.schedule(1.0, self._fill(engine, order))
+        engine.schedule(2.0, lambda: order.append("later"))
+        engine.run()
+        assert order == ["fill", "w1", "w2", "later"]
+        assert (engine.events_fired, engine.wakeups_in_place) == (2, 2)
+
+    def test_event_due_now_fires_first(self):
+        engine = Engine()
+        order = []
+        engine.schedule(1.0, self._fill(engine, order))
+        engine.schedule(1.0, lambda: order.append("tied"))
+        engine.run()
+        assert order == ["fill", "tied", "w1", "w2"]
+        assert (engine.events_fired, engine.wakeups_in_place) == (4, 0)
+
+    def test_zero_delay_events_of_a_wakeup_follow_every_wakeup(self):
+        engine = Engine()
+        order = []
+
+        def w1():
+            order.append("w1")
+            engine.schedule(0.0, lambda: order.append("child"))
+
+        engine.schedule(1.0, lambda: engine.wake([w1, lambda: order.append("w2")]))
+        engine.run()
+        assert order == ["w1", "w2", "child"]
+        assert (engine.events_fired, engine.wakeups_in_place) == (2, 2)
+
+    def test_outside_run_schedules(self):
+        engine = Engine()
+        order = []
+        engine.wake([lambda: order.append("w")])
+        assert order == [] and engine.pending() == 1
+        engine.run()
+        assert order == ["w"]
+        assert engine.wakeups_in_place == 0

@@ -30,7 +30,7 @@ from repro.xmem.runner import XMemConfig, XMemRunner
 FAST_SPEEDUP_FLOOR = 100.0
 
 MACHINE = "skl"
-SWEEP = XMemConfig(levels=6, accesses_per_thread=1500, batch=False)
+SWEEP = XMemConfig(levels=6, accesses_per_thread=1500)
 
 
 def _fast_answer(machine, probes):

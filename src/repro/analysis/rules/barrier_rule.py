@@ -1,21 +1,21 @@
 """BARRIER — deferred-replay barriers before scalar residency reads.
 
-PR 5's batch fast path queues :meth:`touch_batch` runs on
-:class:`~repro.sim.cache.CacheArray` and :class:`~repro.sim.tlb.Tlb`
-instead of reordering LRU lists immediately; the queued runs replay on
-the next :meth:`flush_batch` (or any self-flushing mutator).  Between a
+The batch fast path queues :meth:`touch_batch` runs on
+:class:`~repro.sim.cache.CacheArray` instead of reordering LRU lists
+immediately; the queued runs replay on the next :meth:`flush_batch`
+(or any self-flushing mutator).  Between a
 touch and its flush, the *membership* of each set is exact but the
 *recency order* is stale — so any scalar read of residency state taken
 in that window silently observes pre-batch LRU order.  ``probe_batch``
 is exempt (membership-only by contract), but scalar reads are not:
 
 * **BARRIER001** — a scalar residency read (``.probe(...)``,
-  ``.resident_lines()``, ``.lru_state()``, ``.resident_pages``, or a
-  direct ``._sets`` / ``._pages`` peek) whose receiver is not provably
-  flushed on **every** path from function entry.  A receiver is
-  flushed by ``.flush_batch()`` or by the self-flushing mutators
-  ``.access()`` / ``.fill()`` / ``.invalidate()``; the fact is killed
-  by ``.touch_batch()`` and by rebinding the receiver's root name.
+  ``.resident_lines()``, ``.lru_state()``, or a direct ``._sets``
+  peek) whose receiver is not provably flushed on **every** path from
+  function entry.  A receiver is flushed by ``.flush_batch()`` or by
+  the self-flushing mutators ``.access()`` / ``.fill()`` /
+  ``.invalidate()``; the fact is killed by ``.touch_batch()`` and by
+  rebinding the receiver's root name.
 
 The check is a forward must-facts dataflow pass (branches intersect,
 loop bodies run to a conservative two-pass fixpoint, ``except``
@@ -23,8 +23,8 @@ handlers assume nothing), built on
 :class:`repro.analysis.core.FunctionDataflow`.  It is intraprocedural:
 a flush performed by a callee does not count, which is the intended
 contract — the barrier must be visible in the function that reads.
-The batch machinery itself (``cache.py``, ``tlb.py``, ``batch.py``) is
-out of scope: those files *implement* the pending queue and must read
+The batch machinery itself (``cache.py``, ``batch.py``) is out of
+scope: those files *implement* the pending queue and must read
 around it.
 """
 
@@ -46,10 +46,10 @@ _STALING_CALLS = frozenset({"touch_batch"})
 _READ_CALLS = frozenset({"probe", "resident_lines", "lru_state"})
 
 #: Scalar residency reads spelled as attribute access.
-_READ_ATTRS = frozenset({"resident_pages", "_sets", "_pages"})
+_READ_ATTRS = frozenset({"_sets"})
 
 #: Files that implement the deferred-replay machinery itself.
-_EXEMPT_FILES = frozenset({"cache.py", "tlb.py", "batch.py"})
+_EXEMPT_FILES = frozenset({"cache.py", "batch.py"})
 
 
 def _root_name(node: ast.expr) -> Optional[str]:
@@ -122,8 +122,8 @@ class BarrierRule(Rule):
     prefix = "BARRIER"
     name = "replay-barrier"
     description = (
-        "scalar residency reads (.probe/.resident_lines/.lru_state/"
-        ".resident_pages) in repro.sim must be preceded by flush_batch() "
+        "scalar residency reads (.probe/.resident_lines/.lru_state) "
+        "in repro.sim must be preceded by flush_batch() "
         "on all paths (BARRIER001)"
     )
 

@@ -17,7 +17,7 @@ LRU replay, and enforces:
   ``allocate_batch`` / ``request_batch``), so batched-miss runs are
   checked with the same invariants and tolerances as scalar ones;
 * **batch-replay** — at every ``flush_batch`` the deferred LRU replay
-  must leave ``CacheArray``/``Tlb`` state *identical* to a scalar
+  must leave ``CacheArray`` state *identical* to a scalar
   re-execution of the queued runs (the fast path's core contract), and
   after every ``fill_batch`` the sorted resident table ``probe_batch``
   reads must equal the sorted tags of the array's sets;
@@ -69,7 +69,6 @@ from ..errors import SanitizerError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.cache import CacheArray
     from ..sim.hierarchy import Hierarchy
-    from ..sim.tlb import Tlb
 
 __all__ = [
     "REL_TOL",
@@ -79,7 +78,6 @@ __all__ = [
     "sanitize_window_ns",
     "QueueAudit",
     "CacheReplayChecker",
-    "TlbReplayChecker",
     "SanitizerReport",
     "RunSanitizer",
     "last_report",
@@ -411,57 +409,6 @@ class CacheReplayChecker:
             )
 
 
-class TlbReplayChecker:
-    """The :class:`CacheReplayChecker` analogue for the fully-assoc TLB."""
-
-    __slots__ = ("tlb", "runner", "_snapshot", "_runs", "checks")
-
-    def __init__(self, tlb: "Tlb", runner: "RunSanitizer") -> None:
-        self.tlb = tlb
-        self.runner = runner
-        self._snapshot: Optional[List[int]] = None
-        self._runs: List[List[int]] = []
-        self.checks = 0
-
-    def on_touch(self, addrs: Any) -> None:
-        """A verified all-hit run was queued for deferred replay."""
-        if self._snapshot is None:
-            self._snapshot = list(self.tlb._pages)
-        self._runs.append(addrs.tolist())
-
-    def on_flush(self) -> None:
-        """The queued runs were replayed; verify against scalar semantics."""
-        if self._snapshot is None:
-            return
-        reference = self._snapshot
-        runs, self._runs, self._snapshot = self._runs, [], None
-        tlb = self.tlb
-        for addrs in runs:
-            for addr in addrs:
-                page = addr // tlb.page_bytes
-                try:
-                    reference.remove(page)
-                except ValueError:
-                    self.runner.violate(
-                        "batch-replay",
-                        f"TLB: batched touch of non-resident page {page:#x}",
-                        snapshot={"page": page},
-                    )
-                    return
-                reference.append(page)
-        self.checks += 1
-        if reference != tlb._pages:
-            self.runner.violate(
-                "batch-replay",
-                "TLB: deferred LRU replay diverged from scalar re-execution",
-                snapshot={
-                    "want_mru_tail": reference[-8:],
-                    "got_mru_tail": tlb._pages[-8:],
-                    "runs_replayed": len(runs),
-                },
-            )
-
-
 @dataclass(slots=True)
 class SanitizerReport:
     """Everything one sanitized run checked, and how it came out."""
@@ -553,7 +500,7 @@ class RunSanitizer:
         hierarchy.memctrl._audit = self
 
         self.mshr_audits: List[Tuple[Any, QueueAudit]] = []
-        self.replay_checkers: List[Any] = []
+        self.replay_checkers: List[CacheReplayChecker] = []
         for core in hierarchy.cores:
             for mshr in (core.l1_mshr, core.l2_mshr):
                 audit = QueueAudit(
@@ -565,10 +512,6 @@ class RunSanitizer:
                 checker = CacheReplayChecker(array, self)
                 array._sanitizer = checker
                 self.replay_checkers.append(checker)
-            if core.tlb is not None:
-                tlb_checker = TlbReplayChecker(core.tlb, self)
-                core.tlb._sanitizer = tlb_checker
-                self.replay_checkers.append(tlb_checker)
 
     # -- hot hooks --------------------------------------------------------------
 
@@ -626,8 +569,6 @@ class RunSanitizer:
         # this cannot perturb the fingerprint.
         for core in self.hierarchy.cores:
             core.l1_array.flush_batch()
-            if core.tlb is not None:
-                core.tlb.flush_batch()
 
         self._check_mshr_files(stats, end_ns)
         self._check_memctrl(stats, end_ns)

@@ -95,9 +95,9 @@ def _print_batch_notice(args: argparse.Namespace, stats: "object") -> None:
     A zero-batched-fraction run is otherwise silent (the paths are
     bit-identical by contract), so surface *why*: per-reason fallback
     counts from :attr:`~repro.sim.stats.SimStats.batch_fallbacks`
-    (``smt`` = batch disabled wholesale, ``handoff``/``mshr_pressure``/
-    … = individual runs replayed through the event engine; reason table
-    in docs/PERFORMANCE.md).
+    (``smt`` or ``tlb`` = batch disabled wholesale for an SMT or TLB
+    run, ``handoff``/``mshr_pressure``/… = individual runs replayed
+    through the event engine; reason table in docs/PERFORMANCE.md).
     """
     if not getattr(args, "verbose", False):
         return
@@ -184,7 +184,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 profile.save(args.out)
                 print(f"saved to {args.out}")
             return 0
-    config = XMemConfig(levels=args.levels, batch=args.batch)
+    config = XMemConfig(levels=args.levels)
     start = time.perf_counter()
     profile = characterize_machine(machine, config, jobs=args.jobs)
     wall = time.perf_counter() - start
@@ -354,7 +354,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sim_cores=cores,
             window_per_core=args.window,
             batch=args.batch,
-            batch_miss=args.batch_miss,
         ),
     )
     print(
@@ -654,18 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical but the run bypasses the sim cache)",
     )
 
-    # The batch fast-path switch, for the commands that read it.
-    batch_flag = argparse.ArgumentParser(add_help=False)
-    batch_flag.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batch-stepping fast path: retire provably interaction-free "
-        "runs of accesses in vectorized steps and replay everything else "
-        "through the event engine (--no-batch forces the pure event "
-        "engine; docs/PERFORMANCE.md lists when results are bit-identical)",
-    )
-
     sub.add_parser("machines", help="list modeled platforms").set_defaults(
         func=_cmd_machines
     )
@@ -673,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_char = sub.add_parser(
         "characterize",
         help="measure a latency profile",
-        parents=[perf_flags, batch_flag],
+        parents=[perf_flags],
     )
     p_char.add_argument("--machine", required=True, choices=machine_names())
     p_char.add_argument("--levels", type=int, default=12, help="load levels")
@@ -741,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate",
         help="run a workload trace on the simulator and analyze it",
-        parents=[perf_flags, batch_flag],
+        parents=[perf_flags],
     )
     p_sim.add_argument("--machine", required=True, choices=machine_names())
     p_sim.add_argument(
@@ -766,12 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
         "with --trace)",
     )
     p_sim.add_argument(
-        "--batch-miss",
+        "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="let batched runs hold L1 misses, whose MSHR and memory "
-        "service replays closed-form (requires --batch; --no-batch-miss "
-        "limits batched runs to L1 hits)",
+        help="batch-stepping fast path: retire provably interaction-free "
+        "runs of accesses in vectorized steps and replay everything else "
+        "through the event engine (--no-batch forces the pure event "
+        "engine; docs/PERFORMANCE.md lists when results are bit-identical)",
     )
     p_sim.add_argument("--accesses", type=int, default=3000, help="per thread")
     p_sim.add_argument("--window", type=int, default=14, help="per-core window")

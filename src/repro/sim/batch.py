@@ -44,10 +44,11 @@ each bit-identical to the scalar path:
   instead of dropping it for a rebuild on the next probe.
 
 The caller is responsible for the *quiescence* preconditions: no stall
-in progress, zero outstanding demand accesses, empty L1/L2 MSHR files,
-and no page walks in flight.  Under those conditions no queued event
-can mutate the core's L1/TLB residency while the run is in progress,
-so snapshot probes and aggregate LRU replay are exact.  A run that
+in progress, zero outstanding demand accesses, and empty L1/L2 MSHR
+files.  Under those conditions no queued event can mutate the core's
+L1 residency while the run is in progress, so snapshot probes and
+aggregate LRU replay are exact.  Runs with SMT or a TLB never batch
+(the hierarchy turns the planner off for the whole run).  A run that
 holds misses further requires an empty event queue, so nothing can
 observe or perturb the shared memory controller mid-run.
 

@@ -86,7 +86,6 @@ class ThreadDriver:
         "_skip_until",
         "_l1_hit_ns",
         "_l2_hit_ns",
-        "_addr_arr",
         "_lines_arr",
         "_writes_arr",
         "_gap_arr",
@@ -125,7 +124,6 @@ class ThreadDriver:
         self._san = hierarchy.sanitizer
         if self._batch:
             self._batch_miss = hierarchy.batch_miss_enabled
-            self._addr_arr = addr_arr
             self._demand_arr = demand_arr
             self._lines_arr = core.l1_array.line_of_batch(addr_arr)
             self._writes_arr = kind_arr == KIND_CODES[AccessKind.STORE]
@@ -133,7 +131,7 @@ class ThreadDriver:
             self._gaps_ns_arr = gaps_ns_arr
         else:
             self._batch_miss = False
-            self._addr_arr = self._demand_arr = None
+            self._demand_arr = None
             self._lines_arr = self._writes_arr = None
             self._gap_arr = self._gaps_ns_arr = None
 
@@ -208,10 +206,10 @@ class ThreadDriver:
         Returns the number of accesses retired (0 = conditions not met;
         the caller falls through to the per-event path).  Engagement
         requires a quiescent core — no stall in progress, zero
-        outstanding demand accesses, empty L1/L2 MSHR files, no page
-        walks in flight — so nothing outside the run can mutate this
-        core's L1/TLB residency mid-run; see :mod:`repro.sim.batch` and
-        docs/PERFORMANCE.md for the argument.
+        outstanding demand accesses, empty L1/L2 MSHR files — so
+        nothing outside the run can mutate this core's L1 residency
+        mid-run; see :mod:`repro.sim.batch` and docs/PERFORMANCE.md for
+        the argument.
 
         A run of L1 hits is a run with zero misses, so one planner
         serves both.  A run may contain L1 misses only when miss
@@ -250,7 +248,7 @@ class ThreadDriver:
             return 0
         hierarchy = self.hierarchy
         core = self._core
-        if core.l1_mshr.entries or core.l2_mshr.entries or core.walks_in_flight:
+        if core.l1_mshr.entries or core.l2_mshr.entries:
             return 0
         stats = hierarchy.stats
         engine = self.engine
@@ -287,8 +285,6 @@ class ThreadDriver:
         ok = self._demand_arr[start:stop]
         if not misses_allowed:
             ok = ok & hit
-        if core.tlb is not None:
-            ok = ok & core.tlb.probe_batch(self._addr_arr[start:stop])
         # A run may hold stores or misses, never both: a store dirties a
         # line that an in-run fill could evict.
         writes = self._writes_arr[start:stop]
@@ -498,8 +494,6 @@ class ThreadDriver:
             stats.l2.hits += len(l2h)
             stats.l2.misses += n_l2m
             stats.batch_miss_accesses += k
-        if core.tlb is not None:
-            core.tlb.touch_batch(self._addr_arr[start:end])
 
         stats.l1.hits += k - n_miss
         stats.batch_accesses += k

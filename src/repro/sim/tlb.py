@@ -22,9 +22,7 @@ large-page mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from ..errors import SimulationError
 
@@ -55,17 +53,7 @@ class Tlb:
         self.entries = entries
         self.page_bytes = page_bytes
         self._pages: List[int] = []  # LRU order, front = LRU
-        # Sorted resident-page snapshot for probe_batch; None = stale.
-        # Hits (and touch_batch) only reorder LRU, so all-hit phases
-        # reuse one snapshot; miss installs/evictions invalidate it.
-        self._probe_cache: Optional[np.ndarray] = None
-        # Verified all-hit runs whose LRU replay is deferred: hits only
-        # reorder LRU (unobservable until the next miss must evict), so
-        # runs queue here and replay in one pass via flush_batch().
-        self._pending: List[np.ndarray] = []
         self.stats = TlbStats()
-        #: Optional sanitizer replay checker (set by RunSanitizer).
-        self._sanitizer = None
 
     def page_of(self, addr: int) -> int:
         """Page number containing byte ``addr``."""
@@ -78,8 +66,6 @@ class Tlb:
         the *timing* of the walk is the caller's responsibility (the
         hierarchy issues the walk's memory read).
         """
-        if self._pending:
-            self.flush_batch()
         page = self.page_of(addr)
         try:
             self._pages.remove(page)
@@ -89,70 +75,10 @@ class Tlb:
         except ValueError:
             pass
         self.stats.misses += 1
-        self._probe_cache = None
         if len(self._pages) >= self.entries:
             self._pages.pop(0)
         self._pages.append(page)
         return False
-
-    # -- vectorized probe surface (batch-stepping fast path) -------------------
-
-    def probe_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized translation probe: per-element hit, no state change.
-
-        Exact for a run of accesses as long as residency does not change
-        mid-run — TLB hits only reorder LRU, so the answer holds up to
-        (and including) the first miss.
-        """
-        pages = addrs // self.page_bytes
-        table = self._probe_cache
-        if table is None:
-            table = np.sort(np.asarray(self._pages, dtype=np.uint64))
-            self._probe_cache = table
-        if not len(table):
-            return np.zeros(len(pages), dtype=bool)
-        idx = np.searchsorted(table, pages)
-        np.minimum(idx, len(table) - 1, out=idx)
-        return table[idx] == pages
-
-    def touch_batch(self, addrs: np.ndarray) -> None:
-        """Queue a verified all-hit run: LRU reorder plus hit counts.
-
-        Equivalent to sequential :meth:`access` calls that all hit: the
-        touched pages move to the MRU end in last-touch order.  Every
-        page must currently be resident (established via
-        :meth:`probe_batch`); otherwise :class:`SimulationError` at
-        replay.  The reorder is deferred like
-        :meth:`repro.sim.cache.CacheArray.touch_batch` — consecutive
-        runs replay as one concatenated pass on the next :meth:`access`
-        or explicit :meth:`flush_batch`; hit counts post immediately.
-        """
-        if len(addrs):
-            if self._sanitizer is not None:
-                self._sanitizer.on_touch(addrs)
-            self._pending.append(addrs)
-            self.stats.hits += len(addrs)
-
-    def flush_batch(self) -> None:
-        """Replay any queued all-hit runs onto the LRU order."""
-        if not self._pending:
-            return
-        pending = self._pending
-        self._pending = []
-        addrs = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        pages = addrs // self.page_bytes
-        uniq, first_rev = np.unique(pages[::-1], return_index=True)
-        last_order = uniq[np.argsort(-first_rev)].tolist()
-        touched = set(last_order)
-        kept = [p for p in self._pages if p not in touched]
-        if len(kept) + len(last_order) != len(self._pages):
-            raise SimulationError(
-                f"TLB touch_batch on non-resident page(s): "
-                f"{sorted(touched - set(self._pages))}"
-            )
-        self._pages = kept + last_order
-        if self._sanitizer is not None:
-            self._sanitizer.on_flush()
 
     def pte_address(self, addr: int, *, pte_region_base: int = 1 << 44) -> int:
         """Synthetic leaf-PTE address for the page containing ``addr``.

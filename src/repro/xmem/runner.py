@@ -44,25 +44,27 @@ class XMemMeasurement:
     utilization: float
 
 
+#: Outstanding demand accesses per simulated core during a sweep.
+WINDOW_PER_CORE = 32
+
+
 @dataclass(frozen=True)
 class XMemConfig:
     """Characterization sweep settings.
 
     ``sim_cores`` controls the simulated slice; the achieved bandwidths
     are scaled back to full-socket numbers so the resulting profile is
-    directly usable with full-socket observed bandwidths.  ``batch``
-    forwards to :attr:`repro.sim.hierarchy.SimConfig.batch` (the
-    batch-stepping fast path; results are bit-identical either way).
+    directly usable with full-socket observed bandwidths.  Every level
+    runs :func:`~repro.xmem.kernels.throughput_trace`'s default streams,
+    the hardware prefetcher on, a :data:`WINDOW_PER_CORE` window, and
+    :func:`~repro.xmem.kernels.gap_sweep`'s default delays, on the
+    event engine (a throughput kernel leaves the batch fast path no
+    run to retire).
     """
 
     sim_cores: int = 2
     accesses_per_thread: int = 3000
-    streams_per_thread: int = 8
     levels: int = 12
-    max_gap_cycles: float = 400.0
-    hw_prefetch: bool = True
-    window_per_core: int = 32
-    batch: bool = True
 
 
 class XMemRunner:
@@ -80,9 +82,8 @@ class XMemRunner:
             machine=machine,
             sim_cores=self.config.sim_cores,
             threads_per_core=1,
-            window_per_core=self.config.window_per_core,
-            hw_prefetch=self.config.hw_prefetch,
-            batch=self.config.batch,
+            window_per_core=WINDOW_PER_CORE,
+            batch=False,
         )
 
     def measure_level(self, gap_cycles: float) -> XMemMeasurement:
@@ -92,7 +93,6 @@ class XMemRunner:
             threads=cfg.sim_cores,
             accesses_per_thread=cfg.accesses_per_thread,
             line_bytes=self.machine.line_bytes,
-            streams_per_thread=cfg.streams_per_thread,
             gap_cycles=gap_cycles,
             routine=f"xmem_gap{gap_cycles:.0f}",
         )
@@ -118,7 +118,7 @@ class XMemRunner:
         interrupted part-way resumes by running it again: finished
         levels are cache hits.
         """
-        gaps = gap_sweep(self.config.levels, max_gap_cycles=self.config.max_gap_cycles)
+        gaps = gap_sweep(self.config.levels)
         return fan_out(self.measure_level, gaps, jobs=jobs)
 
     def characterize(self, *, jobs: Optional[int] = None) -> LatencyProfile:

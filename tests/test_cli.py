@@ -102,12 +102,16 @@ class TestParser:
 
     def test_batch_flags_only_where_read(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["reproduce", "--no-batch"])
-        args = parser.parse_args(
-            ["simulate", "--machine", "skl", "--no-batch-miss"]
-        )
-        assert args.batch is True and args.batch_miss is False
+        for argv in (
+            ["reproduce", "--no-batch"],
+            ["characterize", "--machine", "skl", "--no-batch"],
+            ["simulate", "--machine", "skl", "--no-batch-miss"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+        args = parser.parse_args(["simulate", "--machine", "skl", "--no-batch"])
+        assert args.batch is False
 
     @pytest.mark.parametrize(
         "argv",

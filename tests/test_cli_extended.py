@@ -125,11 +125,10 @@ class TestCharacterizeResume:
     def test_interrupted_sweep_resumes_from_sim_cache(
         self, capsys, monkeypatch, fresh_sim_cache
     ):
-        from repro.xmem import XMemConfig
         from repro.xmem.kernels import gap_sweep
         from repro.xmem.runner import XMemRunner
 
-        gaps = gap_sweep(4, max_gap_cycles=XMemConfig().max_gap_cycles)
+        gaps = gap_sweep(4)
         measure = XMemRunner.measure_level
 
         def interrupted(runner, gap_cycles):

@@ -134,10 +134,7 @@ def test_batch_replay_checks_run(sanitize, skl):
     trace = resident_trace(
         threads=2, accesses_per_thread=20_000, line_bytes=skl.line_bytes
     )
-    run_trace(
-        trace,
-        SimConfig(machine=skl, sim_cores=2, batch=True, tlb_entries=64),
-    )
+    run_trace(trace, SimConfig(machine=skl, sim_cores=2, batch=True))
     report = last_report()
     assert report is not None and report.ok
     assert report.replay_checks > 0

@@ -22,7 +22,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.machines import get_machine
@@ -154,15 +154,19 @@ _EQUIVALENCE = dict(
     batch=st.booleans(),
 )
 
+# A failing case is reported as found: shrinking one replays whole
+# simulations and can run for many minutes.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
-@settings(max_examples=100, deadline=None)
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
 @given(**_EQUIVALENCE)
 def test_request_time_admission_matches_admission_event(**case):
     with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "0"}):
         _check_equivalent(**case)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
 @given(**_EQUIVALENCE)
 def test_request_time_admission_matches_admission_event_sanitized(**case):
     with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "1"}):

@@ -7,7 +7,8 @@ in vectorized steps, and every *semantic* observable — the
 pure event-engine run.  The property is exercised three ways:
 
 * hypothesis-generated traces across machines, window sizes, SMT,
-  hardware-prefetch, and TLB settings;
+  hardware-prefetch, and TLB settings (a TLB or SMT run declines the
+  fast path for the whole run);
 * the six paper workloads on all three modeled machines;
 * element-wise unit properties of the vectorized probe surfaces
   (``probe_batch``/``touch_batch``/``observe_replay``) against their
@@ -33,7 +34,6 @@ from repro.sim import (
 from repro.sim.cache import CacheArray
 from repro.sim.coltrace import KIND_CODES
 from repro.sim.prefetcher import StreamPrefetcher
-from repro.sim.tlb import Tlb
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec
 
@@ -272,46 +272,19 @@ class TestCacheProbeSurface:
             cache.flush_batch()
 
 
-class TestTlbProbeSurface:
-    """Tlb.probe_batch/touch_batch agree with sequential access()."""
+class TestTlbRunsStepEventByEvent:
+    """A TLB run never batches: one run-level decline, the event result."""
 
-    def _warm_tlb(self, seed: int, entries: int = 48):
-        tlb = Tlb(entries)
-        rng = np.random.default_rng(seed)
-        for page in rng.integers(0, 64, 200).tolist():
-            tlb.access(page * 4096)
-        return tlb
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
-    def test_probe_batch_matches_sequential(self, seed, n):
-        tlb = self._warm_tlb(seed)
-        rng = np.random.default_rng(seed + 1)
-        addrs = (rng.integers(0, 96, n) * 4096 + rng.integers(0, 4096, n)).astype(
-            np.uint64
-        )
-        got = tlb.probe_batch(addrs)
-        resident = set(tlb._pages)
-        expected = [int(a) // 4096 in resident for a in addrs.tolist()]
-        assert got.tolist() == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
-    def test_touch_batch_matches_sequential(self, seed, n):
-        batch_tlb = self._warm_tlb(seed)
-        scalar_tlb = self._warm_tlb(seed)
-        rng = np.random.default_rng(seed + 1)
-        addrs = (rng.integers(0, 96, n) * 4096).astype(np.uint64)
-        hits = batch_tlb.probe_batch(addrs)
-        k = int(np.argmin(hits)) if not hits.all() else n
-        if k == 0:
-            return
-        batch_tlb.touch_batch(addrs[:k])
-        batch_tlb.flush_batch()
-        for addr in addrs[:k].tolist():
-            assert scalar_tlb.access(int(addr))
-        assert batch_tlb._pages == scalar_tlb._pages
-        assert batch_tlb.stats.hits == scalar_tlb.stats.hits
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_tlb_run_declines_batching(self, machine):
+        m = get_machine(machine)
+        trace = _mixed_trace(3, 2000, line_bytes=m.line_bytes, miss_rate=0.0)
+        no_tlb = run_trace(trace, SimConfig(machine=m, sim_cores=2, batch=True))
+        assert no_tlb.batch_accesses > 0  # the same trace batches without one
+        event, batch = _fingerprints(trace, machine=m, sim_cores=2, tlb_entries=32)
+        assert batch.batch_accesses == 0
+        assert batch.batch_fallbacks == {"tlb": 1}
+        assert batch.fingerprint() == event.fingerprint()
 
 
 class TestPrefetcherObserveReplay:

@@ -94,7 +94,7 @@ class TestCharacterization:
         self, skl, monkeypatch, fresh_sim_cache
     ):
         runner = XMemRunner(skl, XMemConfig(levels=3, accesses_per_thread=300))
-        gaps = gap_sweep(3, max_gap_cycles=runner.config.max_gap_cycles)
+        gaps = gap_sweep(3)
         measure = XMemRunner.measure_level
 
         def interrupted(self_, gap_cycles):

@@ -65,6 +65,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import SanitizerError
+from .sanitize_flag import configure_sanitize, sanitize_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.cache import CacheArray
@@ -98,30 +99,7 @@ MIRROR_REL_TOL = 1e-12
 #: holds many requests, short enough to localize a skew in time.
 DEFAULT_WINDOW_NS = 4096.0
 
-_TRUE_VALUES = ("1", "on", "true", "yes")
-
 _INF = float("inf")
-
-
-def sanitize_enabled() -> bool:
-    """Is the instrumented mode requested (``REPRO_SANITIZE`` env)?"""
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in _TRUE_VALUES
-
-
-def configure_sanitize(enabled: Optional[bool]) -> None:
-    """Enable/disable sanitize mode programmatically (CLI ``--sanitize``).
-
-    Mirrored into the environment so worker processes spawned by
-    :func:`repro.perf.parallel.fan_out` inherit the mode under any
-    multiprocessing start method.  ``None`` leaves the environment
-    untouched.
-    """
-    if enabled is None:
-        return
-    if enabled:
-        os.environ["REPRO_SANITIZE"] = "1"
-    else:
-        os.environ.pop("REPRO_SANITIZE", None)
 
 
 def sanitize_window_ns() -> float:

@@ -51,12 +51,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core.analyzer import RoutineAnalyzer
 from .core.classify import AccessPattern, Classification
 from .errors import ReproError
 from .machines.registry import get_machine, machine_names, paper_machines
 from .units import ns_to_us, to_gb_per_s
-from .xmem.runner import XMemConfig, characterize_machine
 
 
 def _apply_perf_flags(args: argparse.Namespace) -> None:
@@ -66,7 +64,7 @@ def _apply_perf_flags(args: argparse.Namespace) -> None:
 
         configure_cache(enabled=False)
     if getattr(args, "sanitize", False):
-        from .analysis.sanitizer import configure_sanitize
+        from .analysis.sanitize_flag import configure_sanitize
 
         # Mirrored into REPRO_SANITIZE so fan_out workers inherit it.
         configure_sanitize(True)
@@ -74,10 +72,12 @@ def _apply_perf_flags(args: argparse.Namespace) -> None:
 
 def _print_sanitizer_summary() -> None:
     """One-line reprosan verdict when the instrumented mode is on."""
-    from .analysis.sanitizer import last_report, sanitize_enabled
+    from .analysis.sanitize_flag import sanitize_enabled
 
     if not sanitize_enabled():
         return
+    from .analysis.sanitizer import last_report
+
     report = last_report()
     if report is None:
         print("sanitizer: enabled, but no instrumented run executed")
@@ -157,7 +157,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     _apply_perf_flags(args)
     machine = get_machine(args.machine)
     if getattr(args, "fast", False):
-        from .analysis.sanitizer import sanitize_enabled
+        from .analysis.sanitize_flag import sanitize_enabled
 
         if sanitize_enabled():
             # Stated-reason fallback: the whole point of sanitize mode
@@ -184,6 +184,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 profile.save(args.out)
                 print(f"saved to {args.out}")
             return 0
+    from .xmem.runner import XMemConfig, characterize_machine
+
     config = XMemConfig(levels=args.levels)
     start = time.perf_counter()
     profile = characterize_machine(machine, config, jobs=args.jobs)
@@ -204,6 +206,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from .perfmodel.queueing import analytic_profile, calibrate_from_probes
 
         profile = analytic_profile(machine, calibrate_from_probes(machine))
+    from .core.analyzer import RoutineAnalyzer
+
     analyzer = RoutineAnalyzer(machine, profile)
     pattern = AccessPattern(args.pattern)
     classification = Classification(
@@ -313,6 +317,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.analyzer import RoutineAnalyzer
     from .perf.cache import cached_run_trace
     from .sim import SimConfig
 

@@ -1,67 +1,74 @@
 """The paper's contribution: Little's-law MLP analysis and the recipe."""
 
-from .advisor import Advisor, AdvisorResult, AdvisorStep, KEEP_THRESHOLD
-from .analyzer import AnalysisReport, RoutineAnalyzer, STATIONARITY_SPREAD
-from .classify import (
-    AccessPattern,
-    Classification,
-    RANDOM_THRESHOLD,
-    STREAMING_THRESHOLD,
-    classify_by_prefetcher_toggle,
-    classify_from_prefetch_fraction,
-    dominant_pattern,
-)
-from .littles_law import (
-    bandwidth_from_mlp,
-    latency_from_mlp,
-    mlp_from_bandwidth,
-    mlp_from_requests,
-    requests_from_bandwidth,
-)
-from .mlp import MlpCalculator, MlpResult
-from .optimizations import (
-    CATALOG,
-    OptimizationInfo,
-    OptimizationKind,
-    applicable_to,
-    info,
-    mlp_increasing,
-    occupancy_reducing,
-)
-from .recipe import (
-    BW_SATURATED_RATIO,
-    Benefit,
-    FULL_RATIO,
-    NEAR_FULL_RATIO,
-    OccupancyStatus,
-    Recipe,
-    RecipeContext,
-    RecipeDecision,
-    Recommendation,
-)
-from .report import (
-    CaseStudyRow,
-    ComparisonRow,
-    render_case_study_table,
-    render_comparison_table,
-    render_data_quality,
-)
-from .uncertainty import (
-    MlpUncertainty,
-    decision_is_robust,
-    mlp_uncertainty,
-    profile_elasticity,
-    quality_widened_errors,
-)
-from .sweep import (
-    HeadroomCell,
-    OperatingPoint,
-    demand_sweep,
-    headroom_map,
-    operating_curve,
-    render_headroom_map,
-    utilization_where_mshrs_bind,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from .advisor import Advisor, AdvisorResult, AdvisorStep, KEEP_THRESHOLD
+    from .analyzer import AnalysisReport, RoutineAnalyzer, STATIONARITY_SPREAD
+    from .classify import (
+        AccessPattern,
+        Classification,
+        RANDOM_THRESHOLD,
+        STREAMING_THRESHOLD,
+        classify_by_prefetcher_toggle,
+        classify_from_prefetch_fraction,
+        dominant_pattern,
+    )
+    from .littles_law import (
+        bandwidth_from_mlp,
+        latency_from_mlp,
+        mlp_from_bandwidth,
+        mlp_from_requests,
+        requests_from_bandwidth,
+    )
+    from .mlp import MlpCalculator, MlpResult
+    from .optimizations import (
+        CATALOG,
+        OptimizationInfo,
+        OptimizationKind,
+        applicable_to,
+        info,
+        mlp_increasing,
+        occupancy_reducing,
+    )
+    from .recipe import (
+        BW_SATURATED_RATIO,
+        Benefit,
+        FULL_RATIO,
+        NEAR_FULL_RATIO,
+        OccupancyStatus,
+        Recipe,
+        RecipeContext,
+        RecipeDecision,
+        Recommendation,
+    )
+    from .report import (
+        CaseStudyRow,
+        ComparisonRow,
+        render_case_study_table,
+        render_comparison_table,
+        render_data_quality,
+    )
+    from .sweep import (
+        HeadroomCell,
+        OperatingPoint,
+        demand_sweep,
+        headroom_map,
+        operating_curve,
+        render_headroom_map,
+        utilization_where_mshrs_bind,
+    )
+    from .uncertainty import (
+        MlpUncertainty,
+        decision_is_robust,
+        mlp_uncertainty,
+        profile_elasticity,
+        quality_widened_errors,
+    )
 
 __all__ = [
     "AccessPattern",
@@ -119,3 +126,83 @@ __all__ = [
     "render_data_quality",
     "requests_from_bandwidth",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "advisor": (
+            "Advisor",
+            "AdvisorResult",
+            "AdvisorStep",
+            "KEEP_THRESHOLD",
+        ),
+        "analyzer": (
+            "AnalysisReport",
+            "RoutineAnalyzer",
+            "STATIONARITY_SPREAD",
+        ),
+        "classify": (
+            "AccessPattern",
+            "Classification",
+            "RANDOM_THRESHOLD",
+            "STREAMING_THRESHOLD",
+            "classify_by_prefetcher_toggle",
+            "classify_from_prefetch_fraction",
+            "dominant_pattern",
+        ),
+        "littles_law": (
+            "bandwidth_from_mlp",
+            "latency_from_mlp",
+            "mlp_from_bandwidth",
+            "mlp_from_requests",
+            "requests_from_bandwidth",
+        ),
+        "mlp": (
+            "MlpCalculator",
+            "MlpResult",
+        ),
+        "optimizations": (
+            "CATALOG",
+            "OptimizationInfo",
+            "OptimizationKind",
+            "applicable_to",
+            "info",
+            "mlp_increasing",
+            "occupancy_reducing",
+        ),
+        "recipe": (
+            "BW_SATURATED_RATIO",
+            "Benefit",
+            "FULL_RATIO",
+            "NEAR_FULL_RATIO",
+            "OccupancyStatus",
+            "Recipe",
+            "RecipeContext",
+            "RecipeDecision",
+            "Recommendation",
+        ),
+        "report": (
+            "CaseStudyRow",
+            "ComparisonRow",
+            "render_case_study_table",
+            "render_comparison_table",
+            "render_data_quality",
+        ),
+        "sweep": (
+            "HeadroomCell",
+            "OperatingPoint",
+            "demand_sweep",
+            "headroom_map",
+            "operating_curve",
+            "render_headroom_map",
+            "utilization_where_mshrs_bind",
+        ),
+        "uncertainty": (
+            "MlpUncertainty",
+            "decision_is_robust",
+            "mlp_uncertainty",
+            "profile_elasticity",
+            "quality_widened_errors",
+        ),
+    },
+)

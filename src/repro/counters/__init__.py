@@ -1,16 +1,23 @@
 """Performance-counter facade: vendor events, Table I visibility, CrayPat."""
 
-from .craypat import RoutineProfile, RoutineReport
-from .events import CounterEvent, NativeEvent, VENDOR_EVENTS, events_supported
-from .session import LATENCY_THRESHOLDS, CounterReading, CounterSession
-from .vendor import (
-    TABLE1_ROW_OF,
-    VendorVisibility,
-    Visibility,
-    table1_matrix,
-    vendor_for_machine,
-    visibility_for,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from .craypat import RoutineProfile, RoutineReport
+    from .events import CounterEvent, NativeEvent, VENDOR_EVENTS, events_supported
+    from .session import LATENCY_THRESHOLDS, CounterReading, CounterSession
+    from .vendor import (
+        TABLE1_ROW_OF,
+        VendorVisibility,
+        Visibility,
+        table1_matrix,
+        vendor_for_machine,
+        visibility_for,
+    )
 
 __all__ = [
     "CounterEvent",
@@ -29,3 +36,32 @@ __all__ = [
     "vendor_for_machine",
     "visibility_for",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "craypat": (
+            "RoutineProfile",
+            "RoutineReport",
+        ),
+        "events": (
+            "CounterEvent",
+            "NativeEvent",
+            "VENDOR_EVENTS",
+            "events_supported",
+        ),
+        "session": (
+            "LATENCY_THRESHOLDS",
+            "CounterReading",
+            "CounterSession",
+        ),
+        "vendor": (
+            "TABLE1_ROW_OF",
+            "VendorVisibility",
+            "Visibility",
+            "table1_matrix",
+            "vendor_for_machine",
+            "visibility_for",
+        ),
+    },
+)

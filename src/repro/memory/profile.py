@@ -38,11 +38,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from ..errors import ProfileDomainError, ProfileError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Highest utilization a curve point may sit at.
 MAX_UTILIZATION = 1.05
@@ -257,6 +258,8 @@ class LatencyProfile:
         path, which plans a whole run of admissions at once: one
         vectorized call replaces a Python-level loop of scalar lookups.
         """
+        import numpy as np
+
         bad = ~np.isfinite(utilization) | (utilization < 0.0)
         bad |= utilization > self._limit
         if bad.any():

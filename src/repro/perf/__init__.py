@@ -16,18 +16,29 @@ package makes that pipeline scale with cores and never repeat work:
 
 Both honor environment variables (``REPRO_JOBS``, ``REPRO_CACHE``,
 ``REPRO_CACHE_DIR``) and the CLI's ``--jobs`` / ``--no-cache`` flags.
+
+Importing the package loads neither module: the names below resolve on
+first use.  :func:`fan_out` imports :mod:`concurrent.futures`, and with
+it :mod:`multiprocessing`, only when it builds a pool.
 """
 
-from .cache import (
-    CacheCounters,
-    SimCache,
-    cached_run_trace,
-    configure_cache,
-    digest_for,
-    get_cache,
-    stable_digest,
-)
-from .parallel import fan_out, resolve_jobs
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from .cache import (
+        CacheCounters,
+        SimCache,
+        cached_run_trace,
+        configure_cache,
+        digest_for,
+        get_cache,
+        stable_digest,
+    )
+    from .parallel import fan_out, resolve_jobs
 
 __all__ = [
     "CacheCounters",
@@ -40,3 +51,22 @@ __all__ = [
     "resolve_jobs",
     "stable_digest",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "cache": (
+            "CacheCounters",
+            "SimCache",
+            "cached_run_trace",
+            "configure_cache",
+            "digest_for",
+            "get_cache",
+            "stable_digest",
+        ),
+        "parallel": (
+            "fan_out",
+            "resolve_jobs",
+        ),
+    },
+)

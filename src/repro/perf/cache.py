@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Tuple, Union
 
 from .. import __version__
-from ..analysis.sanitizer import sanitize_enabled
+from ..analysis.sanitize_flag import sanitize_enabled
 from ..errors import CacheKeyError
 from ..machines.spec import MachineSpec
 from ..sim.coltrace import ColumnarTrace, trace_digest

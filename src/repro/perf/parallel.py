@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError
@@ -132,6 +131,9 @@ def fan_out(
     workers = min(resolve_jobs(jobs), len(materialized))
     if workers <= 1:
         return [func(item) for item in materialized]
+    # Imported here: it loads multiprocessing, which a serial run never uses.
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
     except (OSError, ImportError) as exc:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 
@@ -89,4 +87,6 @@ def log_intensity_grid(
     """Log-spaced intensity axis for roofline series."""
     if lo <= 0 or hi <= lo or points < 2:
         raise ConfigurationError("need 0 < lo < hi and points >= 2")
+    import numpy as np
+
     return [float(x) for x in np.logspace(np.log10(lo), np.log10(hi), points)]

@@ -25,13 +25,15 @@ table structure: each entry is ``(source_steps, step_applied)`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from ..core.classify import AccessPattern
 from ..errors import ConfigurationError
 from ..machines.spec import MachineSpec
 from ..optim.transforms import EffectTable, WorkloadState, lookup_effect
-from ..sim.coltrace import ColumnarTrace
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 #: One table row: (steps defining the Source version, step applied or None).
 RowPlan = Tuple[Tuple[Tuple[str, ...], Optional[str]], ...]

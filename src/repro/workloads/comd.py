@@ -18,14 +18,15 @@ the paper's own numbers (SKL 2-way: 1.71x bandwidth for 1.22x speedup).
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import cached_compute, spawn_thread_generator
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class ComdWorkload(Workload):
@@ -120,6 +121,9 @@ class ComdWorkload(Workload):
         spec: Optional[TraceSpec] = None,
     ) -> ColumnarTrace:
         """Cache-resident force loop with rare cold misses, big gaps."""
+        from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
+        from .generators import cached_compute, spawn_thread_generator
+
         spec = spec or TraceSpec()
         rng = random.Random(spec.seed)
         line = machine.line_bytes

@@ -24,14 +24,15 @@ Calibration notes:
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, interleave_columns
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import gather_accesses, spawn_thread_generator, unit_streams
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class HpcgWorkload(Workload):
@@ -122,6 +123,13 @@ class HpcgWorkload(Workload):
         spec: Optional[TraceSpec] = None,
     ) -> ColumnarTrace:
         """Matrix/result streams (85%) + local gathers of x (15%)."""
+        from ..sim.coltrace import (
+            ColumnarThreadTrace,
+            ColumnarTrace,
+            interleave_columns,
+        )
+        from .generators import gather_accesses, spawn_thread_generator, unit_streams
+
         spec = spec or TraceSpec()
         rng = random.Random(spec.seed)
         line = machine.line_bytes

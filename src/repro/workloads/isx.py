@@ -28,14 +28,15 @@ Calibration notes (paper-measured base occupancies; effect factors):
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, interleave_columns
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import random_updates, spawn_thread_generator, unit_streams
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class IsxWorkload(Workload):
@@ -135,6 +136,13 @@ class IsxWorkload(Workload):
         spec: Optional[TraceSpec] = None,
     ) -> ColumnarTrace:
         """Random bucket updates + a thin key-stream, per thread."""
+        from ..sim.coltrace import (
+            ColumnarThreadTrace,
+            ColumnarTrace,
+            interleave_columns,
+        )
+        from .generators import random_updates, spawn_thread_generator, unit_streams
+
         spec = spec or TraceSpec()
         rng = random.Random(spec.seed)
         line = machine.line_bytes

@@ -21,14 +21,15 @@ differ instructively:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, concat_columns
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import unit_streams
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class MinighostWorkload(Workload):
@@ -123,6 +124,9 @@ class MinighostWorkload(Workload):
         Tiling is modeled by revisiting a block: the same stream
         region is traversed in shorter segments that refit the L2.
         """
+        from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, concat_columns
+        from .generators import unit_streams
+
         spec = spec or TraceSpec()
         line = machine.line_bytes
         tiled = "loop_tiling" in steps

@@ -22,14 +22,15 @@ EXPERIMENTS.md ("known paper-internal tensions").
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace, interleave_columns
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import gather_accesses, spawn_thread_generator, unit_streams
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class PennantWorkload(Workload):
@@ -123,6 +124,13 @@ class PennantWorkload(Workload):
         spec: Optional[TraceSpec] = None,
     ) -> ColumnarTrace:
         """Low-locality gathers (70%) + a few mesh streams (30%)."""
+        from ..sim.coltrace import (
+            ColumnarThreadTrace,
+            ColumnarTrace,
+            interleave_columns,
+        )
+        from .generators import gather_accesses, spawn_thread_generator, unit_streams
+
         spec = spec or TraceSpec()
         rng = random.Random(spec.seed)
         line = machine.line_bytes

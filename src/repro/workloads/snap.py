@@ -20,14 +20,15 @@ reproduces that contrast.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.classify import AccessPattern
 from ..machines.spec import MachineSpec
 from ..optim.transforms import TransformEffect
-from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
 from .base import MachineCalibration, TraceSpec, Workload
-from .generators import short_bursts, spawn_thread_generator
+
+if TYPE_CHECKING:
+    from ..sim.coltrace import ColumnarTrace
 
 
 class SnapWorkload(Workload):
@@ -118,6 +119,9 @@ class SnapWorkload(Workload):
         spec: Optional[TraceSpec] = None,
     ) -> ColumnarTrace:
         """Short bursts (nang-sized inner loops) with compute gaps."""
+        from ..sim.coltrace import ColumnarThreadTrace, ColumnarTrace
+        from .generators import short_bursts, spawn_thread_generator
+
         spec = spec or TraceSpec()
         rng = random.Random(spec.seed)
         line = machine.line_bytes

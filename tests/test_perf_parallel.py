@@ -121,25 +121,26 @@ class TestSerialFallback:
         # Sandboxes without working semaphores raise OSError at pool
         # construction; results must still arrive, serially, with a
         # warning.
-        import repro.perf.parallel as parallel_module
+        import concurrent.futures
 
         class _NoPool:
             def __init__(self, *args, **kwargs):
                 raise OSError("semaphores unavailable")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        # fan_out looks the pool class up where it imports it from.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         with pytest.warns(UserWarning, match="serially"):
             out = fan_out(_square, [1, 2, 3], jobs=2)
         assert out == [1, 4, 9]
 
     def test_fallback_propagates_item_exception(self, monkeypatch):
-        import repro.perf.parallel as parallel_module
+        import concurrent.futures
 
         class _NoPool:
             def __init__(self, *args, **kwargs):
                 raise OSError("semaphores unavailable")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         with pytest.warns(UserWarning, match="serially"):
             with pytest.raises(ValueError, match="boom on 3"):
                 fan_out(_fail_on_three, [1, 2, 3], jobs=2)

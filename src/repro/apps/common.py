@@ -27,14 +27,16 @@ columns as a simulator trace, thread ids in partition order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ..errors import ConfigurationError
 from ..sim.coltrace import GAP_DTYPE, KIND_CODES, KIND_DTYPE, AccessColumns
 from ..sim.trace import AccessKind
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Array regions are aligned to this boundary (keeps sets disjoint).
 REGION_ALIGN = 16 * 1024 * 1024

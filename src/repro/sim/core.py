@@ -150,7 +150,14 @@ class ThreadDriver:
         if ctx.done or i >= self._n:
             self._maybe_finish()
             return
-        if self._batch and i >= self._skip_until and self._try_batch(i):
+        # A batch needs zero demand accesses in flight; checking that
+        # here spares most attempts the call.
+        if (
+            self._batch
+            and i >= self._skip_until
+            and not ctx.in_flight
+            and self._try_batch(i)
+        ):
             return
         is_demand = self._demand[i]
 
@@ -205,10 +212,10 @@ class ThreadDriver:
 
         Returns the number of accesses retired (0 = conditions not met;
         the caller falls through to the per-event path).  Engagement
-        requires a quiescent core — no stall in progress, zero
-        outstanding demand accesses, empty L1/L2 MSHR files — so
-        nothing outside the run can mutate this core's L1 residency
-        mid-run; see :mod:`repro.sim.batch` and docs/PERFORMANCE.md for
+        requires a quiescent core — zero outstanding demand accesses
+        (the caller checks that), no stall in progress, empty L1/L2
+        MSHR files — so nothing outside the run can mutate this core's
+        L1 residency mid-run; see :mod:`repro.sim.batch` and docs/PERFORMANCE.md for
         the argument.
 
         A run of L1 hits is a run with zero misses, so one planner
@@ -244,7 +251,7 @@ class ThreadDriver:
         exact state.
         """
         ctx = self.ctx
-        if ctx.waiting_window or ctx.waiting_mshr or ctx.in_flight != 0:
+        if ctx.waiting_window or ctx.waiting_mshr:
             return 0
         hierarchy = self.hierarchy
         core = self._core
@@ -574,6 +581,10 @@ class ThreadDriver:
             return
         order = np.argsort(fill_t, kind="stable")
         sorted_fills = fill_lines[order]
+        if not n_touch:
+            # A cold run: no touch to interleave, the fills apply at once.
+            array.fill_batch(sorted_fills)
+            return
         no_writes = np.zeros(n_touch, dtype=bool)
         boundary = np.searchsorted(touch_t, fill_t[order], side="left")
         starts = np.flatnonzero(np.r_[True, boundary[1:] != boundary[:-1]])
@@ -603,8 +614,9 @@ class ThreadDriver:
             raise SimulationError("thread in_flight went negative")
         if ctx.waiting_window:
             self._try_issue()
-        else:
-            self._maybe_finish()
+        elif not ctx.done and ctx.next_idx >= self._n and ctx.in_flight == 0:
+            # _maybe_finish(), inlined: this runs once per demand access.
+            self._finish()
 
     # -- completion -----------------------------------------------------------
 

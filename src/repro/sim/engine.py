@@ -10,8 +10,11 @@ The engine is the simulator's innermost loop (every cache access,
 MSHR fill, and memory completion passes through it several times), so
 it is written for CPython speed: ``__slots__``, a plain integer
 sequence counter, and method-local bindings of the heap primitives.
-The optimizations are observationally invisible — the ``(time, seq)``
-ordering contract is unchanged bit-for-bit.
+:attr:`Engine.now` is a plain slot that only :meth:`Engine.run`
+writes, not a property: the access path reads it several times per
+access, and a property read is a Python call.  The optimizations are
+observationally invisible — the ``(time, seq)`` ordering contract is
+unchanged bit-for-bit.
 
 Zero-delay wakeups (the waiters an L1 fill releases) go through
 :meth:`Engine.wake`, which runs them in place, without a heap round
@@ -40,7 +43,7 @@ class Engine:
     __slots__ = (
         "_queue",
         "_seq",
-        "_now",
+        "now",
         "_running",
         "_events_fired",
         "_in_place",
@@ -50,18 +53,14 @@ class Engine:
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callback]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time in ns; only :meth:`run` writes it.
+        self.now = 0.0
         self._running = False
         self._events_fired = 0
         self._in_place = 0
         #: Optional :class:`repro.analysis.sanitizer.RunSanitizer` hook;
         #: when set, every fired event's time is invariant-checked.
         self._sanitizer = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in ns."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -84,13 +83,13 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay_ns, seq, callback))
+        heappush(self._queue, (self.now + delay_ns, seq, callback))
 
     def schedule_at(self, time_ns: float, callback: Callback) -> None:
         """Schedule ``callback`` at absolute time ``time_ns``."""
-        if not (self._now <= time_ns < _INF):
+        if not (self.now <= time_ns < _INF):
             raise SimulationError(
-                f"cannot schedule at {time_ns} before now ({self._now})"
+                f"cannot schedule at {time_ns} before now ({self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -109,13 +108,18 @@ class Engine:
         :attr:`events_fired`.  Otherwise each is scheduled.
         """
         queue = self._queue
-        if self._running and not (queue and queue[0][0] <= self._now):
+        if self._running and not (queue and queue[0][0] <= self.now):
             self._in_place += len(callbacks)
             for callback in callbacks:
                 callback()
             return
+        # schedule(0.0, callback) per callback, without the calls.
+        time_ns = self.now + 0.0
+        seq = self._seq
         for callback in callbacks:
-            self.schedule(0.0, callback)
+            heappush(queue, (time_ns, seq, callback))
+            seq += 1
+        self._seq = seq
 
     def run(
         self,
@@ -141,10 +145,10 @@ class Engine:
                 head = queue[0]
                 time_ns = head[0]
                 if until_ns is not None and time_ns > until_ns:
-                    self._now = until_ns
+                    self.now = until_ns
                     break
                 pop(queue)
-                self._now = time_ns
+                self.now = time_ns
                 events += 1
                 if events > max_events:
                     raise SimulationError(
@@ -156,7 +160,7 @@ class Engine:
         finally:
             self._events_fired = events
             self._running = False
-        return self._now
+        return self.now
 
     def pending(self) -> int:
         """Number of events still queued."""

@@ -269,21 +269,30 @@ class MemoryController:
         ``benchmarks/parity.py``), and ``tests/test_sim_admission.py``
         pins a constructed one.
         """
-        self._note_admission(admit_ns, self.line_bytes)
+        # _note_admission(admit_ns, line_bytes), inlined: this runs on
+        # every memory request.
+        line_bytes = self.line_bytes
+        recent = self._recent
+        recent.append((admit_ns, line_bytes))
+        recent_bytes = self._recent_bytes + line_bytes
+        cutoff = admit_ns - self.window_ns
+        while recent and recent[0][0] < cutoff:
+            recent_bytes -= recent.popleft()[1]
+        self._recent_bytes = recent_bytes
         # utilization() at the admission time, without its second
-        # deque walk: _note_admission just trimmed with the same
-        # cutoff and left the deque non-empty.
-        util = self._recent_bytes / self._window_s / self.peak_bw_bytes
+        # deque walk: the trim above used the same cutoff and left the
+        # deque non-empty.
+        util = recent_bytes / self._window_s / self.peak_bw_bytes
         if util > 1.0:
             util = 1.0
         latency = self.latency_model.latency_ns(util)
         stats = self.stats
         if is_prefetch:
-            stats.prefetch_bytes += self.line_bytes
+            stats.prefetch_bytes += line_bytes
         elif is_write:
-            stats.demand_write_bytes += self.line_bytes
+            stats.demand_write_bytes += line_bytes
         else:
-            stats.demand_read_bytes += self.line_bytes
+            stats.demand_read_bytes += line_bytes
         stats.requests += 1
         stats.latency_sum_ns += latency + queued_ns
         stats.latency_count += 1

@@ -99,15 +99,38 @@ class MshrFile:
         self, now_ns: float, line_addr: int, *, is_prefetch: bool
     ) -> MshrEntry:
         """Allocate an MSHR; caller must have checked :attr:`is_full`."""
-        if line_addr in self.entries:
+        entries = self.entries
+        if line_addr in entries:
             raise SimulationError(
                 f"{self.name}: duplicate allocation for line {line_addr:#x}"
             )
-        if self.is_full:
+        if len(entries) >= self.capacity:
             raise SimulationError(f"{self.name}: allocate on full MSHR file")
-        entry = MshrEntry(line_addr=line_addr, is_prefetch=is_prefetch, issued_ns=now_ns)
-        self.tracker.add(now_ns, +1)
-        self.entries[line_addr] = entry
+        entry = MshrEntry(line_addr, is_prefetch, now_ns, [])
+        # OccupancyTracker.add(now_ns, +1), inlined: this runs on every
+        # miss.  The same float operations in the same order, and the
+        # same checks.
+        tracker = self.tracker
+        dt = now_ns - tracker.last_update_ns
+        if dt < 0:
+            raise ValueError(f"{tracker.name}: time went backwards ({dt} ns)")
+        occupancy = tracker.occupancy
+        capacity = tracker.capacity
+        tracker.integral_ns += occupancy * dt
+        if occupancy >= capacity:
+            tracker.full_time_ns += dt
+        tracker.last_update_ns = now_ns
+        occupancy += 1
+        tracker.occupancy = occupancy
+        if occupancy < 0:
+            raise ValueError(f"{tracker.name}: occupancy went negative")
+        if occupancy > capacity:
+            raise ValueError(
+                f"{tracker.name}: occupancy {occupancy} exceeds capacity {capacity}"
+            )
+        if occupancy > tracker.peak:
+            tracker.peak = occupancy
+        entries[line_addr] = entry
         self.allocations += 1
         if self._audit is not None:
             self._audit.enter(now_ns, line_addr)
@@ -138,7 +161,26 @@ class MshrFile:
             raise SimulationError(
                 f"{self.name}: release with no entry for {line_addr:#x}"
             )
-        self.tracker.add(now_ns, -1)
+        # OccupancyTracker.add(now_ns, -1), inlined as in allocate().  A
+        # decrement never raises the peak, so only its update is left out.
+        tracker = self.tracker
+        dt = now_ns - tracker.last_update_ns
+        if dt < 0:
+            raise ValueError(f"{tracker.name}: time went backwards ({dt} ns)")
+        occupancy = tracker.occupancy
+        capacity = tracker.capacity
+        tracker.integral_ns += occupancy * dt
+        if occupancy >= capacity:
+            tracker.full_time_ns += dt
+        tracker.last_update_ns = now_ns
+        occupancy -= 1
+        tracker.occupancy = occupancy
+        if occupancy < 0:
+            raise ValueError(f"{tracker.name}: occupancy went negative")
+        if occupancy > capacity:
+            raise ValueError(
+                f"{tracker.name}: occupancy {occupancy} exceeds capacity {capacity}"
+            )
         if self._audit is not None:
             self._audit.exit(now_ns, line_addr)
         if self._free_waiters:
@@ -235,14 +277,16 @@ class MshrFile:
         merged_delta = np.empty(2 * n, dtype=np.int64)
         merged_delta[:n] = 1
         merged_delta[n:] = -1
-        merged_lines = np.concatenate([lines, lines[order]])
         fire = np.argsort(merged_t, kind="stable")
-        self.tracker.add_batch(merged_t[fire], merged_delta[fire])
+        fired_t = merged_t[fire]
+        fired_delta = merged_delta[fire]
+        self.tracker.add_batch(fired_t, fired_delta)
         if self._audit is not None:
             audit = self._audit
+            merged_lines = np.concatenate([lines, lines[order]])
             for t, delta, line in zip(
-                merged_t[fire].tolist(),
-                merged_delta[fire].tolist(),
+                fired_t.tolist(),
+                fired_delta.tolist(),
                 merged_lines[fire].tolist(),
             ):
                 if delta > 0:

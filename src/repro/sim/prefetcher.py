@@ -81,10 +81,6 @@ class StreamPrefetcher:
         self.issued = 0
         self.dropped_no_stream_slot = 0
 
-    @staticmethod
-    def _page_of(line_addr: int) -> int:
-        return line_addr >> 12
-
     def observe(self, line_addr: int) -> List[int]:
         """Feed one demand access (line address); returns lines to prefetch.
 
@@ -95,9 +91,8 @@ class StreamPrefetcher:
         """
         if not self.enabled:
             return []
-        return self._observe_one(
-            self._page_of(line_addr), line_addr // self.line_bytes
-        )
+        # Streams are tracked per 4 KiB page.
+        return self._observe_one(line_addr >> 12, line_addr // self.line_bytes)
 
     def _observe_one(self, page: int, line_no: int) -> List[int]:
         """Table transition for one observed demand line (enabled path)."""
@@ -114,9 +109,7 @@ class StreamPrefetcher:
                 if not evicted:
                     self.dropped_no_stream_slot += 1
                     return []
-            streams[page] = _Stream(
-                last_line=line_no, direction=0, confidence=0, last_touch_seq=self._seq
-            )
+            streams[page] = _Stream(line_no, 0, 0, None, self._seq)
             return []
 
         streams[page] = stream
@@ -275,12 +268,7 @@ class StreamPrefetcher:
         for _ in range(min(excess, len(streams))):
             del streams[next(iter(streams))]
         for j in range(max(0, m - self.max_streams), m):
-            streams[pages[j]] = _Stream(
-                last_line=line_nos[j],
-                direction=0,
-                confidence=0,
-                last_touch_seq=seq0 + j + 1,
-            )
+            streams[pages[j]] = _Stream(line_nos[j], 0, 0, None, seq0 + j + 1)
 
     def _evict_stale(self) -> bool:
         """Evict the least-recently-touched stream; False if table empty.

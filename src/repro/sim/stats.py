@@ -75,7 +75,8 @@ class OccupancyTracker:
 
     def add(self, now_ns: float, delta: int = 1) -> None:
         """Change occupancy by ``delta`` at time ``now_ns``."""
-        # update() inlined: this runs on every MSHR allocate and release.
+        # update() inlined.  MshrFile.allocate/release repeat this step
+        # inline, and must stay bit-identical to it.
         dt = now_ns - self.last_update_ns
         if dt < 0:
             raise ValueError(f"{self.name}: time went backwards ({dt} ns)")
@@ -120,10 +121,10 @@ class OccupancyTracker:
         occ_after = self.occupancy + np.cumsum(deltas)
         if occ_after.min() < 0:
             raise ValueError(f"{self.name}: occupancy went negative")
-        if occ_after.max() > self.capacity:
+        top = int(occ_after.max())
+        if top > self.capacity:
             raise ValueError(
-                f"{self.name}: occupancy {int(occ_after.max())} exceeds "
-                f"capacity {self.capacity}"
+                f"{self.name}: occupancy {top} exceeds capacity {self.capacity}"
             )
         occ_before = np.empty(n, dtype=np.int64)
         occ_before[0] = self.occupancy
@@ -140,7 +141,7 @@ class OccupancyTracker:
             facc[1:] = full_dt
             self.full_time_ns = float(np.cumsum(facc)[-1])
         self.occupancy = int(occ_after[-1])
-        self.peak = max(self.peak, int(occ_after.max()))
+        self.peak = max(self.peak, top)
         self.last_update_ns = float(times_ns[-1])
 
     @property

@@ -237,13 +237,17 @@ class TestMemctrlBatchEquivalence:
 
 
 class _RecordingController(MemoryController):
-    """Scalar controller that records each admission time it applies."""
+    """Scalar controller that records each admission time it applies.
+
+    Every request's admission goes through ``_admit``, which notes it in
+    the utilization window itself.
+    """
 
     __slots__ = ("admits",)
 
-    def _note_admission(self, now_ns, nbytes):
-        self.admits.append(now_ns)
-        super()._note_admission(now_ns, nbytes)
+    def _admit(self, queued_ns, admit_ns, *args):
+        self.admits.append(admit_ns)
+        super()._admit(queued_ns, admit_ns, *args)
 
 
 class _RecordingModel:

@@ -3,12 +3,15 @@
 Wall time drifts with the host; the number of Python calls a
 simulation makes does not.  This script checks out the base revision
 and the working tree side by side, as ``parity.py`` does, and in each
-runs three groups of the benchmark's simulations at perfbench's full
-size, with the sim cache off:
+runs every simulation of the benchmark's ``sim_cold`` and ``sim_batch``
+op lists at perfbench's full size, with the sim cache off, in five
+groups:
 
 * ``xmem``: the X-Mem levels of ``sim_cold`` (six per paper machine),
 * ``cells``: the paper-workload cells of ``sim_cold``,
-* ``resident``: ``sim_batch``'s L1-resident kernel.
+* ``app``: the mini-app traces of ``sim_cold``,
+* ``resident``: ``sim_batch``'s L1-resident kernel,
+* ``scatter``: ``sim_batch``'s cold-miss scatter kernels.
 
 Each simulation is rerun under ``cProfile`` (``run_trace`` on the
 trace and config the op simulated), and a group's figure is the summed
@@ -36,8 +39,15 @@ from pathlib import Path
 
 from ab_pairs import checkout_sides, resolve_commit
 
-#: Group name -> op-id prefix, in report order.
-GROUPS = {"xmem": "xmem/", "cells": "cell/", "resident": "resident/"}
+#: Group name -> op-id prefix, in report order.  Every simulated op of
+#: ``sim_cold`` and ``sim_batch`` falls in exactly one group.
+GROUPS = {
+    "xmem": "xmem/",
+    "cells": "cell/",
+    "app": "app/",
+    "resident": "resident/",
+    "scatter": "scatter/",
+}
 
 
 def collect(root: Path, seed: int, tmp: Path) -> dict:

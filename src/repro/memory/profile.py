@@ -57,37 +57,6 @@ OVERSHOOT = 1.05
 Segment = Tuple[float, float, float, float]
 
 
-def interp_scalar(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
-    """``float(np.interp(x, xp, fp))`` for one finite ``x``, in pure Python.
-
-    Replays numpy's compiled per-element step, so the result is
-    bit-identical while skipping the array round trip: flat ``fp[0]`` /
-    ``fp[-1]`` outside ``[xp[0], xp[-1]]``, the breakpoint value itself
-    at ``x == xp[j]``, otherwise ``slope * (x - xp[j]) + fp[j]`` with
-    ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, retried from the
-    right-hand point when that is NaN (an overflowed slope times zero).
-    ``xp`` must be strictly increasing.
-    """
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1:
-        return fp[j]
-    x0 = xp[j]
-    y0 = fp[j]
-    if x == x0:
-        return y0
-    x1 = xp[j + 1]
-    y1 = fp[j + 1]
-    slope = (y1 - y0) / (x1 - x0)
-    value = slope * (x - x0) + y0
-    if value != value:
-        value = slope * (x - x1) + y1
-        if value != value and y0 == y1:
-            value = y0
-    return value
-
-
 @dataclass(frozen=True)
 class LatencyProfile:
     """Monotone piecewise-linear utilization → loaded-latency curve.
@@ -211,11 +180,6 @@ class LatencyProfile:
         """Latency at the lowest point (extrapolated flat to 0)."""
         return self.points[0][1]
 
-    @property
-    def saturated_latency_ns(self) -> float:
-        """Latency at the highest point."""
-        return self.points[-1][1]
-
     def _check(self, utilization: float) -> float:
         """``utilization`` clamped to the top point, or a domain error."""
         if not math.isfinite(utilization):
@@ -230,12 +194,38 @@ class LatencyProfile:
         return self.top_utilization
 
     def latency_ns(self, utilization: float) -> float:
-        """Interpolated loaded latency at ``utilization``."""
+        """Interpolated loaded latency at ``utilization``.
+
+        ``float(np.interp(u, utils, lats))`` in pure Python, bit for bit:
+        it replays numpy's compiled per-element step without the array
+        round trip.  That is the breakpoint value itself at ``u ==
+        utils[j]``, otherwise ``slope * (u - utils[j]) + lats[j]`` with
+        ``slope = (lats[j+1] - lats[j]) / (utils[j+1] - utils[j])``,
+        retried from the right-hand point when that is NaN (two infinite
+        latencies make the slope NaN); flat below the first point and at
+        the top one.
+        """
         u = utilization
         if not 0.0 <= u <= self.top_utilization:  # the rare case; NaN too
             u = self._check(u)
+        utils = self._utils
         lats = self._lats
-        value = interp_scalar(u, self._utils, lats)
+        j = bisect_right(utils, u) - 1
+        if j < 0:
+            value = lats[0]
+        elif j == len(utils) - 1 or u == utils[j]:
+            value = lats[j]
+        else:
+            x0 = utils[j]
+            x1 = utils[j + 1]
+            y0 = lats[j]
+            y1 = lats[j + 1]
+            slope = (y1 - y0) / (x1 - x0)
+            value = slope * (u - x0) + y0
+            if value != value:
+                value = slope * (u - x1) + y1
+                if value != value and y0 == y1:
+                    value = y0
         # The interpolation is flat outside the domain, which is the
         # right behaviour at both ends (idle below, saturated above).
         # This clamp, min(max(value, lats[0]), lats[-1]) spelled out,
@@ -252,7 +242,7 @@ class LatencyProfile:
         """Vectorized :meth:`latency_ns`, elementwise bit-identical.
 
         ``np.interp`` evaluates each element with the compiled step that
-        :func:`interp_scalar` replays, and ``np.clip`` performs the
+        :meth:`latency_ns` replays, and ``np.clip`` performs the
         identical ``min(max(...))`` pair, so ``latency_ns_batch(u)[i] ==
         latency_ns(u[i])`` bit-for-bit.  Used by the batched miss fast
         path, which plans a whole run of admissions at once: one

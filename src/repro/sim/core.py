@@ -24,6 +24,7 @@ numpy columns directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -80,6 +81,7 @@ class ThreadDriver:
         "_demand_arr",
         "_gaps",
         "_gaps_ns",
+        "_line_bytes",
         "_n",
         "_batch",
         "_batch_miss",
@@ -115,7 +117,16 @@ class ThreadDriver:
         demand_arr = kind_arr < _FIRST_PREFETCH_CODE
         self._demand = demand_arr.tolist()
         gaps_ns_arr = gap_arr / freq_ghz
+        # Engine.schedule's delay check, once for the whole column:
+        # _try_issue pushes its attempts onto the heap unchecked.
+        bad = ~((gaps_ns_arr >= 0.0) & (gaps_ns_arr < np.inf))
+        if bad.any():
+            raise SimulationError(
+                "cannot schedule with non-finite or negative delay: "
+                f"{float(gaps_ns_arr[bad][0])}"
+            )
         self._gaps_ns = gaps_ns_arr.tolist()
+        self._line_bytes = core.l1_array.line_bytes
         self._n = len(self._addrs)
         self._batch = hierarchy.batch_enabled
         self._skip_until = 0
@@ -170,15 +181,24 @@ class ThreadDriver:
         # Prefetches are non-blocking: they never enter the window, so
         # their completion must not decrement in_flight.
         on_complete = self._on_complete if is_demand else self._on_prefetch_done
-        issued = self.hierarchy.issue_access(
-            self._core, self._addrs[i], self._kinds[i], on_complete
-        )
+        core = self._core
+        addr = self._addrs[i]
+        if core.tlb is None:
+            # No translation: skip issue_access and CacheArray.line_of.
+            line_bytes = self._line_bytes
+            issued = self.hierarchy._issue_translated(
+                core, self._kinds[i], addr // line_bytes * line_bytes, on_complete
+            )
+        else:
+            issued = self.hierarchy.issue_access(
+                core, addr, self._kinds[i], on_complete
+            )
         if not issued:
             # L1 MSHR file full: record stall and retry when one frees.
             if not ctx.waiting_mshr:
                 ctx.waiting_mshr = True
                 ctx.stall_start_ns = self.engine.now
-            self._core.l1_mshr.wait_for_free(self._retry_after_mshr)
+            core.l1_mshr.wait_for_free(self._retry_after_mshr)
             return
 
         if ctx.waiting_window or ctx.waiting_mshr:
@@ -198,12 +218,18 @@ class ThreadDriver:
             self._san.scalar_issued += 1
         if is_demand:
             ctx.in_flight += 1
-        ctx.next_idx = i + 1
+        i += 1
+        ctx.next_idx = i
 
-        if ctx.next_idx >= self._n:
+        if i >= self._n:
             self._maybe_finish()
             return
-        self.engine.schedule(self._gaps_ns[ctx.next_idx], self._try_issue)
+        # engine.schedule(gaps_ns[i], _try_issue) without the call; the
+        # constructor checked every gap.
+        engine = self.engine
+        seq = engine.seq
+        engine.seq = seq + 1
+        heappush(engine.heap, (engine.now + self._gaps_ns[i], seq, self._try_issue))
 
     # -- batch-stepping fast path ----------------------------------------------
 

@@ -33,7 +33,9 @@ made; a request costs the engine one event, its completion.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from heapq import heappush
 from itertools import repeat
 from typing import Callable, Deque, Tuple
 
@@ -296,7 +298,17 @@ class MemoryController:
         stats.requests += 1
         stats.latency_sum_ns += latency + queued_ns
         stats.latency_count += 1
-        self.engine.schedule_at(admit_ns + latency, on_complete)
+        # engine.schedule_at(admit_ns + latency, on_complete) without
+        # the call, range check included.
+        engine = self.engine
+        time_ns = admit_ns + latency
+        if not (engine.now <= time_ns < math.inf):
+            raise SimulationError(
+                f"cannot schedule at {time_ns} before now ({engine.now})"
+            )
+        seq = engine.seq
+        engine.seq = seq + 1
+        heappush(engine.heap, (time_ns, seq, on_complete))
 
     # -- closed-form batch service (batch-stepping miss fast path) --------------
 

@@ -95,7 +95,12 @@ class StreamPrefetcher:
         return self._observe_one(line_addr >> 12, line_addr // self.line_bytes)
 
     def _observe_one(self, page: int, line_no: int) -> List[int]:
-        """Table transition for one observed demand line (enabled path)."""
+        """Table transition for one observed demand line (enabled path).
+
+        The hierarchy's ``_train_prefetcher`` calls this directly, behind
+        its own ``enabled`` test, to spare every L1 miss the
+        :meth:`observe` call.
+        """
         self._seq += 1
         streams = self._streams
         # The table is kept in least-recently-touched order: a touched

@@ -175,7 +175,7 @@ class TestAnalyticProfile:
         profile = analytic_profile(spec, probes)
         assert profile.points[0][0] == 0.0
         assert profile.max_measured_bw_bytes == pytest.approx(cap)
-        assert profile.saturated_latency_ns == probes.saturated_latency_ns
+        assert profile.points[-1][1] == probes.points[-1][1]
         assert profile.idle_latency_ns == probes.idle_latency_ns
 
 

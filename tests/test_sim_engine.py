@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.machines import get_machine
+from repro.sim import Engine, SimConfig, run_trace
+from repro.sim.coltrace import AccessColumns, columnar_trace
+from repro.xmem.kernels import resident_thread
 
 
 class TestScheduling:
@@ -161,3 +164,40 @@ class TestWake:
         engine.run()
         assert order == ["w"]
         assert engine.wakeups_in_place == 0
+
+
+
+class TestTraceGapChecks:
+    """A bad gap fails the whole run, whichever path issues its access.
+
+    The trace constructor rejects only negative gaps (``np.nanmin`` skips
+    NaN), so a NaN or +inf gap reaches the simulator and must be
+    rejected there, batching on or off, at the first access or at one
+    inside a batched hit run.
+    """
+
+    N = 600
+
+    @classmethod
+    def _trace(cls, bad_index=None, bad_gap=0.0):
+        thread = resident_thread(0, cls.N, 64, hot_lines=8)
+        gaps = thread.gap_cycles.copy()
+        if bad_index is not None:
+            gaps[bad_index] = bad_gap
+        columns = AccessColumns(thread.addr, thread.kind, gaps)
+        return columnar_trace([columns, columns])
+
+    @staticmethod
+    def _config(batch):
+        return SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
+
+    def test_later_index_lies_in_a_batched_run(self):
+        stats = run_trace(self._trace(), self._config(True))
+        assert stats.batch_accesses > self.N
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
+    @pytest.mark.parametrize("bad_index", [0, 300])
+    @pytest.mark.parametrize("bad_gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_fails_the_run(self, batch, bad_index, bad_gap):
+        with pytest.raises(SimulationError):
+            run_trace(self._trace(bad_index, bad_gap), self._config(batch))

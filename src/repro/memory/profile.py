@@ -149,6 +149,19 @@ class LatencyProfile:
         return tuple(lat for _, lat in self.points)
 
     @cached_property
+    def _segments(self) -> Tuple[Tuple[float, float, float, float, float], ...]:
+        """``(x0, x1, y0, y1, slope)`` per pair of adjacent points.
+
+        ``slope`` is ``(y1 - y0) / (x1 - x0)``, the same IEEE division
+        ``np.interp`` makes on every query, made once.
+        """
+        points = self.points
+        return tuple(
+            (x0, x1, y0, y1, (y1 - y0) / (x1 - x0))
+            for (x0, y0), (x1, y1) in zip(points, points[1:])
+        )
+
+    @cached_property
     def _limit(self) -> float:
         return self.top_utilization * OVERSHOOT
 
@@ -201,9 +214,9 @@ class LatencyProfile:
         round trip.  That is the breakpoint value itself at ``u ==
         utils[j]``, otherwise ``slope * (u - utils[j]) + lats[j]`` with
         ``slope = (lats[j+1] - lats[j]) / (utils[j+1] - utils[j])``,
-        retried from the right-hand point when that is NaN (two infinite
-        latencies make the slope NaN); flat below the first point and at
-        the top one.
+        read from the segment table, retried from the right-hand point
+        when that is NaN (two infinite latencies make the slope NaN);
+        flat below the first point and at the top one.
         """
         u = utilization
         if not 0.0 <= u <= self.top_utilization:  # the rare case; NaN too
@@ -211,16 +224,14 @@ class LatencyProfile:
         utils = self._utils
         lats = self._lats
         j = bisect_right(utils, u) - 1
+        # u <= top_utilization == utils[-1], so the last index comes
+        # only with u == utils[-1], a breakpoint.
         if j < 0:
             value = lats[0]
-        elif j == len(utils) - 1 or u == utils[j]:
+        elif u == utils[j]:
             value = lats[j]
         else:
-            x0 = utils[j]
-            x1 = utils[j + 1]
-            y0 = lats[j]
-            y1 = lats[j + 1]
-            slope = (y1 - y0) / (x1 - x0)
+            x0, x1, y0, y1, slope = self._segments[j]
             value = slope * (u - x0) + y0
             if value != value:
                 value = slope * (u - x1) + y1

@@ -92,13 +92,16 @@ def _as_kind_array(kind: np.ndarray) -> np.ndarray:
 
 
 def _as_gap_array(gap: np.ndarray) -> np.ndarray:
-    """Coerce to the canonical gap array, rejecting negatives."""
+    """Coerce to the canonical gap array, rejecting non-finite or negative gaps."""
     arr = np.asarray(gap)
     if arr.ndim != 1:
         raise TraceError(f"gap_cycles must be 1-D, got shape {arr.shape}")
     out = np.ascontiguousarray(arr.astype(GAP_DTYPE, copy=False))
-    if out.size and np.nanmin(out) < 0:
-        raise TraceError(f"negative gap {float(np.nanmin(out))}")
+    # min and max propagate NaN, which fails both compares; a negative
+    # or -inf gap fails the first, +inf the second.
+    if out.size and not (out.min() >= 0.0 and out.max() < np.inf):
+        bad = out[~((out >= 0.0) & (out < np.inf))]
+        raise TraceError(f"gap must be finite and non-negative, got {float(bad[0])}")
     return out
 
 
@@ -277,12 +280,12 @@ class ColumnarThreadTrace:
             object.__setattr__(self, "_accesses", cached)
         return cached
 
-    def issue_columns(self) -> Tuple[List[int], List[AccessKind], List[float]]:
-        """Plain-Python parallel lists for the simulator's issue loop.
+    def issue_columns(self) -> Tuple[List[int], List[AccessKind]]:
+        """Plain-Python address and kind lists for the simulator's issue loop.
 
         One ``tolist()`` per column replaces per-access ``Access``
-        materialization: the driver then indexes ints, shared
-        ``AccessKind`` singletons, and floats.  Cached per thread trace.
+        materialization: the driver then indexes ints and shared
+        ``AccessKind`` singletons.  Cached per thread trace.
         """
         cols = getattr(self, "_issue_columns", None)
         if cols is None:
@@ -290,7 +293,6 @@ class ColumnarThreadTrace:
             cols = (
                 self.addr.tolist(),
                 [kinds[c] for c in self.kind.tolist()],
-                self.gap_cycles.tolist(),
             )
             object.__setattr__(self, "_issue_columns", cols)
         return cols  # type: ignore[no-any-return]

@@ -79,7 +79,6 @@ class ThreadDriver:
         "_kinds",
         "_demand",
         "_demand_arr",
-        "_gaps",
         "_gaps_ns",
         "_line_bytes",
         "_n",
@@ -90,9 +89,12 @@ class ThreadDriver:
         "_l2_hit_ns",
         "_lines_arr",
         "_writes_arr",
-        "_gap_arr",
         "_gaps_ns_arr",
         "_san",
+        "_try_issue_cb",
+        "_on_complete_cb",
+        "_on_prefetch_cb",
+        "_issue_translated",
     )
 
     def __init__(
@@ -108,7 +110,7 @@ class ThreadDriver:
         core = self._core = hierarchy.cores[context.core_id]
         freq_ghz = hierarchy.machine.frequency_ghz
         trace = context.trace
-        self._addrs, self._kinds, self._gaps = trace.issue_columns()
+        self._addrs, self._kinds = trace.issue_columns()
         addr_arr, kind_arr, gap_arr = trace.addr, trace.kind, trace.gap_cycles
         # One vectorized compare / divide per column; the per-element
         # float values are IEEE-identical to scalar division, and
@@ -133,32 +135,40 @@ class ThreadDriver:
         self._l1_hit_ns = hierarchy.l1_hit_ns
         self._l2_hit_ns = hierarchy._l2_hit_ns
         self._san = hierarchy.sanitizer
+        # The per-access callables, bound once per driver instead of
+        # once per use.  The driver's own bound methods make it a
+        # reference cycle, which _finish breaks so the driver's lists
+        # die with its last event instead of at the next full GC.
+        self._try_issue_cb = self._try_issue
+        self._on_complete_cb = self._on_complete
+        self._on_prefetch_cb = self._on_prefetch_done
+        self._issue_translated = hierarchy._issue_translated
         if self._batch:
             self._batch_miss = hierarchy.batch_miss_enabled
             self._demand_arr = demand_arr
             self._lines_arr = core.l1_array.line_of_batch(addr_arr)
             self._writes_arr = kind_arr == KIND_CODES[AccessKind.STORE]
-            self._gap_arr = gap_arr
             self._gaps_ns_arr = gaps_ns_arr
         else:
             self._batch_miss = False
             self._demand_arr = None
-            self._lines_arr = self._writes_arr = None
-            self._gap_arr = self._gaps_ns_arr = None
+            self._lines_arr = self._writes_arr = self._gaps_ns_arr = None
 
     def start(self) -> None:
         """Schedule the first issue attempt."""
         if self._n == 0:
             self._finish()
             return
-        self.engine.schedule(self._gaps_ns[0], self._try_issue)
+        self.engine.schedule(self._gaps_ns[0], self._try_issue_cb)
 
     # -- issue path -----------------------------------------------------------
 
     def _try_issue(self) -> None:
         ctx = self.ctx
         i = ctx.next_idx
-        if ctx.done or i >= self._n:
+        # A finished thread has issued its whole trace, so this also
+        # turns away an attempt that fires after _finish.
+        if i >= self._n:
             self._maybe_finish()
             return
         # A batch needs zero demand accesses in flight; checking that
@@ -180,13 +190,13 @@ class ThreadDriver:
 
         # Prefetches are non-blocking: they never enter the window, so
         # their completion must not decrement in_flight.
-        on_complete = self._on_complete if is_demand else self._on_prefetch_done
+        on_complete = self._on_complete_cb if is_demand else self._on_prefetch_cb
         core = self._core
         addr = self._addrs[i]
         if core.tlb is None:
             # No translation: skip issue_access and CacheArray.line_of.
             line_bytes = self._line_bytes
-            issued = self.hierarchy._issue_translated(
+            issued = self._issue_translated(
                 core, self._kinds[i], addr // line_bytes * line_bytes, on_complete
             )
         else:
@@ -195,10 +205,12 @@ class ThreadDriver:
             )
         if not issued:
             # L1 MSHR file full: record stall and retry when one frees.
+            # The retry is a plain attempt: it does nothing once the
+            # thread has finished.
             if not ctx.waiting_mshr:
                 ctx.waiting_mshr = True
                 ctx.stall_start_ns = self.engine.now
-            core.l1_mshr.wait_for_free(self._retry_after_mshr)
+            core.l1_mshr.wait_for_free(self._try_issue_cb)
             return
 
         if ctx.waiting_window or ctx.waiting_mshr:
@@ -213,7 +225,6 @@ class ThreadDriver:
             ctx.waiting_mshr = False
 
         self.core_stats.issued_accesses += 1
-        self.core_stats.compute_cycles += self._gaps[i]
         if self._san is not None:
             self._san.scalar_issued += 1
         if is_demand:
@@ -229,7 +240,7 @@ class ThreadDriver:
         engine = self.engine
         seq = engine.seq
         engine.seq = seq + 1
-        heappush(engine.heap, (engine.now + self._gaps_ns[i], seq, self._try_issue))
+        heappush(engine.heap, (engine.now + self._gaps_ns[i], seq, self._try_issue_cb))
 
     # -- batch-stepping fast path ----------------------------------------------
 
@@ -532,14 +543,7 @@ class ThreadDriver:
         stats.batch_accesses += k
         if self._san is not None:
             self._san.batch_issued += k
-        core_stats = self.core_stats
-        core_stats.issued_accesses += k
-        # Chained left-to-right adds via cumsum: bit-identical to the
-        # event path's one-at-a-time accumulation.
-        acc = np.empty(k + 1, dtype=np.float64)
-        acc[0] = core_stats.compute_cycles
-        acc[1:] = self._gap_arr[start:end]
-        core_stats.compute_cycles = float(np.cumsum(acc)[-1])
+        self.core_stats.issued_accesses += k
         ctx.next_idx = end
 
         completion = completion[:k]
@@ -570,10 +574,10 @@ class ThreadDriver:
         t_next = float(t[k - 1]) + self._gaps_ns[end]
         out_times = completion[completion > t_next]
         ctx.in_flight += len(out_times)
-        on_complete = self._on_complete
+        on_complete = self._on_complete_cb
         for when in out_times.tolist():
             engine.schedule_at(when, on_complete)
-        engine.schedule_at(t_next, self._try_issue)
+        engine.schedule_at(t_next, self._try_issue_cb)
         return k
 
     def _replay_array(
@@ -625,22 +629,19 @@ class ThreadDriver:
         if prev < n_touch:
             array.touch_batch(touch_lines[prev:], no_writes[prev:])
 
-    def _retry_after_mshr(self) -> None:
-        if not self.ctx.done:
-            self._try_issue()
-
     def _on_prefetch_done(self) -> None:
         """Software-prefetch retirement: no window slot to release."""
         self._maybe_finish()
 
     def _on_complete(self) -> None:
         ctx = self.ctx
-        ctx.in_flight -= 1
-        if ctx.in_flight < 0:
+        in_flight = ctx.in_flight - 1
+        ctx.in_flight = in_flight
+        if in_flight < 0:
             raise SimulationError("thread in_flight went negative")
         if ctx.waiting_window:
             self._try_issue()
-        elif not ctx.done and ctx.next_idx >= self._n and ctx.in_flight == 0:
+        elif not in_flight and not ctx.done and ctx.next_idx >= self._n:
             # _maybe_finish(), inlined: this runs once per demand access.
             self._finish()
 
@@ -652,7 +653,19 @@ class ThreadDriver:
             self._finish()
 
     def _finish(self) -> None:
-        self.ctx.done = True
-        self.core_stats.finished = True
-        self.core_stats.finish_time_ns = self.engine.now
+        ctx = self.ctx
+        ctx.done = True
+        core_stats = self.core_stats
+        core_stats.finished = True
+        core_stats.finish_time_ns = self.engine.now
+        # Every access has issued, scalar or batched, in trace order, so
+        # the compute cycles are the left fold 0.0 + g[0] + g[1] + ...;
+        # cumsum makes the same chained adds.
+        acc = np.zeros(self._n + 1, dtype=np.float64)
+        acc[1:] = ctx.trace.gap_cycles
+        core_stats.compute_cycles = float(np.cumsum(acc, out=acc)[-1])
+        # Break the cycle the bound methods of the driver make.  Events
+        # still queued hold their own references, and a finished thread
+        # reads none of these.
+        del self._try_issue_cb, self._on_complete_cb, self._on_prefetch_cb
         self.hierarchy.thread_finished()

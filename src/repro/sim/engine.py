@@ -9,7 +9,9 @@ needed via the machine's frequency.
 The engine is the simulator's innermost loop (every cache access,
 MSHR fill, and memory completion passes through it several times), so
 it is written for CPython speed: ``__slots__``, a plain integer
-sequence counter, and method-local bindings of the heap primitives.
+sequence counter, method-local bindings of the heap primitives, and
+one :meth:`Engine.run` loop that pops an event, unpacks it and calls
+it, with no peek at the heap's head.
 :attr:`Engine.now` is a plain slot that only :meth:`Engine.run`
 writes, not a property: the access path reads it several times per
 access, and a property read is a Python call.  The optimizations are
@@ -39,7 +41,7 @@ checks its whole gap column once (finite and non-negative), a
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -137,17 +139,13 @@ class Engine:
             seq += 1
         self.seq = seq
 
-    def run(
-        self,
-        *,
-        until_ns: Optional[float] = None,
-        max_events: int = 50_000_000,
-    ) -> float:
-        """Run until the queue drains (or ``until_ns`` / ``max_events``).
+    def run(self, *, max_events: int = 50_000_000) -> float:
+        """Run until the queue drains; returns the final simulation time.
 
-        Returns the final simulation time.  ``max_events`` is a runaway
-        guard: exceeding it raises
-        :class:`~repro.errors.SimulationError`.
+        One loop pops the earliest event, advances :attr:`now` to its
+        time and calls it.  ``max_events`` is a runaway guard: exceeding
+        it raises :class:`~repro.errors.SimulationError`.  A sanitizer,
+        when attached, sees every fired event's time and count.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
@@ -158,12 +156,7 @@ class Engine:
         sanitizer = self._sanitizer
         try:
             while queue:
-                head = queue[0]
-                time_ns = head[0]
-                if until_ns is not None and time_ns > until_ns:
-                    self.now = until_ns
-                    break
-                pop(queue)
+                time_ns, _, callback = pop(queue)
                 self.now = time_ns
                 events += 1
                 if events > max_events:
@@ -172,7 +165,7 @@ class Engine:
                     )
                 if sanitizer is not None:
                     sanitizer.on_event(time_ns, events)
-                head[2]()
+                callback()
         finally:
             self._events_fired = events
             self._running = False

@@ -24,8 +24,10 @@ utilization.  Consequences:
   thus latency fall, reproducing the closed-loop feedback the paper's
   Figure 2 ceiling captures.
 
-Utilization is estimated over a sliding window of recently admitted
-bytes.  Writebacks consume admission slots (bandwidth) but complete
+Utilization is estimated over a sliding window of recent admissions.
+Every admission, request or writeback, moves one line, so the window
+holds admission times only and its byte total is its length times
+``line_bytes``.  Writebacks consume admission slots (bandwidth) but complete
 immediately (no MSHR is held for them).  Admission is FIFO, so each
 request's slot, latency and completion time are settled when it is
 made; a request costs the engine one event, its completion.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappush
-from itertools import repeat
 from typing import Callable, Deque, Tuple
 
 import numpy as np
@@ -47,6 +48,8 @@ from ..units import GIGA, ns
 from .engine import Engine
 from .stats import MemoryStats
 
+
+_INF = math.inf
 
 #: Fixed-point passes :func:`_admissions` spends before it finishes the
 #: remaining back-to-back chain with one ``cumsum``.
@@ -137,7 +140,6 @@ class MemoryController:
         "slot_ns",
         "_next_free_ns",
         "_recent",
-        "_recent_bytes",
         "_audit",
         "_req_seq",
     )
@@ -157,6 +159,8 @@ class MemoryController:
             raise SimulationError("peak bandwidth must be positive")
         if not 0 < achievable_fraction <= 1:
             raise SimulationError("achievable fraction must be in (0,1]")
+        if not window_ns >= 0:
+            raise SimulationError("utilization window must be non-negative")
         self.engine = engine
         self.latency_model = latency_model
         self.peak_bw_bytes = peak_bw_bytes
@@ -168,38 +172,38 @@ class MemoryController:
         #: ns per admitted line at the achievable-bandwidth cap.
         self.slot_ns = line_bytes / self.achievable_bw_bytes * GIGA
         self._next_free_ns = 0.0
-        self._recent: Deque[Tuple[float, int]] = deque()  # (admit time, bytes)
-        self._recent_bytes = 0
+        #: Admission times in the utilization window, oldest first.
+        self._recent: Deque[float] = deque()
         #: Optional sanitizer hook (the RunSanitizer; set when armed).
         self._audit = None
         self._req_seq = 0
 
     # -- utilization estimate ----------------------------------------------------
 
-    def _note_admission(self, now_ns: float, nbytes: int) -> None:
-        self._recent.append((now_ns, nbytes))
-        self._recent_bytes += nbytes
-        cutoff = now_ns - self.window_ns
-        while self._recent and self._recent[0][0] < cutoff:
-            _, old = self._recent.popleft()
-            self._recent_bytes -= old
+    def _note_admission(self, admit_ns: float) -> None:
+        recent = self._recent
+        recent.append(admit_ns)
+        cutoff = admit_ns - self.window_ns
+        while recent[0] < cutoff:
+            recent.popleft()
 
     def utilization(self, now_ns: float) -> float:
         """Recent-bytes utilization of theoretical peak, in [0, 1].
 
         Counts every admission in the deque at or after ``now_ns -
-        window_ns``.  Admissions are noted when the request is made, so
-        mid-run the deque also holds slots already granted for the
-        future (``admit > now_ns``); they count too.  Once the event
-        queue drains, every noted admission lies in the past.
+        window_ns``, one line each.  Admissions are noted when the
+        request is made, so mid-run the deque also holds slots already
+        granted for the future (``admit > now_ns``); they count too.
+        Once the event queue drains, every noted admission lies in the
+        past.
         """
+        recent = self._recent
         cutoff = now_ns - self.window_ns
-        while self._recent and self._recent[0][0] < cutoff:
-            _, old = self._recent.popleft()
-            self._recent_bytes -= old
-        if not self._recent:
+        while recent and recent[0] < cutoff:
+            recent.popleft()
+        if not recent:
             return 0.0
-        rate = self._recent_bytes / self._window_s
+        rate = len(recent) * self.line_bytes / self._window_s
         return min(1.0, rate / self.peak_bw_bytes)
 
     # -- request service -----------------------------------------------------------
@@ -222,7 +226,10 @@ class MemoryController:
         :meth:`_admit` for the one ordering this changes.
         """
         now = self.engine.now
-        admit = max(now, self._next_free_ns)
+        # max(now, next_free) without the call: the same value, now on a tie.
+        admit = self._next_free_ns
+        if not admit > now:
+            admit = now
         self._next_free_ns = admit + self.slot_ns
         seq = self._req_seq
         self._req_seq = seq + 1
@@ -271,20 +278,19 @@ class MemoryController:
         ``benchmarks/parity.py``), and ``tests/test_sim_admission.py``
         pins a constructed one.
         """
-        # _note_admission(admit_ns, line_bytes), inlined: this runs on
-        # every memory request.
+        # _note_admission(admit_ns), inlined: this runs on every memory
+        # request.  The trim stops at the admission just appended, the
+        # newest entry, so the deque never empties.
         line_bytes = self.line_bytes
         recent = self._recent
-        recent.append((admit_ns, line_bytes))
-        recent_bytes = self._recent_bytes + line_bytes
+        recent.append(admit_ns)
         cutoff = admit_ns - self.window_ns
-        while recent and recent[0][0] < cutoff:
-            recent_bytes -= recent.popleft()[1]
-        self._recent_bytes = recent_bytes
+        while recent[0] < cutoff:
+            recent.popleft()
         # utilization() at the admission time, without its second
         # deque walk: the trim above used the same cutoff and left the
         # deque non-empty.
-        util = recent_bytes / self._window_s / self.peak_bw_bytes
+        util = len(recent) * line_bytes / self._window_s / self.peak_bw_bytes
         if util > 1.0:
             util = 1.0
         latency = self.latency_model.latency_ns(util)
@@ -302,7 +308,7 @@ class MemoryController:
         # the call, range check included.
         engine = self.engine
         time_ns = admit_ns + latency
-        if not (engine.now <= time_ns < math.inf):
+        if not (engine.now <= time_ns < _INF):
             raise SimulationError(
                 f"cannot schedule at {time_ns} before now ({engine.now})"
             )
@@ -334,9 +340,9 @@ class MemoryController:
           happened at or before the first issue), and cutoffs never
           decrease, so the live entries at admission ``i`` are the
           suffix of ``[deque; admit[:i+1]]`` at or after
-          ``admit[i] - window_ns``.  Their byte total is an exact
-          int64 cumulative-sum difference, divided by the window and
-          the peak in the scalar order.
+          ``admit[i] - window_ns``.  Their byte total is their count
+          times ``line_bytes``, an exact int64, divided by the window
+          and the peak in the scalar order.
 
         Returns ``(admit, latency)``; each completion time is ``admit +
         latency`` — the same single float add :meth:`_admit` performs
@@ -349,16 +355,12 @@ class MemoryController:
         recent = self._recent
         d = len(recent)
         times = np.empty(d + n, dtype=np.float64)
-        nbytes = np.zeros(d + n + 1, dtype=np.int64)
-        if d:
-            old_times, old_bytes = zip(*recent)
-            times[:d] = old_times
-            nbytes[1 : d + 1] = old_bytes
+        times[:d] = recent
         times[d:] = admit
-        nbytes[d + 1 :] = self.line_bytes
-        np.cumsum(nbytes, out=nbytes)
         first_live = np.searchsorted(times, admit - self.window_ns)
-        live = nbytes[d + 1 :] - nbytes[first_live]
+        # Admission i is entry d + i; the live entries are first_live
+        # through it, one line each.
+        live = (np.arange(d + 1, d + n + 1) - first_live) * self.line_bytes
         utils = live / self._window_s / self.peak_bw_bytes
         np.minimum(utils, 1.0, out=utils)
         # The admission recurrence never depends on latency values, so
@@ -392,12 +394,10 @@ class MemoryController:
         if first:
             # Every deque entry is at least as old as an expired admission.
             recent.clear()
-            self._recent_bytes = 0
         else:
-            while recent and recent[0][0] < cutoff:
-                self._recent_bytes -= recent.popleft()[1]
-        recent.extend(zip(admit[first:].tolist(), repeat(line_bytes)))
-        self._recent_bytes += (n - first) * line_bytes
+            while recent and recent[0] < cutoff:
+                recent.popleft()
+        recent.extend(admit[first:].tolist())
         # Same float value as the scalar chain: next_free is recomputed
         # from the last admission exactly as request() would have.
         self._next_free_ns = float(admit[-1]) + self.slot_ns
@@ -449,7 +449,7 @@ class MemoryController:
         if audit is not None:
             audit.writebacks += 1
 
-        self._note_admission(admit, self.line_bytes)
+        self._note_admission(admit)
         self.stats.demand_write_bytes += self.line_bytes
         self.stats.requests += 1
         self.engine.schedule_at(admit, _no_op)

@@ -33,7 +33,6 @@ class _Stream:
     direction: int  # +1 or -1 line steps
     confidence: int = 0
     next_prefetch_line: Optional[int] = None
-    last_touch_seq: int = 0
 
 
 class StreamPrefetcher:
@@ -77,7 +76,6 @@ class StreamPrefetcher:
         self.train_threshold = train_threshold
         self.enabled = enabled
         self._streams: Dict[int, _Stream] = {}  # keyed by 4KiB page
-        self._seq = 0
         self.issued = 0
         self.dropped_no_stream_slot = 0
 
@@ -101,7 +99,6 @@ class StreamPrefetcher:
         its own ``enabled`` test, to spare every L1 miss the
         :meth:`observe` call.
         """
-        self._seq += 1
         streams = self._streams
         # The table is kept in least-recently-touched order: a touched
         # stream is popped and re-inserted last, so eviction takes the
@@ -109,51 +106,57 @@ class StreamPrefetcher:
         stream = streams.pop(page, None)
 
         if stream is None:
-            if len(streams) >= self.max_streams:
-                evicted = self._evict_stale()
-                if not evicted:
-                    self.dropped_no_stream_slot += 1
-                    return []
-            streams[page] = _Stream(line_no, 0, 0, None, self._seq)
+            if len(streams) >= self.max_streams and not self._evict_stale():
+                self.dropped_no_stream_slot += 1
+                return []
+            streams[page] = _Stream(line_no, 0)
             return []
 
         streams[page] = stream
         step = line_no - stream.last_line
-        stream.last_touch_seq = self._seq
         if step == 0:
             return []  # same line again; no new information
         direction = 1 if step > 0 else -1
-        if abs(step) <= 2 and direction == stream.direction:
-            stream.confidence += 1
-        elif abs(step) <= 2:
-            stream.direction = direction
-            stream.confidence = 1
+        if -2 <= step <= 2:
+            if direction == stream.direction:
+                confidence = stream.confidence + 1
+            else:
+                stream.direction = direction
+                confidence = 1
         else:
             # Non-unit jump: restart training within the page.
             stream.direction = direction
-            stream.confidence = 0
+            confidence = 0
+        stream.confidence = confidence
         stream.last_line = line_no
 
-        if stream.confidence < self.train_threshold:
+        if confidence < self.train_threshold:
             return []
 
         # Live stream: issue `degree` prefetches `distance` lines ahead.
+        # Every branch above left stream.direction == direction.
+        ahead = line_no + direction * self.distance
         start = stream.next_prefetch_line
-        if start is None or (line_no + stream.direction * self.distance
-                             ) * stream.direction > start * stream.direction:
-            start = line_no + stream.direction * self.distance
-        candidates = []
-        for i in range(self.degree):
-            target = start + stream.direction * i
-            if target >= 0:
-                candidates.append(target * self.line_bytes)
-        stream.next_prefetch_line = start + stream.direction * self.degree
+        if start is None or ahead * direction > start * direction:
+            start = ahead
+        # The targets start, start + direction, ... (degree of them)
+        # as byte addresses, those below line 0 dropped: one range.  An
+        # ascending stream starts at or past ``ahead`` > 0, so only a
+        # descending one can reach below line 0.
+        stop = start + direction * self.degree
+        stream.next_prefetch_line = stop
+        if stop < -1:
+            stop = -1
+        line_bytes = self.line_bytes
+        candidates = list(
+            range(start * line_bytes, stop * line_bytes, direction * line_bytes)
+        )
         self.issued += len(candidates)
         return candidates
 
     # -- snapshot/replay surface (batch-stepping miss fast path) ----------------
 
-    def snapshot(self) -> Tuple[Dict[int, Tuple[int, int, int, Optional[int], int]], int, int, int]:
+    def snapshot(self) -> Tuple[Dict[int, Tuple[int, int, int, Optional[int]]], int, int]:
         """Copy of the full tracker state, for speculative replay.
 
         The batched miss path replays :meth:`observe` over a planned run
@@ -169,38 +172,20 @@ class StreamPrefetcher:
                     s.direction,
                     s.confidence,
                     s.next_prefetch_line,
-                    s.last_touch_seq,
                 )
                 for page, s in self._streams.items()
             },
-            self._seq,
             self.issued,
             self.dropped_no_stream_slot,
         )
 
     def restore(
         self,
-        snap: Tuple[Dict[int, Tuple[int, int, int, Optional[int], int]], int, int, int],
+        snap: Tuple[Dict[int, Tuple[int, int, int, Optional[int]]], int, int],
     ) -> None:
         """Reset the tracker to a :meth:`snapshot` copy."""
-        streams, seq, issued, dropped = snap
-        self._streams = {
-            page: _Stream(
-                last_line=last_line,
-                direction=direction,
-                confidence=confidence,
-                next_prefetch_line=next_line,
-                last_touch_seq=touch_seq,
-            )
-            for page, (
-                last_line,
-                direction,
-                confidence,
-                next_line,
-                touch_seq,
-            ) in streams.items()
-        }
-        self._seq = seq
+        streams, issued, dropped = snap
+        self._streams = {page: _Stream(*state) for page, state in streams.items()}
         self.issued = issued
         self.dropped_no_stream_slot = dropped
 
@@ -258,29 +243,26 @@ class StreamPrefetcher:
     def _open_streams(self, pages: List[int], line_nos: List[int]) -> None:
         """Sequential :meth:`_observe_one` over distinct untracked pages.
 
-        Each observation opens a training stream at the next sequence
-        number, evicting the least-recently-touched stream when the
-        table is full.  Only the evictions and the streams that survive
+        Each observation opens a training stream, evicting the
+        least-recently-touched stream when the table is full.  Only the evictions and the streams that survive
         them are performed: the table keeps its last ``max_streams``
         entries of old-then-new, so at most ``max_streams`` streams are
         created however long the run.
         """
         m = len(pages)
         streams = self._streams
-        seq0 = self._seq
-        self._seq = seq0 + m
         excess = len(streams) + m - self.max_streams
         for _ in range(min(excess, len(streams))):
             del streams[next(iter(streams))]
         for j in range(max(0, m - self.max_streams), m):
-            streams[pages[j]] = _Stream(line_nos[j], 0, 0, None, seq0 + j + 1)
+            streams[pages[j]] = _Stream(line_nos[j], 0)
 
     def _evict_stale(self) -> bool:
         """Evict the least-recently-touched stream; False if table empty.
 
-        Touch order is dict order (see :meth:`_observe_one`), so the
-        victim is the first key: the stream with the smallest
-        ``last_touch_seq``, as touch sequence numbers are unique.
+        Touch order is dict order: :meth:`_observe_one` pops a touched
+        stream and re-inserts it last, and :meth:`_open_streams` inserts
+        new ones last, so the first key is the least recently touched.
         """
         if not self._streams:
             return False

@@ -1,10 +1,13 @@
-"""The call-count groups of benchmarks/calls_per_access.py, without running it.
+"""The groups and the bytecode counter of benchmarks/calls_per_access.py.
 
 Building perfbench's op lists constructs traces' generators and
-runners but simulates nothing; only the op ids are read.
+runners but simulates nothing; only the op ids are read.  The ``probe``
+group is checked against ``analytic``'s set-up with the calibration
+stubbed out, so nothing is simulated there either.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,52 @@ def test_every_group_counts_some_op(calls, simulated_op_ids):
     for group, prefix in calls.GROUPS.items():
         assert any(op_id.startswith(prefix) for op_id in simulated_op_ids), group
 
+
+
+def test_probe_group_is_analytics_setup(calls, monkeypatch, tmp_path, fresh_sim_cache):
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    import workloads as wl
+    from tracing import Tracer
+
+    from repro.perfmodel.queueing import DEFAULT_PROBE_GAPS
+
+    seen = []
+
+    def calibrate(machine, **kwargs):
+        seen.append((machine.name, kwargs))
+        return machine.latency_model
+
+    monkeypatch.setattr(wl, "calibrate_from_probes", calibrate)
+    bench = wl.Bench(seed=1, size=wl.SIZES["full"], tmp=tmp_path, tracer=Tracer(False))
+    wl.Analytic(bench).setup()
+    setup_calls, seen[:] = list(seen), []
+    ops = calls.probe_ops(wl, bench)
+    for op in ops:
+        op.run()
+    assert seen == setup_calls
+    # Five levels (the default gaps) on each paper machine.
+    assert [name for name, _ in seen] == ["skl", "knl", "a64fx"]
+    assert all(kw == {"accesses_per_thread": bench.size.probe_accesses} for _, kw in seen)
+    assert len(DEFAULT_PROBE_GAPS) == 5
+    # Apart from the op-prefix groups.
+    for op in ops:
+        assert op.op_id.startswith(calls.PROBE_GROUP + "/")
+        assert not any(op.op_id.startswith(p) for p in calls.GROUPS.values())
+
+
+def _loop(n):
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def test_bytecode_count_grows_with_the_work(calls):
+    previous = sys.gettrace()
+    counts = [calls.count_bytecodes(_loop, n) for n in (0, 1, 2, 10)]
+    assert [result for result, _ in counts] == [0, 0, 1, 45]
+    executed = [n for _, n in counts]
+    per_iteration = executed[2] - executed[1]
+    assert per_iteration > 0
+    assert executed[3] - executed[0] == 10 * per_iteration
+    assert sys.gettrace() is previous

@@ -68,7 +68,7 @@ class TwoEventController(MemoryController):
             self._audit.writebacks += 1
 
         def _admit():
-            self._note_admission(self.engine.now, self.line_bytes)
+            self._note_admission(self.engine.now)
             self.stats.demand_write_bytes += self.line_bytes
             self.stats.requests += 1
 

@@ -1,11 +1,18 @@
 """Discrete-event engine semantics."""
 
+import gc
+import json
+from functools import reduce
+
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceError
+from repro.io.tracefile import TRACE_FILE_FORMAT, TRACE_FILE_VERSION, load_trace
 from repro.machines import get_machine
-from repro.sim import Engine, SimConfig, run_trace
-from repro.sim.coltrace import AccessColumns, columnar_trace
+from repro.sim import Engine, Hierarchy, SimConfig, run_trace
+from repro.sim.coltrace import AccessColumns, ColumnarThreadTrace, columnar_trace
+from repro.units import ghz
 from repro.xmem.kernels import resident_thread
 
 
@@ -87,15 +94,6 @@ class TestScheduling:
 
 
 class TestRunLimits:
-    def test_until_stops_early(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(100.0, lambda: fired.append(2))
-        engine.run(until_ns=50.0)
-        assert fired == [1]
-        assert engine.pending() == 1
-
     def test_max_events_guard(self):
         engine = Engine()
 
@@ -106,12 +104,112 @@ class TestRunLimits:
         with pytest.raises(SimulationError):
             engine.run(max_events=100)
 
+    def test_max_events_raises_on_the_first_event_past_it(self):
+        engine = Engine()
+        fired = []
+        for t in range(5):
+            engine.schedule(float(t), lambda t=t: fired.append(t))
+        with pytest.raises(SimulationError, match="exceeded max_events=3"):
+            engine.run(max_events=3)
+        # The fourth event was popped and counted, never called.
+        assert fired == [0, 1, 2]
+        assert engine.events_fired == 4
+        assert engine.now == 3.0
+        assert engine.pending() == 1
+
+    def test_run_drains_the_queue(self):
+        engine = Engine()
+        engine.schedule(2.0, lambda: engine.schedule(3.0, lambda: None))
+        assert engine.run() == 5.0
+        assert engine.pending() == 0
+        assert engine.events_fired == 2
+
     def test_events_fired_counter(self):
         engine = Engine()
         for _ in range(5):
             engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.events_fired == 5
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
+    def test_sanitizer_sees_every_fired_event(self, monkeypatch, batch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        hierarchy = Hierarchy(
+            SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
+        )
+        thread = resident_thread(0, 600, 64, hot_lines=8)
+        stats = hierarchy.run(columnar_trace([thread, thread]))
+        assert stats.events_fired > 0
+        assert hierarchy.sanitizer.events_checked == stats.events_fired
+        assert hierarchy.sanitizer.event_id == stats.events_fired
+
+
+class TestComputeCycles:
+    """``CoreStats.compute_cycles`` is the left fold of the gap column.
+
+    The driver sets it once, when the thread finishes, from ``np.cumsum``
+    over the gaps; the reference is ``0.0 + g[0] + g[1] + ...`` in
+    Python floats.  Gaps such as 0.1 and 1/3 make the order of the adds
+    visible in the last bits.
+    """
+
+    N = 700
+
+    @classmethod
+    def _trace(cls, gaps):
+        thread = resident_thread(0, cls.N, 64, hot_lines=8)
+        columns = [
+            AccessColumns(thread.addr, thread.kind, np.resize(np.asarray(g), cls.N))
+            for g in gaps
+        ]
+        return columnar_trace(columns)
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
+    def test_matches_a_left_fold_bit_for_bit(self, batch):
+        gaps = ([0.1, 1 / 3, 0.7, 2.9, 1e-3], [1 / 3, 0.1, 5.0, 0.0, 1 / 7])
+        trace = self._trace(gaps)
+        stats = run_trace(
+            trace, SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
+        )
+        if batch:
+            assert stats.batch_accesses > 0
+        for core_stats, thread in zip(stats.cores, trace.threads):
+            want = reduce(lambda acc, g: acc + g, thread.gap_cycles.tolist(), 0.0)
+            assert core_stats.compute_cycles == want
+
+    def test_empty_thread_reads_zero(self):
+        empty = AccessColumns.empty()
+        thread = resident_thread(0, 50, 64, hot_lines=8)
+        stats = run_trace(
+            columnar_trace([thread, empty]),
+            SimConfig(machine=get_machine("skl"), sim_cores=2),
+        )
+        assert stats.cores[1].compute_cycles == 0.0
+        assert stats.cores[0].compute_cycles == 50 * 6.0
+
+
+class TestDriverRelease:
+    """A finished driver is freed by reference counting, not by the GC.
+
+    The driver binds its own methods once, which makes it a reference
+    cycle until ``_finish`` drops them; a cycle would keep each
+    driver's per-access lists alive until a full collection.
+    """
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
+    def test_no_driver_outlives_the_run(self, batch):
+        from repro.sim.core import ThreadDriver
+
+        thread = resident_thread(0, 600, 64, hot_lines=8)
+        config = SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
+        gc.collect()
+        gc.disable()
+        try:
+            run_trace(columnar_trace([thread, thread]), config)
+            alive = [o for o in gc.get_objects() if isinstance(o, ThreadDriver)]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestWake:
@@ -168,12 +266,13 @@ class TestWake:
 
 
 class TestTraceGapChecks:
-    """A bad gap fails the whole run, whichever path issues its access.
+    """A gap must be finite and non-negative, checked where a trace is built.
 
-    The trace constructor rejects only negative gaps (``np.nanmin`` skips
-    NaN), so a NaN or +inf gap reaches the simulator and must be
-    rejected there, batching on or off, at the first access or at one
-    inside a batched hit run.
+    ``AccessColumns``, ``ColumnarThreadTrace`` and ``load_trace`` raise
+    :class:`~repro.errors.TraceError`, so a NaN or infinite gap never
+    reaches a digest, a trace file or the simulator, whichever path would
+    have issued its access.  The driver still checks each gap in ns: a
+    finite gap can overflow when divided by a low clock.
     """
 
     N = 600
@@ -188,8 +287,8 @@ class TestTraceGapChecks:
         return columnar_trace([columns, columns])
 
     @staticmethod
-    def _config(batch):
-        return SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
+    def _config(batch, machine=None):
+        return SimConfig(machine=machine or get_machine("skl"), sim_cores=2, batch=batch)
 
     def test_later_index_lies_in_a_batched_run(self):
         stats = run_trace(self._trace(), self._config(True))
@@ -199,5 +298,60 @@ class TestTraceGapChecks:
     @pytest.mark.parametrize("bad_index", [0, 300])
     @pytest.mark.parametrize("bad_gap", [float("nan"), float("inf")])
     def test_non_finite_gap_fails_the_run(self, batch, bad_index, bad_gap):
-        with pytest.raises(SimulationError):
-            run_trace(self._trace(bad_index, bad_gap), self._config(batch))
+        config = self._config(batch)
+        with pytest.raises(TraceError, match="gap must be finite and non-negative"):
+            self._trace(bad_index, bad_gap)
+        # The same run without the bad gap simulates.
+        assert run_trace(self._trace(), config).issued_total() == 2 * self.N
+
+    @staticmethod
+    def _bad_file(path, gaps):
+        """A trace file holding ``gaps`` verbatim, as an edit would leave it."""
+        meta = {
+            "format": TRACE_FILE_FORMAT,
+            "version": TRACE_FILE_VERSION,
+            "routine": "edited",
+            "line_bytes": 64,
+            "thread_ids": [0],
+            "sha256": "not checked: the columns fail first",
+        }
+        n = len(gaps)
+        np.savez(
+            path,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            t0_addr=np.arange(n, dtype=np.uint64) * 64,
+            t0_kind=np.zeros(n, dtype=np.uint8),
+            t0_gap=np.asarray(gaps, dtype=np.float64),
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_gap", [float("nan"), float("inf"), -float("inf"), -1.0]
+    )
+    @pytest.mark.parametrize("build", ["columns", "thread", "file"])
+    def test_every_constructor_rejects_the_gap(self, tmp_path, build, bad_gap):
+        gaps = np.array([1.0, bad_gap, 2.0])
+        addr = np.arange(3, dtype=np.uint64) * 64
+        kind = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(TraceError, match=f"got {bad_gap}"):
+            if build == "columns":
+                AccessColumns(addr, kind, gaps)
+            elif build == "thread":
+                ColumnarThreadTrace(0, addr, kind, gaps)
+            else:
+                load_trace(self._bad_file(tmp_path / "t.npz", gaps))
+
+    def test_good_file_loads(self, tmp_path):
+        trace = load_trace(self._bad_file(tmp_path / "t.npz", [1.0, 0.0, 2.0]), verify=False)
+        assert trace.threads[0].gap_cycles.tolist() == [1.0, 0.0, 2.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
+    def test_gap_overflowing_in_ns_fails_the_run(self, batch):
+        # 1e308 cycles is a finite gap, but at 0.5 GHz it is +inf ns.
+        slow = get_machine("skl").with_frequency(ghz(0.5))
+        trace = self._trace(300, 1e308)
+        with pytest.raises(
+            SimulationError, match="cannot schedule with non-finite or negative delay: inf"
+        ):
+            run_trace(trace, self._config(batch, slow))

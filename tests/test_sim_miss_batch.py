@@ -219,7 +219,6 @@ class TestMemctrlBatchEquivalence:
         assert scalar.stats.latency_count == batch.stats.latency_count
         assert scalar._next_free_ns == batch._next_free_ns
         assert list(scalar._recent) == list(batch._recent)
-        assert scalar._recent_bytes == batch._recent_bytes
         got = np.sort(admit + latency)
         want = np.sort(np.asarray(completions))
         assert got.tolist() == want.tolist()
@@ -227,9 +226,9 @@ class TestMemctrlBatchEquivalence:
     def test_plan_batch_does_not_mutate(self):
         _, (engine, ctrl) = _controllers(_TABULATED)
         issue = 1.0 + np.cumsum(np.full(8, 3.0))
-        before = (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+        before = (ctrl._next_free_ns, list(ctrl._recent))
         first = ctrl.plan_batch(issue)
-        after = (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+        after = (ctrl._next_free_ns, list(ctrl._recent))
         second = ctrl.plan_batch(issue)
         assert before == after
         assert first[0].tolist() == second[0].tolist()
@@ -364,7 +363,6 @@ class TestMemctrlArrayPasses:
         )
         batch.commit_batch(issue, admit, latency)
         assert list(batch._recent) == list(scalar._recent)
-        assert batch._recent_bytes == scalar._recent_bytes
         assert batch._next_free_ns == scalar._next_free_ns
         assert batch.stats.latency_sum_ns == scalar.stats.latency_sum_ns
         assert batch.stats.requests == scalar.stats.requests
@@ -437,11 +435,11 @@ class TestMemctrlArrayPasses:
         _, (_, ctrl) = _controllers(_TABULATED)
         ctrl.request(is_write=False, is_prefetch=False, on_complete=lambda: None)
         ctrl.engine.run()
-        before = (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+        before = (ctrl._next_free_ns, list(ctrl._recent))
         admit, latency = ctrl.plan_batch(np.empty(0, dtype=np.float64))
         assert admit.shape == latency.shape == (0,)
         ctrl.commit_batch(np.empty(0), admit, latency)
-        assert before == (ctrl._next_free_ns, list(ctrl._recent), ctrl._recent_bytes)
+        assert before == (ctrl._next_free_ns, list(ctrl._recent))
 
 
 class TestLatencyModelBatch:

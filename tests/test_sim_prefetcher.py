@@ -38,6 +38,15 @@ class TestTraining:
         assert out
         assert all(addr < 60 * 64 for addr in out)
 
+    def test_descending_stream_stops_at_line_zero(self):
+        # Trained at line 3, two lines ahead: targets 1, 0, -1, -2, of
+        # which only lines 1 and 0 exist.  The next burst lies wholly
+        # below line 0 and is empty.
+        pf = StreamPrefetcher(64, degree=4, distance=2, train_threshold=2)
+        out = [pf.observe(line * 64) for line in (5, 4, 3, 2)]
+        assert out == [[], [], [64, 0], []]
+        assert pf.issued == 2
+
     def test_random_accesses_never_trigger(self):
         """The ISx property: random pages defeat the prefetcher."""
         import random
@@ -94,14 +103,29 @@ class TestValidation:
         assert len(candidates) == 4
 
 
-class _ScanEvictReference(StreamPrefetcher):
-    """Reference model: evict by scanning every stream for the oldest touch."""
+class _LruReference(StreamPrefetcher):
+    """Reference model: an explicit recency list picks the eviction victim.
+
+    Every observed page moves to the back of ``recency`` (opening a
+    stream counts as a touch); eviction deletes the page at its front.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recency = []
+
+    def _observe_one(self, page, line_no):
+        out = super()._observe_one(page, line_no)
+        if page in self.recency:
+            self.recency.remove(page)
+        if page in self._streams:
+            self.recency.append(page)
+        return out
 
     def _evict_stale(self):
-        if not self._streams:
+        if not self.recency:
             return False
-        stale = min(self._streams, key=lambda p: self._streams[p].last_touch_seq)
-        del self._streams[stale]
+        del self._streams[self.recency.pop(0)]
         return True
 
 
@@ -116,23 +140,19 @@ _LINE_SEQUENCES = st.lists(
 )
 
 
-def _streams_in_touch_order(pf):
-    touches = [s[4] for s in pf.snapshot()[0].values()]
-    assert touches == sorted(touches)
-
-
 class TestEvictionOrder:
-    """First-key eviction picks the stream the min(last_touch_seq) scan did."""
+    """First-key eviction picks the least recently touched stream."""
 
     @settings(max_examples=150, deadline=None)
     @given(max_streams=st.integers(1, 4), lines=_LINE_SEQUENCES)
     def test_matches_scan_reference(self, max_streams, lines):
         pf = StreamPrefetcher(64, max_streams=max_streams)
-        ref = _ScanEvictReference(64, max_streams=max_streams)
+        ref = _LruReference(64, max_streams=max_streams)
         for line in lines:
             assert pf.observe(line) == ref.observe(line)
             assert pf.snapshot() == ref.snapshot()
-            _streams_in_touch_order(pf)
+            # The table's key order is the recency order.
+            assert list(pf.snapshot()[0]) == ref.recency
         assert pf.dropped_no_stream_slot == ref.dropped_no_stream_slot
 
     @settings(max_examples=150, deadline=None)

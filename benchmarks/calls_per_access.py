@@ -33,8 +33,8 @@ group, then the whole result as one JSON line.
 Run ``python3 benchmarks/calls_per_access.py [--base REV] [--seed 1]``
 (``--base`` defaults to ``HEAD``).  Each side runs in a child process
 that imports ``repro`` and perfbench's ``workloads`` from its own
-checkout.  The bytecode hook slows a simulation about fiftyfold, so a
-check takes several minutes per side.
+checkout.  The bytecode hook slows a simulation about tenfold; a check
+takes about a minute per side.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def collect(root: Path, seed: int, tmp: Path) -> dict:
                 for record in bench.recorder.take_sims():
                     profile = cProfile.Profile()
                     stats = profile.runcall(run_trace, record.trace, record.config)
-                    _, executed = count_bytecodes(run_trace, record.trace, record.config)
+                    _, executed = count_bytecodes(
+                        run_trace, record.trace, record.config
+                    )
                     sims += 1
                     calls += pstats.Stats(profile).total_calls
                     bytecodes += executed

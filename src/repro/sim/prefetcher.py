@@ -156,7 +156,9 @@ class StreamPrefetcher:
 
     # -- snapshot/replay surface (batch-stepping miss fast path) ----------------
 
-    def snapshot(self) -> Tuple[Dict[int, Tuple[int, int, int, Optional[int]]], int, int]:
+    def snapshot(
+        self,
+    ) -> Tuple[Dict[int, Tuple[int, int, int, Optional[int]]], int, int]:
         """Copy of the full tracker state, for speculative replay.
 
         The batched miss path replays :meth:`observe` over a planned run
@@ -244,10 +246,11 @@ class StreamPrefetcher:
         """Sequential :meth:`_observe_one` over distinct untracked pages.
 
         Each observation opens a training stream, evicting the
-        least-recently-touched stream when the table is full.  Only the evictions and the streams that survive
-        them are performed: the table keeps its last ``max_streams``
-        entries of old-then-new, so at most ``max_streams`` streams are
-        created however long the run.
+        least-recently-touched stream when the table is full.  Only the
+        evictions and the streams that survive them are performed: the
+        table keeps its last ``max_streams`` entries of old-then-new, so
+        at most ``max_streams`` streams are created however long the
+        run.
         """
         m = len(pages)
         streams = self._streams

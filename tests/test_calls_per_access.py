@@ -54,7 +54,6 @@ def test_every_group_counts_some_op(calls, simulated_op_ids):
         assert any(op_id.startswith(prefix) for op_id in simulated_op_ids), group
 
 
-
 def test_probe_group_is_analytics_setup(calls, monkeypatch, tmp_path, fresh_sim_cache):
     monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
     import workloads as wl
@@ -78,7 +77,8 @@ def test_probe_group_is_analytics_setup(calls, monkeypatch, tmp_path, fresh_sim_
     assert seen == setup_calls
     # Five levels (the default gaps) on each paper machine.
     assert [name for name, _ in seen] == ["skl", "knl", "a64fx"]
-    assert all(kw == {"accesses_per_thread": bench.size.probe_accesses} for _, kw in seen)
+    kwargs = {"accesses_per_thread": bench.size.probe_accesses}
+    assert all(kw == kwargs for _, kw in seen)
     assert len(DEFAULT_PROBE_GAPS) == 5
     # Apart from the op-prefix groups.
     for op in ops:

@@ -12,6 +12,7 @@ from repro.io.tracefile import TRACE_FILE_FORMAT, TRACE_FILE_VERSION, load_trace
 from repro.machines import get_machine
 from repro.sim import Engine, Hierarchy, SimConfig, run_trace
 from repro.sim.coltrace import AccessColumns, ColumnarThreadTrace, columnar_trace
+from repro.sim.core import ThreadDriver
 from repro.units import ghz
 from repro.xmem.kernels import resident_thread
 
@@ -198,8 +199,6 @@ class TestDriverRelease:
 
     @pytest.mark.parametrize("batch", [True, False], ids=["batch", "event"])
     def test_no_driver_outlives_the_run(self, batch):
-        from repro.sim.core import ThreadDriver
-
         thread = resident_thread(0, 600, 64, hot_lines=8)
         config = SimConfig(machine=get_machine("skl"), sim_cores=2, batch=batch)
         gc.collect()
@@ -288,7 +287,8 @@ class TestTraceGapChecks:
 
     @staticmethod
     def _config(batch, machine=None):
-        return SimConfig(machine=machine or get_machine("skl"), sim_cores=2, batch=batch)
+        machine = machine or get_machine("skl")
+        return SimConfig(machine=machine, sim_cores=2, batch=batch)
 
     def test_later_index_lies_in_a_batched_run(self):
         stats = run_trace(self._trace(), self._config(True))
@@ -342,7 +342,8 @@ class TestTraceGapChecks:
                 load_trace(self._bad_file(tmp_path / "t.npz", gaps))
 
     def test_good_file_loads(self, tmp_path):
-        trace = load_trace(self._bad_file(tmp_path / "t.npz", [1.0, 0.0, 2.0]), verify=False)
+        path = self._bad_file(tmp_path / "t.npz", [1.0, 0.0, 2.0])
+        trace = load_trace(path, verify=False)
         assert trace.threads[0].gap_cycles.tolist() == [1.0, 0.0, 2.0]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -351,7 +352,6 @@ class TestTraceGapChecks:
         # 1e308 cycles is a finite gap, but at 0.5 GHz it is +inf ns.
         slow = get_machine("skl").with_frequency(ghz(0.5))
         trace = self._trace(300, 1e308)
-        with pytest.raises(
-            SimulationError, match="cannot schedule with non-finite or negative delay: inf"
-        ):
+        message = "cannot schedule with non-finite or negative delay: inf"
+        with pytest.raises(SimulationError, match=message):
             run_trace(trace, self._config(batch, slow))

@@ -14,26 +14,19 @@ if TYPE_CHECKING:
         Classification,
         RANDOM_THRESHOLD,
         STREAMING_THRESHOLD,
-        classify_by_prefetcher_toggle,
         classify_from_prefetch_fraction,
-        dominant_pattern,
     )
     from .littles_law import (
         bandwidth_from_mlp,
         latency_from_mlp,
         mlp_from_bandwidth,
-        mlp_from_requests,
-        requests_from_bandwidth,
     )
     from .mlp import MlpCalculator, MlpResult
     from .optimizations import (
         CATALOG,
         OptimizationInfo,
         OptimizationKind,
-        applicable_to,
         info,
-        mlp_increasing,
-        occupancy_reducing,
     )
     from .recipe import (
         BW_SATURATED_RATIO,
@@ -55,12 +48,8 @@ if TYPE_CHECKING:
     )
     from .sweep import (
         HeadroomCell,
-        OperatingPoint,
-        demand_sweep,
         headroom_map,
-        operating_curve,
         render_headroom_map,
-        utilization_where_mshrs_bind,
     )
     from .uncertainty import (
         MlpUncertainty,
@@ -98,33 +87,22 @@ __all__ = [
     "RoutineAnalyzer",
     "STATIONARITY_SPREAD",
     "STREAMING_THRESHOLD",
-    "applicable_to",
     "bandwidth_from_mlp",
-    "classify_by_prefetcher_toggle",
     "classify_from_prefetch_fraction",
-    "demand_sweep",
-    "dominant_pattern",
     "HeadroomCell",
-    "OperatingPoint",
     "headroom_map",
-    "operating_curve",
     "render_headroom_map",
-    "utilization_where_mshrs_bind",
     "info",
     "latency_from_mlp",
     "MlpUncertainty",
     "decision_is_robust",
     "mlp_from_bandwidth",
-    "mlp_from_requests",
     "mlp_uncertainty",
     "profile_elasticity",
-    "mlp_increasing",
-    "occupancy_reducing",
     "quality_widened_errors",
     "render_case_study_table",
     "render_comparison_table",
     "render_data_quality",
-    "requests_from_bandwidth",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
@@ -146,16 +124,12 @@ __getattr__, __dir__ = lazy_namespace(
             "Classification",
             "RANDOM_THRESHOLD",
             "STREAMING_THRESHOLD",
-            "classify_by_prefetcher_toggle",
             "classify_from_prefetch_fraction",
-            "dominant_pattern",
         ),
         "littles_law": (
             "bandwidth_from_mlp",
             "latency_from_mlp",
             "mlp_from_bandwidth",
-            "mlp_from_requests",
-            "requests_from_bandwidth",
         ),
         "mlp": (
             "MlpCalculator",
@@ -165,10 +139,7 @@ __getattr__, __dir__ = lazy_namespace(
             "CATALOG",
             "OptimizationInfo",
             "OptimizationKind",
-            "applicable_to",
             "info",
-            "mlp_increasing",
-            "occupancy_reducing",
         ),
         "recipe": (
             "BW_SATURATED_RATIO",
@@ -190,12 +161,8 @@ __getattr__, __dir__ = lazy_namespace(
         ),
         "sweep": (
             "HeadroomCell",
-            "OperatingPoint",
-            "demand_sweep",
             "headroom_map",
-            "operating_curve",
             "render_headroom_map",
-            "utilization_where_mshrs_bind",
         ),
         "uncertainty": (
             "MlpUncertainty",

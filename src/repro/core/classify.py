@@ -12,15 +12,10 @@ routine's access pattern:
 The classification signal is "the fraction of memory requests that are
 generated from hardware prefetcher versus demand loads — this data is
 also often exposed through performance counters or one may determine it
-by disabling the hardware prefetcher".  Both methods are implemented:
-:func:`classify_from_prefetch_fraction` reads the counter, and
-:func:`classify_by_prefetcher_toggle` compares simulation runs with the
-prefetcher on and off.
-
-The paper also warns that in a *mix* (e.g. SpMV) the random stream
-"usually easily dominates memory traffic since each reference is
-usually to a different cache line"; :func:`dominant_pattern` encodes
-that dominance rule.
+by disabling the hardware prefetcher".  The counter method is the one
+implemented: :func:`classify_from_prefetch_fraction` reads the
+prefetch share and applies :data:`RANDOM_THRESHOLD` and
+:data:`STREAMING_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -89,61 +84,3 @@ def classify_from_prefetch_fraction(prefetch_fraction: float) -> Classification:
         prefetch_fraction,
         f"prefetcher covers {prefetch_fraction:.0%} of traffic: mixed pattern",
     )
-
-
-def classify_by_prefetcher_toggle(
-    time_with_prefetch_ns: float, time_without_prefetch_ns: float
-) -> Classification:
-    """Classify by disabling the prefetcher (the paper's second method).
-
-    A large slowdown without the prefetcher (HPCG: >3x on SKL) marks a
-    streaming routine; near-identical time marks a random one.
-    """
-    if time_with_prefetch_ns <= 0 or time_without_prefetch_ns <= 0:
-        raise ConfigurationError("run times must be positive")
-    slowdown = time_without_prefetch_ns / time_with_prefetch_ns
-    if slowdown >= 1.5:
-        return Classification(
-            AccessPattern.STREAMING,
-            prefetch_fraction=float("nan"),
-            rationale=(
-                f"disabling the prefetcher slows the routine {slowdown:.1f}x: "
-                "prefetcher-covered streaming accesses, L2 MSHRQ binds"
-            ),
-        )
-    if slowdown <= 1.1:
-        return Classification(
-            AccessPattern.RANDOM,
-            prefetch_fraction=float("nan"),
-            rationale=(
-                f"prefetcher toggle changes runtime only {slowdown:.2f}x: "
-                "prefetcher ineffective, L1 MSHRQ binds"
-            ),
-        )
-    return Classification(
-        AccessPattern.MIXED,
-        prefetch_fraction=float("nan"),
-        rationale=f"prefetcher toggle slowdown {slowdown:.2f}x: mixed pattern",
-    )
-
-
-def dominant_pattern(
-    random_traffic_bytes: float, streaming_traffic_bytes: float
-) -> AccessPattern:
-    """The paper's SpMV dominance rule for mixed routines.
-
-    Random references usually touch a fresh cache line each while
-    streaming references share lines, so random traffic dominates once
-    it is a substantial share of bytes.
-    """
-    if random_traffic_bytes < 0 or streaming_traffic_bytes < 0:
-        raise ConfigurationError("traffic volumes must be >= 0")
-    total = random_traffic_bytes + streaming_traffic_bytes
-    if total == 0:
-        return AccessPattern.STREAMING
-    random_share = random_traffic_bytes / total
-    if random_share >= 0.5:
-        return AccessPattern.RANDOM
-    if random_share <= 0.1:
-        return AccessPattern.STREAMING
-    return AccessPattern.MIXED

@@ -23,37 +23,12 @@ stationarity guard lives in :mod:`repro.core.analyzer`.
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..units import GIGA, NANO, ns
+from ..units import GIGA, ns
 
 
 def _check_positive(name: str, value: float) -> None:
     if value <= 0:
         raise ConfigurationError(f"{name} must be positive, got {value}")
-
-
-def mlp_from_requests(
-    requests: float, latency_ns: float, time_ns: float, *, cores: int = 1
-) -> float:
-    """Equation 1: per-core average outstanding requests.
-
-    Parameters
-    ----------
-    requests:
-        Total memory requests ``R`` (including hardware prefetches) over
-        the measurement window.
-    latency_ns:
-        Average observed (loaded) latency ``lat_avg``.
-    time_ns:
-        Window length ``T``.
-    cores:
-        Cores that generated the requests; result is per core.
-    """
-    if requests < 0:
-        raise ConfigurationError(f"requests must be >= 0, got {requests}")
-    _check_positive("latency_ns", latency_ns)
-    _check_positive("time_ns", time_ns)
-    _check_positive("cores", cores)
-    return latency_ns * requests / time_ns / cores
 
 
 def mlp_from_bandwidth(
@@ -104,14 +79,3 @@ def latency_from_mlp(
     _check_positive("line_bytes", line_bytes)
     _check_positive("cores", cores)
     return n_avg * cores * line_bytes / bandwidth_bytes * GIGA
-
-
-def requests_from_bandwidth(
-    bandwidth_bytes: float, time_ns: float, line_bytes: int
-) -> float:
-    """``R = BW * T / cls``: request count over a window."""
-    if bandwidth_bytes < 0:
-        raise ConfigurationError("bandwidth must be >= 0")
-    _check_positive("time_ns", time_ns)
-    _check_positive("line_bytes", line_bytes)
-    return bandwidth_bytes * time_ns * NANO / line_bytes

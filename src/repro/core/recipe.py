@@ -102,14 +102,6 @@ class RecipeContext:
     #: Force the binding level (overrides classification), for expert use.
     binding_level_override: Optional[int] = None
 
-    def with_applied(self, kind: OptimizationKind) -> "RecipeContext":
-        """A copy of this context with one more optimization applied."""
-        return RecipeContext(
-            applied=self.applied | {kind},
-            smt_ways_used=self.smt_ways_used,
-            binding_level_override=self.binding_level_override,
-        )
-
 
 @dataclass(frozen=True)
 class RecipeDecision:

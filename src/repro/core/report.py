@@ -63,13 +63,6 @@ class ComparisonRow:
     measured_speedup: Optional[float]
     agrees: bool
 
-    @property
-    def n_avg_error(self) -> float:
-        """Relative n_avg error versus the paper's value."""
-        if self.paper_n_avg == 0:
-            return 0.0
-        return abs(self.measured_n_avg - self.paper_n_avg) / self.paper_n_avg
-
 
 def render_data_quality(issues: Sequence[DataQualityIssue]) -> str:
     """Render a degraded-mode ingestion report.

@@ -1,4 +1,4 @@
-"""Performance-counter facade: vendor events, Table I visibility, CrayPat."""
+"""Performance-counter facade: vendor events, Table I visibility, counter sessions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_namespace
 
 if TYPE_CHECKING:
-    from .craypat import RoutineProfile, RoutineReport
     from .events import CounterEvent, NativeEvent, VENDOR_EVENTS, events_supported
     from .session import LATENCY_THRESHOLDS, CounterReading, CounterSession
     from .vendor import (
@@ -25,8 +24,6 @@ __all__ = [
     "CounterSession",
     "LATENCY_THRESHOLDS",
     "NativeEvent",
-    "RoutineProfile",
-    "RoutineReport",
     "TABLE1_ROW_OF",
     "VENDOR_EVENTS",
     "VendorVisibility",
@@ -40,10 +37,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
-        "craypat": (
-            "RoutineProfile",
-            "RoutineReport",
-        ),
         "events": (
             "CounterEvent",
             "NativeEvent",

@@ -56,7 +56,6 @@ if TYPE_CHECKING:
         INTRO_SNAP,
         TABLE_NUMBER,
         PaperRow,
-        base_row,
         rows_for,
     )
     from .smt_contention import (
@@ -67,7 +66,6 @@ if TYPE_CHECKING:
     from .stall_validation import StallMigration, reproduce_stall_migration
     from .tables import (
         StructuralCheck,
-        all_structural_checks,
         check_table1,
         check_table2,
         check_table3,
@@ -109,8 +107,6 @@ __all__ = [
     "StructuralCheck",
     "TABLE_NUMBER",
     "TableReproduction",
-    "all_structural_checks",
-    "base_row",
     "check_table1",
     "check_table2",
     "check_table3",
@@ -180,7 +176,6 @@ __getattr__, __dir__ = lazy_namespace(
             "INTRO_SNAP",
             "TABLE_NUMBER",
             "PaperRow",
-            "base_row",
             "rows_for",
         ),
         "smt_contention": (
@@ -194,7 +189,6 @@ __getattr__, __dir__ = lazy_namespace(
         ),
         "tables": (
             "StructuralCheck",
-            "all_structural_checks",
             "check_table1",
             "check_table2",
             "check_table3",

@@ -232,11 +232,3 @@ def rows_for(workload: str, proc: Optional[str] = None) -> Tuple[PaperRow, ...]:
     if proc is None:
         return rows
     return tuple(r for r in rows if r.proc == proc)
-
-
-def base_row(workload: str, proc: str) -> PaperRow:
-    """The 'base' source row of one machine's case study."""
-    for row in rows_for(workload, proc):
-        if row.source == "base":
-            return row
-    raise KeyError(f"no base row for {workload} on {proc}")

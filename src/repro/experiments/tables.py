@@ -9,7 +9,7 @@ the derived structures match the paper's rows exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..counters.vendor import table1_matrix
 from ..errors import ExperimentError
@@ -126,12 +126,3 @@ def check_table3() -> List[StructuralCheck]:
             ]
         )
     return checks
-
-
-def all_structural_checks() -> Dict[str, List[StructuralCheck]]:
-    """Tables I-III in one call."""
-    return {
-        "table1": check_table1(),
-        "table2": check_table2(),
-        "table3": check_table3(),
-    }

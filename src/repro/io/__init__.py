@@ -3,7 +3,6 @@
 from .atomic import (
     append_jsonl,
     atomic_write_bytes,
-    atomic_write_text,
     atomic_writer,
 )
 from .measurements import (
@@ -27,7 +26,6 @@ __all__ = [
     "analyze_measurements",
     "append_jsonl",
     "atomic_write_bytes",
-    "atomic_write_text",
     "atomic_writer",
     "from_csv",
     "from_csv_degraded",

@@ -2,10 +2,10 @@
 
 Three write disciplines cover every persistence need in the repo:
 
-* :func:`atomic_write_bytes` / :func:`atomic_write_text` — whole-file
-  replacement via a same-directory temp file and ``os.replace``; a
-  reader never observes a half-written file, and a crash leaves either
-  the old content or the new, never a mix;
+* :func:`atomic_write_bytes` — whole-file replacement via a
+  same-directory temp file and ``os.replace``; a reader never observes
+  a half-written file, and a crash leaves either the old content or the
+  new, never a mix;
 * :func:`atomic_writer` — the same discipline as a context manager, for
   writers that need an open handle (e.g. ``numpy.savez``);
 * :func:`append_jsonl` — durably append one JSON document as one line:
@@ -28,7 +28,6 @@ from typing import IO, Any, Iterator, Union
 __all__ = [
     "append_jsonl",
     "atomic_write_bytes",
-    "atomic_write_text",
     "atomic_writer",
 ]
 
@@ -70,11 +69,6 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     """Write ``data`` to ``path`` with all-or-nothing visibility."""
     with atomic_writer(path) as handle:
         handle.write(data)
-
-
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write ``text`` (UTF-8) to ``path`` with all-or-nothing visibility."""
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def append_jsonl(path: Union[str, Path], doc: Any, *, fsync: bool = True) -> None:

@@ -25,11 +25,15 @@ Storage
 -------
 One JSON document per digest under ``<cache_dir>/<digest[:2]>/<digest>.json``
 (sharded to keep directories small), written atomically via
-:func:`repro.io.atomic.atomic_write_text`.  A corrupted or truncated
-entry is treated as a miss (with a :class:`UserWarning`), **quarantined**
-by renaming it to ``<digest>.corrupt`` — so the bad bytes survive for
-forensics and can never be re-read as a hit — then re-simulated and
-re-stored.  The ``cache_corrupt``/``cache_truncate`` fault kinds
+:func:`repro.io.atomic.atomic_write_bytes`.  The document's ``sha256``
+field is the SHA-256 of its ``stats`` value's bytes exactly as written
+(the document ends with them), and a load checks it over the bytes it
+read before decoding them, so damage that leaves valid JSON behind is
+caught too.  A corrupted or truncated entry is treated as a miss (with
+a :class:`UserWarning`), **quarantined** by renaming it to
+``<digest>.corrupt`` — so the bad bytes survive for forensics and can
+never be re-read as a hit — then re-simulated and re-stored.  The
+``cache_corrupt``/``cache_truncate`` fault kinds
 (:mod:`repro.resilience.faults`) damage entries right after a store to
 keep this recovery path exercised.
 
@@ -79,7 +83,12 @@ from ..sim.stats import SimStats
 #: prefetcher-tuning and page-size fields and MachineSpec lost its
 #: counter-boundary field; v4 entries carry a stats field ``from_dict``
 #: no longer reads.
-SCHEMA_VERSION = 5
+#: v6: entries carry a ``sha256`` of their stats bytes, checked on load;
+#: v5 entries have none.
+SCHEMA_VERSION = 6
+
+#: Separates an entry's header fields from its trailing stats bytes.
+_STATS_KEY = b', "stats": '
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 
@@ -279,18 +288,25 @@ class SimCache:
     def load(self, digest: str) -> Optional[SimStats]:
         """Fetch a cached result; corrupt/truncated entries are misses.
 
-        A decode failure quarantines the entry: the file is renamed to
-        ``<digest>.corrupt`` so the damaged bytes are preserved for
-        inspection but can never satisfy a future lookup.
+        A decode failure or a checksum mismatch quarantines the entry:
+        the file is renamed to ``<digest>.corrupt`` so the damaged bytes
+        are preserved for inspection but can never satisfy a future
+        lookup.
         """
         if not self.enabled:
             return None
         path = self.path_for(digest)
         try:
-            doc = json.loads(path.read_text())
+            head, _, body = path.read_bytes().partition(_STATS_KEY)
+            if not body.endswith(b"}"):
+                raise ValueError("entry is truncated")
+            doc = json.loads(head + b"}")
             if doc.get("schema") != SCHEMA_VERSION or doc.get("digest") != digest:
                 raise ValueError("schema/digest mismatch")
-            stats = SimStats.from_dict(doc["stats"])
+            stats_bytes = body[:-1]
+            if hashlib.sha256(stats_bytes).hexdigest() != doc.get("sha256"):
+                raise ValueError("stats checksum mismatch")
+            stats = SimStats.from_dict(json.loads(stats_bytes))
         except FileNotFoundError:
             self.counters.misses += 1
             return None
@@ -322,12 +338,16 @@ class SimCache:
         if not self.enabled:
             return
         path = self.path_for(digest)
-        doc = {"schema": SCHEMA_VERSION, "digest": digest, "stats": stats.to_dict()}
+        stats_bytes = json.dumps(stats.to_dict()).encode("utf-8")
+        checksum = hashlib.sha256(stats_bytes).hexdigest()
+        head = json.dumps(
+            {"schema": SCHEMA_VERSION, "digest": digest, "sha256": checksum}
+        ).encode("utf-8")
         try:
-            from ..io.atomic import atomic_write_text
+            from ..io.atomic import atomic_write_bytes
 
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps(doc))
+            atomic_write_bytes(path, head[:-1] + _STATS_KEY + stats_bytes + b"}")
         except OSError as exc:
             # A read-only or full disk must never fail the simulation.
             self.counters.errors += 1

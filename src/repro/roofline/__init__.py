@@ -4,7 +4,6 @@ from .model import Roofline, RooflinePoint, log_intensity_grid
 from .mshr_ceiling import (
     ExtendedRoofline,
     MshrCeiling,
-    extended_roofline_for,
     mshr_ceiling,
 )
 
@@ -13,7 +12,6 @@ __all__ = [
     "MshrCeiling",
     "Roofline",
     "RooflinePoint",
-    "extended_roofline_for",
     "log_intensity_grid",
     "mshr_ceiling",
 ]

@@ -52,20 +52,11 @@ class Roofline:
             peak_bw_gbs=machine.peak_bw_gbs,
         )
 
-    @property
-    def ridge_intensity(self) -> float:
-        """Intensity where the bandwidth diagonal meets the compute roof."""
-        return self.peak_gflops / self.peak_bw_gbs
-
     def attainable_gflops(self, intensity: float) -> float:
         """min(peak, BW * intensity) — the roofline bound."""
         if intensity <= 0:
             raise ConfigurationError("intensity must be positive")
         return min(self.peak_gflops, self.peak_bw_gbs * intensity)
-
-    def bound_kind(self, intensity: float) -> str:
-        """'memory' left of the ridge, 'compute' right of it."""
-        return "memory" if intensity < self.ridge_intensity else "compute"
 
     def headroom(self, point: RooflinePoint) -> float:
         """Attainable / achieved: >1 means the classic model sees headroom."""

@@ -115,13 +115,3 @@ class ExtendedRoofline:
             )
             for x in intensities
         ]
-
-
-def extended_roofline_for(
-    machine: MachineSpec, latency_ns: float, *, levels: Sequence[int] = (1, 2)
-) -> ExtendedRoofline:
-    """Extended roofline with MSHR ceilings for the given cache levels."""
-    return ExtendedRoofline(
-        roofline=Roofline.for_machine(machine),
-        ceilings=tuple(mshr_ceiling(machine, lvl, latency_ns) for lvl in levels),
-    )

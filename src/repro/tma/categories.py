@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping
 
 
 class TmaCategory(enum.Enum):
@@ -55,10 +55,6 @@ class TmaBreakdown:
 
     def __getitem__(self, cat: TmaCategory) -> float:
         return self.fractions.get(cat, 0.0)
-
-    def level1(self) -> Dict[TmaCategory, float]:
-        """The four top-level bucket fractions."""
-        return {c: f for c, f in self.fractions.items() if c.level == 1}
 
     def render(self) -> str:
         """Indented text rendering of the breakdown."""

@@ -37,11 +37,6 @@ def ns(value: float) -> float:
     return value * NANO
 
 
-def to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds / NANO
-
-
 def ghz(value: float) -> float:
     """Convert GHz to Hz."""
     return value * GIGA
@@ -57,27 +52,6 @@ def ns_to_us(latency_ns: float) -> float:
     return latency_ns / KILO
 
 
-def ns_to_ms(latency_ns: float) -> float:
-    """Convert nanoseconds to milliseconds (report rendering)."""
-    return latency_ns / MEGA
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Express a duration in core cycles at ``frequency_hz``.
-
-    The paper quotes latencies both ways ("180ns or 378 cycles" at
-    2.1 GHz); keeping the conversion here makes the round trip exact.
-    """
-    return seconds * frequency_hz
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Express a cycle count as wall time at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
 def ns_to_cycles(latency_ns: float, frequency_ghz: float) -> float:
     """Convenience: ns latency to cycles at a GHz frequency.
 
@@ -85,13 +59,6 @@ def ns_to_cycles(latency_ns: float, frequency_ghz: float) -> float:
     378
     """
     return latency_ns * frequency_ghz
-
-
-def cycles_to_ns(cycles: float, frequency_ghz: float) -> float:
-    """Convenience: cycle latency to ns at a GHz frequency."""
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return cycles / frequency_ghz
 
 
 def utilization(observed: float, peak: float) -> float:

@@ -1,14 +1,10 @@
 """Access-pattern classification and the binding MSHR level."""
 
-import math
-
 import pytest
 
 from repro.core import (
     AccessPattern,
-    classify_by_prefetcher_toggle,
     classify_from_prefetch_fraction,
-    dominant_pattern,
 )
 from repro.errors import ConfigurationError
 
@@ -27,7 +23,7 @@ class TestPrefetchFractionClassifier:
     def test_mixed_in_between(self):
         c = classify_from_prefetch_fraction(0.35)
         assert c.pattern is AccessPattern.MIXED
-        assert c.binding_level == 2  # mixed defaults to L2 per dominance rule
+        assert c.binding_level == 2
 
     def test_rationale_mentions_coverage(self):
         assert "5%" in classify_from_prefetch_fraction(0.05).rationale
@@ -36,43 +32,3 @@ class TestPrefetchFractionClassifier:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ConfigurationError):
             classify_from_prefetch_fraction(bad)
-
-
-class TestToggleClassifier:
-    def test_big_slowdown_means_streaming(self):
-        """HPCG: >3x degradation without the prefetcher (paper IV-B)."""
-        c = classify_by_prefetcher_toggle(100.0, 320.0)
-        assert c.pattern is AccessPattern.STREAMING
-        assert math.isnan(c.prefetch_fraction)
-
-    def test_no_slowdown_means_random(self):
-        c = classify_by_prefetcher_toggle(100.0, 103.0)
-        assert c.pattern is AccessPattern.RANDOM
-
-    def test_middle_is_mixed(self):
-        assert (
-            classify_by_prefetcher_toggle(100.0, 125.0).pattern is AccessPattern.MIXED
-        )
-
-    def test_rejects_nonpositive_times(self):
-        with pytest.raises(ConfigurationError):
-            classify_by_prefetcher_toggle(0.0, 100.0)
-
-
-class TestDominanceRule:
-    def test_random_traffic_dominates_mixes(self):
-        """Paper III-D: SpMV's random stream dominates memory traffic."""
-        assert dominant_pattern(60.0, 40.0) is AccessPattern.RANDOM
-
-    def test_pure_streaming(self):
-        assert dominant_pattern(0.0, 100.0) is AccessPattern.STREAMING
-
-    def test_small_random_share_is_mixed(self):
-        assert dominant_pattern(20.0, 80.0) is AccessPattern.MIXED
-
-    def test_no_traffic_defaults_streaming(self):
-        assert dominant_pattern(0.0, 0.0) is AccessPattern.STREAMING
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            dominant_pattern(-1.0, 1.0)

@@ -6,8 +6,6 @@ from repro.core import (
     bandwidth_from_mlp,
     latency_from_mlp,
     mlp_from_bandwidth,
-    mlp_from_requests,
-    requests_from_bandwidth,
 )
 from repro.errors import ConfigurationError
 
@@ -49,25 +47,14 @@ class TestRearrangements:
         bw = bandwidth_from_mlp(12, 192, 64, cores=64)
         assert bw == pytest.approx(256e9, rel=0.01)
 
-    def test_requests_from_bandwidth(self):
-        # 64 GB/s for 1 us moves 1000 lines of 64B.
-        assert requests_from_bandwidth(64e9, 1000.0, 64) == pytest.approx(1000.0)
-
 
 class TestEquation1:
-    def test_requests_form(self):
-        # 1000 requests over 1000ns at 10ns latency -> 10 outstanding.
-        assert mlp_from_requests(1000, 10.0, 1000.0) == pytest.approx(10.0)
-
-    def test_per_core_division(self):
-        assert mlp_from_requests(1000, 10.0, 1000.0, cores=10) == pytest.approx(1.0)
-
     def test_equivalence_of_equations(self):
-        """Eq 1 and Eq 2 agree when BW = R*cls/T."""
+        """Eq 2 reproduces Eq 1 (``lat * R / T``) when BW = R*cls/T."""
         requests, time_ns, cls, lat = 5000.0, 2000.0, 64, 150.0
         bw = requests * cls / (time_ns * 1e-9)
-        assert mlp_from_requests(requests, lat, time_ns) == pytest.approx(
-            mlp_from_bandwidth(bw, lat, cls)
+        assert mlp_from_bandwidth(bw, lat, cls) == pytest.approx(
+            lat * requests / time_ns
         )
 
 

@@ -1,14 +1,6 @@
 """The Section III-C optimization catalog."""
 
-from repro.core import (
-    AccessPattern,
-    CATALOG,
-    OptimizationKind,
-    applicable_to,
-    info,
-    mlp_increasing,
-    occupancy_reducing,
-)
+from repro.core import CATALOG, OptimizationKind, info
 
 
 class TestCatalogCompleteness:
@@ -18,43 +10,6 @@ class TestCatalogCompleteness:
     def test_every_entry_has_guidance(self):
         for entry in CATALOG.values():
             assert entry.guidance
-            assert entry.applicable_patterns
-
-
-class TestMlpProperties:
-    def test_mlp_increasing_set(self):
-        kinds = {i.kind for i in mlp_increasing()}
-        assert OptimizationKind.VECTORIZATION in kinds
-        assert OptimizationKind.SMT in kinds
-        assert OptimizationKind.SW_PREFETCH_L2 in kinds
-        assert OptimizationKind.LOOP_TILING not in kinds
-
-    def test_occupancy_reducing_set(self):
-        kinds = {i.kind for i in occupancy_reducing()}
-        assert OptimizationKind.LOOP_TILING in kinds
-        assert OptimizationKind.LOOP_FUSION in kinds
-        assert OptimizationKind.VECTORIZATION not in kinds
-
-    def test_only_l2_prefetch_shifts_binding(self):
-        shifters = [i.kind for i in CATALOG.values() if i.shifts_binding_to_l2]
-        assert shifters == [OptimizationKind.SW_PREFETCH_L2]
-
-
-class TestApplicability:
-    def test_l2_prefetch_not_for_pure_streaming(self):
-        """The L2-prefetch trick targets random-access routines (ISx)."""
-        streaming = {i.kind for i in applicable_to(AccessPattern.STREAMING)}
-        assert OptimizationKind.SW_PREFETCH_L2 not in streaming
-
-    def test_tiling_not_for_pure_random(self):
-        random_kinds = {i.kind for i in applicable_to(AccessPattern.RANDOM)}
-        assert OptimizationKind.LOOP_TILING not in random_kinds
-
-    def test_vectorization_universal(self):
-        for pattern in AccessPattern:
-            assert OptimizationKind.VECTORIZATION in {
-                i.kind for i in applicable_to(pattern)
-            }
 
     def test_info_lookup(self):
         assert info(OptimizationKind.SMT).name == "smt"

@@ -1,5 +1,7 @@
 """The Figure-1 recipe engine: every branch of the flowchart."""
 
+import pytest
+
 from repro.core import (
     AccessPattern,
     Benefit,
@@ -10,6 +12,7 @@ from repro.core import (
     Recipe,
     RecipeContext,
 )
+from repro.machines import get_machine
 
 
 def _classify(pattern, pf=0.0):
@@ -165,6 +168,50 @@ class TestDecisionStructure:
         decision = _decide(skl, 50.0, AccessPattern.RANDOM)
         assert any("L1" in note for note in decision.notes)
 
-    def test_context_with_applied(self):
-        ctx = RecipeContext().with_applied(OptimizationKind.VECTORIZATION)
-        assert OptimizationKind.VECTORIZATION in ctx.applied
+
+def _kinds(machine, bw_gbs, pattern, context=None):
+    decision = _decide(machine, bw_gbs, pattern, context)
+    return {r.kind for r in decision.recommendations}
+
+
+#: Headroom, near-full / high-bandwidth and saturated states on each machine.
+_STATES = [
+    ("skl", 30.0),
+    ("skl", 109.9),
+    ("knl", 78.2),
+    ("knl", 253.0),
+    ("a64fx", 271.0),
+]
+
+
+class TestApplicability:
+    """Which optimizations the recipe offers for each access pattern."""
+
+    @pytest.mark.parametrize("name,bw_gbs", _STATES)
+    def test_no_tiling_or_fusion_for_random(self, name, bw_gbs):
+        machine = get_machine(name)
+        reducers = {OptimizationKind.LOOP_TILING, OptimizationKind.LOOP_FUSION}
+        assert not reducers & _kinds(machine, bw_gbs, AccessPattern.RANDOM)
+        for pattern in (AccessPattern.STREAMING, AccessPattern.MIXED):
+            assert reducers <= _kinds(machine, bw_gbs, pattern)
+
+    def test_no_l2_prefetch_for_streaming(self, knl):
+        """The L2-prefetch trick targets random-access routines (ISx),
+        even when an L1 binding is forced on a streaming one."""
+        l1 = RecipeContext(binding_level_override=1)
+        assert OptimizationKind.SW_PREFETCH_L2 not in _kinds(
+            knl, 150.0, AccessPattern.STREAMING, l1
+        )
+        for pattern in (AccessPattern.RANDOM, AccessPattern.MIXED):
+            assert OptimizationKind.SW_PREFETCH_L2 in _kinds(knl, 150.0, pattern, l1)
+        # With L2 already binding there is nothing to shift to.
+        l2 = RecipeContext(binding_level_override=2)
+        assert OptimizationKind.SW_PREFETCH_L2 not in _kinds(
+            knl, 150.0, AccessPattern.RANDOM, l2
+        )
+
+    @pytest.mark.parametrize("name,bw_gbs", _STATES)
+    def test_vectorization_for_every_pattern(self, name, bw_gbs):
+        machine = get_machine(name)
+        for pattern in AccessPattern:
+            assert OptimizationKind.VECTORIZATION in _kinds(machine, bw_gbs, pattern)

@@ -1,77 +1,63 @@
-"""What-if sweep utilities (repro.core.sweep)."""
+"""The recipe-verdict map (repro.core.sweep) and the Equation-2 locus it reads."""
 
 import pytest
 
 from repro.core import (
+    MlpCalculator,
     OccupancyStatus,
-    demand_sweep,
     headroom_map,
-    operating_curve,
+    mlp_from_bandwidth,
     render_headroom_map,
-    utilization_where_mshrs_bind,
 )
 from repro.errors import ConfigurationError
 from repro.machines import hbm3_concept
+from repro.perfmodel.solver import solve_operating_point
+
+
+def _n_avg(machine, utilization):
+    return MlpCalculator(machine).calculate(
+        utilization * machine.memory.peak_bw_bytes
+    ).n_avg
 
 
 class TestOperatingCurve:
     def test_monotone_in_utilization(self, skl):
-        curve = operating_curve(skl)
+        calc = MlpCalculator(skl)
+        peak = skl.memory.peak_bw_bytes
+        curve = [calc.calculate(0.9 * peak * i / 32) for i in range(33)]
         n_values = [p.n_avg for p in curve]
         lat_values = [p.latency_ns for p in curve]
         assert n_values == sorted(n_values)
         assert lat_values == sorted(lat_values)
 
-    def test_starts_at_zero(self, skl):
-        curve = operating_curve(skl)
-        assert curve[0].n_avg == 0.0
-        assert curve[0].utilization == 0.0
-
-    def test_top_is_achievable_by_default(self, skl):
-        curve = operating_curve(skl)
-        assert curve[-1].utilization == pytest.approx(
-            skl.memory.achievable_fraction
-        )
-
     def test_point_satisfies_equation2(self, skl):
-        from repro.core import mlp_from_bandwidth
-
-        point = operating_curve(skl, points=11)[5]
+        point = MlpCalculator(skl).calculate(0.45 * skl.memory.peak_bw_bytes)
         n = mlp_from_bandwidth(
             point.bandwidth_gbs * 1e9, point.latency_ns, 64, cores=24
         )
         assert n == pytest.approx(point.n_avg, rel=1e-9)
 
-    def test_validation(self, skl):
-        with pytest.raises(ConfigurationError):
-            operating_curve(skl, points=1)
-        with pytest.raises(ConfigurationError):
-            operating_curve(skl, max_utilization=1.5)
-
 
 class TestMshrCrossing:
     def test_skl_l1_binds_below_achievable(self, skl):
         """10 L1 MSHRs/core fill around 80% utilization on SKL."""
-        crossing = utilization_where_mshrs_bind(skl, 1)
-        assert crossing is not None
-        assert 0.6 < crossing < 0.87
+        assert _n_avg(skl, 0.6) < skl.mshr_limit(1) <= _n_avg(skl, 0.87)
 
     def test_skl_l2_never_binds(self, skl):
         """16 L2 MSHRs can feed SKL's memory: no crossing below
         achievable bandwidth - today's regime."""
-        assert utilization_where_mshrs_bind(skl, 2) is None
+        assert _n_avg(skl, skl.memory.achievable_fraction) < skl.mshr_limit(2)
 
     def test_hbm3_l2_binds_early(self):
         """The §IV-G regime: the crossing moves far below achievable."""
-        crossing = utilization_where_mshrs_bind(hbm3_concept(), 2)
-        assert crossing is not None
-        assert crossing < 0.5
+        machine = hbm3_concept()
+        assert _n_avg(machine, 0.5) >= machine.mshr_limit(2)
 
 
 class TestDemandSweep:
     def test_bandwidth_monotone_and_saturating(self, knl):
-        rows = demand_sweep(knl, 2, [1, 2, 4, 8, 16, 32, 64])
-        bws = [bw for _, bw, _ in rows]
+        demands = [1, 2, 4, 8, 16, 32, 64]
+        bws = [solve_operating_point(knl, d, 2).bandwidth_gbs for d in demands]
         assert bws == sorted(bws)
         # Demand beyond the 32-entry file adds nothing.
         assert bws[-1] == pytest.approx(bws[-2], rel=1e-6)

@@ -1,4 +1,4 @@
-"""Counter facade: vendor events, Table I visibility, sessions, CrayPat."""
+"""Counter facade: vendor events, Table I visibility, counter sessions."""
 
 import math
 import random
@@ -8,14 +8,13 @@ import pytest
 from repro.counters import (
     CounterEvent,
     CounterSession,
-    RoutineProfile,
     Visibility,
     events_supported,
     table1_matrix,
     vendor_for_machine,
     visibility_for,
 )
-from repro.errors import CounterError, CounterUnavailableError
+from repro.errors import CounterUnavailableError
 from repro.sim import SimConfig, run_trace, trace_from_addresses
 
 
@@ -112,35 +111,6 @@ class TestCounterSession:
         stats = _run(a64fx)
         with pytest.raises(CounterUnavailableError):
             CounterSession(a64fx, stats).load_latency_histogram()
-
-
-class TestRoutineProfile:
-    def test_per_routine_reports(self, skl):
-        profile = RoutineProfile(skl)
-        profile.add_run(_run(skl, routine="alpha"))
-        profile.add_run(_run(skl, seed=9, routine="beta"))
-        assert set(profile.routines) == {"alpha", "beta"}
-        report = profile.report("alpha")
-        assert report.bandwidth_gbs > 0
-        assert "alpha" in profile.render()
-
-    def test_duplicate_routine_rejected(self, skl):
-        profile = RoutineProfile(skl)
-        profile.add_run(_run(skl, routine="alpha"))
-        with pytest.raises(CounterError):
-            profile.add_run(_run(skl, routine="alpha"))
-
-    def test_unknown_routine_rejected(self, skl):
-        with pytest.raises(CounterError):
-            RoutineProfile(skl).report("nope")
-
-    def test_whole_program_average_between_extremes(self, skl):
-        profile = RoutineProfile(skl)
-        profile.add_run(_run(skl, n=400, routine="fast"))
-        profile.add_run(_run(skl, n=800, seed=9, routine="slow"))
-        whole = profile.whole_program_bandwidth()
-        bws = [r.bandwidth_bytes for r in profile.reports()]
-        assert min(bws) <= whole <= max(bws)
 
 
 class TestDegradedReads:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import mlp_from_bandwidth
-from repro.experiments import CASE_STUDY_TABLES, base_row, rows_for
+from repro.experiments import CASE_STUDY_TABLES, rows_for
 from repro.experiments.paperdata import TABLE3_PLATFORMS
 from repro.machines import get_machine
 
@@ -19,11 +19,7 @@ class TestRowStructure:
     def test_every_machine_has_a_base_row(self):
         for name in CASE_STUDY_TABLES:
             for proc in ("skl", "knl", "a64fx"):
-                assert base_row(name, proc).source == "base"
-
-    def test_base_row_missing_raises(self):
-        with pytest.raises(KeyError):
-            base_row("isx", "epyc")
+                assert any(r.source == "base" for r in rows_for(name, proc))
 
     def test_terminal_rows_have_no_speedup(self):
         for rows in CASE_STUDY_TABLES.values():

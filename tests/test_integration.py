@@ -12,7 +12,6 @@ Two pipelines, neither of which touches any calibrated table data:
 import pytest
 
 from repro.core import OptimizationKind, RecipeContext, RoutineAnalyzer
-from repro.counters import RoutineProfile
 from repro.sim import SimConfig, run_trace
 from repro.workloads import get_workload
 from repro.workloads.base import TraceSpec
@@ -130,8 +129,9 @@ class TestTablesWithMeasuredProfile:
 
 class TestPerRoutineProfileFlow:
     def test_craypat_feeds_analyzer(self, skl, xmem_skl_profile):
-        """CrayPat-substitute per-routine bandwidths drive the analysis."""
-        profile = RoutineProfile(skl)
+        """Per-routine counter bandwidths (CrayPat's observable) drive analysis."""
+        analyzer = RoutineAnalyzer(skl, xmem_skl_profile)
+        reports = []
         for name in ("isx", "snap"):
             trace = get_workload(name).generate_trace(
                 skl, spec=TraceSpec(threads=2, accesses_per_thread=1500)
@@ -139,19 +139,14 @@ class TestPerRoutineProfileFlow:
             stats = run_trace(
                 trace, SimConfig(machine=skl, sim_cores=2, window_per_core=16)
             )
-            profile.add_run(stats)
-        analyzer = RoutineAnalyzer(skl, xmem_skl_profile)
-        for report_row in profile.reports():
-            scaled = report_row.bandwidth_bytes * skl.active_cores / 2
-            analysis = analyzer.analyze_bandwidth(
-                scaled,
-                routine=report_row.routine,
-                prefetch_fraction=report_row.prefetch_fraction,
-            )
-            assert analysis.mlp.n_avg >= 0
+            reports.append(analyzer.analyze_run(stats))
+            assert reports[-1].mlp.n_avg >= 0
         # The two routines behave differently - exactly why the paper
         # insists on per-routine attribution.
-        reports = profile.reports()
         assert (
-            abs(reports[0].prefetch_fraction - reports[1].prefetch_fraction) > 0.1
+            abs(
+                reports[0].classification.prefetch_fraction
+                - reports[1].classification.prefetch_fraction
+            )
+            > 0.1
         )

@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import tempfile
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import __version__
@@ -86,12 +88,12 @@ class TestDigestStability:
     #: every cached simulation, which only a ``SCHEMA_VERSION`` or version
     #: bump may do.
     PINNED = {
-        ("skl", "plain"): "31d21d2c715fedb565aeef5b9c8db7de6338ee492601f619dcdb8db5f3a9c1fd",
-        ("skl", "tlb-nopf-nobatch"): "07b46f82a46b1e7ac698039e5a788a6ffdf68a725b59574d343452d11c1183c7",
-        ("knl", "plain"): "ae272212b63b7b6c923c98679e58e264cea31b257747bb8694e3a18cb0976f8c",
-        ("knl", "tlb-nopf-nobatch"): "578510b2c4dbf8737979922207b98926ce9021b92b8aa2d8aeca9e0dff0fc3fd",
-        ("a64fx", "plain"): "f0ca9d06c16a8e5fa8c44c3ae3c4cfd1ac370524c6c464bce69670ac5fd1dca5",
-        ("a64fx", "tlb-nopf-nobatch"): "580bdfdf60df6bfdfdd1442c263057a9ce481ba3e711924c494623a58d08be4a",
+        ("skl", "plain"): "4338a45b2145a3ed089c97bce40fc14a987b46e59b037bf88149492b77ecb729",
+        ("skl", "tlb-nopf-nobatch"): "df5f0856fe1f71162e9a92800864499eedc4bfb25e305baa89c02095b1b72874",
+        ("knl", "plain"): "fa71c7c39f4afd5ca1f476f0c321b109177fe51c66efdef9e7da6c3071788258",
+        ("knl", "tlb-nopf-nobatch"): "828664e1838f090d62960e1fe1df236e46f3152ab5895d5d595e57cd0575ed72",
+        ("a64fx", "plain"): "3884e95738f66598d6bf3d79c46b0f149cf371ee382c3484e458aa3159aa63f3",
+        ("a64fx", "tlb-nopf-nobatch"): "23ba1047520d07acc62ac5f6774420023eaacac5976448a41384d53160b62cf6",
     }
     VARIANTS = {
         "plain": {},
@@ -368,3 +370,88 @@ class TestQuarantine:
             configure_faults(None)
         assert first.fingerprint() == baseline.fingerprint()
         assert second.fingerprint() == baseline.fingerprint()
+
+    def test_digit_flip_in_stats_is_a_warned_miss(self, tmp_path, skl_inputs):
+        # Valid JSON, wrong number: only the stats checksum can tell.
+        trace, config = skl_inputs
+        cache = SimCache(tmp_path, enabled=True)
+        baseline = cached_run_trace(trace, config, cache=cache)
+        path = cache.path_for(digest_for(trace, config))
+        raw = path.read_bytes()
+        at = raw.index(b'"elapsed_ns": ') + len(b'"elapsed_ns": ')
+        flipped = b"9" if raw[at : at + 1] != b"9" else b"1"
+        path.write_bytes(raw[:at] + flipped + raw[at + 1 :])
+        assert json.loads(path.read_bytes())["stats"] != baseline.to_dict()
+        with pytest.warns(UserWarning, match="checksum"):
+            recovered = cached_run_trace(trace, config, cache=cache)
+        assert recovered.fingerprint() == baseline.fingerprint()
+        assert path.with_suffix(".corrupt").exists()
+
+
+@pytest.fixture
+def clean_entry(tmp_path):
+    """One stored entry for a small skl run: (trace, config, bytes, stats).
+
+    Function-scoped so that it runs after ``_fault_free_baseline``.
+    """
+    skl = get_machine("skl")
+    trace = throughput_trace(
+        threads=1, accesses_per_thread=120, line_bytes=skl.line_bytes, gap_cycles=20.0
+    )
+    config = SimConfig(machine=skl, sim_cores=1)
+    cache = SimCache(tmp_path, enabled=True)
+    stats = cached_run_trace(trace, config, cache=cache)
+    raw = cache.path_for(digest_for(trace, config)).read_bytes()
+    return trace, config, raw, stats
+
+
+@st.composite
+def _damage(draw, raw: bytes):
+    """``raw`` truncated, with one byte changed, or with a range overwritten."""
+    kind = draw(st.sampled_from(["truncate", "byte", "range"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "byte":
+        # Digits are drawn often: a digit swapped for a digit is valid JSON.
+        value = draw(st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)))
+        if value == raw[at]:
+            value ^= 1
+        return raw[:at] + bytes([value]) + raw[at + 1 :]
+    patch = draw(st.binary(min_size=1, max_size=64))[: len(raw) - at]
+    return raw[:at] + patch + raw[at + len(patch) :]
+
+
+def _decoded_stats(raw: bytes):
+    try:
+        return json.loads(raw)["stats"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+class TestRandomDamage:
+    """Any damage to a stored entry: never a wrong result, and a change
+    to the stats it decodes to is always a warned, quarantined miss."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_damaged_entry_never_replays_wrong_stats(self, clean_entry, data):
+        trace, config, raw, clean = clean_entry
+        damaged = data.draw(_damage(raw))
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = SimCache(tmp, enabled=True)
+            path = cache.path_for(digest_for(trace, config))
+            path.parent.mkdir(parents=True)
+            path.write_bytes(damaged)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = cached_run_trace(trace, config, cache=cache)
+            assert result.fingerprint() == clean.fingerprint()
+            if _decoded_stats(damaged) != clean.to_dict():
+                assert cache.counters.misses == 1
+                assert any("corrupt" in str(w.message) for w in caught)
+                assert path.with_suffix(".corrupt").read_bytes() == damaged

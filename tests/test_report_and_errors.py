@@ -1,7 +1,5 @@
 """Report rendering helpers and the exception hierarchy."""
 
-import pytest
-
 from repro import errors
 from repro.core import (
     CaseStudyRow,
@@ -74,11 +72,3 @@ class TestComparisonRendering:
         ]
         text = render_comparison_table("cmp", rows)
         assert "agree" in text and "DISAGREE" in text
-
-    def test_n_avg_error(self):
-        row = ComparisonRow("x", 10.0, 11.0, None, None, True)
-        assert row.n_avg_error == pytest.approx(0.1)
-
-    def test_zero_paper_value(self):
-        row = ComparisonRow("x", 0.0, 1.0, None, None, True)
-        assert row.n_avg_error == 0.0

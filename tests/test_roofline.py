@@ -4,28 +4,27 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.roofline import (
+    ExtendedRoofline,
     Roofline,
     RooflinePoint,
-    extended_roofline_for,
     log_intensity_grid,
     mshr_ceiling,
 )
+
+
+def _extended(machine, latency_ns, levels=(1, 2)):
+    ceilings = tuple(mshr_ceiling(machine, lvl, latency_ns) for lvl in levels)
+    return ExtendedRoofline(Roofline.for_machine(machine), ceilings)
 
 
 class TestClassicRoofline:
     def test_memory_bound_region(self, knl):
         roof = Roofline.for_machine(knl)
         assert roof.attainable_gflops(1.0) == pytest.approx(400.0)
-        assert roof.bound_kind(1.0) == "memory"
 
     def test_compute_bound_region(self, knl):
         roof = Roofline.for_machine(knl)
         assert roof.attainable_gflops(100.0) == pytest.approx(knl.peak_gflops)
-        assert roof.bound_kind(100.0) == "compute"
-
-    def test_ridge_point(self, knl):
-        roof = Roofline.for_machine(knl)
-        assert roof.ridge_intensity == pytest.approx(knl.peak_gflops / 400.0)
 
     def test_headroom(self, knl):
         roof = Roofline.for_machine(knl)
@@ -68,25 +67,25 @@ class TestMshrCeiling:
 
 class TestExtendedRoofline:
     def test_ceiling_tightens_bound(self, knl):
-        ext = extended_roofline_for(knl, 190.0, levels=(1,))
+        ext = _extended(knl, 190.0, levels=(1,))
         classic = ext.roofline.attainable_gflops(1.0)
         bounded = ext.attainable_gflops(1.0)
         assert bounded < classic
 
     def test_explains_stall_for_isx_base(self, knl):
         """Point O: far under the classic roof, on the L1 ceiling."""
-        ext = extended_roofline_for(knl, 190.0, levels=(1,))
+        ext = _extended(knl, 190.0, levels=(1,))
         ceiling_bw = ext.ceilings[0].bandwidth_gbs
         point = RooflinePoint("isx", 0.03, 0.95 * ceiling_bw * 0.03)
         assert ext.explains_stall(point)
 
     def test_no_stall_explanation_when_far_below_ceiling(self, knl):
-        ext = extended_roofline_for(knl, 190.0, levels=(1,))
+        ext = _extended(knl, 190.0, levels=(1,))
         point = RooflinePoint("comd", 0.03, 0.1)
         assert ext.binding_ceiling(point) is None
 
     def test_series_includes_both_bounds(self, knl):
-        ext = extended_roofline_for(knl, 190.0)
+        ext = _extended(knl, 190.0)
         series = ext.series([0.1, 1.0])
         for _, classic, extended in series:
             assert extended <= classic

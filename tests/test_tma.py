@@ -44,7 +44,8 @@ class TestCategories:
 class TestAnalysis:
     def test_level1_sums_to_one(self, skl):
         report = TmaAnalysis(skl).analyze(_random_run(skl))
-        level1 = sum(report.breakdown.level1().values())
+        fractions = report.breakdown.fractions
+        level1 = sum(f for c, f in fractions.items() if c.level == 1)
         assert level1 == pytest.approx(1.0, abs=1e-6)
 
     def test_memory_bound_dominates_random_workload(self, skl):
